@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-core bench-session bench-store bench-partition bench-cluster serve smoke smoke-cluster lint-metrics fmt vet clean
+.PHONY: all build test bench bench-json bench-core bench-session bench-store bench-partition bench-cluster edfbench-test serve smoke smoke-cluster lint-metrics fmt vet clean
 
 all: build test
 
@@ -75,6 +75,13 @@ CLUSTER_BENCH_OUT ?= BENCH_cluster.json
 bench-cluster:
 	$(GO) test -json -run xxx -bench BenchmarkCluster -benchtime $(CLUSTER_BENCHTIME) ./internal/cluster/ > bench-cluster.out
 	mv bench-cluster.out $(CLUSTER_BENCH_OUT)
+
+# Self-tests of the end-to-end benchmark (its own Go module under
+# edfbench/): percentile, span and reference-ratio arithmetic, the
+# BENCHMARK.json tables, and a short run of all four workloads with their
+# oracles checking every answer.
+edfbench-test:
+	$(GO) -C edfbench test ./...
 
 # Run the edfd feasibility daemon locally.
 serve:

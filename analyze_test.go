@@ -49,7 +49,7 @@ func TestAnalyzeBatchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := edf.Options{Arithmetic: edf.ArithFloat64}
+	opt := edf.Options{}
 	one := edf.AnalyzeBatch(context.Background(), sets, analyzers, opt, 1)
 	many := edf.AnalyzeBatch(context.Background(), sets, analyzers, opt, runtime.NumCPU())
 	if len(one) != len(sets)*len(analyzers) || len(many) != len(one) {

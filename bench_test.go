@@ -141,7 +141,7 @@ func benchSet(b *testing.B, n int, u float64, ratio int64) edf.TaskSet {
 // themselves by registering with the engine.
 func BenchmarkAlgorithms(b *testing.B) {
 	ts := benchSet(b, 50, 0.97, 10000)
-	opt := edf.Options{Arithmetic: edf.ArithFloat64}
+	opt := edf.Options{}
 	for _, a := range edf.Analyzers() {
 		b.Run(a.Info().Label, func(b *testing.B) {
 			var r edf.Result
@@ -176,7 +176,7 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := edf.Options{Arithmetic: edf.ArithFloat64}
+	opt := edf.Options{}
 	counts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
 		counts = append(counts, n)
@@ -197,9 +197,9 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationArithmetic quantifies the cost of exact big.Rat
-// accumulators versus the float64 fast path in the all-approximated test
-// (DESIGN.md: arithmetic modes).
+// BenchmarkAblationArithmetic quantifies the cost of the big.Rat
+// reference accumulators versus the default chunk registers in the
+// all-approximated test (DESIGN.md: arithmetic modes).
 func BenchmarkAblationArithmetic(b *testing.B) {
 	ts := benchSet(b, 50, 0.97, 1000)
 	for _, tc := range []struct {
@@ -207,7 +207,7 @@ func BenchmarkAblationArithmetic(b *testing.B) {
 		opt  edf.Options
 	}{
 		{"Exact", edf.Options{Arithmetic: edf.ArithExact}},
-		{"Float64", edf.Options{Arithmetic: edf.ArithFloat64}},
+		{"BigRat", edf.Options{Arithmetic: edf.ArithBigRat}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			for b.Loop() {
@@ -230,7 +230,7 @@ func BenchmarkAblationRevisionOrder(b *testing.B) {
 		{"MaxError", core.ReviseMaxError},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opt := edf.Options{Arithmetic: edf.ArithFloat64, RevisionOrder: tc.order}
+			opt := edf.Options{RevisionOrder: tc.order}
 			var r edf.Result
 			for b.Loop() {
 				r = edf.AllApprox(ts, opt)
@@ -381,7 +381,7 @@ func BenchmarkOverheads(b *testing.B) {
 		}
 	}
 	ov := edf.Overheads{ContextSwitch: 2}
-	opt := edf.Options{Arithmetic: edf.ArithFloat64}
+	opt := edf.Options{}
 	for b.Loop() {
 		edf.AllApproxWithOverheads(ts, ov, opt)
 	}

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	edffeas -set tasks.json [-test all|exact|sufficient|<name>,<name>,...]
-//	        [-level N] [-float] [-example name] [-wcrt] [-slack]
+//	        [-level N] [-example name] [-wcrt] [-slack]
 //	        [-curve I] [-events stream.json] [-list]
 //	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -59,7 +59,6 @@ func run() int {
 		example = flag.String("example", "", "literature set name (burns, mashin, gap, gresser1, gresser2)")
 		test    = flag.String("test", "all", "analyzers to run: registered names, comma-separated, or all|exact|sufficient")
 		level   = flag.Int64("level", 3, "superposition level applied to a bare \"superpos\" in -test")
-		useF64  = flag.Bool("float", false, "use float64 accumulators instead of exact rationals")
 		wcrt    = flag.Bool("wcrt", false, "also report per-task worst-case response times (Spuri)")
 		slack   = flag.Bool("slack", false, "also report per-task WCET slack (sensitivity analysis)")
 		curve   = flag.Int64("curve", 0, "dump dbf and the SuperPos(1)/Devi approximation up to this interval as CSV (Figures 2-3 of the paper) and exit")
@@ -94,9 +93,6 @@ func run() int {
 	}
 
 	opt := edf.Options{}
-	if *useF64 {
-		opt.Arithmetic = edf.ArithFloat64
-	}
 
 	if *events != "" {
 		code, err := analyzeEvents(*events, analyzers, opt, *asJSON)

@@ -13,23 +13,21 @@
 //
 // Without -edfd/-edfproxy the daemons are compiled from ./cmd into a
 // temp dir, so `go run ./cmd/edfpromlint` works from a clean checkout.
-// On a lint failure the offending page is printed in full, so CI logs
-// show exactly which line broke the format.
+// On a lint failure the offending page is printed in full, and on any
+// failure each daemon's captured stderr, so CI logs show exactly which
+// line broke the format and what the daemons said.
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
 	edf "repro"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -46,17 +44,18 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	var daemons fleet
-	err := run(ctx, &daemons, *edfdPath, *proxyPath, *replicas)
-	daemons.stopAll()
+	daemons := &harness.Fleet{Tool: "edfpromlint"}
+	err := run(ctx, daemons, *edfdPath, *proxyPath, *replicas)
+	daemons.StopAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "edfpromlint: FAIL:", err)
+		daemons.DumpStderr(os.Stderr)
 		os.Exit(1)
 	}
 	fmt.Println("edfpromlint: PASS")
 }
 
-func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, n int) error {
+func run(ctx context.Context, daemons *harness.Fleet, edfdPath, proxyPath string, n int) error {
 	if n < 1 {
 		return fmt.Errorf("-replicas must be >= 1")
 	}
@@ -67,12 +66,12 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, n int)
 		}
 		defer os.RemoveAll(dir)
 		if edfdPath == "" {
-			if edfdPath, err = buildTool(ctx, dir, "edfd"); err != nil {
+			if edfdPath, err = harness.BuildTool(ctx, dir, "edfd"); err != nil {
 				return err
 			}
 		}
 		if proxyPath == "" {
-			if proxyPath, err = buildTool(ctx, dir, "edfproxy"); err != nil {
+			if proxyPath, err = harness.BuildTool(ctx, dir, "edfproxy"); err != nil {
 				return err
 			}
 		}
@@ -80,19 +79,19 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, n int)
 
 	var urls []string
 	for i := range n {
-		d, err := daemons.start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0")
+		d, err := daemons.Start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0")
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i, err)
 		}
-		urls = append(urls, "http://"+d.addr)
+		urls = append(urls, d.URL())
 	}
-	proxy, err := daemons.start(ctx, "edfproxy", proxyPath,
+	proxy, err := daemons.Start(ctx, "edfproxy", proxyPath,
 		"-addr", "127.0.0.1:0", "-replicas", strings.Join(urls, ","), "-health-interval", "250ms")
 	if err != nil {
 		return err
 	}
-	c := client.New("http://"+proxy.addr, nil)
-	if err := waitHealthy(ctx, c); err != nil {
+	c := client.New(proxy.URL(), nil)
+	if err := harness.WaitHealthy(ctx, c); err != nil {
 		return err
 	}
 
@@ -102,19 +101,19 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, n int)
 		return err
 	}
 
-	for _, d := range daemons.daemons {
-		page, err := client.New("http://"+d.addr, nil).Metrics(ctx)
+	for _, d := range daemons.Daemons {
+		page, err := client.New(d.URL(), nil).Metrics(ctx)
 		if err != nil {
-			return fmt.Errorf("%s (%s): scraping /metrics: %w", d.name, d.addr, err)
+			return fmt.Errorf("%s (%s): scraping /metrics: %w", d.Name, d.Addr, err)
 		}
-		families, samples, err := lintPage(d.name, page)
+		families, samples, err := lintPage(d.Name, page)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "edfpromlint: --- %s (%s) /metrics ---\n%s\nedfpromlint: --- end ---\n",
-				d.name, d.addr, strings.TrimSpace(page))
-			return fmt.Errorf("%s (%s): %w", d.name, d.addr, err)
+				d.Name, d.Addr, strings.TrimSpace(page))
+			return fmt.Errorf("%s (%s): %w", d.Name, d.Addr, err)
 		}
 		fmt.Printf("edfpromlint: %s (%s): %d families, %d samples ok\n",
-			d.name, d.addr, families, samples)
+			d.Name, d.Addr, families, samples)
 	}
 	return nil
 }
@@ -239,78 +238,4 @@ func lintPage(daemon, page string) (families, samples int, err error) {
 		}
 	}
 	return len(types), len(ss), nil
-}
-
-// --- process plumbing (mirrors cmd/edfsmoke) ---
-
-// daemon is one child process with its parsed listen address.
-type daemon struct {
-	name string
-	cmd  *exec.Cmd
-	addr string
-}
-
-// fleet tracks every daemon for teardown.
-type fleet struct{ daemons []*daemon }
-
-func (f *fleet) stopAll() {
-	for _, d := range f.daemons {
-		_ = d.cmd.Process.Kill()
-		_ = d.cmd.Wait()
-	}
-}
-
-// start launches a daemon and parses "<name>: listening on <addr>" from
-// its stdout; stderr passes through for diagnosability.
-func (f *fleet) start(ctx context.Context, name, bin string, args ...string) (*daemon, error) {
-	d := &daemon{name: name}
-	d.cmd = exec.CommandContext(ctx, bin, args...)
-	d.cmd.Stderr = os.Stderr
-	stdout, err := d.cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", name, err)
-	}
-	f.daemons = append(f.daemons, d)
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), name+": listening on "); ok {
-			go io.Copy(io.Discard, stdout) // keep the pipe drained
-			d.addr, _, _ = strings.Cut(rest, " ")
-			return d, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s startup: %w", name, err)
-	}
-	return nil, fmt.Errorf("%s exited before announcing its address", name)
-}
-
-// buildTool compiles ./cmd/<name> into dir.
-func buildTool(ctx context.Context, dir, name string) (string, error) {
-	bin := filepath.Join(dir, name)
-	build := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/"+name)
-	if out, err := build.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("building %s: %v\n%s", name, err, out)
-	}
-	return bin, nil
-}
-
-// waitHealthy polls /healthz until the endpoint answers.
-func waitHealthy(ctx context.Context, c *client.Client) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if err := c.Healthz(ctx); err == nil {
-			return nil
-		} else if time.Now().After(deadline) {
-			return fmt.Errorf("daemon never became healthy: %w", err)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
 }

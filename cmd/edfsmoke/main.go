@@ -32,7 +32,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -41,13 +40,12 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	edf "repro"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
@@ -64,150 +62,41 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	daemons := &fleet{}
+	daemons := &harness.Fleet{Tool: "edfsmoke"}
 	err := run(ctx, daemons, *edfdPath, *proxyPath, *clusterN)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "edfsmoke: FAIL:", err)
 		// Snapshot /metrics while the daemons are still alive, then kill
 		// them and dump their stderr: counters plus logs make a CI failure
 		// diagnosable without a rerun.
-		daemons.dumpMetrics(os.Stderr)
-		daemons.stopAll()
-		daemons.dumpStderr(os.Stderr)
+		dumpMetrics(os.Stderr, daemons)
+		daemons.StopAll()
+		daemons.DumpStderr(os.Stderr)
 		os.Exit(1)
 	}
-	daemons.stopAll()
+	daemons.StopAll()
 	fmt.Println("edfsmoke: PASS")
-}
-
-// tailBuffer captures the last cap bytes of a daemon's stderr, so a
-// failure report carries the daemon's own diagnostics without an
-// unbounded buffer on a chatty process.
-type tailBuffer struct {
-	mu  sync.Mutex
-	buf []byte
-	cap int
-}
-
-func newTailBuffer() *tailBuffer { return &tailBuffer{cap: 64 << 10} }
-
-func (t *tailBuffer) Write(p []byte) (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = append(t.buf, p...)
-	if len(t.buf) > t.cap {
-		t.buf = t.buf[len(t.buf)-t.cap:]
-	}
-	return len(p), nil
-}
-
-func (t *tailBuffer) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return string(t.buf)
-}
-
-// daemon is one child process with its captured stderr and parsed
-// listen address.
-type daemon struct {
-	name   string
-	cmd    *exec.Cmd
-	stderr *tailBuffer
-	addr   string
-}
-
-// fleet tracks every daemon for teardown and failure reporting.
-type fleet struct{ daemons []*daemon }
-
-func (f *fleet) stopAll() {
-	for _, d := range f.daemons {
-		_ = d.cmd.Process.Kill()
-		_ = d.cmd.Wait()
-	}
-}
-
-// dumpStderr prints every daemon's captured stderr — the satellite fix
-// that makes CI smoke failures diagnosable: the non-2xx status alone
-// says nothing, the daemon's own log usually says everything.
-func (f *fleet) dumpStderr(w io.Writer) {
-	for _, d := range f.daemons {
-		out := strings.TrimSpace(d.stderr.String())
-		if out == "" {
-			fmt.Fprintf(w, "edfsmoke: %s (%s): no stderr output\n", d.name, d.addr)
-			continue
-		}
-		fmt.Fprintf(w, "edfsmoke: --- %s (%s) stderr ---\n%s\nedfsmoke: --- end %s stderr ---\n",
-			d.name, d.addr, out, d.name)
-	}
 }
 
 // dumpMetrics captures a final /metrics snapshot from every daemon that
 // is still answering — the counter state at the moment of failure often
 // pinpoints which daemon absorbed the work that went missing.
-func (f *fleet) dumpMetrics(w io.Writer) {
+func dumpMetrics(w io.Writer, f *harness.Fleet) {
 	hc := &http.Client{Timeout: 2 * time.Second}
-	for _, d := range f.daemons {
-		resp, err := hc.Get("http://" + d.addr + "/metrics")
+	for _, d := range f.Daemons {
+		resp, err := hc.Get(d.URL() + "/metrics")
 		if err != nil {
-			fmt.Fprintf(w, "edfsmoke: %s (%s): metrics unavailable: %v\n", d.name, d.addr, err)
+			fmt.Fprintf(w, "edfsmoke: %s (%s): metrics unavailable: %v\n", d.Name, d.Addr, err)
 			continue
 		}
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 		resp.Body.Close()
 		fmt.Fprintf(w, "edfsmoke: --- %s (%s) /metrics ---\n%s\nedfsmoke: --- end %s /metrics ---\n",
-			d.name, d.addr, strings.TrimSpace(string(b)), d.name)
+			d.Name, d.Addr, strings.TrimSpace(string(b)), d.Name)
 	}
 }
 
-// start launches a daemon and parses "<name>: listening on <addr>" from
-// its stdout.
-func (f *fleet) start(ctx context.Context, name, bin string, args ...string) (*daemon, error) {
-	d := &daemon{name: name, stderr: newTailBuffer()}
-	d.cmd = exec.CommandContext(ctx, bin, args...)
-	d.cmd.Stderr = d.stderr
-	stdout, err := d.cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := d.cmd.Start(); err != nil {
-		return nil, fmt.Errorf("starting %s: %w", name, err)
-	}
-	f.daemons = append(f.daemons, d)
-	addr, err := listenAddr(stdout, name+": listening on ")
-	if err != nil {
-		return nil, fmt.Errorf("%s startup: %w", name, err)
-	}
-	d.addr = addr
-	return d, nil
-}
-
-// listenAddr parses a daemon's startup banner for the resolved address.
-func listenAddr(stdout io.Reader, prefix string) (string, error) {
-	sc := bufio.NewScanner(stdout)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), prefix); ok {
-			go io.Copy(io.Discard, stdout) // keep the pipe drained
-			addr, _, _ := strings.Cut(rest, " ")
-			return addr, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("daemon exited before announcing its address")
-}
-
-// buildTool compiles ./cmd/<name> into dir.
-func buildTool(ctx context.Context, dir, name string) (string, error) {
-	bin := filepath.Join(dir, name)
-	build := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/"+name)
-	if out, err := build.CombinedOutput(); err != nil {
-		return "", fmt.Errorf("building %s: %v\n%s", name, err, out)
-	}
-	return bin, nil
-}
-
-func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, clusterN int) error {
+func run(ctx context.Context, daemons *harness.Fleet, edfdPath, proxyPath string, clusterN int) error {
 	if edfdPath == "" || (clusterN > 0 && proxyPath == "") {
 		dir, err := os.MkdirTemp("", "edfsmoke")
 		if err != nil {
@@ -215,12 +104,12 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, cluste
 		}
 		defer os.RemoveAll(dir)
 		if edfdPath == "" {
-			if edfdPath, err = buildTool(ctx, dir, "edfd"); err != nil {
+			if edfdPath, err = harness.BuildTool(ctx, dir, "edfd"); err != nil {
 				return err
 			}
 		}
 		if clusterN > 0 && proxyPath == "" {
-			if proxyPath, err = buildTool(ctx, dir, "edfproxy"); err != nil {
+			if proxyPath, err = harness.BuildTool(ctx, dir, "edfproxy"); err != nil {
 				return err
 			}
 		}
@@ -236,16 +125,16 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, cluste
 	defer os.RemoveAll(storeDir)
 
 	if clusterN <= 0 {
-		d, err := daemons.start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
+		d, err := daemons.Start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
 			"-store-dir", storeDir, "-store-node", "edfd-smoke")
 		if err != nil {
 			return err
 		}
-		c := client.New("http://"+d.addr, nil)
-		if err := waitHealthy(ctx, c); err != nil {
+		c := client.New(d.URL(), nil)
+		if err := harness.WaitHealthy(ctx, c); err != nil {
 			return err
 		}
-		fmt.Println("edfsmoke: edfd healthy on", d.addr)
+		fmt.Println("edfsmoke: edfd healthy on", d.Addr)
 		if err := drive(ctx, c); err != nil {
 			return err
 		}
@@ -263,23 +152,23 @@ func run(ctx context.Context, daemons *fleet, edfdPath, proxyPath string, cluste
 	// to its own segment of the shared directory.
 	var replicas []string
 	for i := range clusterN {
-		d, err := daemons.start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
+		d, err := daemons.Start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
 			"-store-dir", storeDir, "-store-node", fmt.Sprintf("edfd-%d", i))
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i, err)
 		}
-		replicas = append(replicas, "http://"+d.addr)
+		replicas = append(replicas, d.URL())
 	}
-	proxy, err := daemons.start(ctx, "edfproxy", proxyPath,
+	proxy, err := daemons.Start(ctx, "edfproxy", proxyPath,
 		"-addr", "127.0.0.1:0", "-replicas", strings.Join(replicas, ","), "-health-interval", "250ms")
 	if err != nil {
 		return err
 	}
-	c := client.New("http://"+proxy.addr, nil)
-	if err := waitHealthy(ctx, c); err != nil {
+	c := client.New(proxy.URL(), nil)
+	if err := harness.WaitHealthy(ctx, c); err != nil {
 		return err
 	}
-	fmt.Printf("edfsmoke: edfproxy healthy on %s over %d replicas\n", proxy.addr, clusterN)
+	fmt.Printf("edfsmoke: edfproxy healthy on %s over %d replicas\n", proxy.Addr, clusterN)
 
 	// The full single-daemon suite must behave identically via the proxy.
 	if err := drive(ctx, c); err != nil {
@@ -644,14 +533,14 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 			{Name: "a", WCET: 1, Deadline: 40 + int64(i), Period: 100 + int64(i)},
 			{Name: "b", WCET: 2, Deadline: 90, Period: 200},
 		})
-		first, rt1, err := c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: wl})
+		first, rt1, err := c.Analyze(ctx, service.AnalyzeRequest{Workload: wl})
 		if err != nil {
 			return fmt.Errorf("cluster analyze %d: %w", i, err)
 		}
 		if rt1.Replica == "" {
 			return fmt.Errorf("cluster analyze %d: proxy did not name a replica", i)
 		}
-		again, rt2, err := c.AnalyzeRouted(ctx, service.AnalyzeRequest{Workload: wl})
+		again, rt2, err := c.Analyze(ctx, service.AnalyzeRequest{Workload: wl})
 		if err != nil {
 			return fmt.Errorf("cluster re-analyze %d: %w", i, err)
 		}
@@ -694,7 +583,7 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 		b, err := json.Marshal(r)
 		return string(b), err
 	}
-	first, rt, err := c.BatchRouted(ctx, req)
+	first, rt, err := c.Batch(ctx, req)
 	if err != nil {
 		return fmt.Errorf("cluster batch: %w", err)
 	}
@@ -706,7 +595,7 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 			return fmt.Errorf("cluster batch job %d failed: %s", i, jr.Err)
 		}
 	}
-	again, _, err := c.BatchRouted(ctx, req)
+	again, _, err := c.Batch(ctx, req)
 	if err != nil {
 		return fmt.Errorf("cluster batch repeat: %w", err)
 	}
@@ -753,7 +642,7 @@ func driveCluster(ctx context.Context, c *client.Client, n int) error {
 // the same endpoint. On failure the captured event stream is dumped, so
 // a missing or malformed event is diagnosable from the log.
 func driveFeed(ctx context.Context, c *client.Client, cluster bool) error {
-	tail := newTailBuffer()
+	var tail harness.TailBuffer
 	fail := func(err error) error {
 		if out := strings.TrimSpace(tail.String()); out != "" {
 			fmt.Fprintf(os.Stderr, "edfsmoke: --- event stream tail ---\n%s\nedfsmoke: --- end event stream ---\n", out)
@@ -811,7 +700,7 @@ func driveFeed(ctx context.Context, c *client.Client, cluster bool) error {
 	// arrives (the feed is ordered per publisher, so close is last).
 	record := func(src string, ev obs.Event) {
 		b, _ := json.Marshal(ev)
-		fmt.Fprintf(tail, "%s %s\n", src, b)
+		fmt.Fprintf(&tail, "%s %s\n", src, b)
 	}
 	counts := map[string]int{}
 	var mine []obs.Event
@@ -911,8 +800,8 @@ drain:
 // commit part of it, kill the edfd with SIGKILL mid-state, restart it on
 // the same store directory, and require the committed admission state
 // back — pending proposals dropped, further proposals deciding normally.
-func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir string, d *daemon) error {
-	c := client.New("http://"+d.addr, nil)
+func driveRecovery(ctx context.Context, daemons *harness.Fleet, edfdPath, storeDir string, d *harness.Daemon) error {
+	c := client.New(d.URL(), nil)
 	h, _, err := c.OpenSession(ctx, service.SessionRequest{
 		Workload: edf.SporadicWorkload(edf.TaskSet{{Name: "seed", WCET: 10, Deadline: 90, Period: 100}}),
 	})
@@ -938,17 +827,16 @@ func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir strin
 	}
 
 	// kill -9: no drain, no goodbye — the log on disk is all that's left.
-	_ = d.cmd.Process.Kill()
-	_ = d.cmd.Wait()
+	d.Kill()
 	fmt.Println("edfsmoke: killed edfd with SIGKILL, restarting on", storeDir)
 
-	d2, err := daemons.start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
+	d2, err := daemons.Start(ctx, "edfd", edfdPath, "-addr", "127.0.0.1:0", "-session-ttl", "10m",
 		"-store-dir", storeDir, "-store-node", "edfd-smoke")
 	if err != nil {
 		return fmt.Errorf("recovery: restart: %w", err)
 	}
-	c2 := client.New("http://"+d2.addr, nil)
-	if err := waitHealthy(ctx, c2); err != nil {
+	c2 := client.New(d2.URL(), nil)
+	if err := harness.WaitHealthy(ctx, c2); err != nil {
 		return err
 	}
 	st, _, err := c2.Session(h.ID).State(ctx)
@@ -971,7 +859,7 @@ func driveRecovery(ctx context.Context, daemons *fleet, edfdPath, storeDir strin
 // every replica, kill one owner and require the proxy to drain every
 // session — the dead owner's via a takeover peer — with no client-visible
 // error.
-func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error {
+func driveTakeover(ctx context.Context, daemons *harness.Fleet, c *client.Client) error {
 	const sessions = 6
 	handles := make([]*client.Session, sessions)
 	for i := range handles {
@@ -991,17 +879,16 @@ func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error 
 		}
 		handles[i] = h
 	}
-	_, rt, err := handles[0].StateRouted(ctx)
+	_, rt, err := handles[0].State(ctx)
 	if err != nil {
 		return fmt.Errorf("takeover: owner lookup: %w", err)
 	}
 	owner := rt.Owner
-	victim := daemons.byURL(owner)
+	victim := byURL(daemons, owner)
 	if victim == nil {
 		return fmt.Errorf("takeover: owner %q is not a spawned daemon", owner)
 	}
-	_ = victim.cmd.Process.Kill()
-	_ = victim.cmd.Wait()
+	victim.Kill()
 	fmt.Println("edfsmoke: killed session owner", owner)
 
 	tookOver := 0
@@ -1034,9 +921,9 @@ func driveTakeover(ctx context.Context, daemons *fleet, c *client.Client) error 
 }
 
 // byURL finds the daemon behind a base URL like "http://127.0.0.1:port".
-func (f *fleet) byURL(url string) *daemon {
-	for _, d := range f.daemons {
-		if "http://"+d.addr == url {
+func byURL(f *harness.Fleet, url string) *harness.Daemon {
+	for _, d := range f.Daemons {
+		if d.URL() == url {
 			return d
 		}
 	}
@@ -1071,16 +958,4 @@ func dumpStore(w io.Writer, dir string) {
 		}
 	}
 	fmt.Fprintln(w, "edfsmoke: --- end store dir ---")
-}
-
-// waitHealthy polls /healthz until the daemon answers.
-func waitHealthy(ctx context.Context, c *client.Client) error {
-	for {
-		if err := c.Healthz(ctx); err == nil {
-			return nil
-		} else if ctx.Err() != nil {
-			return fmt.Errorf("daemon never became healthy: %w", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }

@@ -66,15 +66,14 @@ type Result = core.Result
 // arithmetic, FIFO revisions and no caps.
 type Options = core.Options
 
-// Arithmetic modes for the approximated accumulators. ArithExact (the
-// default) runs on exact int64 rationals with 128-bit intermediates that
-// transparently fall back to big.Rat on overflow; ArithBigRat forces the
-// big.Rat reference implementation; ArithFloat64 trades exactness for
-// speed with tolerance-based comparisons.
+// Arithmetic modes for the approximated accumulators. Both are exact and
+// return bit-identical results. ArithExact (the default) runs on
+// bounded-denominator int64 chunk registers with 128-bit intermediates
+// that fall back to big.Rat only on overflow; ArithBigRat computes every
+// fraction in big.Rat, the reference implementation.
 const (
-	ArithExact   = core.ArithExact
-	ArithFloat64 = core.ArithFloat64
-	ArithBigRat  = core.ArithBigRat
+	ArithExact  = core.ArithExact
+	ArithBigRat = core.ArithBigRat
 )
 
 // Scratch is reusable analysis working memory (test list, job counters,

@@ -25,9 +25,7 @@ func main() {
 
 	// The production admitter: exact cheap-first verdicts, O(1)
 	// utilization overload gate, transactional staging.
-	controller, err := edf.NewAdmission(edf.AdmissionConfig{
-		Options: edf.Options{Arithmetic: edf.ArithFloat64},
-	})
+	controller, err := edf.NewAdmission(edf.AdmissionConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -83,9 +81,7 @@ func main() {
 
 		// Policy 2: dynamic test with a strict level cap: bounded latency,
 		// still far better acceptance than Devi.
-		cr := edf.DynamicError(candidate, edf.Options{
-			Arithmetic: edf.ArithFloat64, MaxLevel: 8,
-		})
+		cr := edf.DynamicError(candidate, edf.Options{MaxLevel: 8})
 		capped.intervals += cr.Iterations
 		if cr.Verdict == edf.Feasible {
 			capped.admitted++

@@ -6,63 +6,18 @@ import (
 	"repro/internal/numeric"
 )
 
-// fastOne is the comparison constant 1 of the fast bound arithmetic.
-var fastOne = numeric.NewFast(1, 1)
-
-// utilFastTasks returns Σ Ci/Ti as an exact numeric.Fast.
-func utilFastTasks(ts model.TaskSet) numeric.Fast {
-	var u numeric.Fast
-	for _, t := range ts {
-		u = u.AddRat(t.WCET, t.Period)
-	}
-	return u
-}
-
-// ceilQuo rounds sum/(1-u) up to an int64 with the historical
-// ceilRatInt64 semantics: non-positive sums yield 0, and ok is false only
-// when the (positive) result does not fit in int64. Requires u < 1.
-func ceilQuo(sum, u numeric.Fast) (int64, bool) {
-	if sum.Sign() <= 0 {
-		return 0, true
-	}
-	return sum.QuoCeil(fastOne.Sub(u))
-}
-
 // Baruah returns the bound of Baruah et al. (Definition 3):
 // I < U/(1-U) * max(Ti - Di). It applies only to constrained-deadline sets
 // (Di <= Ti for every task) with U < 1; otherwise ok is false. A zero bound
 // means no violation interval exists at all (every Di == Ti and U <= 1).
 func Baruah(ts model.TaskSet) (bound int64, ok bool) {
-	return baruahU(ts, utilFastTasks(ts))
-}
-
-// baruahU is Baruah with the utilization precomputed by the caller.
-func baruahU(ts model.TaskSet, u numeric.Fast) (bound int64, ok bool) {
-	if !ts.Constrained() {
-		return 0, false
-	}
+	sc := demand.GetScratch()
+	defer demand.PutScratch(sc)
+	u := sc.UtilTasks(ts)
 	if u.CmpInt(1) >= 0 {
 		return 0, false
 	}
-	var maxGap int64
-	for _, t := range ts {
-		maxGap = max(maxGap, t.Period-t.Deadline)
-	}
-	if maxGap == 0 {
-		return 0, true
-	}
-	// ceil(U*maxGap / (1-U))
-	return ceilQuo(u.MulInt(maxGap), u)
-}
-
-// georgeTerm returns C - F*num/den for a source (first deadline F, slope
-// num/den), the per-source constant of the linear upper bound
-// dbf_s(I) <= U_s*I + (C - F*U_s).
-func georgeTerm(s demand.Source) numeric.Fast {
-	num, den := s.UtilRat()
-	f := s.JobDeadline(1)
-	t := numeric.NewFast(num, den).MulInt(f)
-	return numeric.NewFast(s.WCET(), 1).Sub(t)
+	return baruah(ts, u, sc)
 }
 
 // George returns the bound of George et al.:
@@ -70,17 +25,7 @@ func georgeTerm(s demand.Source) numeric.Fast {
 // (deadline beyond period) are excluded, which keeps the bound sound.
 // ok is false when U >= 1 or the bound overflows.
 func George(srcs []demand.Source) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
-	if u.CmpInt(1) >= 0 {
-		return 0, false
-	}
-	var sum numeric.Fast
-	for _, s := range srcs {
-		if t := georgeTerm(s); t.Sign() > 0 {
-			sum = sum.Add(t)
-		}
-	}
-	return ceilQuo(sum, u)
+	return GeorgeWithBlocking(srcs, 0)
 }
 
 // GeorgeTasks is George over a sporadic task set.
@@ -90,17 +35,14 @@ func GeorgeTasks(ts model.TaskSet) (int64, bool) { return George(demand.FromTask
 // a violation dbf(I) > I - B(I) with B non-increasing and B(I) <= bmax
 // implies I < (Σ terms + bmax)/(1-U).
 func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
+	sc := demand.GetScratch()
+	defer demand.PutScratch(sc)
+	u := sc.Util(srcs)
 	if u.CmpInt(1) >= 0 {
 		return 0, false
 	}
-	sum := numeric.NewFast(bmax, 1)
-	for _, s := range srcs {
-		if t := georgeTerm(s); t.Sign() > 0 {
-			sum = sum.Add(t)
-		}
-	}
-	return ceilQuo(sum, u)
+	bound, ok, _, _ = linearBounds(srcs, u, bmax, sc)
+	return bound, ok
 }
 
 // Superposition returns the new bound I_sup of Section 4.3:
@@ -111,21 +53,8 @@ func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool)
 // at most George's bound (the relationship the paper proves). ok is false
 // when U >= 1 or on overflow.
 func Superposition(srcs []demand.Source) (bound int64, ok bool) {
-	u := demand.UtilizationFast(srcs)
-	if u.CmpInt(1) >= 0 {
-		return 0, false
-	}
-	var sum numeric.Fast
-	var dmax int64
-	for _, s := range srcs {
-		sum = sum.Add(georgeTerm(s))
-		dmax = max(dmax, s.JobDeadline(1))
-	}
-	b, ok := ceilQuo(sum, u)
-	if !ok {
-		return 0, false
-	}
-	return max(b, dmax), true
+	_, _, bound, ok = LinearBounds(srcs)
+	return bound, ok
 }
 
 // SuperpositionTasks is Superposition over a sporadic task set.
@@ -135,35 +64,12 @@ func SuperpositionTasks(ts model.TaskSet) (int64, bool) {
 
 // LinearBounds returns George's bound and the superposition bound in one
 // pass over the sources: the two share the utilization sum and the
-// per-source linear terms, so computing them together halves the
-// rational arithmetic — the dominant cost of a bound when the slope sums
-// overflow into big.Rat. Each (bound, ok) pair matches the standalone
+// per-source linear terms. Each (bound, ok) pair matches the standalone
 // function exactly.
 func LinearBounds(srcs []demand.Source) (george int64, okG bool, superpos int64, okS bool) {
-	return linearBoundsU(srcs, demand.UtilizationFast(srcs))
-}
-
-// linearBoundsU is LinearBounds with the utilization precomputed.
-func linearBoundsU(srcs []demand.Source, u numeric.Fast) (george int64, okG bool, superpos int64, okS bool) {
-	if u.CmpInt(1) >= 0 {
-		return 0, false, 0, false
-	}
-	var sumPos, sumAll numeric.Fast
-	var dmax int64
-	for _, s := range srcs {
-		t := georgeTerm(s)
-		sumAll = sumAll.Add(t)
-		if t.Sign() > 0 {
-			sumPos = sumPos.Add(t)
-		}
-		dmax = max(dmax, s.JobDeadline(1))
-	}
-	george, okG = ceilQuo(sumPos, u)
-	b, okB := ceilQuo(sumAll, u)
-	if !okB {
-		return george, okG, 0, false
-	}
-	return george, okG, max(b, dmax), true
+	sc := demand.GetScratch()
+	defer demand.PutScratch(sc)
+	return LinearBoundsScratch(srcs, sc)
 }
 
 // busyPeriodMaxIter caps the fixpoint iteration of BusyPeriod; real task
@@ -238,34 +144,9 @@ const (
 // dbf(I+H) = dbf(I) + H for I >= Dmax when U == 1. ok is false for U > 1
 // or when nothing applies within int64.
 func Best(ts model.TaskSet) (bound int64, kind Kind, ok bool) {
-	return BestSources(ts, demand.FromTasks(ts))
-}
-
-// BestSources is Best for callers that already hold the set's demand
-// sources (e.g. a reused analysis Scratch): srcs must be FromTasks(ts) or
-// equivalent. It allocates nothing beyond what the U == 1 fallback needs.
-func BestSources(ts model.TaskSet, srcs []demand.Source) (bound int64, kind Kind, ok bool) {
-	// One utilization sum feeds every candidate bound: the sum dominates
-	// the bound cost once slope denominators overflow into big.Rat.
-	u := utilFastTasks(ts)
-	switch u.CmpInt(1) {
-	case 1:
-		return 0, KindNone, false
-	case 0:
-		return fullUtilBound(ts)
-	}
-	bound, kind, ok = 0, KindNone, false
-	consider := func(b int64, k Kind, okB bool) {
-		if okB && (!ok || b < bound) {
-			bound, kind, ok = b, k, true
-		}
-	}
-	b, okB := baruahU(ts, u)
-	consider(b, KindBaruah, okB)
-	bg, okG, bs, okS := linearBoundsU(srcs, u)
-	consider(bg, KindGeorge, okG)
-	consider(bs, KindSuperposition, okS)
-	return bound, kind, ok
+	sc := demand.GetScratch()
+	defer demand.PutScratch(sc)
+	return BestSourcesScratch(ts, sc.Sources(ts), sc)
 }
 
 // fullUtilBound is the U == 1 fallback of Best: hyperperiod + Dmax + 1.
@@ -286,20 +167,13 @@ func fullUtilBound(ts model.TaskSet) (int64, Kind, bool) {
 	return b, KindHyperperiod, true
 }
 
-// BestSourcesScratch is BestSources on the scratch's bounded-denominator
-// registers: when the chunk plan covers the workload, every slope sum
-// and quotient runs in chunked int64 arithmetic, so the bound stays
-// allocation-free on spread-period sets whose slopes overflow the Fast
-// representation. Both paths are exact, so the result always equals
-// BestSources.
+// BestSourcesScratch is Best for callers that hold the set's demand
+// sources and an analysis Scratch: srcs must be FromTasks(ts) or
+// equivalent. Every slope sum and quotient runs on the scratch's chunk
+// registers, so the bound allocates nothing while the chunk plan covers
+// the workload.
 func BestSourcesScratch(ts model.TaskSet, srcs []demand.Source, sc *demand.Scratch) (bound int64, kind Kind, ok bool) {
-	if sc.Arith(srcs) == nil {
-		return BestSources(ts, srcs)
-	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
+	u := sc.Util(srcs)
 	switch u.CmpInt(1) {
 	case 1:
 		return 0, KindNone, false
@@ -312,33 +186,26 @@ func BestSourcesScratch(ts model.TaskSet, srcs []demand.Source, sc *demand.Scrat
 			bound, kind, ok = b, k, true
 		}
 	}
-	b, okB := baruahChunked(ts, u, sc)
+	b, okB := baruah(ts, u, sc)
 	consider(b, KindBaruah, okB)
-	bg, okG, bs, okS := linearBoundsChunked(srcs, u, sc)
+	bg, okG, bs, okS := linearBounds(srcs, u, 0, sc)
 	consider(bg, KindGeorge, okG)
 	consider(bs, KindSuperposition, okS)
 	return bound, kind, ok
 }
 
-// LinearBoundsScratch is LinearBounds on the scratch registers when the
-// chunk plan covers the sources, with identical results.
+// LinearBoundsScratch is LinearBounds on the given scratch's registers.
 func LinearBoundsScratch(srcs []demand.Source, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
-	if sc.Arith(srcs) == nil {
-		return LinearBounds(srcs)
-	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
+	u := sc.Util(srcs)
 	if u.CmpInt(1) >= 0 {
 		return 0, false, 0, false
 	}
-	return linearBoundsChunked(srcs, u, sc)
+	return linearBounds(srcs, u, 0, sc)
 }
 
-// baruahChunked mirrors baruahU on chunk registers. It requires U < 1
-// (the caller dispatched on the utilization) and clobbers registers 4-6.
-func baruahChunked(ts model.TaskSet, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
+// baruah computes Baruah's bound on chunk registers. It requires U < 1
+// (u holds the utilization) and clobbers registers 4-6.
+func baruah(ts model.TaskSet, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
 	if !ts.Constrained() {
 		return 0, false
 	}
@@ -353,11 +220,13 @@ func baruahChunked(ts model.TaskSet, u *numeric.Chunked, sc *demand.Scratch) (in
 	num := sc.Reg(4)
 	num.CopyFrom(u)
 	num.MulInt(maxGap)
-	return ceilQuoChunked(num, u, sc)
+	return ceilQuo(num, u, sc)
 }
 
-// georgeTermChunked computes C - F*num/den into the register t.
-func georgeTermChunked(t *numeric.Chunked, s demand.Source) {
+// georgeTerm computes C - F*num/den into the register t: the per-source
+// constant of the linear upper bound dbf_s(I) <= U_s*I + (C - F*U_s) for
+// a source with first deadline F and slope num/den.
+func georgeTerm(t *numeric.Chunked, s demand.Source) {
 	num, den := s.UtilRat()
 	t.SetZero()
 	t.AddRat(num, den)
@@ -366,31 +235,34 @@ func georgeTermChunked(t *numeric.Chunked, s demand.Source) {
 	t.AddInt(s.WCET())
 }
 
-// linearBoundsChunked mirrors linearBoundsU on chunk registers. It
-// requires U < 1 and clobbers registers 1-6 (register 0 conventionally
-// holds u).
-func linearBoundsChunked(srcs []demand.Source, u *numeric.Chunked, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
+// linearBounds computes George's bound, with the blocking allowance bmax
+// added to its numerator, and the superposition bound on chunk
+// registers. It requires U < 1 (u holds the utilization) and clobbers
+// registers 1-6.
+func linearBounds(srcs []demand.Source, u *numeric.Chunked, bmax int64, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
 	sumPos, sumAll, term := sc.Reg(1), sc.Reg(2), sc.Reg(3)
+	sumPos.SetInt(bmax)
 	var dmax int64
 	for _, s := range srcs {
-		georgeTermChunked(term, s)
+		georgeTerm(term, s)
 		sumAll.Add(term)
 		if term.Sign() > 0 {
 			sumPos.Add(term)
 		}
 		dmax = max(dmax, s.JobDeadline(1))
 	}
-	george, okG = ceilQuoChunked(sumPos, u, sc)
-	b, okB := ceilQuoChunked(sumAll, u, sc)
+	george, okG = ceilQuo(sumPos, u, sc)
+	b, okB := ceilQuo(sumAll, u, sc)
 	if !okB {
 		return george, okG, 0, false
 	}
 	return george, okG, max(b, dmax), true
 }
 
-// ceilQuoChunked is ceilQuo on chunk registers: ceil(sum/(1-u)) with
-// non-positive sums yielding 0. It clobbers registers 5 and 6.
-func ceilQuoChunked(sum, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
+// ceilQuo rounds sum/(1-u) up to an int64: non-positive sums yield 0,
+// and ok is false only when the (positive) result does not fit in int64.
+// It requires u < 1 and clobbers registers 5 and 6.
+func ceilQuo(sum, u *numeric.Chunked, sc *demand.Scratch) (int64, bool) {
 	if sum.Sign() <= 0 {
 		return 0, true
 	}

@@ -10,10 +10,19 @@ import (
 )
 
 // The reference implementations below are the original math/big versions
-// of the bound formulas, kept verbatim so the Fast-arithmetic rewrites
+// of the bound formulas, kept verbatim so the chunk-register rewrites
 // can be property-checked for bit-identical results.
 
 var refOne = big.NewRat(1, 1)
+
+// refUtil returns Σ UtilRat over the sources in math/big.
+func refUtil(srcs []demand.Source) *big.Rat {
+	u := new(big.Rat)
+	for _, s := range srcs {
+		u.Add(u, big.NewRat(s.UtilRat()))
+	}
+	return u
+}
 
 func refCeilRatInt64(r *big.Rat) (int64, bool) {
 	if r.Sign() <= 0 {
@@ -37,7 +46,7 @@ func refGeorgeTerm(s demand.Source) *big.Rat {
 }
 
 func refGeorge(srcs []demand.Source) (int64, bool) {
-	u := demand.Utilization(srcs)
+	u := refUtil(srcs)
 	if u.Cmp(refOne) >= 0 {
 		return 0, false
 	}
@@ -52,7 +61,7 @@ func refGeorge(srcs []demand.Source) (int64, bool) {
 }
 
 func refSuperposition(srcs []demand.Source) (int64, bool) {
-	u := demand.Utilization(srcs)
+	u := refUtil(srcs)
 	if u.Cmp(refOne) >= 0 {
 		return 0, false
 	}
@@ -105,7 +114,7 @@ func randomBoundSet(rng *rand.Rand, periodMax int64) model.TaskSet {
 	return ts
 }
 
-// TestFastBoundsMatchReference property-checks the Fast-arithmetic bound
+// TestFastBoundsMatchReference property-checks the chunk-register bound
 // computations against the original big.Rat formulas, over small, round
 // and overflow-prone huge parameter ranges.
 func TestFastBoundsMatchReference(t *testing.T) {
@@ -145,14 +154,15 @@ func TestFastBoundsMatchReference(t *testing.T) {
 	}
 }
 
-// TestBestSourcesMatchesBest pins the scratch-oriented entry point to the
-// classic one.
+// TestBestSourcesMatchesBest pins the scratch-oriented entry point, on
+// one Scratch reused across sets, to the classic one.
 func TestBestSourcesMatchesBest(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	sc := demand.NewScratch()
 	for range 300 {
 		ts := randomBoundSet(rng, 10000)
 		b1, k1, ok1 := Best(ts)
-		b2, k2, ok2 := BestSources(ts, demand.FromTasks(ts))
+		b2, k2, ok2 := BestSourcesScratch(ts, demand.FromTasks(ts), sc)
 		if b1 != b2 || k1 != k2 || ok1 != ok2 {
 			t.Fatalf("BestSources(%v) = (%d,%s,%v), Best (%d,%s,%v)", ts, b2, k2, ok2, b1, k1, ok1)
 		}

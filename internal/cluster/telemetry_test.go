@@ -48,7 +48,7 @@ func TestProxyTraceRoundTrip(t *testing.T) {
 	wl := edf.SporadicWorkload(edf.TaskSet{{Name: "a", WCET: 2, Deadline: 8, Period: 10}})
 
 	// Analyze: the proxy's forward span plus the replica's cache+analyze.
-	_, rt, err := tc.c.AnalyzeRouted(ctx, service.AnalyzeRequest{Name: "traced", Workload: wl})
+	_, rt, err := tc.c.Analyze(ctx, service.AnalyzeRequest{Name: "traced", Workload: wl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestProxyTraceRoundTrip(t *testing.T) {
 			Name: "set-" + string(rune('a'+i)), Workload: edf.SporadicWorkload(ts),
 		})
 	}
-	_, brt, err := tc.c.BatchRouted(ctx, breq)
+	_, brt, err := tc.c.Batch(ctx, breq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/demand"
 	"repro/internal/model"
-	"repro/internal/numeric"
 )
 
 // AllApprox applies the paper's all-approximated test (Section 4.2,
@@ -22,43 +21,44 @@ import (
 func AllApprox(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	cmp := opt.Scratch.UtilTasks(ts).CmpInt(1)
+	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	stopAt, kind, ok := fullUtilizationHorizon(ts)
+	srcs := opt.Scratch.Sources(ts)
+	stopAt, kind, ok := fullUtilizationHorizon(ts, srcs, cmp, opt.Scratch)
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := AllApproxSources(opt.Scratch.Sources(ts), stopAt, opt)
+	r := AllApproxSources(srcs, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
 	return r
 }
 
-// fullUtilizationHorizon returns a sound stop horizon for a fully utilized
-// set (U == 1), where the superposition bound is infinite: beyond
-// hyperperiod + Dmax the demand pattern repeats with slope exactly 1.
-// For U < 1 it returns 0 (no horizon needed). ok is false when U == 1 and
-// the hyperperiod overflows.
-func fullUtilizationHorizon(ts model.TaskSet) (int64, bounds.Kind, bool) {
-	if taskUtilCmpOne(ts) != 0 {
+// fullUtilizationHorizon returns a sound stop horizon for a task set
+// whose utilization compares with 1 as cmp (cmp <= 0). A fully utilized
+// set (cmp == 0) has an infinite superposition bound, but beyond
+// hyperperiod + Dmax its demand pattern repeats with slope exactly 1.
+// For U < 1 it returns 0 (no horizon needed). ok is false when U == 1
+// and the hyperperiod overflows.
+func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Source, cmp int, sc *demand.Scratch) (int64, bounds.Kind, bool) {
+	if cmp < 0 {
 		return 0, bounds.KindNone, true
 	}
-	b, kind, ok := bounds.Best(ts)
-	if !ok {
-		return 0, bounds.KindNone, false
-	}
-	return b, kind, true
+	return bounds.BestSourcesScratch(ts, srcs, sc)
 }
 
 // AllApproxSources runs the all-approximated test over generic demand
 // sources. stopAt, when positive, is an exclusive sound horizon: reaching
 // it concludes feasibility (needed only for U == 1; pass 0 otherwise).
+// The demand accumulator and the ready-slope sum live in the scratch's
+// chunk registers (see SuperPosSources).
 func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOneScratch(srcs, opt.Scratch) {
+	switch opt.Scratch.Util(srcs).CmpInt(1) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:
@@ -68,82 +68,7 @@ func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 			return Result{Verdict: Undecided}
 		}
 	}
-	switch opt.Arithmetic {
-	case ArithFloat64:
-		return allApprox(numeric.F64(0), srcs, stopAt, opt)
-	case ArithBigRat:
-		return allApprox(numeric.Rat{}, srcs, stopAt, opt)
-	default:
-		if opt.Scratch.Arith(srcs) != nil {
-			return allApproxChunked(srcs, stopAt, opt)
-		}
-		return allApprox(numeric.Fast{}, srcs, stopAt, opt)
-	}
-}
-
-func allApprox[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, opt Options) Result {
-	tl := opt.Scratch.TestList(len(srcs))
-	jobs := opt.Scratch.Jobs(len(srcs))
-	for i, s := range srcs {
-		tl.Add(s.JobDeadline(1), i)
-	}
-	approx := newApproxTracker(opt.Scratch, len(srcs))
-	dbf, uready := zero, zero
-	var iold, iterations, revisions int64
-	for !tl.Empty() {
-		e := tl.Next()
-		I := e.I
-		if stopAt > 0 && I >= stopAt {
-			return Result{Verdict: Feasible, Iterations: iterations, Revisions: revisions}
-		}
-		iterations++
-		if opt.capped(iterations) {
-			return Result{Verdict: Undecided, Iterations: iterations, Revisions: revisions}
-		}
-		s := srcs[e.Src]
-		jobs[e.Src]++
-		dbf = dbf.AddInt(s.WCET()).AddScaled(uready, I-iold)
-		capacity := opt.capacityAt(I)
-		for dbf.CmpInt(capacity) > 0 {
-			j, ok := approx.pick(opt.RevisionOrder, srcs, I)
-			if !ok {
-				// Nothing is approximated: the accounted demand is exact.
-				exact := accountedDemand(srcs, jobs)
-				if exact > capacity {
-					return Result{Verdict: Infeasible, Iterations: iterations,
-						Revisions: revisions, FailureInterval: I}
-				}
-				// Float-mode drift: re-synchronize and continue.
-				dbf = zero.AddInt(exact)
-				break
-			}
-			// Revise j: replace its approximated cost by the real cost at I
-			// (subtract the overestimation app, Lemma 6) and queue its next
-			// job deadline after I as an additional test interval (Lemma 5).
-			sj := srcs[j]
-			num, den := sj.UtilRat()
-			uready = uready.SubRat(num, den)
-			an, ad := sj.ApproxError(I)
-			dbf = dbf.SubRat(an, ad)
-			jobs[j] = sj.JobsUpTo(I)
-			tl.Add(sj.NextDeadline(I), j)
-			revisions++
-		}
-		// Approximate the source whose interval was just verified.
-		if num, den := s.UtilRat(); num > 0 {
-			uready = uready.AddRat(num, den)
-			approx.add(e.Src)
-		}
-		iold = I
-	}
-	return Result{Verdict: Feasible, Iterations: iterations, Revisions: revisions}
-}
-
-// allApproxChunked is allApprox on the scratch's bounded-denominator
-// registers (see superPosChunked); structure and verdicts match the
-// generic exact implementation bit for bit. The caller guarantees the
-// scratch plan covers the sources.
-func allApproxChunked(srcs []demand.Source, stopAt int64, opt Options) Result {
+	opt.walkRegs()
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {
@@ -180,7 +105,8 @@ func allApproxChunked(srcs []demand.Source, stopAt int64, opt Options) Result {
 				break
 			}
 			// Revise j: replace its approximated cost by the real cost at I
-			// and queue its next job deadline as a new test interval.
+			// (subtract the overestimation app, Lemma 6) and queue its next
+			// job deadline after I as an additional test interval (Lemma 5).
 			sj := srcs[j]
 			num, den := sj.UtilRat()
 			uready.SubRat(num, den)

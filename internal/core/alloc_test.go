@@ -55,10 +55,9 @@ func TestQPAZeroAlloc(t *testing.T) {
 }
 
 // TestSpreadZeroAlloc pins 0 allocs/op on the log-uniform spread set —
-// the shape that used to fall off the int64 fast path into big.Rat on
-// every slope sum. With the bounded-denominator plan it must stay
-// allocation-free end to end; this is the PR-9 acceptance pin behind the
-// BenchmarkSuperPosSpread / BenchmarkProcessorDemandSpread numbers.
+// the shape whose slope sums overflow a single int64 denominator. On the
+// bounded-denominator chunk registers every analysis, its utilization
+// check and its bound must stay allocation-free end to end.
 func TestSpreadZeroAlloc(t *testing.T) {
 	ts := benchSpreadSet(50, 95, 13)
 	opt := Options{Scratch: demand.NewScratch()}
@@ -68,6 +67,8 @@ func TestSpreadZeroAlloc(t *testing.T) {
 	for name, run := range map[string]func(){
 		"ProcessorDemand": func() { ProcessorDemand(ts, opt) },
 		"SuperPos":        func() { SuperPos(ts, 3, opt) },
+		"LiuLayland":      func() { LiuLaylandOpt(ts, opt) },
+		"DynamicError":    func() { DynamicError(ts, opt) },
 	} {
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 			t.Errorf("%s on the spread set allocates %.1f/op, want 0", name, allocs)

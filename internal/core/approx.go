@@ -60,7 +60,7 @@ func (a *approxTracker) pick(order RevisionOrder, srcs []demand.Source, I int64)
 
 // accountedDemand returns Σ jobs[i]·C_i, the exact demand accounted for
 // when no source is approximated. It is the reference value used to confirm
-// rejections exactly and to re-synchronize float accumulators.
+// rejections exactly.
 func accountedDemand(srcs []demand.Source, jobs []int64) int64 {
 	var sum int64
 	for i, s := range srcs {

@@ -1,11 +1,10 @@
 package core
 
-// Property tests pinning the fast-arithmetic default (ArithExact, backed
-// by numeric.Fast) to the big.Rat reference (ArithBigRat): both are exact,
-// so every analyzer must produce bit-identical Results — verdict,
-// iterations, revisions, level, failure interval and bound — on any
-// workload, including parameter ranges that force the int64 fast path to
-// overflow into its big.Rat fallback.
+// Property tests pinning the chunk-register default (ArithExact) to the
+// big.Rat reference (ArithBigRat): both are exact, so every analyzer must
+// produce bit-identical Results — verdict, iterations, revisions, level,
+// failure interval and bound — on any workload, including parameter
+// ranges that force the registers to promote into math/big.
 
 import (
 	"math"
@@ -134,8 +133,7 @@ func spreadSet(rng *rand.Rand, decades int) model.TaskSet {
 // log-uniform spread corpora of 4, 6 and 8 decades under both exact
 // arithmetic modes. These are the denominator-stress shapes the chunked
 // fast path is built for; the reference must stay bit-identical whether
-// an analysis runs on chunk registers, numeric.Fast, or the big.Rat
-// fallback.
+// an analysis runs on chunk registers or their big.Rat fallback.
 func TestFastArithmeticMatchesBigRatSpread(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	fast := Options{Arithmetic: ArithExact, MaxIterations: 200000}
@@ -207,8 +205,8 @@ func TestChunkPlanCapBoundary(t *testing.T) {
 }
 
 // overflowSet builds a set whose slope sum cannot be represented with an
-// int64 denominator: huge pairwise-coprime periods force the fast path
-// into the big.Rat fallback.
+// int64 denominator: huge pairwise-coprime periods that the chunk plan
+// must keep in separate chunks.
 func overflowSet(rng *rand.Rand) model.TaskSet {
 	// Periods near 2^61 chosen coprime by construction (consecutive odd
 	// offsets of a common huge base are pairwise coprime often enough;
@@ -226,14 +224,14 @@ func overflowSet(rng *rand.Rand) model.TaskSet {
 }
 
 // TestFastArithmeticOverflowFallback runs directed extreme-parameter sets
-// that must overflow the int64 fast path, checks the fallback actually
-// engaged, and requires bit-identical results anyway.
+// whose utilization has no int64 denominator, checks that property
+// actually holds, and requires bit-identical results anyway.
 func TestFastArithmeticOverflowFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	fallbacks := 0
 	for range 40 {
 		ts := overflowSet(rng)
-		if demand.UtilizationFast(demand.FromTasks(ts)).Promoted() {
+		if u := ts.Utilization(); !u.Denom().IsInt64() {
 			fallbacks++
 		}
 		fast := Options{Arithmetic: ArithExact, MaxIterations: 50000}
@@ -244,7 +242,7 @@ func TestFastArithmeticOverflowFallback(t *testing.T) {
 		compareResults(t, "pd", ProcessorDemand(ts, fast), ProcessorDemand(ts, ref))
 	}
 	if fallbacks == 0 {
-		t.Fatalf("no overflow set promoted the utilization sum — the directed cases lost their teeth")
+		t.Fatalf("no overflow set has a utilization denominator beyond int64 — the directed cases lost their teeth")
 	}
 }
 
@@ -258,7 +256,7 @@ func TestProcessorDemandSourcesFullUtilization(t *testing.T) {
 		{WCET: 1, Deadline: 2, Period: 2},
 	}
 	// U = 2/4 + 1/2 = 1 exactly.
-	if got := taskUtilCmpOne(ts); got != 0 {
+	if got := demand.NewScratch().UtilTasks(ts).CmpInt(1); got != 0 {
 		t.Fatalf("test set utilization cmp 1 = %d, want 0", got)
 	}
 	srcs := demand.FromTasks(ts)

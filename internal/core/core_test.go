@@ -59,8 +59,6 @@ func TestExactTestsAgreeWithBruteForce(t *testing.T) {
 			"qpa":         QPA(ts, Options{}),
 			"dynamic":     DynamicError(ts, Options{}),
 			"allapprox":   AllApprox(ts, Options{}),
-			"dynamicF":    DynamicError(ts, Options{Arithmetic: ArithFloat64}),
-			"allapproxF":  AllApprox(ts, Options{Arithmetic: ArithFloat64}),
 			"allapproxL":  AllApprox(ts, Options{RevisionOrder: ReviseLIFO}),
 			"allapproxME": AllApprox(ts, Options{RevisionOrder: ReviseMaxError}),
 		}

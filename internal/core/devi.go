@@ -21,50 +21,23 @@ func Devi(ts model.TaskSet) Result { return DeviOpt(ts, Options{}) }
 
 // DeviOpt is Devi honoring Options: with a reused Scratch the test runs
 // allocation-free — the deadline-sorted copy lives in a scratch buffer
-// and the prefix accumulators in the chunk register bank (falling back
-// to numeric.Fast when the denominator plan cannot cover the periods).
-// Only the Scratch field influences the execution; the verdict is
-// identical for any Options value.
+// and the prefix accumulators in the chunk register bank. Only the
+// Scratch field influences the execution; the verdict is identical for
+// any Options value.
 func DeviOpt(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	return devi(ts, nil, opt.Scratch)
+}
+
+// devi evaluates the prefix conditions on the chunk registers. A non-nil
+// blocking function adds B(Dk) to the demand side of the condition at
+// Dk (see DeviWithOverheads).
+func devi(ts model.TaskSet, blocking func(int64) int64, sc *demand.Scratch) Result {
+	if sc.UtilTasks(ts).CmpInt(1) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	sorted := opt.Scratch.SortedByDeadline(ts)
-	if opt.Scratch.ArithTasks(ts) != nil {
-		return deviChunked(sorted, opt.Scratch)
-	}
-	return deviFast(sorted)
-}
-
-// deviFast evaluates the prefix conditions in numeric.Fast arithmetic.
-func deviFast(sorted model.TaskSet) Result {
-	var cumU numeric.Fast   // Σ Ci/Ti
-	var cumGap numeric.Fast // Σ (Ti - min(Ti,Di))/Ti · Ci
-	var iterations int64
-	for _, t := range sorted {
-		iterations++
-		cumU = cumU.AddRat(t.WCET, t.Period)
-		if gap := t.Period - min(t.Period, t.Deadline); gap > 0 {
-			cumGap = cumGap.Add(numeric.NewFast(gap, t.Period).MulInt(t.WCET))
-		}
-		// cumU + cumGap/Dk <= 1  ⇔  cumU·Dk + cumGap <= Dk (Dk > 0).
-		cond := cumU.MulInt(t.Deadline).Add(cumGap)
-		if cond.CmpInt(t.Deadline) > 0 {
-			return Result{
-				Verdict:         NotAccepted,
-				Iterations:      iterations,
-				FailureInterval: t.Deadline,
-			}
-		}
-	}
-	return Result{Verdict: Feasible, Iterations: iterations}
-}
-
-// deviChunked evaluates the prefix conditions on the chunk registers.
-// The caller guarantees the scratch plan covers the task periods.
-func deviChunked(sorted model.TaskSet, sc *demand.Scratch) Result {
+	sorted := sc.SortedByDeadline(ts)
 	cumU, cumGap, cond, tmp := sc.Reg(0), sc.Reg(1), sc.Reg(2), sc.Reg(3)
 	var iterations int64
 	for _, t := range sorted {
@@ -80,10 +53,13 @@ func deviChunked(sorted model.TaskSet, sc *demand.Scratch) Result {
 				cumGap.Add(tmp)
 			}
 		}
-		// cumU + cumGap/Dk <= 1  ⇔  cumU·Dk + cumGap <= Dk (Dk > 0).
+		// cumU + (cumGap + B)/Dk <= 1  ⇔  cumU·Dk + cumGap + B <= Dk (Dk > 0).
 		cond.CopyFrom(cumU)
 		cond.MulInt(t.Deadline)
 		cond.Add(cumGap)
+		if blocking != nil {
+			cond.AddInt(blocking(t.Deadline))
+		}
 		if cond.CmpInt(t.Deadline) > 0 {
 			return Result{
 				Verdict:         NotAccepted,

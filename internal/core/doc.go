@@ -13,10 +13,13 @@
 //
 // Every test returns a Result carrying the verdict and the number of
 // checked test intervals ("iterations"), the metric the paper's evaluation
-// uses. The approximated tests run either in exact rational arithmetic or
-// in float64 (Options.Arithmetic); rejections are always re-confirmed in
-// exact integer arithmetic, so Infeasible verdicts are never rounding
-// artifacts.
+// uses. Every rational accumulator — utilization checks, the approximated
+// demand of the superposition tests, Devi's prefix sums and the
+// feasibility bounds — runs in one exact arithmetic, the bounded-
+// denominator chunk registers of the analysis Scratch (numeric.Chunked),
+// so no verdict is ever a rounding artifact. Options.Arithmetic only
+// selects the math/big reference (ArithBigRat) the registers are tested
+// against.
 //
 // The iterative tests operate on demand.Source values, so they apply
 // unchanged to sporadic task sets and to Gresser event streams

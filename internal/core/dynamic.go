@@ -21,14 +21,16 @@ import (
 func DynamicError(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOne(ts) > 0 {
+	cmp := opt.Scratch.UtilTasks(ts).CmpInt(1)
+	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: 1}
 	}
-	stopAt, kind, ok := fullUtilizationHorizon(ts)
+	srcs := opt.Scratch.Sources(ts)
+	stopAt, kind, ok := fullUtilizationHorizon(ts, srcs, cmp, opt.Scratch)
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := DynamicErrorSources(opt.Scratch.Sources(ts), stopAt, opt)
+	r := DynamicErrorSources(srcs, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
@@ -37,11 +39,14 @@ func DynamicError(ts model.TaskSet, opt Options) Result {
 
 // DynamicErrorSources runs the dynamic error test over generic demand
 // sources. stopAt, when positive, is an exclusive sound horizon (needed
-// only for U == 1; pass 0 otherwise).
+// only for U == 1; pass 0 otherwise). The demand accumulator and the
+// ready-slope sum live in the scratch's chunk registers: the recurrence
+// only adds, subtracts and scales by interval lengths, exactly the
+// register operations of AllApproxSources.
 func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOne(srcs) {
+	switch opt.Scratch.Util(srcs).CmpInt(1) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: 1}
 	case 0:
@@ -50,17 +55,7 @@ func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result
 			return Result{Verdict: Undecided}
 		}
 	}
-	switch opt.Arithmetic {
-	case ArithFloat64:
-		return dynamicError(numeric.F64(0), srcs, stopAt, opt)
-	case ArithBigRat:
-		return dynamicError(numeric.Rat{}, srcs, stopAt, opt)
-	default:
-		return dynamicError(numeric.Fast{}, srcs, stopAt, opt)
-	}
-}
-
-func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int64, opt Options) Result {
+	opt.walkRegs()
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {
@@ -68,7 +63,7 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 	}
 	approx := newApproxTracker(opt.Scratch, len(srcs))
 	level := int64(1)
-	dbf, uready := zero, zero
+	dbf, uready := opt.Scratch.Reg(0), opt.Scratch.Reg(1)
 	var iold, iterations, revisions int64
 	for !tl.Empty() {
 		e := tl.Next()
@@ -82,16 +77,18 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 		}
 		s := srcs[e.Src]
 		jobs[e.Src]++
-		dbf = dbf.AddInt(s.WCET()).AddScaled(uready, I-iold)
+		dbf.AddInt(s.WCET())
+		dbf.AddScaled(uready, I-iold)
 		capacity := opt.capacityAt(I)
 		for dbf.CmpInt(capacity) > 0 {
 			if approx.empty() {
+				// Nothing is approximated: the accounted demand is exact.
 				exact := accountedDemand(srcs, jobs)
 				if exact > capacity {
 					return Result{Verdict: Infeasible, Iterations: iterations,
 						Revisions: revisions, FailureInterval: I, MaxLevel: level}
 				}
-				dbf = zero.AddInt(exact) // float-mode drift: re-synchronize
+				dbf.SetInt(exact)
 				break
 			}
 			// Raise the level (doubling, as the paper proposes) until at
@@ -133,9 +130,9 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 				}
 				approx.removeAt(pos)
 				num, den := sj.UtilRat()
-				uready = uready.SubRat(num, den)
+				uready.SubRat(num, den)
 				an, ad := sj.ApproxError(I)
-				dbf = dbf.SubRat(an, ad)
+				dbf.SubRat(an, ad)
 				jobs[j] = sj.JobsUpTo(I)
 				tl.Add(sj.NextDeadline(I), j)
 				revisions++
@@ -146,7 +143,7 @@ func dynamicError[S numeric.Scalar[S]](zero S, srcs []demand.Source, stopAt int6
 		if I < srcs[e.Src].JobDeadline(level) {
 			tl.Add(srcs[e.Src].NextDeadline(I), e.Src)
 		} else if num, den := s.UtilRat(); num > 0 {
-			uready = uready.AddRat(num, den)
+			uready.AddRat(num, den)
 			approx.add(e.Src)
 		}
 		iold = I

@@ -33,10 +33,9 @@ func TestAgreementOnRealisticSets(t *testing.T) {
 			continue
 		}
 		for name, r := range map[string]Result{
-			"qpa":      QPA(ts, Options{}),
-			"dynamic":  DynamicError(ts, Options{Arithmetic: ArithFloat64}),
-			"all":      AllApprox(ts, Options{Arithmetic: ArithFloat64}),
-			"allExact": AllApprox(ts, Options{}),
+			"qpa":     QPA(ts, Options{}),
+			"dynamic": DynamicError(ts, Options{}),
+			"all":     AllApprox(ts, Options{}),
 		} {
 			if r.Verdict != pd.Verdict {
 				t.Fatalf("case %d: %s=%v pd=%v (n=%d u=%.3f)\n%v",
@@ -65,7 +64,7 @@ func TestEffortAdvantageOnRealisticSets(t *testing.T) {
 			continue
 		}
 		sets++
-		opt := Options{Arithmetic: ArithFloat64}
+		opt := Options{}
 		pdSum += ProcessorDemand(ts, opt).Iterations
 		dynSum += DynamicError(ts, opt).Iterations
 		allSum += AllApprox(ts, opt).Iterations

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"math/big"
 	"slices"
 
 	"repro/internal/bounds"
+	"repro/internal/demand"
 	"repro/internal/model"
 )
 
@@ -120,15 +120,17 @@ func ProcessorDemandWithOverheads(ts model.TaskSet, ov Overheads, opt Options) R
 	inflated, opt := prepareOverheads(ts, ov, opt)
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if inflated.OverUtilized() {
+	cmp := opt.Scratch.UtilTasks(inflated).CmpInt(1)
+	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	srcs := opt.Scratch.Sources(inflated)
 	bmax := maxCriticalSection(inflated)
 	var bound int64
 	var kind bounds.Kind
-	if inflated.FullyUtilized() {
-		b, k, ok := bounds.Best(inflated) // hyperperiod horizon; B(I)=0 beyond Dmax
+	if cmp == 0 {
+		// Hyperperiod horizon; B(I) = 0 beyond Dmax.
+		b, k, ok := bounds.BestSourcesScratch(inflated, srcs, opt.Scratch)
 		if !ok {
 			return Result{Verdict: Undecided}
 		}
@@ -154,33 +156,7 @@ func ProcessorDemandWithOverheads(ts model.TaskSet, ov Overheads, opt Options) R
 // switch and self-suspension charges.
 func DeviWithOverheads(ts model.TaskSet, ov Overheads) Result {
 	inflated := InflateOverheads(ts, ov)
-	if taskUtilCmpOne(inflated) > 0 {
-		return Result{Verdict: Infeasible, Iterations: 1}
-	}
-	ratOne := big.NewRat(1, 1) // loop compare below stays on big.Rat
-	blocking := SRPBlocking(inflated)
-	sorted := inflated.SortedByDeadline()
-	cumU := new(big.Rat)
-	cumGap := new(big.Rat)
-	cond := new(big.Rat)
-	var iterations int64
-	for _, t := range sorted {
-		iterations++
-		cumU.Add(cumU, big.NewRat(t.WCET, t.Period))
-		if gap := t.Period - min(t.Period, t.Deadline); gap > 0 {
-			term := big.NewRat(gap, t.Period)
-			term.Mul(term, new(big.Rat).SetInt64(t.WCET))
-			cumGap.Add(cumGap, term)
-		}
-		num := new(big.Rat).Set(cumGap)
-		if blocking != nil {
-			num.Add(num, new(big.Rat).SetInt64(blocking(t.Deadline)))
-		}
-		cond.Quo(num, new(big.Rat).SetInt64(t.Deadline))
-		cond.Add(cond, cumU)
-		if cond.Cmp(ratOne) > 0 {
-			return Result{Verdict: NotAccepted, Iterations: iterations, FailureInterval: t.Deadline}
-		}
-	}
-	return Result{Verdict: Feasible, Iterations: iterations}
+	sc := demand.GetScratch()
+	defer demand.PutScratch(sc)
+	return devi(inflated, SRPBlocking(inflated), sc)
 }

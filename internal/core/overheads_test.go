@@ -172,10 +172,9 @@ func TestOverheadTestsAgreeWithBruteForce(t *testing.T) {
 			wantV = Infeasible
 		}
 		for name, r := range map[string]Result{
-			"pd":       ProcessorDemandWithOverheads(ts, Overheads{}, Options{}),
-			"all":      AllApproxWithOverheads(ts, Overheads{}, Options{}),
-			"dynamic":  DynamicErrorWithOverheads(ts, Overheads{}, Options{}),
-			"allFloat": AllApproxWithOverheads(ts, Overheads{}, Options{Arithmetic: ArithFloat64}),
+			"pd":      ProcessorDemandWithOverheads(ts, Overheads{}, Options{}),
+			"all":     AllApproxWithOverheads(ts, Overheads{}, Options{}),
+			"dynamic": DynamicErrorWithOverheads(ts, Overheads{}, Options{}),
 		} {
 			if r.Verdict != wantV {
 				t.Fatalf("%s: %v, want %v for %v", name, r.Verdict, wantV, ts)

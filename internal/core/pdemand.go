@@ -7,48 +7,6 @@ import (
 	"repro/internal/numeric"
 )
 
-// utilCmpOne compares the total utilization of the sources with 1. The
-// sum is exact and allocation-free while it stays within int64.
-func utilCmpOne(srcs []demand.Source) int {
-	return demand.UtilCmpOne(srcs)
-}
-
-// utilCmpOneScratch is utilCmpOne on the scratch's chunk registers when
-// the plan covers the sources — exact either way, but allocation-free
-// even when the slope sum overflows the Fast representation.
-func utilCmpOneScratch(srcs []demand.Source, sc *demand.Scratch) int {
-	if sc.Arith(srcs) == nil {
-		return demand.UtilCmpOne(srcs)
-	}
-	u := sc.Reg(0)
-	for _, s := range srcs {
-		u.AddRat(s.UtilRat())
-	}
-	return u.CmpInt(1)
-}
-
-// taskUtilCmpOne compares Σ Ci/Ti with 1 exactly without adapting the
-// tasks to sources first.
-func taskUtilCmpOne(ts model.TaskSet) int {
-	var u numeric.Fast
-	for _, t := range ts {
-		u = u.AddRat(t.WCET, t.Period)
-	}
-	return u.CmpInt(1)
-}
-
-// taskUtilCmpOneScratch is taskUtilCmpOne on the chunk registers.
-func taskUtilCmpOneScratch(ts model.TaskSet, sc *demand.Scratch) int {
-	if sc.ArithTasks(ts) == nil {
-		return taskUtilCmpOne(ts)
-	}
-	u := sc.Reg(0)
-	for _, t := range ts {
-		u.AddRat(t.WCET, t.Period)
-	}
-	return u.CmpInt(1)
-}
-
 // sourceBound returns the smallest applicable feasibility bound over plain
 // sources (George or superposition; Baruah and hyperperiod need the task
 // structure). Requires U < 1.
@@ -106,7 +64,7 @@ func taskBound(ts model.TaskSet, srcs []demand.Source, opt Options) (int64, boun
 func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	if opt.Scratch.UtilTasks(ts).CmpInt(1) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	srcs := opt.Scratch.Sources(ts)
@@ -129,7 +87,7 @@ func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 func ProcessorDemandSources(srcs []demand.Source, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch utilCmpOneScratch(srcs, opt.Scratch) {
+	switch opt.Scratch.Util(srcs).CmpInt(1) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:

@@ -38,7 +38,7 @@ func QPA(ts model.TaskSet, opt Options) Result {
 	}
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if taskUtilCmpOneScratch(ts, opt.Scratch) > 0 {
+	if opt.Scratch.UtilTasks(ts).CmpInt(1) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	srcs := opt.Scratch.Sources(ts)

@@ -28,25 +28,6 @@ func TestQuickExactTestsAgree(t *testing.T) {
 	}
 }
 
-// TestQuickFloatMatchesExact: the float64 fast path never changes a
-// verdict.
-func TestQuickFloatMatchesExact(t *testing.T) {
-	f := func(seed int64) bool {
-		ts := setFromSeed(seed)
-		exact := AllApprox(ts, Options{}).Verdict
-		fast := AllApprox(ts, Options{Arithmetic: ArithFloat64}).Verdict
-		if exact != fast {
-			return false
-		}
-		exactD := DynamicError(ts, Options{}).Verdict
-		fastD := DynamicError(ts, Options{Arithmetic: ArithFloat64}).Verdict
-		return exactD == fastD
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickSuperPosMonotone: raising the level never turns acceptance into
 // rejection.
 func TestQuickSuperPosMonotone(t *testing.T) {

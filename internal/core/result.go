@@ -71,18 +71,18 @@ type Result struct {
 // Arithmetic selects the accumulator arithmetic of the approximated tests.
 type Arithmetic uint8
 
+// The constants keep their historical values (1 was a retired float64
+// mode) so analysis fingerprints do not move.
 const (
-	// ArithExact uses exact accumulators on the fast path (default):
-	// int64 numerator/denominator rationals with 128-bit intermediate
-	// products that transparently fall back to big.Rat on overflow
-	// (numeric.Fast). Results are bit-identical to ArithBigRat.
-	ArithExact Arithmetic = iota
-	// ArithFloat64 uses float64 accumulators with a comparison tolerance;
-	// rejections are still confirmed exactly.
-	ArithFloat64
-	// ArithBigRat forces math/big.Rat accumulators everywhere — the slow
-	// reference implementation ArithExact is property-tested against.
-	ArithBigRat
+	// ArithExact runs every accumulator on the scratch's bounded-
+	// denominator chunk registers (numeric.Chunked), which leave int64
+	// for math/big only when a value outgrows them (default). Results
+	// are bit-identical to ArithBigRat.
+	ArithExact Arithmetic = 0
+	// ArithBigRat binds the approximated tests' accumulators to an empty
+	// chunk plan, so every fraction is computed in math/big — the
+	// reference ArithExact is property-tested against.
+	ArithBigRat Arithmetic = 2
 )
 
 // RevisionOrder selects which approximated task the all-approximated test
@@ -104,7 +104,7 @@ const (
 // Options tune the tests. The zero value is the default configuration:
 // exact arithmetic, FIFO revisions, no caps.
 type Options struct {
-	// Arithmetic selects float64 or exact accumulators.
+	// Arithmetic selects the chunk registers or the math/big reference.
 	Arithmetic Arithmetic
 	// RevisionOrder applies to AllApprox.
 	RevisionOrder RevisionOrder
@@ -159,6 +159,16 @@ func (o Options) acquire() (Options, *demand.Scratch) {
 func release(s *demand.Scratch) {
 	if s != nil {
 		demand.PutScratch(s)
+	}
+}
+
+// walkRegs binds the scratch registers for an accumulator walk. They
+// stay on the chunk plan the preceding utilization check bound, except
+// under ArithBigRat, which moves them to the empty plan of the math/big
+// reference.
+func (o Options) walkRegs() {
+	if o.Arithmetic == ArithBigRat {
+		o.Scratch.ArithBigRat()
 	}
 }
 

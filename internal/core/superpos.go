@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/demand"
 	"repro/internal/model"
-	"repro/internal/numeric"
 )
 
 // SuperPos applies the superposition test SuperPos(x) of Definition 6: the
@@ -18,30 +17,7 @@ func SuperPos(ts model.TaskSet, level int64, opt Options) Result {
 	return SuperPosSources(opt.Scratch.Sources(ts), level, opt)
 }
 
-// SuperPosSources runs SuperPos(x) over generic demand sources.
-func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
-	opt, borrowed := opt.acquire()
-	defer release(borrowed)
-	if level < 1 {
-		level = 1
-	}
-	if utilCmpOneScratch(srcs, opt.Scratch) > 0 {
-		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: level}
-	}
-	switch opt.Arithmetic {
-	case ArithFloat64:
-		return superPos(numeric.F64(0), srcs, level, opt)
-	case ArithBigRat:
-		return superPos(numeric.Rat{}, srcs, level, opt)
-	default:
-		if opt.Scratch.Arith(srcs) != nil {
-			return superPosChunked(srcs, level, opt)
-		}
-		return superPos(numeric.Fast{}, srcs, level, opt)
-	}
-}
-
-// superPos is the arithmetic-generic SuperPos(x) implementation. It walks
+// SuperPosSources runs SuperPos(x) over generic demand sources. It walks
 // the job deadlines of the first `level` jobs of each source in ascending
 // order, maintaining the approximated demand incrementally:
 //
@@ -51,54 +27,19 @@ func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
 // exact test interval Im = JobDeadline(level). Once the list drains, every
 // remaining contribution grows with slope U <= 1 while the capacity grows
 // with slope 1, so the approximated test holds for all larger intervals
-// (the implicit superposition bound).
-func superPos[S numeric.Scalar[S]](zero S, srcs []demand.Source, level int64, opt Options) Result {
-	tl := opt.Scratch.TestList(len(srcs))
-	jobs := opt.Scratch.Jobs(len(srcs)) // processed jobs per source
-	for i, s := range srcs {
-		tl.Add(s.JobDeadline(1), i)
+// (the implicit superposition bound). The demand accumulator and the
+// ready-slope sum are chunk registers mutated in place, so the walk stays
+// exact and allocation-free on spread-period sets.
+func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
+	opt, borrowed := opt.acquire()
+	defer release(borrowed)
+	if level < 1 {
+		level = 1
 	}
-	dbf, uready := zero, zero
-	var iold, iterations int64
-	for !tl.Empty() {
-		e := tl.Peek()
-		I := e.I
-		iterations++
-		if opt.capped(iterations) {
-			return Result{Verdict: Undecided, Iterations: iterations, MaxLevel: level}
-		}
-		s := srcs[e.Src]
-		jobs[e.Src]++
-		dbf = dbf.AddInt(s.WCET()).AddScaled(uready, I-iold)
-		if capacity := opt.capacityAt(I); dbf.CmpInt(capacity) > 0 {
-			// The approximation rejected the interval. If the exact demand
-			// already exceeds the capacity the set is infeasible, which
-			// upgrades the verdict from NotAccepted to Infeasible.
-			verdict := NotAccepted
-			if demand.Dbf(srcs, I) > capacity {
-				verdict = Infeasible
-			}
-			return Result{Verdict: verdict, Iterations: iterations, FailureInterval: I, MaxLevel: level}
-		}
-		if jobs[e.Src] >= level {
-			// Reached Im: approximate this source from here on.
-			tl.Next()
-			num, den := s.UtilRat()
-			uready = uready.AddRat(num, den)
-		} else {
-			tl.Replace(s.NextDeadline(I), e.Src)
-		}
-		iold = I
+	if opt.Scratch.Util(srcs).CmpInt(1) > 0 {
+		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: level}
 	}
-	return Result{Verdict: Feasible, Iterations: iterations, MaxLevel: level}
-}
-
-// superPosChunked is superPos on the scratch's bounded-denominator
-// registers: the demand accumulator and the ready-slope sum are Chunked
-// registers mutated in place, so spread-period sets whose slopes
-// overflow the Fast representation stay exact, allocation-free and off
-// math/big. The caller guarantees the scratch plan covers the sources.
-func superPosChunked(srcs []demand.Source, level int64, opt Options) Result {
+	opt.walkRegs()
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs)) // processed jobs per source
 	for i, s := range srcs {
@@ -118,6 +59,9 @@ func superPosChunked(srcs []demand.Source, level int64, opt Options) Result {
 		dbf.AddInt(s.WCET())
 		dbf.AddScaled(uready, I-iold)
 		if capacity := opt.capacityAt(I); dbf.CmpInt(capacity) > 0 {
+			// The approximation rejected the interval. If the exact demand
+			// already exceeds the capacity the set is infeasible, which
+			// upgrades the verdict from NotAccepted to Infeasible.
 			verdict := NotAccepted
 			if demand.Dbf(srcs, I) > capacity {
 				verdict = Infeasible
@@ -125,6 +69,7 @@ func superPosChunked(srcs []demand.Source, level int64, opt Options) Result {
 			return Result{Verdict: verdict, Iterations: iterations, FailureInterval: I, MaxLevel: level}
 		}
 		if jobs[e.Src] >= level {
+			// Reached Im: approximate this source from here on.
 			tl.Next()
 			num, den := s.UtilRat()
 			uready.AddRat(num, den)

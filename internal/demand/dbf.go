@@ -4,7 +4,6 @@ import (
 	"math/big"
 
 	"repro/internal/model"
-	"repro/internal/numeric"
 )
 
 // Dbf returns the exact demand bound function dbf(I, Γ) over the sources:
@@ -47,27 +46,4 @@ func ApproxDbf(srcs []Source, I int64, level int64) *big.Rat {
 		sum.Add(sum, ApproxDbfSource(s, I, level))
 	}
 	return sum
-}
-
-// Utilization returns Σ UtilRat over the sources as an exact rational.
-// The sum is accumulated in fast int64 arithmetic and materialized as one
-// big.Rat at the end.
-func Utilization(srcs []Source) *big.Rat {
-	return UtilizationFast(srcs).Rat()
-}
-
-// UtilizationFast returns Σ UtilRat over the sources as an exact
-// numeric.Fast, allocation-free while the sum stays within int64.
-func UtilizationFast(srcs []Source) numeric.Fast {
-	var u numeric.Fast
-	for _, s := range srcs {
-		u = u.AddRat(s.UtilRat())
-	}
-	return u
-}
-
-// UtilCmpOne compares the total utilization of the sources with 1 exactly
-// without allocating on the int64 fast path.
-func UtilCmpOne(srcs []Source) int {
-	return UtilizationFast(srcs).CmpInt(1)
 }

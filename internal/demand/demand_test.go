@@ -155,8 +155,11 @@ func TestUtilizationSum(t *testing.T) {
 		{WCET: 1, Deadline: 4, Period: 4},
 		{WCET: 1, Deadline: 2, Period: 2},
 	}
-	if got := Utilization(FromTasks(ts)); got.Cmp(big.NewRat(3, 4)) != 0 {
+	if got := NewScratch().Util(FromTasks(ts)).Rat(); got.Cmp(big.NewRat(3, 4)) != 0 {
 		t.Errorf("U = %v, want 3/4", got)
+	}
+	if got := NewScratch().UtilTasks(ts).Rat(); got.Cmp(big.NewRat(3, 4)) != 0 {
+		t.Errorf("task U = %v, want 3/4", got)
 	}
 }
 

@@ -28,13 +28,15 @@ type Scratch struct {
 
 	// Bounded-denominator arithmetic state: the per-workload chunk plan
 	// (cached under its denominator key across analyses of the same set),
-	// the register bank the analyzers and bounds compute in, and the
-	// promotion tally that survives plan rebuilds.
+	// the always-empty plan of the big.Rat reference, which plan the
+	// registers bind to, the register bank the analyzers and bounds
+	// compute in, and the promotion tally that survives plan rebuilds.
 	denBuf  []int64
 	planKey []int64
 	plan    numeric.Plan
-	planOK  bool
 	hasPlan bool
+	bigPlan numeric.Plan
+	useBig  bool
 	promos  uint64
 	regs    [ScratchRegs]numeric.Chunked
 
@@ -109,66 +111,85 @@ func (s *Scratch) Bools(n int) []bool {
 	return s.bools
 }
 
-// Arith returns the bounded-denominator chunk plan covering the
-// sources' slope denominators, building it on first use and reusing the
-// cached plan while the denominator sequence is unchanged (the common
-// case: every stage of a cascade analyzes the same workload). A nil
-// result means the workload genuinely exceeds the chunk cap — callers
-// fall back to the numeric.Fast path and the analysis counts as one
-// promotion.
-func (s *Scratch) Arith(srcs []Source) *numeric.Plan {
+// Util binds the register bank to the bounded-denominator chunk plan
+// covering the sources' slope denominators and returns register 0
+// holding their total utilization Σ UtilRat, exactly. The plan is built
+// on first use and reused while the denominator sequence is unchanged
+// (the common case: every stage of a cascade analyzes the same
+// workload). A workload that genuinely exceeds the chunk cap gets an
+// empty plan: its registers stay exact, every fraction on math/big, and
+// each register's first fraction counts as a promotion.
+func (s *Scratch) Util(srcs []Source) *numeric.Chunked {
 	s.denBuf = s.denBuf[:0]
 	for _, src := range srcs {
 		_, den := src.UtilRat()
 		s.denBuf = append(s.denBuf, den)
 	}
-	return s.arith()
+	s.arith()
+	u := s.Reg(0)
+	for _, src := range srcs {
+		u.AddRat(src.UtilRat())
+	}
+	return u
 }
 
-// ArithTasks is Arith keyed directly on the task periods, for analyzers
-// that never adapt the set to sources (Devi). The key equals the one
-// Arith derives from Sources(ts), so a cascade builds one plan and every
-// stage hits the cache.
-func (s *Scratch) ArithTasks(ts model.TaskSet) *numeric.Plan {
+// UtilTasks is Util over a task set's Σ Ci/Ti, for callers that never
+// adapt the set to sources. Its plan key equals the one Util derives
+// from Sources(ts), so a cascade builds one plan and every stage hits
+// the cache.
+func (s *Scratch) UtilTasks(ts model.TaskSet) *numeric.Chunked {
 	s.denBuf = s.denBuf[:0]
 	for _, t := range ts {
 		s.denBuf = append(s.denBuf, t.Period)
 	}
-	return s.arith()
+	s.arith()
+	u := s.Reg(0)
+	for _, t := range ts {
+		u.AddRat(t.WCET, t.Period)
+	}
+	return u
 }
 
-// arith resolves the plan for the key staged in denBuf.
-func (s *Scratch) arith() *numeric.Plan {
+// arith binds the registers to the plan for the key staged in denBuf.
+func (s *Scratch) arith() {
 	if !s.hasPlan || !slices.Equal(s.denBuf, s.planKey) {
 		// Fold the retiring plan's tally so ArithPromotions stays
 		// monotonic across rebuilds.
 		s.promos += s.plan.Promotions()
-		s.planOK = s.plan.Build(s.denBuf)
+		s.plan.Build(s.denBuf)
 		s.hasPlan = true
 		s.planKey = append(s.planKey[:0], s.denBuf...)
 	}
-	if !s.planOK {
-		s.promos++
-		return nil
-	}
-	return &s.plan
+	s.useBig = false
+}
+
+// ArithBigRat binds the register bank to an empty plan, so every
+// fraction is computed in math/big: the reference arithmetic the chunk
+// plans are tested against. Its promotions are deliberate and stay out
+// of ArithPromotions.
+func (s *Scratch) ArithBigRat() {
+	s.useBig = true
 }
 
 // ArithPromotions returns the total fast-path exits recorded against
-// this Scratch: values promoted to math/big plus whole analyses that
-// fell back to numeric.Fast because no plan fit. The counter is
-// monotonic over the Scratch's lifetime; callers attribute per-analysis
-// promotions by delta.
+// this Scratch's chunk plans: values promoted to math/big, including
+// those of workloads no plan could cover. The counter is monotonic over
+// the Scratch's lifetime; callers attribute per-analysis promotions by
+// delta.
 func (s *Scratch) ArithPromotions() uint64 {
 	return s.promos + s.plan.Promotions()
 }
 
 // Reg returns register i of the chunk-register bank, zeroed and bound to
-// the current plan. Registers are shared working memory: a computation
-// owns the indices it uses until it returns. Callers must hold a plan
-// from Arith/ArithTasks (the registers bind to it).
+// the plan of the last Util, UtilTasks or ArithBigRat call. Registers
+// are shared working memory: a computation owns the indices it uses
+// until it returns.
 func (s *Scratch) Reg(i int) *numeric.Chunked {
-	s.regs[i].Init(&s.plan)
+	if s.useBig {
+		s.regs[i].Init(&s.bigPlan)
+	} else {
+		s.regs[i].Init(&s.plan)
+	}
 	return &s.regs[i]
 }
 

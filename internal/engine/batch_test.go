@@ -14,7 +14,7 @@ import (
 func TestBatchDeterminism(t *testing.T) {
 	sets := randomSets(t, 40, 11)
 	analyzers := MustParse("devi,allapprox,qpa,cascade")
-	jobs := Batch(sets, analyzers, core.Options{Arithmetic: core.ArithFloat64})
+	jobs := Batch(sets, analyzers, core.Options{})
 	if len(jobs) != len(sets)*len(analyzers) {
 		t.Fatalf("jobs = %d", len(jobs))
 	}

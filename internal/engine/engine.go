@@ -101,8 +101,8 @@ const DefaultSuperPosLevel = 3
 func NewLiuLayland() Analyzer {
 	return funcAnalyzer{
 		info: Info{Name: "liu", Label: "liu-layland", Kind: Sufficient},
-		fn: func(ts model.TaskSet, _ core.Options) core.Result {
-			return core.LiuLayland(ts)
+		fn: func(ts model.TaskSet, opt core.Options) core.Result {
+			return core.LiuLaylandOpt(ts, opt)
 		},
 	}
 }

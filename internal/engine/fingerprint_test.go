@@ -54,7 +54,7 @@ func TestFingerprintSeparatesInputs(t *testing.T) {
 	}
 
 	check("analyzer", fpSet(), "allapprox", core.Options{})
-	check("arithmetic", fpSet(), "cascade", core.Options{Arithmetic: core.ArithFloat64})
+	check("arithmetic", fpSet(), "cascade", core.Options{Arithmetic: core.ArithBigRat})
 	check("revision order", fpSet(), "cascade", core.Options{RevisionOrder: core.ReviseLIFO})
 	check("max iterations", fpSet(), "cascade", core.Options{MaxIterations: 100})
 	check("max level", fpSet(), "cascade", core.Options{MaxLevel: 8})
@@ -123,7 +123,7 @@ func TestWorkloadFingerprintPinsSporadicEncoding(t *testing.T) {
 func TestWorkloadFingerprintDomainSeparation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	analyzers := []string{"cascade", "allapprox", "superpos(3)", "pd"}
-	opts := []core.Options{{}, {Arithmetic: core.ArithFloat64}, {MaxIterations: 50}}
+	opts := []core.Options{{}, {Arithmetic: core.ArithBigRat}, {MaxIterations: 50}}
 	seen := map[string]string{} // fingerprint -> "model/trial"
 	for trial := range 300 {
 		n := 1 + rng.Intn(6)

@@ -129,7 +129,6 @@ func Burst(cfg BurstConfig) BurstResult {
 	}
 
 	res := BurstResult{Config: cfg}
-	opt := floatOpt()
 	for wi, width := range cfg.BurstWidths {
 		rng := rngFor(cfg.Seed, 7000+int64(wi))
 		perAnalyzer := make([]stats, len(analyzers))
@@ -137,7 +136,7 @@ func Burst(cfg BurstConfig) BurstResult {
 		sets := 0
 		for sets < cfg.SetsPerPoint {
 			tasks := randomBurstWorkload(rng, cfg.Periodics, width)
-			refRes := analyzers[ref].AnalyzeEvents(tasks, opt)
+			refRes := analyzers[ref].AnalyzeEvents(tasks, core.Options{})
 			if refRes.Verdict == core.Undecided {
 				continue // U >= 1 after rounding: regenerate
 			}
@@ -145,7 +144,7 @@ func Burst(cfg BurstConfig) BurstResult {
 			for ai, a := range analyzers {
 				r := refRes
 				if ai != ref {
-					r = a.AnalyzeEvents(tasks, opt)
+					r = a.AnalyzeEvents(tasks, core.Options{})
 				}
 				perAnalyzer[ai].add(r.Iterations)
 			}

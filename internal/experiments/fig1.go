@@ -121,7 +121,7 @@ func Fig1(cfg Fig1Config) Fig1Result {
 		// Accept counts per analyzer: index 0 is Devi, 1..len(Levels) the
 		// superposition ladder, the last the exact baseline.
 		accepts := make([]int, len(analyzers))
-		for _, perSet := range analyzeSets(sets, analyzers, floatOpt()) {
+		for _, perSet := range analyzeSets(sets, analyzers) {
 			for ai, r := range perSet {
 				if r.Verdict == core.Feasible {
 					accepts[ai]++

@@ -100,7 +100,7 @@ func Fig8(cfg Fig8Config) Fig8Result {
 		sets = append(sets, ts)
 	}
 
-	grouped := analyzeSets(sets, analyzers, floatOpt())
+	grouped := analyzeSets(sets, analyzers)
 
 	res := Fig8Result{Config: cfg}
 	for pct := 90; pct <= 99; pct++ {

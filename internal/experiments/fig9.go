@@ -116,7 +116,7 @@ func Fig9(cfg Fig9Config) Fig9Result {
 		}
 
 		perAnalyzer := make([]stats, len(analyzers))
-		for _, perSet := range analyzeSets(sets, analyzers, floatOpt()) {
+		for _, perSet := range analyzeSets(sets, analyzers) {
 			for ai, r := range perSet {
 				perAnalyzer[ai].add(r.Iterations)
 			}

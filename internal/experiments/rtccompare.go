@@ -88,7 +88,7 @@ func RTCCompare(cfg RTCConfig) RTCResult {
 			sets = append(sets, ts)
 		}
 		var nRTC, nDevi, nExact int
-		for _, perSet := range analyzeSets(sets, analyzers, floatOpt()) {
+		for _, perSet := range analyzeSets(sets, analyzers) {
 			if perSet[0].Verdict == core.Feasible {
 				nRTC++
 			}

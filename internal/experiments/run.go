@@ -56,16 +56,11 @@ func CheckAnalyzers(names []string, needEvents, needExact bool) error {
 }
 
 // analyzeSets fans every (set x analyzer) job out over the engine's
-// bounded worker pool and returns the results grouped per set, in
-// analyzer order. Ordering is deterministic regardless of parallelism.
-func analyzeSets(sets []model.TaskSet, analyzers []engine.Analyzer, opt core.Options) [][]core.Result {
-	return engine.RunSets(context.Background(), sets, analyzers, opt, engine.RunOptions{})
-}
-
-// floatOpt is the experiments' shared test configuration: float64
-// accumulators, as in the paper's measurements.
-func floatOpt() core.Options {
-	return core.Options{Arithmetic: core.ArithFloat64}
+// bounded worker pool with default options and returns the results
+// grouped per set, in analyzer order. Ordering is deterministic
+// regardless of parallelism.
+func analyzeSets(sets []model.TaskSet, analyzers []engine.Analyzer) [][]core.Result {
+	return engine.RunSets(context.Background(), sets, analyzers, core.Options{}, engine.RunOptions{})
 }
 
 // EffortStat is the aggregated effort of one analyzer over a bucket of

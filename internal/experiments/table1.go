@@ -73,7 +73,7 @@ func Table1With(names []string) Table1Result {
 	for i, ex := range examples {
 		sets[i] = ex.Set
 	}
-	grouped := analyzeSets(sets, analyzers, core.Options{})
+	grouped := analyzeSets(sets, analyzers)
 
 	exact := -1
 	for ai, a := range analyzers {

@@ -22,19 +22,19 @@ func TestCeilInt64(t *testing.T) {
 		{-1, 2, 0, false},
 	}
 	for _, c := range cases {
-		got, ok := NewFast(c.num, c.den).CeilInt64()
+		got, ok := fastOf(c.num, c.den).CeilInt64()
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("CeilInt64(%d/%d) = (%d,%v), want (%d,%v)", c.num, c.den, got, ok, c.want, c.ok)
 		}
 	}
 	// Promoted path: a value beyond int64 must report !ok, one within
 	// must round identically to the fast path.
-	big1 := FastFromRat(new(big.Rat).SetFrac(
+	big1 := demoted(new(big.Rat).SetFrac(
 		new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(1)))
 	if _, ok := big1.CeilInt64(); ok {
 		t.Error("CeilInt64(2^70) reported ok")
 	}
-	big2 := FastFromRat(new(big.Rat).SetFrac(
+	big2 := demoted(new(big.Rat).SetFrac(
 		new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(1)),
 		new(big.Int).Lsh(big.NewInt(1), 70)))
 	if got, ok := big2.CeilInt64(); !ok || got != 2 {

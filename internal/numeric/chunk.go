@@ -23,8 +23,9 @@ const chunkDenCap = int64(1) << 62
 // denominators, each an LCM capped at 2^62. A Chunked value then carries
 // one fractional numerator per chunk and all arithmetic stays in int64
 // with 128-bit intermediates — no math/big on the hot path. When the cap
-// is genuinely exceeded the build fails and callers fall back to the Fast
-// (int64 with big.Rat promotion) representation.
+// is genuinely exceeded the build fails and leaves the plan empty:
+// registers bound to an empty plan still compute exactly, every fraction
+// on math/big.
 //
 // A Plan serves one analysis at a time; values bound to it must not
 // outlive a rebuild.
@@ -38,7 +39,7 @@ type Plan struct {
 
 // Build folds the given ingest denominators into chunk denominators and
 // reports whether everything fit under the cap. On failure the plan is
-// empty and unusable. Denominator 1 (integer contributions) needs no
+// empty. Denominator 1 (integer contributions) needs no
 // chunk; non-positive denominators fail the build. Building restarts the
 // promotion tally: callers tracking totals across rebuilds fold the old
 // count first.
@@ -97,11 +98,11 @@ func (p *Plan) chunkFor(den int64) int {
 // [0, chunk denominator). All operations are exact; when an intermediate
 // genuinely exceeds the representation the value promotes to a big.Rat
 // (tallied on the plan) and stays exact. Operations mutate the receiver —
-// unlike Scalar implementations a Chunked is a register, not a value —
-// which is what lets the hot loops run without copying the chunk array.
+// a Chunked is a register, not a value — which is what lets the hot
+// loops run without copying the chunk array.
 //
 // The analyzers obtain their registers from the Scratch register bank
-// (demand.Scratch.Arith), so steady-state analyses allocate nothing.
+// (demand.Scratch.Reg), so steady-state analyses allocate nothing.
 type Chunked struct {
 	plan *Plan
 	ip   int64 // integer part; the value is ip + Σ fr[c]/plan.dens[c]
@@ -646,7 +647,9 @@ func (v *Chunked) Float() float64 {
 // result fits in int64, using t as a scratch register (clobbered). The
 // quotient is located by a float64 guess and certified by exact
 // comparisons, so the result is exact and — promoted inputs aside —
-// allocation-free.
+// allocation-free. A probe product b*q that leaves the register range
+// promotes t once; the quotient is then settled in math/big, so one call
+// adds at most one promotion to the plan.
 func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
 	if a.br != nil || b.br != nil {
 		return quoCeilBig(a.ratView(), b.ratView())
@@ -654,10 +657,18 @@ func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
 	if a.Sign() == 0 {
 		return 0, true
 	}
-	// geB reports whether b*q >= a.
+	// geB reports whether b*q >= a. After the first promoted probe it
+	// answers true without probing, which ends the search quickly.
+	promoted := false
 	geB := func(q int64) bool {
+		if promoted {
+			return true
+		}
 		t.CopyFrom(b)
 		t.MulInt(q)
+		if promoted = t.Promoted(); promoted {
+			return true
+		}
 		return t.Cmp(a) >= 0
 	}
 	g := a.Float() / b.Float()
@@ -690,5 +701,13 @@ func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
 			lo = mid
 		}
 	}
+	if promoted {
+		return quoCeilBig(a.Rat(), b.Rat())
+	}
 	return hi, true
+}
+
+// quoCeilBig is the arbitrary-precision path of QuoCeilChunked.
+func quoCeilBig(s, o *big.Rat) (int64, bool) {
+	return ceilRatInt64(new(big.Rat).Quo(s, o))
 }

@@ -291,6 +291,103 @@ func TestQuoCeilChunked(t *testing.T) {
 	if got, ok := QuoCeilChunked(&a, &b, &tmp); !ok || got != 0 {
 		t.Fatalf("QuoCeil(0/x) = (%d,%v), want (0,true)", got, ok)
 	}
+
+	// A quotient beyond int64 must report !ok: 31/2 over
+	// 1/1190112520884487201 is (2^65-1)/2, whose ceiling a 128-bit
+	// division would wrap to zero.
+	const wide = int64(1190112520884487201)
+	wp := buildPlan(t, []int64{2, wide})
+	a.Init(wp)
+	b.Init(wp)
+	tmp.Init(wp)
+	a.AddRat(31, 2)
+	b.AddRat(1, wide)
+	if got, ok := QuoCeilChunked(&a, &b, &tmp); ok {
+		t.Fatalf("QuoCeil((2^65-1)/2) = (%d,true), want !ok", got)
+	}
+
+	// On an empty plan every fraction is carried in math/big; the quotient
+	// must still match the reference.
+	var empty Plan
+	for range 500 {
+		a.Init(&empty)
+		b.Init(&empty)
+		tmp.Init(&empty)
+		an, ad := rng.Int63n(1_000_000), rng.Int63n(1000)+1
+		bn, bd := rng.Int63n(1000)+1, rng.Int63n(1000)+1
+		a.AddRat(an, ad)
+		b.AddRat(bn, bd)
+		got, ok := QuoCeilChunked(&a, &b, &tmp)
+		want, wok := quoCeilBig(big.NewRat(an, ad), big.NewRat(bn, bd))
+		if ok != wok || got != want {
+			t.Fatalf("empty plan QuoCeil(%d/%d / %d/%d) = (%d,%v), want (%d,%v)",
+				an, ad, bn, bd, got, ok, want, wok)
+		}
+	}
+}
+
+// TestQuoCeilChunkedPromotesOnce pins the promotion cost of one
+// quotient. b = 1 - Σ (d/40)/d over 20 coprime chunk denominators has
+// integer part -19 and near-full chunk numerators, so every bracket probe
+// b*q overflows in its intermediates although the product itself fits.
+// The quotient must settle with a single promotion, not one per probe.
+func TestQuoCeilChunkedPromotesOnce(t *testing.T) {
+	var dens []int64
+	for v := int64(1<<61) + 1; len(dens) < 20; v += 2 {
+		if big.NewInt(v).ProbablyPrime(20) {
+			dens = append(dens, v)
+		}
+	}
+	p := buildPlan(t, dens)
+	var u, a, b, tmp Chunked
+	u.Init(p)
+	a.Init(p)
+	b.Init(p)
+	tmp.Init(p)
+	for _, d := range dens {
+		u.AddRat(d/40, d)
+	}
+	b.SetInt(1)
+	b.Sub(&u)
+	a.SetInt(1 << 60)
+	a.AddRat(5, dens[0])
+	before := p.Promotions()
+	got, ok := QuoCeilChunked(&a, &b, &tmp)
+	if n := p.Promotions() - before; n > 1 {
+		t.Fatalf("one quotient added %d promotions, want at most 1", n)
+	}
+	want, wok := quoCeilBig(a.Rat(), b.Rat())
+	if ok != wok || got != want {
+		t.Fatalf("QuoCeil = (%d,%v), want (%d,%v)", got, ok, want, wok)
+	}
+}
+
+// TestChunkedMulInt pins MulInt exactness, including (C/T)·T staying an
+// unpromoted integer for a period near the chunk cap.
+func TestChunkedMulInt(t *testing.T) {
+	const period = chunkDenCap - 57
+	p := buildPlan(t, []int64{period})
+	var v Chunked
+	v.Init(p)
+	v.AddRat(3, period)
+	v.MulInt(period)
+	if v.Promoted() || v.CmpInt(3) != 0 {
+		t.Fatalf("(3/p)*p = %s promoted=%v, want 3 unpromoted", v.Rat(), v.Promoted())
+	}
+	rng := rand.New(rand.NewSource(3))
+	for range 2000 {
+		d := rng.Int63n(1<<20) + 1
+		p := buildPlan(t, []int64{d})
+		v.Init(p)
+		n := rng.Int63n(1<<40) - 1<<39
+		v.AddRat(n, d)
+		x := rng.Int63n(1 << 30)
+		v.MulInt(x)
+		want := new(big.Rat).Mul(big.NewRat(n, d), big.NewRat(x, 1))
+		if got := v.Rat(); got.Cmp(want) != 0 {
+			t.Fatalf("(%d/%d)*%d = %s, want %s", n, d, x, got, want)
+		}
+	}
 }
 
 func TestChunkedCopyFromIsolation(t *testing.T) {
@@ -308,9 +405,12 @@ func TestChunkedCopyFromIsolation(t *testing.T) {
 	}
 }
 
-// FuzzChunkedVsBigRat cross-checks a short op program on a Chunked
-// register against big.Rat. The program bytes select ops and operands so
-// the fuzzer can explore carry, borrow, promotion and comparison edges.
+// FuzzChunkedVsBigRat cross-checks a short op program against big.Rat
+// on two register pairs: one bound to a plan over the program's
+// denominators and one bound to an empty plan, the path of unplannable
+// workloads and of the big.Rat reference arithmetic. The program bytes
+// select ops and operands so the fuzzer can explore carry, borrow,
+// promotion and comparison edges.
 func FuzzChunkedVsBigRat(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, int64(1000), int64(999999937))
 	f.Add([]byte{1, 1, 1, 8, 3, 9, 2, 2, 8}, int64(3), int64(5))
@@ -319,13 +419,15 @@ func FuzzChunkedVsBigRat(f *testing.F) {
 		if d1 <= 0 || d2 <= 0 || d1 > chunkDenCap || d2 > chunkDenCap {
 			return
 		}
-		var p Plan
+		var p, empty Plan
 		if !p.Build([]int64{d1, d2}) {
 			return
 		}
-		var v, u Chunked
-		v.Init(&p)
-		u.Init(&p)
+		var regs [2]struct{ v, u Chunked }
+		regs[0].v.Init(&p)
+		regs[0].u.Init(&p)
+		regs[1].v.Init(&empty)
+		regs[1].u.Init(&empty)
 		ref := new(big.Rat)
 		uref := new(big.Rat)
 		dens := []int64{d1, d2}
@@ -337,41 +439,54 @@ func FuzzChunkedVsBigRat(f *testing.F) {
 			d := dens[int(op/16)%2]
 			switch op % 8 {
 			case 0:
-				v.AddInt(x)
 				ref.Add(ref, new(big.Rat).SetInt64(x))
 			case 1:
-				v.AddRat(x%d+1, d)
 				ref.Add(ref, big.NewRat(x%d+1, d))
 			case 2:
-				v.SubRat(x%d+1, d)
 				ref.Sub(ref, big.NewRat(x%d+1, d))
 			case 3:
-				v.AddScaled(&u, x)
 				prod := new(big.Rat).Mul(uref, new(big.Rat).SetInt64(x))
 				ref.Add(ref, prod)
 			case 4:
-				v.MulInt(x % 1000)
 				ref.Mul(ref, new(big.Rat).SetInt64(x%1000))
 			case 5:
-				u.AddRat(x%d, d)
 				uref.Add(uref, big.NewRat(x%d, d))
 			case 6:
-				v.Neg()
 				ref.Neg(ref)
-			case 7:
-				if got, want := v.CmpInt(x%5), ref.Cmp(new(big.Rat).SetInt64(x%5)); got != want {
-					t.Fatalf("op %d: CmpInt(%d) = %d, want %d (v=%s)", i, x%5, got, want, ref)
-				}
 			}
-			if got := v.Rat(); got.Cmp(ref) != 0 {
-				t.Fatalf("op %d (%d): chunked=%s ref=%s", i, op, got, ref)
+			for k := range regs {
+				v, u := &regs[k].v, &regs[k].u
+				switch op % 8 {
+				case 0:
+					v.AddInt(x)
+				case 1:
+					v.AddRat(x%d+1, d)
+				case 2:
+					v.SubRat(x%d+1, d)
+				case 3:
+					v.AddScaled(u, x)
+				case 4:
+					v.MulInt(x % 1000)
+				case 5:
+					u.AddRat(x%d, d)
+				case 6:
+					v.Neg()
+				case 7:
+					if got, want := v.CmpInt(x%5), ref.Cmp(new(big.Rat).SetInt64(x%5)); got != want {
+						t.Fatalf("op %d reg %d: CmpInt(%d) = %d, want %d (v=%s)", i, k, x%5, got, want, ref)
+					}
+				}
+				if got := v.Rat(); got.Cmp(ref) != 0 {
+					t.Fatalf("op %d (%d) reg %d: chunked=%s ref=%s", i, op, k, got, ref)
+				}
 			}
 		}
 	})
 }
 
-// FuzzFastVsBigRat cross-checks the Fast scalar against big.Rat the same
-// way, covering the promotion/demotion boundary the spread workloads hit.
+// FuzzFastVsBigRat cross-checks the Fast session sums against big.Rat
+// the same way, covering the promotion/demotion boundary. Subtraction is
+// AddRat with a negated numerator, as the sessions use it.
 func FuzzFastVsBigRat(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, int64(1<<40), int64(999999937))
 	f.Add([]byte{1, 1, 1, 1, 1, 1}, int64(2305843009213693951), int64(4611686018427387847))
@@ -396,21 +511,24 @@ func FuzzFastVsBigRat(f *testing.F) {
 				v = v.AddRat(x%d+1, d)
 				ref.Add(ref, big.NewRat(x%d+1, d))
 			case 2:
-				v = v.SubRat(x%d+1, d)
+				v = v.AddRat(-(x%d + 1), d)
 				ref.Sub(ref, big.NewRat(x%d+1, d))
 			case 3:
-				v = v.AddScaled(NewFast(x%d, d), x%(1<<40))
+				v = v.AddScaled(fastOf(x%d, d), x%(1<<40))
 				prod := new(big.Rat).Mul(big.NewRat(x%d, d), new(big.Rat).SetInt64(x%(1<<40)))
 				ref.Add(ref, prod)
 			case 4:
-				v = v.MulInt(x % 100000)
-				ref.Mul(ref, new(big.Rat).SetInt64(x%100000))
+				got, ok := v.CeilInt64()
+				want, wok := ceilRatInt64(ref)
+				if ok != wok || got != want {
+					t.Fatalf("op %d: CeilInt64 = (%d,%v), want (%d,%v) (v=%s)", i, got, ok, want, wok, ref)
+				}
 			case 5:
 				if got, want := v.CmpInt(x%7), ref.Cmp(new(big.Rat).SetInt64(x%7)); got != want {
 					t.Fatalf("op %d: CmpInt(%d) = %d, want %d (v=%s)", i, x%7, got, want, ref)
 				}
 			}
-			if got := v.Rat(); got.Cmp(ref) != 0 {
+			if got := v.rat(); got.Cmp(ref) != 0 {
 				t.Fatalf("op %d (%d): fast=%s ref=%s", i, op, got, ref)
 			}
 		}

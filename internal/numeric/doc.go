@@ -1,28 +1,19 @@
-// Package numeric provides the scalar arithmetic used by the approximated
-// feasibility tests.
+// Package numeric provides the exact arithmetic of the feasibility tests
+// and bounds.
 //
 // All task parameters (execution times, deadlines, periods) are integer time
 // units, so the exact demand bound function dbf is pure int64 arithmetic.
-// The superposition approximation however accumulates rational slopes C/T,
-// which this package models behind the Scalar interface:
-//
-//   - F64: float64 accumulators with a symmetric comparison tolerance.
-//     Fast; used by the experiment harnesses. Rejections are re-confirmed
-//     with exact integer arithmetic by the callers, so a "not feasible"
-//     verdict is never a rounding artifact.
-//   - Rat: math/big.Rat accumulators. Exact; the cross-checking reference.
-//   - Fast: exact int64 numerator/denominator rationals with 128-bit
-//     intermediate products, falling back to a big.Rat payload only while
-//     a value cannot be represented in int64 and demoting back as soon as
-//     it fits. Allocation-free while parameters stay in range.
+// The utilization checks, the approximated tests and the feasibility
+// bounds however accumulate rational slopes C/T. Every such accumulator
+// runs on Chunked registers, one exact representation for every analysis.
 //
 // # Bounded-denominator chunked values
 //
-// Fast still degrades on wide period spreads: log-uniform periods across
-// several decades make the running denominator lcm overflow int64 within
-// a few accumulations, and from then on every Add pays a big.Rat
-// allocation. Chunked removes that cliff for the analyzers' accumulator
-// loops by bounding denominators up front instead of discovering
+// A single int64 numerator/denominator pair degrades on wide period
+// spreads: log-uniform periods across several decades make the running
+// denominator lcm overflow int64 within a few accumulations, and from
+// then on every addition pays a big.Rat allocation. Chunked removes that
+// cliff by bounding denominators up front instead of discovering
 // overflow per operation.
 //
 // Plan.Build inspects the full set of source denominators before the
@@ -32,24 +23,32 @@
 // fixed denominator vector: adding a slope touches exactly one chunk,
 // comparisons against an integer bound cross-multiply chunk-by-chunk
 // with 128-bit intermediates, and nothing allocates — regardless of how
-// the periods are spread. The spread-period benchmark shapes that used
-// to allocate thousands of big.Rats per analysis run at 0 allocs/op on
-// this representation.
+// the periods are spread. The spread-period benchmark shapes run at
+// 0 allocs/op on this representation.
 //
 // Promotion is the escape hatch, not the common case. A Chunked value
-// promotes to an embedded big.Rat only when a numerator overflows its
-// chunk (Promoted reports it, and the owning Plan counts it); when
-// Plan.Build cannot cover the denominators at all — more mutually
-// incompatible periods than MaxChunks, e.g. many pairwise-coprime
-// periods above 2^31 — the analysis falls back to Fast wholesale and
-// the plan records one promotion per fallen-back call. Scratch owners
-// surface that tally as ArithPromotions, which feeds the
-// edfd_arith_promotions_total counter and per-stage trace attribution:
-// a fleet where the counter moves is running workloads off the fast
-// path, which is an observable capacity signal rather than a silent
-// slowdown. DynamicError intentionally stays on the generic Scalar
-// path: its error-term recurrence divides by reused intermediate
-// values, which a fixed denominator vector cannot express.
+// promotes to an embedded big.Rat when a numerator overflows its chunk
+// or a fraction's denominator divides no chunk; from then on it computes
+// in math/big and stays exact. Every promotion is counted on the owning
+// Plan. When Plan.Build cannot cover the denominators at all — more
+// mutually incompatible periods than MaxChunks, e.g. many
+// pairwise-coprime periods above 2^31 — the plan stays empty and every
+// register bound to it promotes on its first fraction. The big.Rat
+// reference arithmetic of the analyzers binds its registers to an empty
+// plan on purpose, so it runs the same walks with every fraction in
+// math/big. Scratch owners surface the promotion tally as
+// ArithPromotions, which feeds the edfd_arith_promotions_total counter
+// and per-stage trace attribution: a fleet where the counter moves is
+// running workloads off the fast path, which is an observable capacity
+// signal rather than a silent slowdown.
+//
+// # Session sums
+//
+// Fast is an int64 numerator/denominator rational that promotes to
+// big.Rat on overflow and demotes when the value fits again. Its one job
+// is the running sums of an admission session (the utilization gate and
+// the incremental anchor rebuild), which outlive any single analysis and
+// therefore any per-analysis chunk plan.
 //
 // The package also contains overflow-checked int64 helpers (gcd, lcm,
 // checked multiplication/addition) shared by the bounds and demand

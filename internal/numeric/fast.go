@@ -6,14 +6,15 @@ import (
 	"math/bits"
 )
 
-// Fast is the default exact Scalar implementation: a rational with int64
-// numerator and denominator, using 128-bit intermediate products
-// (math/bits.Mul64/Div64) to detect overflow, and transparently promoting
-// to a big.Rat when a value no longer fits. Every operation is exact, so
-// Fast and Rat always agree bit-for-bit; Fast merely avoids the per-op
-// heap allocations of math/big as long as the numbers stay in range —
-// which they do for realistic task parameters — and returns to the int64
-// representation as soon as an intermediate result fits again.
+// Fast is an exact rational with int64 numerator and denominator, using
+// 128-bit intermediate products (math/bits.Mul64) to detect overflow and
+// transparently promoting to a big.Rat when a value no longer fits; it
+// returns to the int64 representation as soon as a result fits again.
+//
+// It carries the running sums of an admission session — the utilization
+// gate and the incremental anchor rebuild — which live across many
+// analyses and so outside any per-analysis chunk plan. The analyses
+// themselves compute on Chunked registers.
 //
 // The zero value is the number zero. Values are immutable.
 type Fast struct {
@@ -22,32 +23,6 @@ type Fast struct {
 	num, den int64
 	// br, when non-nil, holds the promoted value; num/den are ignored.
 	br *big.Rat
-}
-
-var _ Scalar[Fast] = Fast{}
-
-// NewFast returns the rational num/den. den must be non-zero; a negative
-// den is normalized away.
-func NewFast(num, den int64) Fast {
-	if den == 0 {
-		panic("numeric: NewFast with zero denominator")
-	}
-	if den < 0 {
-		if num == math.MinInt64 || den == math.MinInt64 {
-			return Fast{br: big.NewRat(num, den)}
-		}
-		num, den = -num, -den
-	}
-	return reduceFast(num, den)
-}
-
-// FastFromRat converts an exact big.Rat, demoting to the int64
-// representation when it fits.
-func FastFromRat(r *big.Rat) Fast {
-	if r.Num().IsInt64() && r.Denom().IsInt64() {
-		return Fast{num: r.Num().Int64(), den: r.Denom().Int64()}
-	}
-	return Fast{br: new(big.Rat).Set(r)}
 }
 
 // frac returns the value as num/den with den > 0 (normalizing the zero
@@ -68,20 +43,6 @@ func (s Fast) rat() *big.Rat {
 	n, d := s.frac()
 	return big.NewRat(n, d)
 }
-
-// Rat returns the value as a fresh big.Rat the caller owns.
-func (s Fast) Rat() *big.Rat {
-	if s.br != nil {
-		return new(big.Rat).Set(s.br)
-	}
-	n, d := s.frac()
-	return big.NewRat(n, d)
-}
-
-// Promoted reports whether the value is currently carried by a big.Rat —
-// i.e. the int64 fast path overflowed somewhere upstream. Exposed for the
-// overflow-fallback tests.
-func (s Fast) Promoted() bool { return s.br != nil }
 
 // demoted wraps a big.Rat result, returning to the int64 representation
 // when the normalized value fits again.
@@ -208,40 +169,11 @@ func (s Fast) addFrac(n, d int64) Fast {
 	return demoted(r)
 }
 
-// Add returns s + o.
-func (s Fast) Add(o Fast) Fast {
-	if o.br != nil {
-		return demoted(new(big.Rat).Add(s.rat(), o.br))
-	}
-	n, d := o.frac()
-	return s.addFrac(n, d)
-}
-
 // AddInt returns s + v.
 func (s Fast) AddInt(v int64) Fast { return s.addFrac(v, 1) }
 
 // AddRat returns s + num/den. den must be positive.
 func (s Fast) AddRat(num, den int64) Fast { return s.addFrac(num, den) }
-
-// SubRat returns s - num/den. den must be positive.
-func (s Fast) SubRat(num, den int64) Fast {
-	if num == math.MinInt64 {
-		return demoted(new(big.Rat).Sub(s.rat(), big.NewRat(num, den)))
-	}
-	return s.addFrac(-num, den)
-}
-
-// Sub returns s - o.
-func (s Fast) Sub(o Fast) Fast {
-	if o.br != nil {
-		return demoted(new(big.Rat).Sub(s.rat(), o.br))
-	}
-	n, d := o.frac()
-	if n == math.MinInt64 {
-		return demoted(new(big.Rat).Sub(s.rat(), big.NewRat(n, d)))
-	}
-	return s.addFrac(-n, d)
-}
 
 // AddScaled returns s + u*dt.
 func (s Fast) AddScaled(u Fast, dt int64) Fast {
@@ -257,23 +189,6 @@ func (s Fast) AddScaled(u Fast, dt int64) Fast {
 	return demoted(prod.Add(prod, s.rat()))
 }
 
-// MulInt returns s * v.
-func (s Fast) MulInt(v int64) Fast {
-	if s.br != nil {
-		return demoted(new(big.Rat).Mul(s.br, big.NewRat(v, 1)))
-	}
-	n, d := s.frac()
-	// Reduce v against the denominator first so e.g. (C/T)·T stays exact
-	// in int64 even for large periods.
-	if g := GCD(v, d); g > 1 {
-		v, d = v/g, d/g
-	}
-	if num, ok := mulInt64(n, v); ok {
-		return reduceFast(num, d)
-	}
-	return demoted(new(big.Rat).Mul(big.NewRat(n, d), big.NewRat(v, 1)))
-}
-
 // CmpInt compares s with the integer v exactly.
 func (s Fast) CmpInt(v int64) int {
 	if s.br != nil {
@@ -281,24 +196,6 @@ func (s Fast) CmpInt(v int64) int {
 	}
 	n, d := s.frac()
 	return cmp128(n, 1, v, d)
-}
-
-// Cmp compares s with o exactly.
-func (s Fast) Cmp(o Fast) int {
-	if s.br != nil || o.br != nil {
-		return s.rat().Cmp(o.rat())
-	}
-	a, b := s.frac()
-	c, d := o.frac()
-	return cmp128(a, d, c, b)
-}
-
-// Sign returns -1, 0 or +1.
-func (s Fast) Sign() int {
-	if s.br != nil {
-		return s.br.Sign()
-	}
-	return sign64(s.num)
 }
 
 // Float returns the value as float64 (possibly rounded).
@@ -312,9 +209,9 @@ func (s Fast) Float() float64 {
 }
 
 // CeilInt64 returns ceil(s) for s >= 0, and whether the result fits in
-// int64. It is QuoCeil by one without the division setup — the rounding
-// step of the incremental admission state, which turns exact rational
-// demand values into conservative integer slack floors.
+// int64 — the rounding step of the incremental admission state, which
+// turns exact rational demand values into conservative integer slack
+// floors.
 func (s Fast) CeilInt64() (int64, bool) {
 	if s.br != nil {
 		return ceilRatInt64(s.br)
@@ -331,65 +228,14 @@ func (s Fast) CeilInt64() (int64, bool) {
 	return q, true
 }
 
-// ceilRatInt64 is the arbitrary-precision path of CeilInt64.
+// ceilRatInt64 returns ceil(r) for r >= 0 and whether it fits in int64;
+// a negative r reports false.
 func ceilRatInt64(r *big.Rat) (int64, bool) {
 	if r.Sign() < 0 {
 		return 0, false
 	}
 	num := new(big.Int).Set(r.Num())
 	den := r.Denom()
-	num.Add(num, new(big.Int).Sub(den, big.NewInt(1)))
-	num.Div(num, den)
-	if !num.IsInt64() {
-		return 0, false
-	}
-	return num.Int64(), true
-}
-
-// QuoCeil returns ceil(s/o) for s >= 0 and o > 0, and whether the result
-// fits in int64. The 128-bit numerator path divides through
-// math/bits.Div64, so the quotient is exact even when the cross products
-// exceed int64.
-func (s Fast) QuoCeil(o Fast) (int64, bool) {
-	if s.br != nil || o.br != nil {
-		return quoCeilBig(s.rat(), o.rat())
-	}
-	a, b := s.frac()
-	c, d := o.frac()
-	if a < 0 || c <= 0 {
-		return quoCeilBig(s.rat(), o.rat())
-	}
-	den, ok := mulInt64(b, c)
-	if !ok {
-		return quoCeilBig(s.rat(), o.rat())
-	}
-	hi, lo := bits.Mul64(uint64(a), uint64(d))
-	if hi >= uint64(den) {
-		// Quotient needs 65+ bits: cannot fit in int64.
-		return 0, false
-	}
-	q, r := bits.Div64(hi, lo, uint64(den))
-	if r > 0 {
-		if q >= math.MaxUint64 {
-			// q+1 would wrap; the ceiling cannot fit in int64 anyway.
-			return 0, false
-		}
-		q++
-	}
-	if q > math.MaxInt64 {
-		return 0, false
-	}
-	return int64(q), true
-}
-
-// quoCeilBig is the arbitrary-precision path of QuoCeil.
-func quoCeilBig(s, o *big.Rat) (int64, bool) {
-	q := new(big.Rat).Quo(s, o)
-	if q.Sign() < 0 {
-		return 0, false
-	}
-	num := new(big.Int).Set(q.Num())
-	den := q.Denom()
 	num.Add(num, new(big.Int).Sub(den, big.NewInt(1)))
 	num.Div(num, den)
 	if !num.IsInt64() {

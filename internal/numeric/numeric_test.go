@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -83,77 +82,5 @@ func TestCeilFloorDiv(t *testing.T) {
 				t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.ceil)
 			}
 		}
-	}
-}
-
-// scalarOps exercises one Scalar implementation through a random op
-// sequence and returns the final float rendering.
-func scalarOps[S Scalar[S]](zero S, rng *rand.Rand) float64 {
-	v := zero
-	u := zero.AddRat(1+rng.Int63n(20), 1+rng.Int63n(20))
-	for range 50 {
-		switch rng.Intn(5) {
-		case 0:
-			v = v.AddInt(rng.Int63n(100))
-		case 1:
-			v = v.AddRat(rng.Int63n(50), 1+rng.Int63n(30))
-		case 2:
-			v = v.SubRat(rng.Int63n(50), 1+rng.Int63n(30))
-		case 3:
-			v = v.AddScaled(u, rng.Int63n(40))
-		case 4:
-			v = v.Add(zero.AddRat(rng.Int63n(9), 3))
-		}
-	}
-	return v.Float()
-}
-
-// TestScalarModesAgree drives identical op sequences through F64 and Rat
-// and requires the results to match within float tolerance.
-func TestScalarModesAgree(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		f := scalarOps(F64(0), rand.New(rand.NewSource(seed)))
-		r := scalarOps(Rat{}, rand.New(rand.NewSource(seed)))
-		if math.Abs(f-r) > 1e-6*math.Max(1, math.Abs(r)) {
-			t.Fatalf("seed %d: float=%v exact=%v", seed, f, r)
-		}
-	}
-}
-
-func TestScalarCmpInt(t *testing.T) {
-	r := Rat{}.AddRat(7, 2) // 3.5
-	if got := r.CmpInt(3); got != 1 {
-		t.Errorf("Rat 3.5 cmp 3 = %d, want 1", got)
-	}
-	if got := r.CmpInt(4); got != -1 {
-		t.Errorf("Rat 3.5 cmp 4 = %d, want -1", got)
-	}
-	if got := (Rat{}).AddInt(5).CmpInt(5); got != 0 {
-		t.Errorf("Rat 5 cmp 5 = %d, want 0", got)
-	}
-
-	f := F64(3.5)
-	if got := f.CmpInt(3); got != 1 {
-		t.Errorf("F64 3.5 cmp 3 = %d, want 1", got)
-	}
-	// Values inside the tolerance band compare equal.
-	g := F64(5).Add(F64(1e-12))
-	if got := g.CmpInt(5); got != 0 {
-		t.Errorf("F64 5+1e-12 cmp 5 = %d, want 0", got)
-	}
-}
-
-func TestRatZeroValueUsable(t *testing.T) {
-	var z Rat
-	if got := z.CmpInt(0); got != 0 {
-		t.Fatalf("zero Rat cmp 0 = %d", got)
-	}
-	if got := z.AddInt(3).CmpInt(3); got != 0 {
-		t.Fatalf("zero Rat + 3 != 3")
-	}
-	// The shared zero must not be mutated by operations.
-	_ = z.AddRat(1, 2)
-	if got := z.CmpInt(0); got != 0 {
-		t.Fatalf("zero Rat mutated by AddRat")
 	}
 }

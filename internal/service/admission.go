@@ -214,17 +214,15 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 // incremental fast path. The certificate reasons about the plain
 // synchronous demand-bound criterion the cascade decides, so anything
 // that changes the cascade's semantics — blocking, iteration or level
-// caps, a forced bound, float64 accumulators (whose tolerance the exact
-// certificate cannot mirror), or a different analyzer altogether —
-// disables it. ArithBigRat stays eligible: it is bit-identical to exact.
+// caps, a forced bound, or a different analyzer altogether — disables
+// it. Both arithmetics stay eligible: they are bit-identical.
 func incrementalEligible(analyzer string, opt core.Options, disabled bool) bool {
 	return !disabled &&
 		analyzer == "cascade" &&
 		opt.Blocking == nil &&
 		opt.MaxIterations == 0 &&
 		opt.MaxLevel == 0 &&
-		opt.Bound == "" &&
-		opt.Arithmetic != core.ArithFloat64
+		opt.Bound == ""
 }
 
 // analyzeOptions returns the test options with the controller's reusable

@@ -45,7 +45,8 @@ func EventTask(t eventstream.Task) WorkloadTask { return workload.EventTask(t) }
 // Blocking functions cannot cross the wire (and would defeat the content-
 // addressed cache), so the service does not accept them.
 type OptionsJSON struct {
-	// Arithmetic is "exact" (default) or "float64".
+	// Arithmetic is "exact" (default). "float64" and "float" name a
+	// retired mode and are accepted as "exact".
 	Arithmetic string `json:"arithmetic,omitempty"`
 	// RevisionOrder is "fifo" (default), "lifo" or "maxerror".
 	RevisionOrder string `json:"revision_order,omitempty"`
@@ -60,11 +61,9 @@ type OptionsJSON struct {
 func (o OptionsJSON) Core() (core.Options, error) {
 	var opt core.Options
 	switch strings.ToLower(o.Arithmetic) {
-	case "", "exact":
-	case "float64", "float":
-		opt.Arithmetic = core.ArithFloat64
+	case "", "exact", "float64", "float":
 	default:
-		return opt, fmt.Errorf("unknown arithmetic %q (want exact or float64)", o.Arithmetic)
+		return opt, fmt.Errorf("unknown arithmetic %q (want exact)", o.Arithmetic)
 	}
 	switch strings.ToLower(o.RevisionOrder) {
 	case "", "fifo":

@@ -189,13 +189,6 @@ func (c *Client) Analyze(ctx context.Context, req service.AnalyzeRequest) (servi
 	return out, rt, err
 }
 
-// AnalyzeRouted is Analyze.
-//
-// Deprecated: Analyze returns the Route itself.
-func (c *Client) AnalyzeRouted(ctx context.Context, req service.AnalyzeRequest) (service.AnalyzeResponse, Route, error) {
-	return c.Analyze(ctx, req)
-}
-
 // Batch fans sets x analyzers over the server's worker pool. A batch
 // split across several replicas reports them comma-joined in
 // Route.Replica.
@@ -203,13 +196,6 @@ func (c *Client) Batch(ctx context.Context, req service.BatchRequest) (service.B
 	var out service.BatchResponse
 	rt, err := c.doRoute(ctx, http.MethodPost, "/v1/batch", req, &out)
 	return out, rt, err
-}
-
-// BatchRouted is Batch.
-//
-// Deprecated: Batch returns the Route itself.
-func (c *Client) BatchRouted(ctx context.Context, req service.BatchRequest) (service.BatchResponse, Route, error) {
-	return c.Batch(ctx, req)
 }
 
 // Partition places a partitioned workload onto its processors: the
@@ -292,13 +278,6 @@ func (s *Session) State(ctx context.Context) (service.SessionResponse, Route, er
 	var out service.SessionResponse
 	rt, err := s.c.doRoute(ctx, http.MethodGet, s.path(""), nil, &out)
 	return out, rt, err
-}
-
-// StateRouted is State.
-//
-// Deprecated: State returns the Route itself.
-func (s *Session) StateRouted(ctx context.Context) (service.SessionResponse, Route, error) {
-	return s.State(ctx)
 }
 
 // Propose stages one task if the grown set stays feasible.

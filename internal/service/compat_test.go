@@ -54,7 +54,8 @@ func TestCompatAnalyzePR2Body(t *testing.T) {
 	if resp := postRaw(t, hs, "/v1/analyze", body, &out); resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	want := edf.AllApprox(compatSet, edf.Options{Arithmetic: edf.ArithFloat64})
+	// "float64" is a retired option that runs the exact path.
+	want := edf.AllApprox(compatSet, edf.Options{})
 	if out.Result.Verdict != want.Verdict.String() || out.Result.Iterations != want.Iterations {
 		t.Errorf("verdict drifted: %+v, want %s/%d", out.Result, want.Verdict, want.Iterations)
 	}
@@ -64,9 +65,10 @@ func TestCompatAnalyzePR2Body(t *testing.T) {
 	if out.Model != "sporadic" {
 		t.Errorf("modelless body classified as %q", out.Model)
 	}
-	// The fingerprint must equal the one the facade computes today, which
-	// the engine pins byte-for-byte to the PR-2 encoding.
-	fp, ok := edf.Fingerprint(compatSet, "allapprox", edf.Options{Arithmetic: edf.ArithFloat64})
+	// The fingerprint must equal the one the facade computes today for
+	// the exact request, which the engine pins byte-for-byte to the PR-2
+	// encoding.
+	fp, ok := edf.Fingerprint(compatSet, "allapprox", edf.Options{})
 	if !ok || out.Fingerprint != fp {
 		t.Errorf("fingerprint %q, want %q", out.Fingerprint, fp)
 	}
@@ -76,6 +78,49 @@ func TestCompatAnalyzePR2Body(t *testing.T) {
 	postRaw(t, hs, "/v1/analyze", body, &again)
 	if !again.Cached || again.Fingerprint != out.Fingerprint {
 		t.Errorf("replay not cached: %+v", again)
+	}
+}
+
+// TestCompatArithmeticFloat pins the retired float64 arithmetic on the
+// wire: "float64" and "float" still parse, return the exact verdict and
+// share the exact request's fingerprint and cache entry, while an
+// unknown value stays a 400.
+func TestCompatArithmeticFloat(t *testing.T) {
+	srv := service.New(service.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	const tasks = `"tasks":[{"wcet":2,"deadline":8,"period":10},
+		{"wcet":3,"deadline":4,"period":10},{"wcet":10,"deadline":80,"period":100}]`
+	var exact service.AnalyzeResponse
+	if resp := postRaw(t, hs, "/v1/analyze", `{`+tasks+`,"analyzer":"dynamic"}`, &exact); resp.StatusCode != 200 {
+		t.Fatalf("exact request: status %d", resp.StatusCode)
+	}
+	want := edf.DynamicError(edf.TaskSet{
+		{WCET: 2, Deadline: 8, Period: 10},
+		{WCET: 3, Deadline: 4, Period: 10},
+		{WCET: 10, Deadline: 80, Period: 100},
+	}, edf.Options{})
+	if exact.Result.Verdict != want.Verdict.String() || exact.Result.Iterations != want.Iterations {
+		t.Fatalf("exact verdict %+v, want %s/%d", exact.Result, want.Verdict, want.Iterations)
+	}
+	for _, arith := range []string{"float64", "float", "FLOAT64"} {
+		var out service.AnalyzeResponse
+		body := `{` + tasks + `,"analyzer":"dynamic","options":{"arithmetic":"` + arith + `"}}`
+		if resp := postRaw(t, hs, "/v1/analyze", body, &out); resp.StatusCode != 200 {
+			t.Fatalf("%q: status %d", arith, resp.StatusCode)
+		}
+		if out.Result != exact.Result {
+			t.Errorf("%q: result %+v, want the exact %+v", arith, out.Result, exact.Result)
+		}
+		if out.Fingerprint != exact.Fingerprint || !out.Cached {
+			t.Errorf("%q: fingerprint %s cached=%v, want a hit on %s",
+				arith, out.Fingerprint, out.Cached, exact.Fingerprint)
+		}
+	}
+	body := `{` + tasks + `,"analyzer":"dynamic","options":{"arithmetic":"decimal"}}`
+	if resp := postRaw(t, hs, "/v1/analyze", body, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown arithmetic: status %d, want 400", resp.StatusCode)
 	}
 }
 

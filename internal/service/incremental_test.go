@@ -195,7 +195,6 @@ func TestAdmissionIneligibleOptions(t *testing.T) {
 		{Analyzer: "superpos"},
 		{Options: core.Options{MaxIterations: 10}},
 		{Options: core.Options{MaxLevel: 2}},
-		{Options: core.Options{Arithmetic: core.ArithFloat64}},
 		{Options: core.Options{Blocking: func(int64) int64 { return 0 }}},
 	}
 	r := rand.New(rand.NewSource(5))

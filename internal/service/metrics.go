@@ -113,10 +113,10 @@ type metrics struct {
 	partitionBinCacheHits   atomic.Uint64
 	partitionGateRejections atomic.Uint64
 
-	// promotions counts analyses (single, batch and proposal escalations)
-	// that left the bounded-denominator arithmetic fast path — values
-	// promoted to big rationals plus whole analyses falling back because
-	// no chunk plan fit the workload's periods.
+	// promotions counts the exits of analyses (single, batch and proposal
+	// escalations) from the bounded-denominator arithmetic fast path:
+	// values promoted to big rationals, including every register of a
+	// workload whose periods no chunk plan fits.
 	promotions atomic.Uint64
 
 	// Durable-store activity (only rendered when a store is configured).
@@ -179,7 +179,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counter("edfd_session_propose_batches_total", "Propose-batch requests served.", s.m.proposeBatches.Load())
 	counter("edfd_session_proposals_incremental_total", "Proposals decided by the O(delta) paths (gate or certificate).", s.m.incremental.Load())
 	counter("edfd_session_proposals_escalated_total", "Proposals decided by a full analyzer run.", s.m.escalated.Load())
-	counter("edfd_arith_promotions_total", "Analyses that left the bounded-denominator arithmetic fast path (big-rational promotions plus whole-analysis fallbacks).", s.m.promotions.Load())
+	counter("edfd_arith_promotions_total", "Exits of analyses from the bounded-denominator arithmetic fast path (values promoted to big rationals).", s.m.promotions.Load())
 	gauge("edfd_sessions_active", "Admission sessions currently open.", float64(active))
 	counter("edfd_sessions_created", "Admission sessions opened over the server's lifetime.", created)
 	counter("edfd_sessions_expired", "Admission sessions closed by the idle TTL sweeper.", expired)
