@@ -291,38 +291,76 @@ func TestQuoCeilChunked(t *testing.T) {
 	if got, ok := QuoCeilChunked(&a, &b, &tmp); !ok || got != 0 {
 		t.Fatalf("QuoCeil(0/x) = (%d,%v), want (0,true)", got, ok)
 	}
+}
 
-	// A quotient beyond int64 must report !ok: 31/2 over
-	// 1/1190112520884487201 is (2^65-1)/2, whose ceiling a 128-bit
-	// division would wrap to zero.
+// TestFastQuoCeil compares QuoCeilChunked with an arbitrary-precision
+// reference over small and large operands. Each pair runs on registers
+// bound to a plan over its chunkable denominators, where large operands
+// promote on a denominator no chunk can hold, and on registers bound to
+// an empty plan, where every fraction is carried in math/big.
+func TestFastQuoCeil(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ceilRef := func(s, o *big.Rat) (int64, bool) {
+		q := new(big.Rat).Quo(s, o)
+		num := new(big.Int).Set(q.Num())
+		den := q.Denom()
+		num.Add(num, new(big.Int).Sub(den, big.NewInt(1)))
+		num.Div(num, den)
+		if !num.IsInt64() {
+			return 0, false
+		}
+		return num.Int64(), true
+	}
+	var empty Plan
+	for i := range 5000 {
+		var sn, sd, on, od int64
+		var dens []int64
+		if i%3 == 0 {
+			// Large operands: the cross products exceed int64.
+			sn, sd = MaxInt64-rng.Int63n(1000), rng.Int63n(1000)+1
+			on, od = rng.Int63n(1000)+1, MaxInt64-rng.Int63n(1000)
+			dens = []int64{sd}
+		} else {
+			sn, sd = rng.Int63n(1_000_000), rng.Int63n(1000)+1
+			on, od = rng.Int63n(1000)+1, rng.Int63n(1000)+1
+			dens = []int64{sd, od}
+		}
+		want, wantOK := ceilRef(big.NewRat(sn, sd), big.NewRat(on, od))
+		for _, p := range []*Plan{buildPlan(t, dens), &empty} {
+			var s, o, tmp Chunked
+			s.Init(p)
+			o.Init(p)
+			tmp.Init(p)
+			s.AddRat(sn, sd)
+			o.AddRat(on, od)
+			got, ok := QuoCeilChunked(&s, &o, &tmp)
+			if ok != wantOK || (ok && got != want) {
+				t.Fatalf("QuoCeil(%d/%d / %d/%d) on %d chunks = (%d, %v), want (%d, %v)",
+					sn, sd, on, od, p.Chunks(), got, ok, want, wantOK)
+			}
+		}
+	}
+}
+
+// TestFastQuoCeilWrap pins the wrap regression: a quotient beyond int64
+// must report ok=false. 31/2 over 1/1190112520884487201 is (2^65-1)/2,
+// whose ceiling a 128-bit division would wrap to zero and claim (0, true).
+func TestFastQuoCeilWrap(t *testing.T) {
 	const wide = int64(1190112520884487201)
-	wp := buildPlan(t, []int64{2, wide})
-	a.Init(wp)
-	b.Init(wp)
-	tmp.Init(wp)
+	p := buildPlan(t, []int64{2, wide})
+	var a, b, tmp Chunked
+	a.Init(p)
+	b.Init(p)
+	tmp.Init(p)
 	a.AddRat(31, 2)
 	b.AddRat(1, wide)
-	if got, ok := QuoCeilChunked(&a, &b, &tmp); ok {
-		t.Fatalf("QuoCeil((2^65-1)/2) = (%d,true), want !ok", got)
+	got, ok := QuoCeilChunked(&a, &b, &tmp)
+	wantV, wantOK := quoCeilBig(a.Rat(), b.Rat())
+	if ok != wantOK || (ok && got != wantV) {
+		t.Fatalf("QuoCeil = (%d, %v), big reference (%d, %v)", got, ok, wantV, wantOK)
 	}
-
-	// On an empty plan every fraction is carried in math/big; the quotient
-	// must still match the reference.
-	var empty Plan
-	for range 500 {
-		a.Init(&empty)
-		b.Init(&empty)
-		tmp.Init(&empty)
-		an, ad := rng.Int63n(1_000_000), rng.Int63n(1000)+1
-		bn, bd := rng.Int63n(1000)+1, rng.Int63n(1000)+1
-		a.AddRat(an, ad)
-		b.AddRat(bn, bd)
-		got, ok := QuoCeilChunked(&a, &b, &tmp)
-		want, wok := quoCeilBig(big.NewRat(an, ad), big.NewRat(bn, bd))
-		if ok != wok || got != want {
-			t.Fatalf("empty plan QuoCeil(%d/%d / %d/%d) = (%d,%v), want (%d,%v)",
-				an, ad, bn, bd, got, ok, want, wok)
-		}
+	if ok {
+		t.Fatalf("a quotient beyond int64 must not report ok")
 	}
 }
 
