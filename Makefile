@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-core bench-session bench-store bench-partition bench-cluster edfbench-test serve smoke smoke-cluster lint-metrics fmt vet clean
+.PHONY: all build test fuzz-smoke bench bench-json bench-core bench-session bench-store bench-partition bench-cluster edfbench-test serve smoke smoke-cluster lint-metrics fmt vet clean
 
 all: build test
 
@@ -10,6 +10,17 @@ build:
 test: vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/engine/ ./internal/service/... ./internal/cluster/ ./internal/store/
+
+# Fuzz smoke: `go test ./...` only replays the seed corpora; this runs
+# each fuzz target alone for FUZZTIME of fresh inputs. A failing input is
+# written under that package's testdata/fuzz: commit it with the fix.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzVerdictAgreement$$' -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkedVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
+	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
+	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx . | tee bench.out

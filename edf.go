@@ -25,9 +25,9 @@
 // (Analyzers, AnalyzerByName, ParseAnalyzers), and AnalyzeBatch fans many
 // task sets out over a parallel worker pool with deterministic ordering.
 //
-// The iterative tests also run on Gresser event streams (EventTask /
-// EventSources), the generalized activation model the paper names as the
-// extension target. A preemptive EDF simulator (Simulate) provides replay
+// The iterative tests also run on Gresser event streams (EventTask,
+// EventProcessorDemand, EventAllApprox, ...), the generalized activation
+// model the paper names as the extension target. A preemptive EDF simulator (Simulate) provides replay
 // and schedule traces, and the taskgen-backed Generate reproduces the
 // random workloads of the paper's evaluation.
 package edf
@@ -77,7 +77,7 @@ const (
 )
 
 // Scratch is reusable analysis working memory (test list, job counters,
-// source adapters). Attach one to Options.Scratch and reuse it across
+// demand sources). Attach one to Options.Scratch and reuse it across
 // calls to run the iterative tests allocation-free in steady state; a
 // Scratch serves one analysis at a time and must not be shared between
 // concurrent analyses. When Options.Scratch is nil the tests borrow from

@@ -24,7 +24,7 @@ func Baruah(ts model.TaskSet) (bound int64, ok bool) {
 // I < Σ_{Di<=Ti} (1-Di/Ti)·Ci / (1-U). Sources whose term is negative
 // (deadline beyond period) are excluded, which keeps the bound sound.
 // ok is false when U >= 1 or the bound overflows.
-func George(srcs []demand.Source) (bound int64, ok bool) {
+func George(srcs []demand.Uniform) (bound int64, ok bool) {
 	return GeorgeWithBlocking(srcs, 0)
 }
 
@@ -34,7 +34,7 @@ func GeorgeTasks(ts model.TaskSet) (int64, bool) { return George(demand.FromTask
 // GeorgeWithBlocking extends George's bound to blocking-reduced capacity:
 // a violation dbf(I) > I - B(I) with B non-increasing and B(I) <= bmax
 // implies I < (Σ terms + bmax)/(1-U).
-func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool) {
+func GeorgeWithBlocking(srcs []demand.Uniform, bmax int64) (bound int64, ok bool) {
 	sc := demand.GetScratch()
 	defer demand.PutScratch(sc)
 	u := sc.Util(srcs)
@@ -52,7 +52,7 @@ func GeorgeWithBlocking(srcs []demand.Source, bmax int64) (bound int64, ok bool)
 // is sound for intervals >= the largest first deadline and makes the bound
 // at most George's bound (the relationship the paper proves). ok is false
 // when U >= 1 or on overflow.
-func Superposition(srcs []demand.Source) (bound int64, ok bool) {
+func Superposition(srcs []demand.Uniform) (bound int64, ok bool) {
 	_, _, bound, ok = LinearBounds(srcs)
 	return bound, ok
 }
@@ -66,7 +66,7 @@ func SuperpositionTasks(ts model.TaskSet) (int64, bool) {
 // pass over the sources: the two share the utilization sum and the
 // per-source linear terms. Each (bound, ok) pair matches the standalone
 // function exactly.
-func LinearBounds(srcs []demand.Source) (george int64, okG bool, superpos int64, okS bool) {
+func LinearBounds(srcs []demand.Uniform) (george int64, okG bool, superpos int64, okS bool) {
 	sc := demand.GetScratch()
 	defer demand.PutScratch(sc)
 	return LinearBoundsScratch(srcs, sc)
@@ -172,7 +172,7 @@ func fullUtilBound(ts model.TaskSet) (int64, Kind, bool) {
 // equivalent. Every slope sum and quotient runs on the scratch's chunk
 // registers, so the bound allocates nothing while the chunk plan covers
 // the workload.
-func BestSourcesScratch(ts model.TaskSet, srcs []demand.Source, sc *demand.Scratch) (bound int64, kind Kind, ok bool) {
+func BestSourcesScratch(ts model.TaskSet, srcs []demand.Uniform, sc *demand.Scratch) (bound int64, kind Kind, ok bool) {
 	u := sc.Util(srcs)
 	switch u.CmpInt(1) {
 	case 1:
@@ -195,7 +195,7 @@ func BestSourcesScratch(ts model.TaskSet, srcs []demand.Source, sc *demand.Scrat
 }
 
 // LinearBoundsScratch is LinearBounds on the given scratch's registers.
-func LinearBoundsScratch(srcs []demand.Source, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
+func LinearBoundsScratch(srcs []demand.Uniform, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
 	u := sc.Util(srcs)
 	if u.CmpInt(1) >= 0 {
 		return 0, false, 0, false
@@ -226,20 +226,20 @@ func baruah(ts model.TaskSet, u *numeric.Chunked, sc *demand.Scratch) (int64, bo
 // georgeTerm computes C - F*num/den into the register t: the per-source
 // constant of the linear upper bound dbf_s(I) <= U_s*I + (C - F*U_s) for
 // a source with first deadline F and slope num/den.
-func georgeTerm(t *numeric.Chunked, s demand.Source) {
+func georgeTerm(t *numeric.Chunked, s demand.Uniform) {
 	num, den := s.UtilRat()
 	t.SetZero()
 	t.AddRat(num, den)
 	t.MulInt(s.JobDeadline(1))
 	t.Neg()
-	t.AddInt(s.WCET())
+	t.AddInt(s.C)
 }
 
 // linearBounds computes George's bound, with the blocking allowance bmax
 // added to its numerator, and the superposition bound on chunk
 // registers. It requires U < 1 (u holds the utilization) and clobbers
 // registers 1-6.
-func linearBounds(srcs []demand.Source, u *numeric.Chunked, bmax int64, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
+func linearBounds(srcs []demand.Uniform, u *numeric.Chunked, bmax int64, sc *demand.Scratch) (george int64, okG bool, superpos int64, okS bool) {
 	sumPos, sumAll, term := sc.Reg(1), sc.Reg(2), sc.Reg(3)
 	sumPos.SetInt(bmax)
 	var dmax int64

@@ -16,7 +16,7 @@ import (
 var refOne = big.NewRat(1, 1)
 
 // refUtil returns Σ UtilRat over the sources in math/big.
-func refUtil(srcs []demand.Source) *big.Rat {
+func refUtil(srcs []demand.Uniform) *big.Rat {
 	u := new(big.Rat)
 	for _, s := range srcs {
 		u.Add(u, big.NewRat(s.UtilRat()))
@@ -38,14 +38,14 @@ func refCeilRatInt64(r *big.Rat) (int64, bool) {
 	return q.Int64(), true
 }
 
-func refGeorgeTerm(s demand.Source) *big.Rat {
+func refGeorgeTerm(s demand.Uniform) *big.Rat {
 	num, den := s.UtilRat()
 	f := s.JobDeadline(1)
 	t := new(big.Rat).Mul(big.NewRat(num, den), new(big.Rat).SetInt64(f))
-	return t.Sub(new(big.Rat).SetInt64(s.WCET()), t)
+	return t.Sub(new(big.Rat).SetInt64(s.C), t)
 }
 
-func refGeorge(srcs []demand.Source) (int64, bool) {
+func refGeorge(srcs []demand.Uniform) (int64, bool) {
 	u := refUtil(srcs)
 	if u.Cmp(refOne) >= 0 {
 		return 0, false
@@ -60,7 +60,7 @@ func refGeorge(srcs []demand.Source) (int64, bool) {
 	return refCeilRatInt64(sum)
 }
 
-func refSuperposition(srcs []demand.Source) (int64, bool) {
+func refSuperposition(srcs []demand.Uniform) (int64, bool) {
 	u := refUtil(srcs)
 	if u.Cmp(refOne) >= 0 {
 		return 0, false

@@ -43,7 +43,7 @@ func AllApprox(ts model.TaskSet, opt Options) Result {
 // hyperperiod + Dmax its demand pattern repeats with slope exactly 1.
 // For U < 1 it returns 0 (no horizon needed). ok is false when U == 1
 // and the hyperperiod overflows.
-func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Source, cmp int, sc *demand.Scratch) (int64, bounds.Kind, bool) {
+func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Uniform, cmp int, sc *demand.Scratch) (int64, bounds.Kind, bool) {
 	if cmp < 0 {
 		return 0, bounds.KindNone, true
 	}
@@ -55,7 +55,7 @@ func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Source, cmp int, sc 
 // it concludes feasibility (needed only for U == 1; pass 0 otherwise).
 // The demand accumulator and the ready-slope sum live in the scratch's
 // chunk registers (see SuperPosSources).
-func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
+func AllApproxSources(srcs []demand.Uniform, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
 	switch opt.Scratch.Util(srcs).CmpInt(1) {
@@ -89,7 +89,7 @@ func AllApproxSources(srcs []demand.Source, stopAt int64, opt Options) Result {
 		}
 		s := srcs[e.Src]
 		jobs[e.Src]++
-		dbf.AddInt(s.WCET())
+		dbf.AddInt(s.C)
 		dbf.AddScaled(uready, I-iold)
 		capacity := opt.capacityAt(I)
 		for dbf.CmpInt(capacity) > 0 {

@@ -37,7 +37,7 @@ func (a *approxTracker) removeAt(pos int) int {
 
 // pick selects the next source to revise at interval I according to the
 // revision order and removes it from the tracker.
-func (a *approxTracker) pick(order RevisionOrder, srcs []demand.Source, I int64) (int, bool) {
+func (a *approxTracker) pick(order RevisionOrder, srcs []demand.Uniform, I int64) (int, bool) {
 	if a.empty() {
 		return 0, false
 	}
@@ -61,10 +61,10 @@ func (a *approxTracker) pick(order RevisionOrder, srcs []demand.Source, I int64)
 // accountedDemand returns Σ jobs[i]·C_i, the exact demand accounted for
 // when no source is approximated. It is the reference value used to confirm
 // rejections exactly.
-func accountedDemand(srcs []demand.Source, jobs []int64) int64 {
+func accountedDemand(srcs []demand.Uniform, jobs []int64) int64 {
 	var sum int64
 	for i, s := range srcs {
-		sum += jobs[i] * s.WCET()
+		sum += jobs[i] * s.C
 	}
 	return sum
 }

@@ -21,7 +21,8 @@
 // selects the math/big reference (ArithBigRat) the registers are tested
 // against.
 //
-// The iterative tests operate on demand.Source values, so they apply
-// unchanged to sporadic task sets and to Gresser event streams
-// (internal/eventstream), the extension Section 2 of the paper promises.
+// The iterative tests walk []demand.Uniform, one concrete source type for
+// both activation models: a sporadic task is one source, and a Gresser
+// event stream (internal/eventstream) is one source per element, the
+// extension Section 2 of the paper promises.
 package core

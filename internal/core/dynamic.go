@@ -43,7 +43,7 @@ func DynamicError(ts model.TaskSet, opt Options) Result {
 // ready-slope sum live in the scratch's chunk registers: the recurrence
 // only adds, subtracts and scales by interval lengths, exactly the
 // register operations of AllApproxSources.
-func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result {
+func DynamicErrorSources(srcs []demand.Uniform, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
 	switch opt.Scratch.Util(srcs).CmpInt(1) {
@@ -77,7 +77,7 @@ func DynamicErrorSources(srcs []demand.Source, stopAt int64, opt Options) Result
 		}
 		s := srcs[e.Src]
 		jobs[e.Src]++
-		dbf.AddInt(s.WCET())
+		dbf.AddInt(s.C)
 		dbf.AddScaled(uready, I-iold)
 		capacity := opt.capacityAt(I)
 		for dbf.CmpInt(capacity) > 0 {

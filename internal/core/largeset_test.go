@@ -78,7 +78,7 @@ func TestEffortAdvantageOnRealisticSets(t *testing.T) {
 		float64(pdSum)/float64(dynSum), float64(pdSum)/float64(allSum))
 }
 
-// TestSourcesAndTaskSetAPIsAgree pins that the []Source entry points and
+// TestSourcesAndTaskSetAPIsAgree pins that the []Uniform entry points and
 // the TaskSet wrappers count identically.
 func TestSourcesAndTaskSetAPIsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))

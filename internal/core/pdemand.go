@@ -10,7 +10,7 @@ import (
 // sourceBound returns the smallest applicable feasibility bound over plain
 // sources (George or superposition; Baruah and hyperperiod need the task
 // structure). Requires U < 1.
-func sourceBound(srcs []demand.Source, sc *demand.Scratch) (int64, bounds.Kind, bool) {
+func sourceBound(srcs []demand.Uniform, sc *demand.Scratch) (int64, bounds.Kind, bool) {
 	bg, okG, bs, okS := bounds.LinearBoundsScratch(srcs, sc)
 	switch {
 	case okG && okS:
@@ -31,7 +31,7 @@ func sourceBound(srcs []demand.Source, sc *demand.Scratch) (int64, bounds.Kind, 
 // explicit Options.Bound selection. srcs must be the task set's demand
 // sources (they carry the George/superposition computation so a reused
 // Scratch avoids re-adapting the set).
-func taskBound(ts model.TaskSet, srcs []demand.Source, opt Options) (int64, bounds.Kind, bool) {
+func taskBound(ts model.TaskSet, srcs []demand.Uniform, opt Options) (int64, bounds.Kind, bool) {
 	switch opt.Bound {
 	case "", bounds.KindNone:
 		return bounds.BestSourcesScratch(ts, srcs, opt.Scratch)
@@ -84,7 +84,7 @@ func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 // structure, so no finite hyperperiod horizon can be derived and neither
 // linear bound exists — use DynamicErrorSources with an explicit stopAt
 // horizon when the enclosing model can supply one.
-func ProcessorDemandSources(srcs []demand.Source, opt Options) Result {
+func ProcessorDemandSources(srcs []demand.Uniform, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
 	switch opt.Scratch.Util(srcs).CmpInt(1) {
@@ -107,11 +107,9 @@ func ProcessorDemandSources(srcs []demand.Source, opt Options) Result {
 // processorDemand checks dbf(I) <= I for every distinct absolute deadline
 // I < bound, walking deadlines in ascending order through the scratch
 // heap. The caller must have attached a Scratch to opt.
-func processorDemand(srcs []demand.Source, bound int64, opt Options) Result {
+func processorDemand(srcs []demand.Uniform, bound int64, opt Options) Result {
 	if opt.Blocking == nil && opt.MaxIterations == 0 {
-		if c, sep, ok := opt.Scratch.UniformShapes(srcs); ok {
-			return processorDemandUniform(srcs, c, sep, bound, opt.Scratch)
-		}
+		return processorDemandUniform(srcs, bound, opt.Scratch)
 	}
 	tl := opt.Scratch.TestList(len(srcs))
 	for i, s := range srcs {
@@ -126,7 +124,7 @@ func processorDemand(srcs []demand.Source, bound int64, opt Options) Result {
 		// interval.
 		for {
 			e := tl.Peek()
-			dem += srcs[e.Src].WCET()
+			dem += srcs[e.Src].C
 			if nd := srcs[e.Src].NextDeadline(I); nd < bound {
 				tl.Replace(nd, e.Src)
 			} else {
@@ -147,11 +145,11 @@ func processorDemand(srcs []demand.Source, bound int64, opt Options) Result {
 	return Result{Verdict: Feasible, Iterations: iterations}
 }
 
-// processorDemandUniform is the demand walk specialized to uniformly
-// repeating sources with no blocking and no iteration cap: per-source
-// WCET and deadline separation live in flat arrays and the next test
-// interval comes from a loser tree, whose replace-min costs one
-// comparison per level instead of the heap's four-child sift.
+// processorDemandUniform is the demand walk specialized to no blocking
+// and no iteration cap: a source's next deadline is one addition of its
+// Sep (a one-shot source, Sep == 0, has none) and the next test interval
+// comes from a loser tree, whose replace-min costs one comparison per
+// level instead of the heap's four-child sift.
 //
 // When the source just advanced wins the tournament again it is the sole
 // owner of every interval up to the runner-up entry, and the run drains
@@ -161,7 +159,10 @@ func processorDemand(srcs []demand.Source, bound int64, opt Options) Result {
 // interval, so results are identical to the generic walk. Detecting runs
 // this way keeps the runner-up probe off the common path where sources
 // interleave and runs never form.
-func processorDemandUniform(srcs []demand.Source, c, sep []int64, bound int64, sc *demand.Scratch) Result {
+func processorDemandUniform(srcs []demand.Uniform, bound int64, sc *demand.Scratch) Result {
+	if len(srcs) == 0 {
+		return Result{Verdict: Feasible} // a loser tree needs a leaf
+	}
 	lt := sc.MergeTree(len(srcs))
 	for i, s := range srcs {
 		if d := s.JobDeadline(1); d < bound {
@@ -176,13 +177,9 @@ func processorDemandUniform(srcs []demand.Source, c, sep []int64, bound int64, s
 		last := src
 		// Merge every job whose deadline is exactly cur: one test interval.
 		for {
-			dem += c[src]
+			dem += srcs[src].C
 			last = src
-			nd := int64(demand.MaxInterval)
-			if v, ok := numeric.AddChecked(I, sep[src]); ok && v < bound {
-				nd = v
-			}
-			lt.ReplaceMin(nd)
+			lt.ReplaceMin(nextBelow(I, srcs[src].Sep, bound))
 			I, src = lt.Min()
 			if I != cur {
 				break
@@ -192,7 +189,9 @@ func processorDemandUniform(srcs []demand.Source, c, sep []int64, bound int64, s
 		if dem > cur {
 			return Result{Verdict: Infeasible, Iterations: iterations, FailureInterval: cur}
 		}
-		if src != last || I == demand.MaxInterval || c[src] > sep[src] {
+		// A one-shot source (Sep == 0 < C) never forms a run.
+		s := srcs[src]
+		if src != last || I == demand.MaxInterval || s.C > s.Sep {
 			continue
 		}
 		// The advanced source won again: sole owner of every interval in
@@ -201,21 +200,26 @@ func processorDemandUniform(srcs []demand.Source, c, sep []int64, bound int64, s
 		if limit <= I {
 			continue
 		}
-		n := (limit-1-I)/sep[src] + 1
-		dem += c[src]
+		n := (limit-1-I)/s.Sep + 1
+		dem += s.C
 		iterations++
 		if dem > I {
 			return Result{Verdict: Infeasible, Iterations: iterations, FailureInterval: I}
 		}
-		dem += (n - 1) * c[src]
+		dem += (n - 1) * s.C
 		iterations += n - 1
-		lastI := I + (n-1)*sep[src]
-		nd := int64(demand.MaxInterval)
-		if v, ok := numeric.AddChecked(lastI, sep[src]); ok && v < bound {
-			nd = v
-		}
-		lt.ReplaceMin(nd)
+		lt.ReplaceMin(nextBelow(I+(n-1)*s.Sep, s.Sep, bound))
 		I, src = lt.Min()
 	}
 	return Result{Verdict: Feasible, Iterations: iterations}
+}
+
+// nextBelow returns the deadline I+sep following I of a source with
+// separation sep, or MaxInterval when the source is one-shot (sep == 0)
+// or that deadline overflows or reaches bound.
+func nextBelow(I, sep, bound int64) int64 {
+	if v, ok := numeric.AddChecked(I, sep); ok && v < bound && sep != 0 {
+		return v
+	}
+	return demand.MaxInterval
 }

@@ -7,7 +7,7 @@ import (
 
 // maxDeadlineBelow returns the largest absolute job deadline strictly below
 // x over the sources, or -1 if there is none.
-func maxDeadlineBelow(srcs []demand.Source, x int64) int64 {
+func maxDeadlineBelow(srcs []demand.Uniform, x int64) int64 {
 	best := int64(-1)
 	for _, s := range srcs {
 		if x <= 0 {

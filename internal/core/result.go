@@ -128,7 +128,7 @@ type Options struct {
 	// QPA does not support blocking and returns Undecided when it is set.
 	Blocking func(I int64) int64
 	// Scratch, when non-nil, provides reusable working memory (test list,
-	// job counters, source adapters) so repeated analyses run
+	// job counters, demand sources) so repeated analyses run
 	// allocation-free in steady state. A Scratch serves one analysis at a
 	// time: callers sharing one across goroutines must serialize. When
 	// nil, the tests borrow one from an internal pool.

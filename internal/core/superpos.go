@@ -30,7 +30,7 @@ func SuperPos(ts model.TaskSet, level int64, opt Options) Result {
 // (the implicit superposition bound). The demand accumulator and the
 // ready-slope sum are chunk registers mutated in place, so the walk stays
 // exact and allocation-free on spread-period sets.
-func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
+func SuperPosSources(srcs []demand.Uniform, level int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
 	if level < 1 {
@@ -56,7 +56,7 @@ func SuperPosSources(srcs []demand.Source, level int64, opt Options) Result {
 		}
 		s := srcs[e.Src]
 		jobs[e.Src]++
-		dbf.AddInt(s.WCET())
+		dbf.AddInt(s.C)
 		dbf.AddScaled(uready, I-iold)
 		if capacity := opt.capacityAt(I); dbf.CmpInt(capacity) > 0 {
 			// The approximation rejected the interval. If the exact demand

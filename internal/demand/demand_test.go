@@ -10,7 +10,7 @@ import (
 )
 
 func TestSporadicJobDeadlines(t *testing.T) {
-	s := Sporadic{C: 2, D: 7, T: 10}
+	s := UniformFromTask(model.Task{WCET: 2, Deadline: 7, Period: 10})
 	wants := []int64{7, 17, 27, 37}
 	for k, want := range wants {
 		if got := s.JobDeadline(int64(k + 1)); got != want {
@@ -23,7 +23,7 @@ func TestSporadicJobDeadlines(t *testing.T) {
 }
 
 func TestSporadicNextDeadline(t *testing.T) {
-	s := Sporadic{C: 2, D: 7, T: 10}
+	s := UniformFromTask(model.Task{WCET: 2, Deadline: 7, Period: 10})
 	cases := []struct{ after, want int64 }{
 		{0, 7}, {6, 7}, {7, 17}, {16, 17}, {17, 27}, {100, 107},
 	}
@@ -35,7 +35,7 @@ func TestSporadicNextDeadline(t *testing.T) {
 }
 
 func TestSporadicDemand(t *testing.T) {
-	s := Sporadic{C: 3, D: 5, T: 8}
+	s := UniformFromTask(model.Task{WCET: 3, Deadline: 5, Period: 8})
 	cases := []struct{ I, jobs, dem int64 }{
 		{0, 0, 0}, {4, 0, 0}, {5, 1, 3}, {12, 1, 3}, {13, 2, 6}, {21, 3, 9},
 	}
@@ -50,7 +50,7 @@ func TestSporadicDemand(t *testing.T) {
 }
 
 func TestApproxErrorZeroAtDeadlines(t *testing.T) {
-	s := Sporadic{C: 3, D: 5, T: 8}
+	s := UniformFromTask(model.Task{WCET: 3, Deadline: 5, Period: 8})
 	for k := int64(1); k <= 5; k++ {
 		num, den := s.ApproxError(s.JobDeadline(k))
 		if num != 0 || den <= 0 {
@@ -71,8 +71,8 @@ func TestApproxErrorMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for range 2000 {
 		T := int64(2 + rng.Intn(30))
-		s := Sporadic{C: 1 + rng.Int63n(9), D: 1 + rng.Int63n(T), T: T}
-		I := s.D + rng.Int63n(10*T)
+		s := UniformFromTask(model.Task{WCET: 1 + rng.Int63n(9), Deadline: 1 + rng.Int63n(T), Period: T})
+		I := s.First + rng.Int63n(10*T)
 		level := 1 + rng.Int63n(4)
 		if s.JobDeadline(level) > I {
 			continue // approximation not active at I for this level
@@ -132,7 +132,7 @@ func TestApproxDbfUpperBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for range 500 {
 		T := int64(2 + rng.Intn(25))
-		s := Sporadic{C: 1 + rng.Int63n(6), D: 1 + rng.Int63n(T), T: T}
+		s := UniformFromTask(model.Task{WCET: 1 + rng.Int63n(6), Deadline: 1 + rng.Int63n(T), Period: T})
 		level := 1 + rng.Int63n(5)
 		im := s.JobDeadline(level)
 		for I := int64(0); I <= im+5*T; I += 1 + rng.Int63n(3) {
@@ -186,7 +186,7 @@ func TestTestListOrdering(t *testing.T) {
 }
 
 func TestSporadicOverflowSaturates(t *testing.T) {
-	s := Sporadic{C: 10, D: 1 << 40, T: 1 << 40}
+	s := UniformFromTask(model.Task{WCET: 10, Deadline: 1 << 40, Period: 1 << 40})
 	if got := s.JobDeadline(1 << 30); got != MaxInterval {
 		t.Errorf("overflowing deadline = %d, want MaxInterval", got)
 	}

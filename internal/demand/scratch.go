@@ -9,22 +9,21 @@ import (
 )
 
 // Scratch is reusable working memory for the iterative feasibility tests:
-// the test list, the per-source job counters, the adapted source slice
-// and the revision-tracker buffers. A Scratch serves one analysis at a
-// time — its parts are distinct fields, so one test may use all of them
-// concurrently, but two concurrent tests must not share a Scratch. With a
-// reused Scratch the sporadic analyzers run allocation-free in steady
-// state.
+// the test list, the per-source job counters, the task set's Uniform
+// sources and the revision-tracker buffers. A Scratch serves one analysis
+// at a time — its parts are distinct fields, so one test may use all of
+// them concurrently, but two concurrent tests must not share a Scratch.
+// With a reused Scratch the sporadic analyzers run allocation-free in
+// steady state.
 //
 // The zero value is ready for use; NewScratch exists for symmetry with
 // the pool helpers.
 type Scratch struct {
-	list      TestList
-	jobs      []int64
-	sporadics []Sporadic
-	srcs      []Source
-	ints      []int
-	bools     []bool
+	list  TestList
+	jobs  []int64
+	srcs  []Uniform
+	ints  []int
+	bools []bool
 
 	// Bounded-denominator arithmetic state: the per-workload chunk plan
 	// (cached under its denominator key across analyses of the same set),
@@ -40,12 +39,10 @@ type Scratch struct {
 	promos  uint64
 	regs    [ScratchRegs]numeric.Chunked
 
-	// Uniform-walk shape arrays, the walk's selection tree and the
-	// deadline-sorted task buffer.
-	shapeC   []int64
-	shapeSep []int64
-	merge    LoserTree
-	sorted   model.TaskSet
+	// The uniform walk's selection tree and the deadline-sorted task
+	// buffer.
+	merge  LoserTree
+	sorted model.TaskSet
 }
 
 // ScratchRegs is the size of the chunk-register bank. The widest
@@ -119,7 +116,7 @@ func (s *Scratch) Bools(n int) []bool {
 // workload). A workload that genuinely exceeds the chunk cap gets an
 // empty plan: its registers stay exact, every fraction on math/big, and
 // each register's first fraction counts as a promotion.
-func (s *Scratch) Util(srcs []Source) *numeric.Chunked {
+func (s *Scratch) Util(srcs []Uniform) *numeric.Chunked {
 	s.denBuf = s.denBuf[:0]
 	for _, src := range srcs {
 		_, den := src.UtilRat()
@@ -193,31 +190,6 @@ func (s *Scratch) Reg(i int) *numeric.Chunked {
 	return &s.regs[i]
 }
 
-// UniformShapes fills the per-source WCET and deadline-separation arrays
-// for the uniform-walk fast path. ok is false when any source is not an
-// endlessly repeating equidistant stream (one-shot sources included);
-// the walk then falls back to the generic interface loop.
-func (s *Scratch) UniformShapes(srcs []Source) (c, sep []int64, ok bool) {
-	if cap(s.shapeC) < len(srcs) {
-		s.shapeC = make([]int64, len(srcs))
-		s.shapeSep = make([]int64, len(srcs))
-	}
-	s.shapeC = s.shapeC[:len(srcs)]
-	s.shapeSep = s.shapeSep[:len(srcs)]
-	for i, src := range srcs {
-		us, okSrc := src.(UniformShaped)
-		if !okSrc {
-			return nil, nil, false
-		}
-		w, sp, okShape := us.UniformShape()
-		if !okShape {
-			return nil, nil, false
-		}
-		s.shapeC[i], s.shapeSep[i] = w, sp
-	}
-	return s.shapeC, s.shapeSep, true
-}
-
 // MergeTree returns the scratch loser tree reset for n sources. The
 // caller seeds the leaves with Set and calls Build before selecting.
 func (s *Scratch) MergeTree(n int) *LoserTree {
@@ -251,16 +223,10 @@ func (s *Scratch) SortedByDeadline(ts model.TaskSet) model.TaskSet {
 // source slice in place: after the first call at a given size, no
 // allocation happens. The returned slice is valid until the next Sources
 // call on the same Scratch.
-func (s *Scratch) Sources(ts model.TaskSet) []Source {
-	s.sporadics = s.sporadics[:0]
-	for _, t := range ts {
-		s.sporadics = append(s.sporadics, NewSporadic(t))
-	}
+func (s *Scratch) Sources(ts model.TaskSet) []Uniform {
 	s.srcs = s.srcs[:0]
-	for i := range s.sporadics {
-		// Pointers into the stable sporadics backing array: the interface
-		// conversion is allocation-free, unlike boxing a Sporadic value.
-		s.srcs = append(s.srcs, &s.sporadics[i])
+	for _, t := range ts {
+		s.srcs = append(s.srcs, UniformFromTask(t))
 	}
 	return s.srcs
 }

@@ -9,163 +9,34 @@ import (
 // valid test interval.
 const MaxInterval = int64(numeric.MaxInt64)
 
-// Source is one demand curve with equidistant steps: a stream of jobs, each
-// consuming WCET time units, whose k-th absolute deadline is
-// FirstDeadline + (k-1)*Separation (one-shot sources have a single
-// deadline). It is the unit the feasibility tests iterate over.
+// Uniform is one demand curve with equidistant steps, the unit the
+// feasibility tests iterate over: a stream of jobs, each consuming C time
+// units, whose k-th absolute deadline is First + (k-1)*Sep. Sep == 0
+// denotes a one-shot source releasing a single job. A sporadic task is
+// one Uniform (First = D, Sep = T); one event-stream element is another
+// (First = offset + relative deadline, Sep = cycle).
 //
-// The contract every implementation must satisfy:
+// Its methods keep one contract the walks rely on:
 //   - JobDeadline(1) > 0, JobDeadline is strictly increasing until it
 //     returns MaxInterval, and once it returns MaxInterval it does so for
 //     all larger k.
-//   - DemandUpTo(I) == JobsUpTo(I) * WCET().
+//   - DemandUpTo(I) == JobsUpTo(I) * C, saturating at MaxInterval.
 //   - UtilRat is the asymptotic slope of DemandUpTo; for one-shot sources
 //     it is 0 (num == 0) and then the linear approximation beyond the last
 //     deadline is exact.
-type Source interface {
-	// WCET returns the execution demand of a single job (> 0).
-	WCET() int64
-	// UtilRat returns the approximation slope as a rational num/den with
-	// den > 0. For a sporadic task this is C/T.
-	UtilRat() (num, den int64)
-	// JobDeadline returns the absolute deadline of the k-th job (k >= 1)
-	// in the synchronous arrival sequence, or MaxInterval if the source
-	// releases fewer than k jobs.
-	JobDeadline(k int64) int64
-	// NextDeadline returns the smallest job deadline strictly greater
-	// than after, or MaxInterval.
-	NextDeadline(after int64) int64
-	// JobsUpTo returns the number of jobs with deadline <= I.
-	JobsUpTo(I int64) int64
-	// DemandUpTo returns the exact demand bound dbf(I, source).
-	DemandUpTo(I int64) int64
-	// ApproxError returns app(I, source) = dbf'(I) - dbf(I) as a rational
-	// num/den (den > 0), valid for I >= JobDeadline(1) when the source is
-	// approximated with slope UtilRat anchored at any of its job deadlines
-	// <= I (Lemma 6 of the paper: the error is independent of the anchor).
-	ApproxError(I int64) (num, den int64)
-}
-
-// UniformShaped is the optional Source extension of endlessly repeating
-// equidistant streams. The demand walks use it to run on flat int64
-// arrays — deadline advance becomes one addition — instead of interface
-// calls per job.
-type UniformShaped interface {
-	// UniformShape returns the per-job WCET and the constant deadline
-	// separation. ok is false for one-shot sources (finitely many jobs),
-	// which the uniform walk cannot model.
-	UniformShape() (wcet, sep int64, ok bool)
-}
-
-// Sporadic is the Source for a sporadic task in the synchronous arrival
-// sequence: deadlines D, D+T, D+2T, ...
-type Sporadic struct {
-	C int64 // WCET
-	D int64 // relative deadline
-	T int64 // period
-}
-
-var _ Source = Sporadic{}
-
-// NewSporadic adapts a model task.
-func NewSporadic(t model.Task) Sporadic { return Sporadic{C: t.WCET, D: t.Deadline, T: t.Period} }
-
-// WCET returns C.
-func (s Sporadic) WCET() int64 { return s.C }
-
-// UtilRat returns C/T.
-func (s Sporadic) UtilRat() (num, den int64) { return s.C, s.T }
-
-// UniformShape returns C and T: a sporadic source repeats forever.
-func (s Sporadic) UniformShape() (wcet, sep int64, ok bool) { return s.C, s.T, true }
-
-// JobDeadline returns D + (k-1)*T, or MaxInterval on overflow.
-func (s Sporadic) JobDeadline(k int64) int64 {
-	if k < 1 {
-		return 0
-	}
-	span, ok := numeric.MulChecked(k-1, s.T)
-	if !ok {
-		return MaxInterval
-	}
-	d, ok := numeric.AddChecked(s.D, span)
-	if !ok {
-		return MaxInterval
-	}
-	return d
-}
-
-// NextDeadline returns the first job deadline > after.
-func (s Sporadic) NextDeadline(after int64) int64 {
-	if after < s.D {
-		return s.D
-	}
-	// Next deadline after 'after': D + (floor((after-D)/T)+1)*T.
-	k := (after-s.D)/s.T + 2 // job index of that deadline (1-based)
-	return s.JobDeadline(k)
-}
-
-// JobsUpTo counts deadlines <= I: floor((I-D)/T)+1 for I >= D.
-func (s Sporadic) JobsUpTo(I int64) int64 {
-	if I < s.D {
-		return 0
-	}
-	return (I-s.D)/s.T + 1
-}
-
-// DemandUpTo returns dbf(I, τ) = JobsUpTo(I) * C. The result saturates at
-// MaxInterval on (absurdly large) overflow.
-func (s Sporadic) DemandUpTo(I int64) int64 {
-	n := s.JobsUpTo(I)
-	d, ok := numeric.MulChecked(n, s.C)
-	if !ok {
-		return MaxInterval
-	}
-	return d
-}
-
-// ApproxError returns C*((I-D) mod T) / T, the overshoot of the slope-C/T
-// approximation over the exact step function at I (zero exactly at job
-// deadlines). For I < D it returns 0.
-func (s Sporadic) ApproxError(I int64) (num, den int64) {
-	if I < s.D {
-		return 0, 1
-	}
-	r := (I - s.D) % s.T
-	n, ok := numeric.MulChecked(s.C, r)
-	if !ok {
-		// C and r are both < 2^31 in any realistic workload; saturate
-		// rather than corrupt the accumulator if a caller exceeds that.
-		return MaxInterval, s.T
-	}
-	return n, s.T
-}
-
-// Uniform is the Source of any equidistant-deadline job stream: WCET C
-// per job, first absolute deadline First, separation Sep between
-// consecutive deadlines. Sep == 0 denotes a one-shot source releasing a
-// single job. It is the common generalization of Sporadic (First = D,
-// Sep = T) and of one event-stream element (First = offset + relative
-// deadline, Sep = cycle), and the concrete representation the
-// incremental admission state keeps its per-session sources in — one
-// flat arena, no interface boxing on the fold path.
 type Uniform struct {
-	C     int64 // WCET
+	C     int64 // WCET per job (> 0)
 	First int64 // first absolute deadline (> 0)
 	Sep   int64 // deadline separation; 0 = one-shot
 }
-
-var _ Source = Uniform{}
 
 // UniformFromTask adapts a sporadic model task.
 func UniformFromTask(t model.Task) Uniform {
 	return Uniform{C: t.WCET, First: t.Deadline, Sep: t.Period}
 }
 
-// WCET returns C.
-func (s Uniform) WCET() int64 { return s.C }
-
-// UtilRat returns the slope C/Sep, or 0 for a one-shot source.
+// UtilRat returns the approximation slope C/Sep as a rational num/den
+// with den > 0, or 0 for a one-shot source.
 func (s Uniform) UtilRat() (num, den int64) {
 	if s.Sep == 0 {
 		return 0, 1
@@ -173,12 +44,8 @@ func (s Uniform) UtilRat() (num, den int64) {
 	return s.C, s.Sep
 }
 
-// UniformShape returns C and Sep; one-shot sources (Sep == 0) do not
-// repeat and report ok false.
-func (s Uniform) UniformShape() (wcet, sep int64, ok bool) { return s.C, s.Sep, s.Sep != 0 }
-
-// JobDeadline returns First + (k-1)*Sep, or MaxInterval past the last
-// job or on overflow.
+// JobDeadline returns the absolute deadline First + (k-1)*Sep of the
+// k-th job (k >= 1), or MaxInterval past the last job or on overflow.
 func (s Uniform) JobDeadline(k int64) int64 {
 	if k < 1 {
 		return 0
@@ -200,7 +67,8 @@ func (s Uniform) JobDeadline(k int64) int64 {
 	return d
 }
 
-// NextDeadline returns the first job deadline > after.
+// NextDeadline returns the smallest job deadline strictly greater than
+// after, or MaxInterval.
 func (s Uniform) NextDeadline(after int64) int64 {
 	if after < s.First {
 		return s.First
@@ -211,7 +79,7 @@ func (s Uniform) NextDeadline(after int64) int64 {
 	return s.JobDeadline((after-s.First)/s.Sep + 2)
 }
 
-// JobsUpTo counts deadlines <= I.
+// JobsUpTo returns the number of jobs with deadline <= I.
 func (s Uniform) JobsUpTo(I int64) int64 {
 	if I < s.First {
 		return 0
@@ -222,8 +90,8 @@ func (s Uniform) JobsUpTo(I int64) int64 {
 	return (I-s.First)/s.Sep + 1
 }
 
-// DemandUpTo returns dbf(I) = JobsUpTo(I) * C, saturating at MaxInterval
-// on overflow.
+// DemandUpTo returns the exact demand bound dbf(I) = JobsUpTo(I) * C,
+// saturating at MaxInterval on overflow.
 func (s Uniform) DemandUpTo(I int64) int64 {
 	d, ok := numeric.MulChecked(s.JobsUpTo(I), s.C)
 	if !ok {
@@ -232,8 +100,12 @@ func (s Uniform) DemandUpTo(I int64) int64 {
 	return d
 }
 
-// ApproxError returns C*((I-First) mod Sep) / Sep; one-shot sources are
-// approximated exactly, so their error is 0.
+// ApproxError returns app(I) = dbf'(I) - dbf(I) = C*((I-First) mod Sep)
+// / Sep as a rational num/den (den > 0): the overshoot of the slope-C/Sep
+// approximation anchored at any job deadline <= I over the exact step
+// function (Lemma 6 of the paper: the error is independent of the
+// anchor). It is 0 for I < First, and always 0 for one-shot sources,
+// which the approximation models exactly.
 func (s Uniform) ApproxError(I int64) (num, den int64) {
 	if I < s.First || s.Sep == 0 {
 		return 0, 1
@@ -241,21 +113,20 @@ func (s Uniform) ApproxError(I int64) (num, den int64) {
 	r := (I - s.First) % s.Sep
 	n, ok := numeric.MulChecked(s.C, r)
 	if !ok {
+		// C and r are both < 2^31 in any realistic workload; saturate
+		// rather than corrupt the accumulator if a caller exceeds that.
 		return MaxInterval, s.Sep
 	}
 	return n, s.Sep
 }
 
 // FromTasks adapts a task set to demand sources, ignoring phases
-// (synchronous case). The sources are pointers into one backing array, so
-// the adaptation costs two allocations regardless of the set size; use
-// Scratch.Sources to avoid even those across repeated analyses.
-func FromTasks(ts model.TaskSet) []Source {
-	backing := make([]Sporadic, len(ts))
-	srcs := make([]Source, len(ts))
+// (synchronous case), in one allocation; use Scratch.Sources to avoid
+// even that across repeated analyses.
+func FromTasks(ts model.TaskSet) []Uniform {
+	srcs := make([]Uniform, len(ts))
 	for i, t := range ts {
-		backing[i] = NewSporadic(t)
-		srcs[i] = &backing[i]
+		srcs[i] = UniformFromTask(t)
 	}
 	return srcs
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/model"
 )
 
-// TestUniformMatchesSporadic asserts the Uniform generalization agrees
-// with the Sporadic source on every interface method when instantiated
-// from the same task.
+// TestUniformMatchesSporadic asserts that a Uniform built from a task
+// follows the closed-form demand of a sporadic task (C, D, T) in the
+// synchronous arrival sequence: deadlines D + (k-1)·T, floor((I-D)/T)+1
+// jobs up to I >= D, slope C/T and error C·((I-D) mod T)/T.
 func TestUniformMatchesSporadic(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
@@ -18,36 +19,40 @@ func TestUniformMatchesSporadic(t *testing.T) {
 			Deadline: 1 + r.Int63n(500),
 			Period:   1 + r.Int63n(500),
 		}
-		sp := NewSporadic(tk)
+		C, D, T := tk.WCET, tk.Deadline, tk.Period
 		un := UniformFromTask(tk)
-		if un.WCET() != sp.WCET() {
-			t.Fatalf("WCET differs for %+v", tk)
+		if un.C != C {
+			t.Fatalf("C = %d for %+v", un.C, tk)
 		}
-		un1, ud1 := un.UtilRat()
-		sn1, sd1 := sp.UtilRat()
-		if un1*sd1 != sn1*ud1 {
-			t.Fatalf("UtilRat differs for %+v: %d/%d vs %d/%d", tk, un1, ud1, sn1, sd1)
+		if n, d := un.UtilRat(); n*T != C*d {
+			t.Fatalf("UtilRat = %d/%d for %+v, want %d/%d", n, d, tk, C, T)
 		}
 		for k := int64(1); k <= 5; k++ {
-			if un.JobDeadline(k) != sp.JobDeadline(k) {
-				t.Fatalf("JobDeadline(%d) differs for %+v", k, tk)
+			if got, want := un.JobDeadline(k), D+(k-1)*T; got != want {
+				t.Fatalf("JobDeadline(%d) = %d for %+v, want %d", k, got, tk, want)
 			}
 		}
 		for j := 0; j < 20; j++ {
 			I := r.Int63n(3000)
-			if un.JobsUpTo(I) != sp.JobsUpTo(I) {
-				t.Fatalf("JobsUpTo(%d) differs for %+v", I, tk)
+			var jobs, errNum, next int64
+			if I >= D {
+				jobs = (I-D)/T + 1
+				errNum = C * ((I - D) % T)
+				next = D + jobs*T
+			} else {
+				next = D
 			}
-			if un.DemandUpTo(I) != sp.DemandUpTo(I) {
-				t.Fatalf("DemandUpTo(%d) differs for %+v", I, tk)
+			if got := un.JobsUpTo(I); got != jobs {
+				t.Fatalf("JobsUpTo(%d) = %d for %+v, want %d", I, got, tk, jobs)
 			}
-			an, ad := un.ApproxError(I)
-			bn, bd := sp.ApproxError(I)
-			if an*bd != bn*ad {
-				t.Fatalf("ApproxError(%d) differs for %+v", I, tk)
+			if got := un.DemandUpTo(I); got != jobs*C {
+				t.Fatalf("DemandUpTo(%d) = %d for %+v, want %d", I, got, tk, jobs*C)
 			}
-			if un.NextDeadline(I) != sp.NextDeadline(I) {
-				t.Fatalf("NextDeadline(%d) differs for %+v", I, tk)
+			if an, ad := un.ApproxError(I); an*T != errNum*ad {
+				t.Fatalf("ApproxError(%d) = %d/%d for %+v, want %d/%d", I, an, ad, tk, errNum, T)
+			}
+			if got := un.NextDeadline(I); got != next {
+				t.Fatalf("NextDeadline(%d) = %d for %+v, want %d", I, got, tk, next)
 			}
 		}
 	}

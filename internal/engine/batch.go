@@ -100,7 +100,7 @@ func Run(ctx context.Context, jobs []Job, ro RunOptions) []JobResult {
 		go func() {
 			defer wg.Done()
 			// One analysis Scratch per worker: every job this worker runs
-			// reuses the same test list, job counters and source adapters,
+			// reuses the same test list, job counters and source slice,
 			// so a long batch allocates per worker, not per job. Any
 			// caller-supplied Opt.Scratch is replaced — a Scratch serves
 			// one analysis at a time, and a single one shared across the

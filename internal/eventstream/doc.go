@@ -11,8 +11,11 @@
 // Section 3.6 of the paper argues real-time calculus approximates poorly —
 // is simply several elements sharing a long cycle with staggered offsets.
 //
-// Each element of a stream becomes one demand.Source ("each element of the
-// burst has to be handled as a separate element of the event stream"), so
-// the iterative feasibility tests of internal/core run on event streams
-// without modification.
+// Each element of a stream becomes one demand.Uniform ("each element of
+// the burst has to be handled as a separate element of the event stream"),
+// the same source type a sporadic task lowers to, so the iterative
+// feasibility tests of internal/core run on event streams without
+// modification. Task.AppendSources is the one lowering; Task.Validate
+// rejects an element whose first deadline (offset plus the task's
+// deadline) would not fit in int64.
 package eventstream

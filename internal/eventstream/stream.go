@@ -111,6 +111,11 @@ func (t Task) Validate() error {
 	if err := t.Stream.Validate(); err != nil {
 		return fmt.Errorf("eventstream: task %q: %w", t.Name, err)
 	}
+	for i, e := range t.Stream {
+		if _, ok := numeric.AddChecked(e.Offset, t.Deadline); !ok {
+			return fmt.Errorf("eventstream: task %q: element %d: offset %d plus deadline %d overflows int64", t.Name, i, e.Offset, t.Deadline)
+		}
+	}
 	return nil
 }
 
@@ -123,93 +128,27 @@ func (t Task) Dbf(I int64) int64 {
 	return t.Stream.Events(I-t.Deadline) * t.WCET
 }
 
-// elemSource adapts one stream element to the demand.Source interface.
-type elemSource struct {
-	c     int64 // WCET per event
-	first int64 // first absolute deadline: offset + relative deadline
-	cycle int64 // 0 = one-shot
-}
-
-var _ demand.Source = elemSource{}
-
-func (s elemSource) WCET() int64 { return s.c }
-
-func (s elemSource) UtilRat() (num, den int64) {
-	if s.cycle == 0 {
-		return 0, 1
+// AppendSources lowers the task into demand sources, one per stream
+// element (first deadline offset + relative deadline, separation cycle),
+// and appends them to dst. The task must pass Validate, which guarantees
+// every first deadline is positive and fits in int64.
+func (t Task) AppendSources(dst []demand.Uniform) []demand.Uniform {
+	for _, e := range t.Stream {
+		dst = append(dst, demand.Uniform{C: t.WCET, First: e.Offset + t.Deadline, Sep: e.Cycle})
 	}
-	return s.c, s.cycle
-}
-
-// UniformShape lets the demand walks run event-stream elements on the
-// flat uniform fast path; one-shot elements (cycle 0) do not qualify.
-func (s elemSource) UniformShape() (wcet, sep int64, ok bool) {
-	return s.c, s.cycle, s.cycle != 0
-}
-
-func (s elemSource) JobDeadline(k int64) int64 {
-	if k < 1 {
-		return 0
-	}
-	if s.cycle == 0 {
-		if k == 1 {
-			return s.first
-		}
-		return demand.MaxInterval
-	}
-	span, ok := numeric.MulChecked(k-1, s.cycle)
-	if !ok {
-		return demand.MaxInterval
-	}
-	d, ok := numeric.AddChecked(s.first, span)
-	if !ok {
-		return demand.MaxInterval
-	}
-	return d
-}
-
-func (s elemSource) NextDeadline(after int64) int64 {
-	if after < s.first {
-		return s.first
-	}
-	if s.cycle == 0 {
-		return demand.MaxInterval
-	}
-	return s.JobDeadline((after-s.first)/s.cycle + 2)
-}
-
-func (s elemSource) JobsUpTo(I int64) int64 {
-	if I < s.first {
-		return 0
-	}
-	if s.cycle == 0 {
-		return 1
-	}
-	return (I-s.first)/s.cycle + 1
-}
-
-func (s elemSource) DemandUpTo(I int64) int64 { return s.JobsUpTo(I) * s.c }
-
-func (s elemSource) ApproxError(I int64) (num, den int64) {
-	if I < s.first || s.cycle == 0 {
-		return 0, 1
-	}
-	r := (I - s.first) % s.cycle
-	n, ok := numeric.MulChecked(s.c, r)
-	if !ok {
-		return demand.MaxInterval, s.cycle
-	}
-	return n, s.cycle
+	return dst
 }
 
 // Sources decomposes the event-driven tasks into demand sources, one per
 // stream element, ready for the feasibility tests of internal/core.
-func Sources(tasks []Task) []demand.Source {
-	var srcs []demand.Source
+func Sources(tasks []Task) []demand.Uniform {
+	n := 0
 	for _, t := range tasks {
-		for _, e := range t.Stream {
-			srcs = append(srcs, elemSource{c: t.WCET, first: e.Offset + t.Deadline, cycle: e.Cycle})
-		}
+		n += len(t.Stream)
+	}
+	srcs := make([]demand.Uniform, 0, n)
+	for _, t := range tasks {
+		srcs = t.AppendSources(srcs)
 	}
 	return srcs
 }

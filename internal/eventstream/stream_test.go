@@ -1,6 +1,7 @@
 package eventstream
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -158,14 +159,23 @@ func TestBurstExactAgainstBrute(t *testing.T) {
 }
 
 func TestTaskValidate(t *testing.T) {
-	good := Task{Stream: Periodic(10), WCET: 1, Deadline: 5}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid task rejected: %v", err)
+	for _, good := range []Task{
+		{Stream: Periodic(10), WCET: 1, Deadline: 5},
+		// The first deadline offset + deadline is exactly MaxInt64.
+		{Stream: Stream{{Offset: math.MaxInt64 - 10}}, WCET: 3, Deadline: 10},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Errorf("valid task rejected: %v", err)
+		}
 	}
 	for _, bad := range []Task{
 		{Stream: Periodic(10), WCET: 0, Deadline: 5},
 		{Stream: Periodic(10), WCET: 1, Deadline: 0},
 		{Stream: Stream{}, WCET: 1, Deadline: 5},
+		// offset + deadline overflows int64: the first deadline would
+		// wrap negative.
+		{Stream: Stream{{Offset: math.MaxInt64 - 4}}, WCET: 3, Deadline: 10},
+		{Stream: Stream{{Cycle: 10}, {Cycle: 7, Offset: math.MaxInt64}}, WCET: 1, Deadline: 1},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("invalid task accepted: %+v", bad)

@@ -119,23 +119,16 @@ func (st *State) Points() int { return len(st.pts) }
 // anchor survived the last rebuild and every fold since.
 func (st *State) Usable() bool { return st.valid }
 
-// stage lowers t into st.staged, sorted by first deadline ascending, and
-// reports whether every source is representable. The slice is reused
-// across calls.
+// stage lowers t, which must pass Validate, into st.staged, sorted by
+// first deadline ascending; it reports false for a task with neither side
+// set. The slice is reused across calls.
 func (st *State) stage(t workload.Task) bool {
 	st.staged = st.staged[:0]
 	switch {
 	case t.Sporadic != nil:
 		st.staged = append(st.staged, demand.UniformFromTask(*t.Sporadic))
 	case t.Event != nil:
-		et := t.Event
-		for _, e := range et.Stream {
-			first, ok := numeric.AddChecked(e.Offset, et.Deadline)
-			if !ok {
-				return false
-			}
-			st.staged = append(st.staged, demand.Uniform{C: et.WCET, First: first, Sep: e.Cycle})
-		}
+		st.staged = t.Event.AppendSources(st.staged)
 	default:
 		return false
 	}

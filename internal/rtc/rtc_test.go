@@ -34,7 +34,7 @@ func TestTaskCurveUpperBoundsDemand(t *testing.T) {
 		D := C + rng.Int63n(2*T) // includes D > T
 		task := model.Task{WCET: C, Deadline: D, Period: T}
 		c := TaskCurve(task)
-		src := demand.NewSporadic(task)
+		src := demand.UniformFromTask(task)
 		if err := VerifyCurve(c, src.DemandUpTo, 20*T+D); err != nil {
 			t.Fatalf("task %v: %v", task, err)
 		}

@@ -158,6 +158,31 @@ func TestE2EEventWorkloadBatch(t *testing.T) {
 	}
 }
 
+// TestE2EEventOffsetOverflowRejected posts an event task whose offset
+// plus deadline does not fit in int64. Its first deadline has no int64
+// value, so the workload is invalid (422) under every analyzer; lowered
+// unchecked, the deadline wraps negative and the exact tests report a
+// feasible set infeasible.
+func TestE2EEventOffsetOverflowRejected(t *testing.T) {
+	srv := service.New(service.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	const tasks = `"model":"events","tasks":[` +
+		`{"wcet":3,"deadline":10,"stream":[{"cycle":0,"offset":9223372036854775803}]},` +
+		`{"wcet":1,"deadline":10,"stream":[{"cycle":10,"offset":0}]}]`
+	for _, analyzer := range []string{"", "pd", "allapprox"} {
+		body := `{` + tasks + `}`
+		if analyzer != "" {
+			body = `{` + tasks + `,"analyzer":"` + analyzer + `"}`
+		}
+		var out map[string]any
+		if resp := postRaw(t, hs, "/v1/analyze", body, &out); resp.StatusCode != 422 {
+			t.Errorf("analyzer %q: status %d (%v), want 422", analyzer, resp.StatusCode, out)
+		}
+	}
+}
+
 // TestE2EEventSessionLifecycle drives an event-model admission session:
 // seeding fixes the model, proposals must match it, and verdicts agree
 // with the cascade's event path.
