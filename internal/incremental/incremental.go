@@ -51,6 +51,14 @@
 // truncates the source arena, which undoes any number of pending
 // proposals exactly. Any arithmetic overflow marks the anchor broken —
 // decisions already made stay sound, later proposals simply escalate.
+//
+// # Owners
+//
+// An admission session keeps one State for its whole lifetime. A
+// partitioned placement keeps one per processor: each trial is a Check,
+// each accepted task an Admit, and Reset empties the states for the next
+// heuristic. Both decide through Eligible whether their configuration
+// may use the certificate at all.
 package incremental
 
 import (
@@ -58,18 +66,35 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/demand"
 	"repro/internal/numeric"
 	"repro/internal/workload"
 )
 
+// Eligible reports whether a configuration may decide through the
+// certificate. analyzer is the resolved registry name of the configured
+// test (its Info().Name), so every spelling that resolves to the cascade
+// qualifies. The certificate reasons about the plain synchronous
+// demand-bound criterion the cascade decides exactly, so anything that
+// changes the cascade's semantics — blocking, iteration or level caps, a
+// forced bound, or a different analyzer altogether — rules it out. Both
+// arithmetics stay eligible: they are bit-identical.
+func Eligible(analyzer string, opt core.Options) bool {
+	return analyzer == "cascade" &&
+		opt.Blocking == nil &&
+		opt.MaxIterations == 0 &&
+		opt.MaxLevel == 0 &&
+		opt.Bound == ""
+}
+
 // q32Shift is the fixed-point precision of the utilization upper bound.
 const q32Shift = 32
 
-// State is the persistent incremental-analysis state of one admission
-// session. It is not concurrency-safe; the owning controller serializes
-// access under its own mutex. The zero value is not usable; construct
-// with New.
+// State is the persistent incremental-analysis state of one growing task
+// set: an admission session, or one processor of a placement. It is not
+// concurrency-safe; the owner serializes access. The zero value is not
+// usable; construct with New.
 type State struct {
 	level int64 // superposition level of the anchor walk
 
@@ -107,6 +132,18 @@ func New(level int64) *State {
 	}
 	st := &State{level: level, valid: true, cValid: true}
 	return st
+}
+
+// Reset empties the state in place, as if it were New with the same
+// level, keeping every buffer's capacity: an owner cycling through many
+// short-lived task sets allocates its working memory once.
+func (st *State) Reset() {
+	st.srcs = st.srcs[:0]
+	st.pts, st.slack = st.pts[:0], st.slack[:0]
+	st.valid, st.uQ32 = true, 0
+	st.cSrcs = 0
+	st.cPts, st.cSlack = st.cPts[:0], st.cSlack[:0]
+	st.cValid, st.cUQ32 = true, 0
 }
 
 // Len returns the number of sources currently in the arena.

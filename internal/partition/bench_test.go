@@ -29,11 +29,11 @@ func benchWorkload(m int) workload.Workload {
 	return workload.NewPartitioned(procs, tasks)
 }
 
-// BenchmarkPlace measures placement latency and the per-bin cache hit
-// share across platform sizes and heuristics. The cache persists across
-// iterations, so the hit share reflects steady-state serving, where the
-// sharded LRU (or the fleet, via fingerprint routing) has seen the bins
-// before.
+// BenchmarkPlace measures placement latency and the bin verdicts
+// consulted per placement across platform sizes and heuristics. The
+// cache persists across iterations, so the final bins are served from it
+// as in steady-state serving, where the sharded LRU (or the fleet, via
+// fingerprint routing) has seen them before; trials never consult it.
 func BenchmarkPlace(b *testing.B) {
 	for _, m := range []int{2, 4, 8, 16} {
 		wl := benchWorkload(m)
@@ -41,7 +41,7 @@ func BenchmarkPlace(b *testing.B) {
 			b.Run(fmt.Sprintf("m%d/%s", m, h), func(b *testing.B) {
 				cache := newMapCache()
 				cfg := Config{Cache: cache, Heuristics: []Heuristic{h}}
-				var checks, hits uint64
+				var checks, ops uint64
 				b.ReportAllocs()
 				for b.Loop() {
 					pl, err := Place(context.Background(), wl, cfg)
@@ -52,12 +52,41 @@ func BenchmarkPlace(b *testing.B) {
 						b.Fatalf("bench workload m=%d infeasible under %s", m, h)
 					}
 					checks += pl.Stats.BinChecks
-					hits += pl.Stats.CacheHits
+					ops++
 				}
-				if checks > 0 {
-					b.ReportMetric(float64(hits)/float64(checks), "hit-share")
-				}
+				b.ReportMetric(float64(checks)/float64(ops), "checks/op")
 			})
 		}
 	}
+}
+
+// mixPlatforms is the size of BenchmarkPlaceMix's corpus: ten platforms
+// each of 4, 8 and 16 processors, six of them overloaded.
+const mixPlatforms = 30
+
+// BenchmarkPlaceMix measures one pass over a fixed seeded corpus of the
+// partition-cold shape (see coldPlatform): distinct platforms without a
+// cache, as cold requests see them, every heuristic in order, with the
+// failure trails of overloaded and unplaceable platforms. One op places
+// the whole corpus; checks/op counts its bin verdicts.
+func BenchmarkPlaceMix(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	wls := make([]workload.Workload, mixPlatforms)
+	for i := range wls {
+		wls[i] = coldPlatform(rng, i)
+	}
+	cfg := Config{Workers: 1}
+	var checks, ops uint64
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, wl := range wls {
+			pl, err := Place(context.Background(), wl, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			checks += pl.Stats.BinChecks
+		}
+		ops++
+	}
+	b.ReportMetric(float64(checks)/float64(ops), "checks/op")
 }

@@ -30,16 +30,43 @@
 // (first-fit: lowest index; worst-fit: most remaining capacity
 // speed·(1−fill); balance: lowest resulting fill — the two differ only
 // on heterogeneous platforms) and the task lands on the first candidate
-// whose extended bin a full analyzer run proves feasible.
+// whose extended bin is proven feasible. Candidates are tried lazily in
+// rank order; a task that fails everywhere carries every candidate's
+// verdict in its rejection trail.
+//
+// The fills are exact: each bin's is a numeric.Chunked register on one
+// chunk plan per placement, built over the task periods (scaling keeps a
+// task's period, so the plan covers every bin). The gate, the rankings
+// and the reported utilization all read these registers; the placement
+// loop touches math/big only when a register promotes (a plan that
+// cannot cover the periods, or an overflow), which Stats.Promotions
+// counts.
+//
+// # Trials on the incremental certificate
+//
+// Each processor keeps an incremental.State over its scaled bin — the
+// O(delta) certificate admission sessions use. A trial that passes the
+// gate with grown fill strictly below 1 runs State.Check first; only
+// when the certificate cannot accept (or the fill is exactly 1) does the
+// configured analyzer run, directly on the tentative bin with one
+// Scratch the placement owns. An accepted task is folded into the state
+// with State.Admit, and State.Reset empties the states for the next
+// heuristic. The certificate accepts only sets whose exact demand fits
+// the processor, and under incremental.Eligible options the cascade is
+// exact, so every trial decides exactly as a full analyzer run would.
+// Configurations that are not eligible — another analyzer, blocking,
+// iteration or level caps, a forced bound — run the analyzer on every
+// trial.
 //
 // # Verification, caching and parallelism
 //
-// Candidate bins are verified through the engine's parallel batch
-// runner, so per-bin verdicts reuse pooled Scratch memory and stay on
-// the allocation-free fast path. Every bin check is content-addressed
-// with the sporadic fingerprint of its scaled task set — the same
-// domain /v1/analyze uses — so an injected Cache (the service's sharded
-// LRU satisfies the interface directly) makes repeated bins free within
-// a placement, across requests, and across the fleet via the proxy's
-// fingerprint routing.
+// The final bins of a placement are verified once more by the configured
+// analyzer, so every reported verdict and iteration count is the
+// analyzer's own. Only these bins are content-addressed, with the
+// sporadic fingerprint of their scaled task set — the same domain
+// /v1/analyze uses — so an injected Cache (the service's sharded LRU
+// satisfies the interface directly) serves repeated bins across requests
+// and across the fleet via the proxy's fingerprint routing. The misses
+// run in one batch through the engine's worker pool, bounded by
+// Config.Workers; the trials before them run on the calling goroutine.
 package partition

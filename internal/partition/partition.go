@@ -1,15 +1,20 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/big"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/demand"
 	"repro/internal/engine"
+	"repro/internal/incremental"
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/workload"
 )
 
@@ -77,10 +82,13 @@ type Config struct {
 	// Options tune the per-bin analyses and contribute to their cache
 	// identity.
 	Options core.Options
-	// Workers bounds the batch runner's pool; <= 0 selects NumCPU.
+	// Workers bounds the batch runner's pool that verifies the final
+	// bins of a placement; <= 0 selects NumCPU. Trials during the search
+	// run on the calling goroutine.
 	Workers int
-	// Cache, when non-nil, short-circuits bin checks whose fingerprint
-	// was analyzed before and receives every fresh verdict.
+	// Cache, when non-nil, serves final-bin verdicts whose fingerprint
+	// was analyzed before and receives every fresh one. Trials during the
+	// search never consult it.
 	Cache Cache
 	// Heuristics is the strategy order; empty selects AllHeuristics.
 	Heuristics []Heuristic
@@ -88,15 +96,19 @@ type Config struct {
 
 // Stats count the work a placement run performed.
 type Stats struct {
-	// BinChecks is the number of candidate-bin verdicts consulted.
+	// BinChecks is the number of bin verdicts consulted: one per trial
+	// that passed the utilization gate, settled by the incremental
+	// certificate or an analyzer run, plus one per non-empty final bin
+	// of a feasible placement.
 	BinChecks uint64 `json:"bin_checks"`
-	// CacheHits is how many of those came from the cache.
+	// CacheHits is how many final-bin verdicts came from the cache.
 	CacheHits uint64 `json:"cache_hits"`
 	// GateRejections counts candidates dismissed by the O(1) utilization
 	// gate without any analyzer run.
 	GateRejections uint64 `json:"gate_rejections"`
 	// Promotions counts exits from the bounded-denominator arithmetic
-	// fast path across all bin checks.
+	// fast path, in the analyzer runs and in the placement's own fill
+	// arithmetic.
 	Promotions uint64 `json:"promotions,omitempty"`
 }
 
@@ -179,8 +191,15 @@ type Placement struct {
 	Stats Stats `json:"stats"`
 }
 
-// ceilDiv is ceil(c/s) for c >= 0, s >= 1.
-func ceilDiv(c, s int64) int64 { return (c + s - 1) / s }
+// ceilDiv is ceil(c/s) for c >= 0, s >= 1. It never forms c+s, which
+// wraps for speeds near MaxInt64.
+func ceilDiv(c, s int64) int64 {
+	q := c / s
+	if c%s != 0 {
+		q++
+	}
+	return q
+}
 
 // scaledTask maps a task onto a processor of relative speed s: execution
 // demands shrink by s, rounded up so the mapping stays conservative.
@@ -213,22 +232,51 @@ func BinTasks(wl workload.Workload, proc int, tasks []int) model.TaskSet {
 	return out
 }
 
-// bin is one processor's working state during placement.
+// bin is one processor's working state during placement. Its registers
+// are bound to the placer's plan; the slices and the certificate keep
+// their memory from one heuristic, and one placement, to the next.
 type bin struct {
+	speed  int64
 	tasks  []int         // original task indices, placement order
 	scaled model.TaskSet // scaled tasks, same order
-	fill   *big.Rat      // Σ ceil(C/speed)/T
-	speed  int64
+	// cert is the incremental certificate over scaled, in use when the
+	// placer certifies.
+	cert *incremental.State
+	fill numeric.Chunked // Σ ceil(C/speed)/T
+	// after is fill plus the task at hand, set while the bin is a
+	// candidate for it.
+	after numeric.Chunked
+	// rem is worst-fit's key, the remaining absolute capacity
+	// speed·(1−fill), kept current by admit.
+	rem numeric.Chunked
+	// reason is why the bin refused the task at hand ("" while it is a
+	// candidate): the rejection trail of a task that fails everywhere.
+	reason string
 }
 
-// placer carries the run-wide state shared by the heuristics.
+// placer carries the run-wide state shared by the heuristics. Placers
+// are recycled: a placement's bins, registers, certificates and Scratch
+// keep their memory for the next one, and the Placement it returns never
+// aliases them.
 type placer struct {
 	wl       workload.Workload
 	analyzer engine.Analyzer
 	name     string // analyzer spelling used for fingerprints
 	cfg      Config
+	certify  bool         // trials try the incremental certificate first
+	opt      core.Options // cfg.Options with the placer's Scratch
+	scratch  *demand.Scratch
+	plan     numeric.Plan // chunk denominators of every task period
+	periods  []int64
+	bins     []bin
+	order    []int // task indices, decreasing utilization
+	asg      []int // processor of each task
+	cands    []int // processors that can take the task at hand, ranked
 	stats    Stats
 }
+
+// placers recycles placer memory across placements.
+var placers = sync.Pool{New: func() any { return &placer{scratch: demand.NewScratch()} }}
 
 // Place assigns the partitioned workload's tasks to processors. It
 // returns an error for structural problems (wrong model, invalid
@@ -260,11 +308,12 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 		}
 	}
 
-	p := &placer{wl: wl, analyzer: analyzer, name: name, cfg: cfg}
-	order := p.taskOrder()
+	p := placers.Get().(*placer)
+	defer p.release()
+	p.init(wl, analyzer, name, cfg)
 	var out Placement
 	for _, h := range hs {
-		asg, attempt, err := p.run(ctx, h, order)
+		attempt, err := p.run(ctx, h)
 		if err != nil {
 			return Placement{}, err
 		}
@@ -272,15 +321,15 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 			out.Attempts = append(out.Attempts, *attempt)
 			continue
 		}
-		reports, err := p.finalReports(ctx, asg)
+		reports, err := p.finalReports(ctx)
 		if err != nil {
 			return Placement{}, err
 		}
 		out.Feasible = true
 		out.Heuristic = h
-		out.Assignment = asg
+		out.Assignment = slices.Clone(p.asg)
 		out.Processors = reports
-		out.Stats = p.stats
+		out.Stats = p.finish()
 		return out, nil
 	}
 	// Every heuristic failed: surface the attempt that got furthest as
@@ -293,92 +342,148 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 	}
 	ce := out.Attempts[best]
 	out.Counterexample = &ce
-	out.Stats = p.stats
+	out.Stats = p.finish()
 	return out, nil
+}
+
+// init prepares a recycled placer for one placement: the task order, the
+// chunk plan and one bin per processor, reusing what earlier placements
+// allocated. Scaling a task to a processor keeps its period, so one plan
+// over the periods covers every bin's fill.
+func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name string, cfg Config) {
+	p.wl, p.analyzer, p.name, p.cfg = wl, analyzer, name, cfg
+	p.certify = incremental.Eligible(analyzer.Info().Name, cfg.Options)
+	p.opt = cfg.Options
+	p.opt.Scratch = p.scratch
+	p.stats = Stats{}
+	n, m := len(wl.PartTasks), len(wl.Processors)
+	p.order = taskOrder(p.order, wl.PartTasks)
+	p.asg = slices.Grow(p.asg[:0], n)[:n]
+	p.periods = p.periods[:0]
+	for _, t := range wl.PartTasks {
+		p.periods = append(p.periods, t.Period)
+	}
+	// A failed build leaves the plan empty; the registers then compute
+	// exactly on math/big.
+	p.plan.Build(p.periods)
+	if cap(p.bins) < m {
+		p.bins = append(p.bins[:cap(p.bins)], make([]bin, m-cap(p.bins))...)
+	}
+	p.bins = p.bins[:m]
+	for j := range p.bins {
+		b := &p.bins[j]
+		b.speed = wl.Processors[j].EffectiveSpeed()
+		b.fill.Init(&p.plan)
+		b.after.Init(&p.plan)
+		b.rem.Init(&p.plan)
+		if p.certify && b.cert == nil {
+			b.cert = incremental.New(engine.DefaultSuperPosLevel)
+		}
+	}
+}
+
+// release drops the placement's references and recycles the placer.
+func (p *placer) release() {
+	p.wl, p.analyzer, p.cfg, p.opt = workload.Workload{}, nil, Config{}, core.Options{}
+	for j := range p.bins {
+		clear(p.bins[j].scaled[:cap(p.bins[j].scaled)])
+	}
+	placers.Put(p)
+}
+
+// finish returns the run's stats with the placement arithmetic's own
+// promotions folded in.
+func (p *placer) finish() Stats {
+	st := p.stats
+	st.Promotions += p.plan.Promotions()
+	return st
 }
 
 // taskOrder returns the task indices in decreasing exact utilization
 // order (ties by original index), the "decreasing" in every heuristic's
 // name — placing heavy tasks first is what makes the greedy strategies
-// effective.
-func (p *placer) taskOrder() []int {
-	us := make([]*big.Rat, len(p.wl.PartTasks))
-	for i, t := range p.wl.PartTasks {
-		us[i] = t.Task.Utilization()
+// effective. C_a/T_a and C_b/T_b compare as the 128-bit cross products
+// C_a·T_b and C_b·T_a, which cannot wrap. The order reuses buf.
+func taskOrder(buf []int, ts []workload.PartitionedTask) []int {
+	order := buf[:0]
+	for i := range ts {
+		order = append(order, i)
 	}
-	order := make([]int, len(us))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return us[order[a]].Cmp(us[order[b]]) > 0
+	slices.SortStableFunc(order, func(a, b int) int {
+		// a sorts first when C_a·T_b > C_b·T_a.
+		ah, al := bits.Mul64(uint64(ts[a].WCET), uint64(ts[b].Period))
+		bh, bl := bits.Mul64(uint64(ts[b].WCET), uint64(ts[a].Period))
+		if ah != bh {
+			return cmp.Compare(bh, ah)
+		}
+		return cmp.Compare(bl, al)
 	})
 	return order
 }
 
-// candidate is one gate-surviving processor for the task at hand.
-type candidate struct {
-	proc    int
-	after   *big.Rat // bin fill if the task lands here
-	tent    model.TaskSet
-	key     string // fingerprint of tent; "" when not addressable
-	verdict core.Result
-	known   bool
+// reset empties every bin for heuristic h.
+func (p *placer) reset(h Heuristic) {
+	for j := range p.bins {
+		b := &p.bins[j]
+		b.tasks = b.tasks[:0]
+		b.scaled = b.scaled[:0]
+		b.fill.SetZero()
+		if h == WorstFit {
+			b.rem.SetInt(b.speed)
+		}
+		if p.certify {
+			b.cert.Reset()
+		}
+	}
 }
 
-// run executes one heuristic. On success the assignment is returned; on
-// failure the attempt describes the first unplaceable task.
-func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Attempt, error) {
-	m := len(p.wl.Processors)
-	bins := make([]bin, m)
-	for j := range bins {
-		bins[j].fill = new(big.Rat)
-		bins[j].speed = p.wl.Processors[j].EffectiveSpeed()
-	}
-	asg := make([]int, len(p.wl.PartTasks))
-	one := big.NewRat(1, 1)
-	for placed, ti := range order {
+// run executes one heuristic. On success p.asg holds the assignment and
+// the bins the placement; on failure the attempt describes the first
+// unplaceable task.
+func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
+	p.reset(h)
+	for placed, ti := range p.order {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		task := p.wl.PartTasks[ti]
-		rejections := make([]Rejection, 0, m)
-		var cands []candidate
-		for j := range m {
+		task := &p.wl.PartTasks[ti]
+		// Affinity, then the exact utilization gate, leave the candidates.
+		p.cands = p.cands[:0]
+		for j := range p.bins {
+			b := &p.bins[j]
 			if !task.Allows(j) {
-				rejections = append(rejections, Rejection{Processor: j, Reason: "affinity"})
+				b.reason = "affinity"
 				continue
 			}
-			st := scaledTask(task.Task, bins[j].speed)
-			after := new(big.Rat).Add(bins[j].fill, big.NewRat(st.WCET, st.Period))
-			if after.Cmp(one) > 0 {
+			b.after.CopyFrom(&b.fill)
+			b.after.AddRat(ceilDiv(task.WCET, b.speed), task.Period)
+			if b.after.CmpInt(1) > 0 {
 				p.stats.GateRejections++
-				rejections = append(rejections, Rejection{Processor: j, Reason: "gate"})
+				b.reason = "gate"
 				continue
 			}
-			tent := append(bins[j].scaled[:len(bins[j].scaled):len(bins[j].scaled)], st)
-			cands = append(cands, candidate{proc: j, after: after, tent: tent})
+			b.reason = ""
+			p.cands = append(p.cands, j)
 		}
-		p.rank(h, cands, bins)
-		if err := p.resolve(ctx, cands); err != nil {
-			return nil, nil, err
-		}
-		won := -1
-		for i := range cands {
-			if cands[i].known && cands[i].verdict.Verdict == core.Feasible {
-				won = i
-				break
+		p.rank(h)
+		// Lazily down the ranking: the first feasible candidate wins.
+		won := false
+		for _, j := range p.cands {
+			st := scaledTask(task.Task, p.bins[j].speed)
+			if v := p.trial(&p.bins[j], st); v != core.Feasible {
+				p.bins[j].reason = v.String()
+				continue
 			}
-			rejections = append(rejections, Rejection{
-				Processor: cands[i].proc,
-				Reason:    cands[i].verdict.Verdict.String(),
-			})
+			p.admit(h, j, ti, st)
+			won = true
+			break
 		}
-		if won < 0 {
-			sort.Slice(rejections, func(a, b int) bool {
-				return rejections[a].Processor < rejections[b].Processor
-			})
-			return nil, &Attempt{
+		if !won {
+			rejections := make([]Rejection, len(p.bins))
+			for j := range p.bins {
+				rejections[j] = Rejection{Processor: j, Reason: p.bins[j].reason}
+			}
+			return &Attempt{
 				Heuristic:      h,
 				Placed:         placed,
 				FailedTask:     ti,
@@ -386,117 +491,94 @@ func (p *placer) run(ctx context.Context, h Heuristic, order []int) ([]int, *Att
 				Rejections:     rejections,
 			}, nil
 		}
-		c := cands[won]
-		bins[c.proc].tasks = append(bins[c.proc].tasks, ti)
-		bins[c.proc].scaled = c.tent
-		bins[c.proc].fill = c.after
-		asg[ti] = c.proc
 	}
-	return asg, nil, nil
+	return nil, nil
 }
 
 // rank orders the candidates by the heuristic, ties broken by processor
 // index (every candidate list starts index-ascending).
-func (p *placer) rank(h Heuristic, cands []candidate, bins []bin) {
+func (p *placer) rank(h Heuristic) {
 	switch h {
 	case WorstFit:
-		// Remaining absolute capacity speed·(1−fill), largest first.
-		rem := func(c candidate) *big.Rat {
-			r := new(big.Rat).SetInt64(1)
-			r.Sub(r, bins[c.proc].fill)
-			return r.Mul(r, new(big.Rat).SetInt64(bins[c.proc].speed))
-		}
-		sort.SliceStable(cands, func(a, b int) bool {
-			return rem(cands[a]).Cmp(rem(cands[b])) > 0
+		// Remaining absolute capacity, largest first.
+		slices.SortStableFunc(p.cands, func(a, b int) int {
+			return p.bins[b].rem.Cmp(&p.bins[a].rem)
 		})
 	case Balance:
 		// Resulting fill, smallest first.
-		sort.SliceStable(cands, func(a, b int) bool {
-			return cands[a].after.Cmp(cands[b].after) < 0
+		slices.SortStableFunc(p.cands, func(a, b int) int {
+			return p.bins[a].after.Cmp(&p.bins[b].after)
 		})
 	}
 }
 
-// resolve fills in every candidate's verdict: cache hits first, then one
-// parallel engine batch over the misses, short-circuited entirely when
-// the top-ranked candidate is already known feasible.
-func (p *placer) resolve(ctx context.Context, cands []candidate) error {
-	for i := range cands {
-		c := &cands[i]
-		key, ok := engine.Fingerprint(c.tent, p.name, p.cfg.Options)
-		if ok {
-			c.key = key
-		}
-		if p.cfg.Cache != nil && c.key != "" {
-			if r, hit := p.cfg.Cache.Get(c.key); hit {
-				c.verdict, c.known = r, true
-				p.stats.BinChecks++
-				p.stats.CacheHits++
-			}
+// trial decides whether bin b, whose after register holds the grown
+// fill, can also take the scaled task st. The incremental certificate
+// settles the trial when it can: it accepts only sets whose exact demand
+// fits the processor, which the eligible cascade accepts too. It needs
+// grown utilization strictly below 1; otherwise, and whenever it cannot
+// accept, the analyzer runs on the tentative bin.
+func (p *placer) trial(b *bin, st model.Task) core.Verdict {
+	p.stats.BinChecks++
+	if p.certify && b.after.CmpInt(1) < 0 {
+		if ok, _ := b.cert.Check(workload.SporadicTask(st)); ok {
+			return core.Feasible
 		}
 	}
-	if len(cands) > 0 && cands[0].known && cands[0].verdict.Verdict == core.Feasible {
-		return nil
-	}
-	var jobs []engine.Job
-	var idx []int
-	for i := range cands {
-		if !cands[i].known {
-			jobs = append(jobs, engine.Job{Set: cands[i].tent, Analyzer: p.analyzer, Opt: p.cfg.Options})
-			idx = append(idx, i)
-		}
-	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	results := engine.Run(ctx, jobs, engine.RunOptions{Workers: p.cfg.Workers})
-	for ri, jr := range results {
-		if jr.Err != nil {
-			return jr.Err
-		}
-		c := &cands[idx[ri]]
-		c.verdict, c.known = jr.Result, true
-		p.stats.BinChecks++
-		p.stats.Promotions += jr.Promotions
-		if p.cfg.Cache != nil && c.key != "" {
-			p.cfg.Cache.Put(c.key, jr.Result)
-		}
-	}
-	return nil
+	// The spare capacity of scaled holds the tentative bin; admit keeps
+	// it, a rejection leaves it to be overwritten.
+	tent := append(b.scaled, st)
+	p0 := p.opt.Scratch.ArithPromotions()
+	res := p.analyzer.Analyze(tent, p.opt)
+	p.stats.Promotions += p.opt.Scratch.ArithPromotions() - p0
+	return res.Verdict
 }
 
-// finalReports re-derives each processor's verdict for the response. The
-// closing bin states were all just verified, so with a cache every check
-// is a hit; without one the bins are re-run in a single batch.
-func (p *placer) finalReports(ctx context.Context, asg []int) ([]ProcessorReport, error) {
-	m := len(p.wl.Processors)
-	binTasks := make([][]int, m)
-	for _, ti := range p.taskOrder() {
-		j := asg[ti]
-		binTasks[j] = append(binTasks[j], ti)
+// admit places task ti, scaled to st, on processor j.
+func (p *placer) admit(h Heuristic, j, ti int, st model.Task) {
+	b := &p.bins[j]
+	b.tasks = append(b.tasks, ti)
+	b.scaled = append(b.scaled, st)
+	b.fill.CopyFrom(&b.after)
+	if h == WorstFit {
+		b.rem.CopyFrom(&b.fill)
+		b.rem.Neg()
+		b.rem.AddInt(1)
+		b.rem.MulInt(b.speed)
 	}
-	reports := make([]ProcessorReport, m)
+	if p.certify {
+		b.cert.Admit(workload.SporadicTask(st))
+	}
+	p.asg[ti] = j
+}
+
+// finalReports verifies each final bin for the response: the cache
+// serves bins it has seen, the rest run in one batch through the
+// engine's worker pool. Only these bins are fingerprinted, so a bin
+// verdict is reused across requests and, through the proxy's
+// fingerprint routing, across the fleet.
+func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
+	reports := make([]ProcessorReport, len(p.bins))
 	var jobs []engine.Job
 	var idx []int
-	for j := range m {
-		speed := p.wl.Processors[j].EffectiveSpeed()
+	for j := range p.bins {
+		b := &p.bins[j]
 		r := ProcessorReport{
 			Index:            j,
 			Name:             p.wl.Processors[j].Name,
-			Speed:            speed,
-			Tasks:            binTasks[j],
+			Speed:            b.speed,
 			Verdict:          core.Feasible.String(),
 			UtilizationExact: "0",
 		}
-		if len(binTasks[j]) == 0 {
+		if len(b.tasks) == 0 {
 			reports[j] = r
 			continue
 		}
-		scaled := BinTasks(p.wl, j, binTasks[j])
-		fill := scaled.Utilization()
+		r.Tasks = slices.Clone(b.tasks)
+		fill := b.fill.Rat()
 		r.Utilization, _ = fill.Float64()
 		r.UtilizationExact = fill.RatString()
-		if key, ok := engine.Fingerprint(scaled, p.name, p.cfg.Options); ok {
+		if key, ok := engine.Fingerprint(b.scaled, p.name, p.cfg.Options); ok {
 			r.Fingerprint = key
 			if p.cfg.Cache != nil {
 				if res, hit := p.cfg.Cache.Get(key); hit {
@@ -510,7 +592,7 @@ func (p *placer) finalReports(ctx context.Context, asg []int) ([]ProcessorReport
 				}
 			}
 		}
-		jobs = append(jobs, engine.Job{Set: scaled, Analyzer: p.analyzer, Opt: p.cfg.Options})
+		jobs = append(jobs, engine.Job{Set: b.scaled, Analyzer: p.analyzer, Opt: p.cfg.Options})
 		idx = append(idx, j)
 		reports[j] = r
 	}

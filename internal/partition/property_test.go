@@ -2,12 +2,18 @@ package partition
 
 import (
 	"context"
+	"math"
+	"math/big"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/taskgen"
 	"repro/internal/workload"
 )
 
@@ -43,6 +49,121 @@ func randomPartitioned(rng *rand.Rand) workload.Workload {
 		}
 	}
 	return workload.NewPartitioned(procs, tasks)
+}
+
+// coldPlatform draws platform i of the partition-cold shape: m in
+// {4, 8, 16} by i, speeds 1–3 on every fourth platform, 2m–4m tasks whose
+// UUniFast utilizations fill 55–85% of the capacity, log-uniform periods
+// over 10²–10⁵ with constrained deadlines, 15% of tasks pinned to one or
+// two processors, and every fifth platform overloaded to at least 1.05
+// times its capacity.
+func coldPlatform(rng *rand.Rand, i int) workload.Workload {
+	m := []int{4, 8, 16}[i%3]
+	procs := make([]workload.Processor, m)
+	capacity := 0.0
+	for j := range procs {
+		if i%4 == 1 {
+			procs[j].Speed = 1 + rng.Int63n(3)
+		}
+		capacity += float64(procs[j].EffectiveSpeed())
+	}
+	overloaded := i%5 == 2
+	load := 0.55 + 0.3*rng.Float64()
+	if overloaded {
+		load = 1.05 + 0.15*rng.Float64()
+	}
+	n := 2*m + rng.Intn(2*m+1)
+	tasks := make([]workload.PartitionedTask, 0, n)
+	for _, u := range taskgen.UUniFast(n, load*capacity, rng) {
+		tasks = append(tasks, coldTask(rng, m, u))
+	}
+	wl := workload.NewPartitioned(procs, tasks)
+	// The per-task cap can cut an overloaded platform's demand below its
+	// capacity; top it up.
+	floor := new(big.Rat).Mul(wl.Capacity(), big.NewRat(105, 100))
+	for overloaded && wl.Utilization().Cmp(floor) < 0 {
+		wl.PartTasks = append(wl.PartTasks, coldTask(rng, m, 0.5+0.4*rng.Float64()))
+	}
+	return wl
+}
+
+// coldTask draws one task of utilization about min(u, 0.9).
+func coldTask(rng *rand.Rand, m int, u float64) workload.PartitionedTask {
+	t := int64(math.Round(math.Pow(10, 2+3*rng.Float64())))
+	c := min(max(int64(math.Round(min(u, 0.9)*float64(t))), 1), t)
+	d := t - int64(0.3*rng.Float64()*float64(t-c))
+	pt := workload.PartitionedTask{Task: model.Task{WCET: c, Deadline: max(d, c), Period: t}}
+	if rng.Float64() < 0.15 {
+		a, b := rng.Intn(m), rng.Intn(m)
+		pt.Affinity = []int{min(a, b), max(a, b)}
+		if a == b {
+			pt.Affinity = pt.Affinity[:1]
+		}
+	}
+	return pt
+}
+
+// TestCertificatePlacesLikeExact: with the eligible cascade most trials
+// are settled by the per-processor incremental certificate, while "pd"
+// is not eligible and runs the exact processor-demand test on every
+// trial. Both placements must make every decision alike — the winner,
+// every task's processor, each failed heuristic's trail and each final
+// bin — on random platforms and on the partition-cold shape, under both
+// arithmetics.
+func TestCertificatePlacesLikeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var wls []workload.Workload
+	for range 250 {
+		wls = append(wls, randomPartitioned(rng))
+	}
+	cold := rand.New(rand.NewSource(3))
+	for i := range 300 {
+		wls = append(wls, coldPlatform(cold, i))
+	}
+	feasible, failed := 0, 0
+	for trial, wl := range wls {
+		var opt core.Options
+		if trial%3 == 0 {
+			opt.Arithmetic = core.ArithBigRat
+		}
+		got, err := Place(context.Background(), wl, Config{Analyzer: "cascade", Options: opt})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want, err := Place(context.Background(), wl, Config{Analyzer: "pd", Options: opt})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got.Feasible != want.Feasible || got.Heuristic != want.Heuristic ||
+			!reflect.DeepEqual(got.Assignment, want.Assignment) {
+			t.Fatalf("trial %d: certificate placed (%v, %q, %v), exact (%v, %q, %v)", trial,
+				got.Feasible, got.Heuristic, got.Assignment, want.Feasible, want.Heuristic, want.Assignment)
+		}
+		if !reflect.DeepEqual(got.Attempts, want.Attempts) {
+			t.Fatalf("trial %d: attempts\n%+v\nexact\n%+v", trial, got.Attempts, want.Attempts)
+		}
+		if !reflect.DeepEqual(got.Counterexample, want.Counterexample) {
+			t.Fatalf("trial %d: counterexample %+v, exact %+v", trial, got.Counterexample, want.Counterexample)
+		}
+		if len(got.Processors) != len(want.Processors) {
+			t.Fatalf("trial %d: %d processor reports, exact %d", trial, len(got.Processors), len(want.Processors))
+		}
+		for j, g := range got.Processors {
+			w := want.Processors[j]
+			if !reflect.DeepEqual(g.Tasks, w.Tasks) || g.UtilizationExact != w.UtilizationExact || g.Verdict != w.Verdict {
+				t.Fatalf("trial %d: processor %d reports (%v, %s, %s), exact (%v, %s, %s)", trial, j,
+					g.Tasks, g.UtilizationExact, g.Verdict, w.Tasks, w.UtilizationExact, w.Verdict)
+			}
+		}
+		if got.Feasible {
+			feasible++
+		}
+		failed += len(got.Attempts)
+	}
+	if feasible == 0 || failed == 0 {
+		t.Fatalf("inputs lack feasible (%d) or failed (%d) placements", feasible, failed)
+	}
+	t.Logf("%d/%d platforms placed, %d failed heuristic trails", feasible, len(wls), failed)
 }
 
 // TestPlacementConfirmedByFullAnalyzer is the oracle property over random
@@ -107,4 +228,52 @@ func TestPlacementConfirmedByFullAnalyzer(t *testing.T) {
 		t.Fatal("no feasible trial — the generator is miscalibrated")
 	}
 	t.Logf("%d/%d trials feasible", feasible, trials)
+}
+
+// TestPlaceConcurrent places the same platforms from several goroutines
+// at once, so recycled placers move between goroutines (run it with
+// -race), and requires every result to equal the serial one, which was
+// taken before and must not alias any placer's memory.
+func TestPlaceConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	wls := make([]workload.Workload, 24)
+	want := make([]Placement, len(wls))
+	for i := range wls {
+		wls[i] = coldPlatform(rng, i)
+		pl, err := Place(context.Background(), wls[i], Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = withoutWallTimes(pl)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range wls {
+				i := (k + 7*g) % len(wls)
+				got, err := Place(context.Background(), wls[i], Config{Workers: 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(withoutWallTimes(got), want[i]) {
+					t.Errorf("goroutine %d: platform %d placed differently from the serial run", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// withoutWallTimes returns pl with the per-bin wall times, the only
+// run-dependent field, zeroed in a copy of its reports.
+func withoutWallTimes(pl Placement) Placement {
+	pl.Processors = slices.Clone(pl.Processors)
+	for j := range pl.Processors {
+		pl.Processors[j].WallNS = 0
+	}
+	return pl
 }

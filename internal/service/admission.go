@@ -143,7 +143,7 @@ type Admission struct {
 	// that decides most proposals in O(delta): a sufficient certificate
 	// whose accepts provably agree with the cascade, escalating to the
 	// full analyzer otherwise. Only eligible configurations get one (see
-	// incrementalEligible).
+	// incremental.Eligible).
 	inc *incremental.State
 	// committedUtil mirrors util at the last commit point, making
 	// Rollback's utilization reset O(1) instead of O(committed).
@@ -193,7 +193,7 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 		adm.candTasks = append(model.TaskSet(nil), seed.Tasks...)
 		adm.candEvents = append([]eventstream.Task(nil), seed.Events...)
 	}
-	if incrementalEligible(name, cfg.Options, cfg.NoIncremental) {
+	if !cfg.NoIncremental && incremental.Eligible(a.Info().Name, cfg.Options) {
 		inc := incremental.New(engine.DefaultSuperPosLevel)
 		if inc.AppendWorkload(adm.committed) {
 			inc.Rebuild()
@@ -208,21 +208,6 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 	}
 	adm.committedUtil = adm.util
 	return adm, nil
-}
-
-// incrementalEligible reports whether a session configuration can use the
-// incremental fast path. The certificate reasons about the plain
-// synchronous demand-bound criterion the cascade decides, so anything
-// that changes the cascade's semantics — blocking, iteration or level
-// caps, a forced bound, or a different analyzer altogether — disables
-// it. Both arithmetics stay eligible: they are bit-identical.
-func incrementalEligible(analyzer string, opt core.Options, disabled bool) bool {
-	return !disabled &&
-		analyzer == "cascade" &&
-		opt.Blocking == nil &&
-		opt.MaxIterations == 0 &&
-		opt.MaxLevel == 0 &&
-		opt.Bound == ""
 }
 
 // analyzeOptions returns the test options with the controller's reusable

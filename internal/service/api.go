@@ -353,8 +353,9 @@ type PartitionRequest struct {
 	// Heuristics orders the placement strategies tried ("first-fit",
 	// "worst-fit", "balance"); empty tries all three in that order.
 	Heuristics []string
-	// Workers bounds the per-bin verification pool; 0 selects the server
-	// default.
+	// Workers bounds the pool that verifies the final bins of a
+	// placement; 0 selects the server default. Trials during the search
+	// run on the request's goroutine.
 	Workers int
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/eventstream"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -224,6 +225,25 @@ func TestAdmissionIneligibleOptions(t *testing.T) {
 	}
 	if st := adm.Stats(); st.FastAccepts == 0 {
 		t.Error("big-rat session never used the fast path")
+	}
+}
+
+// TestAdmissionEligibleSpelling: eligibility follows the resolved
+// analyzer, so any spelling of the cascade takes the fast path.
+func TestAdmissionEligibleSpelling(t *testing.T) {
+	for _, name := range []string{"cascade", "CASCADE", " Cascade "} {
+		adm, err := NewAdmission(AdmissionConfig{Analyzer: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := adm.Propose(model.Task{WCET: 2, Deadline: 8, Period: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Admitted || out.Path != obs.PathFast {
+			t.Errorf("analyzer %q: first proposal took path %q (admitted %v), want %q",
+				name, out.Path, out.Admitted, obs.PathFast)
+		}
 	}
 }
 

@@ -172,8 +172,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counter("edfd_partition_requests_total", "Partitioned placement requests served.", s.m.partitionRequests.Load())
 	counter("edfd_partition_feasible_total", "Placement requests answered with a proven placement.", s.m.partitionFeasible.Load())
 	counter("edfd_partition_infeasible_total", "Placement requests answered with a counterexample.", s.m.partitionInfeasible.Load())
-	counter("edfd_partition_bin_checks_total", "Per-bin feasibility verdicts consulted during placement.", s.m.partitionBinChecks.Load())
-	counter("edfd_partition_bin_cache_hits_total", "Bin verdicts served from the content-addressed cache.", s.m.partitionBinCacheHits.Load())
+	counter("edfd_partition_bin_checks_total", "Bin verdicts consulted during placement: gate-surviving trials plus final bins.", s.m.partitionBinChecks.Load())
+	counter("edfd_partition_bin_cache_hits_total", "Final-bin verdicts served from the content-addressed cache.", s.m.partitionBinCacheHits.Load())
 	counter("edfd_partition_gate_rejections_total", "Candidate bins dismissed by the O(1) utilization gate.", s.m.partitionGateRejections.Load())
 	counter("edfd_session_proposals_total", "Session proposals decided, bulk members included.", s.m.proposals.Load())
 	counter("edfd_session_propose_batches_total", "Propose-batch requests served.", s.m.proposeBatches.Load())

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -144,6 +145,33 @@ func TestE2EPartitionCounterexample(t *testing.T) {
 	ce := resp.Counterexample
 	if ce.FailedTaskName == "" || len(ce.Rejections) != 2 {
 		t.Errorf("counterexample: %+v", ce)
+	}
+}
+
+// TestE2EPartitionHugeSpeed: on a processor of speed MaxInt64 each
+// WCET-2 task scales to ceil(2/s) = 1 per period 2, so three of them
+// need 3/2 of it and the third fails the utilization gate. The naive
+// scaling (C+s-1)/s wraps there to a negative WCET and makes the
+// platform look feasible.
+func TestE2EPartitionHugeSpeed(t *testing.T) {
+	hs := httptest.NewServer(service.New(service.Config{}).Handler())
+	defer hs.Close()
+	const body = `{"model":"partitioned",
+		"processors":[{"speed":9223372036854775807}],
+		"tasks":[{"wcet":2,"deadline":2,"period":2},
+		         {"wcet":2,"deadline":2,"period":2},
+		         {"wcet":2,"deadline":2,"period":2}]}`
+	var out service.PartitionResponse
+	if resp := postRaw(t, hs, "/v1/partition", body, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Feasible {
+		t.Fatalf("three half-utilization tasks placed on one processor: %+v", out.Processors)
+	}
+	ce := out.Counterexample
+	if ce == nil || ce.FailedTask != 2 || ce.Placed != 2 ||
+		len(ce.Rejections) != 1 || ce.Rejections[0].Reason != "gate" {
+		t.Errorf("counterexample %+v, want task 2 refused by the gate after 2 placed", ce)
 	}
 }
 

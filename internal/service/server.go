@@ -450,7 +450,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePartition places a partitioned workload onto its processors,
-// verifying every bin through the cache-backed batch runner, and
+// verifying the final bins through the cache-backed batch runner, and
 // reports either the proven placement or the counterexample trail.
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	var req PartitionRequest

@@ -61,9 +61,9 @@ type PartitionedUnsupportedError = engine.PartitionedUnsupportedError
 
 // AnalyzePartitioned searches for a feasible partitioned-EDF placement.
 // The zero config uses the cascade analyzer, all heuristics in order,
-// and one worker per processor; per-bin verdicts are exact, so a
-// feasible placement is a proof and an infeasible one carries the
-// heuristic rejection trail.
+// and one worker per CPU to verify the final bins; per-bin verdicts are
+// exact, so a feasible placement is a proof and an infeasible one
+// carries the heuristic rejection trail.
 func AnalyzePartitioned(ctx context.Context, wl Workload, cfg PlacementConfig) (Placement, error) {
 	return partition.Place(ctx, wl, cfg)
 }
