@@ -46,10 +46,11 @@ bench-core:
 	rm -f bench-core.out
 
 # Session admission benchmarks (incremental fast path vs full
-# re-analysis on 1k-task sessions, plus churn replay), merged into the
-# committed trend file BENCH_session.json under the same baseline/gate
-# rules as bench-core. The incremental grid benchmark has a 0-alloc
-# baseline, so with GATE set any allocation on the fast path fails CI.
+# re-analysis on 1k-task sessions, session open, plus churn replay),
+# merged into the committed trend file BENCH_session.json under the same
+# baseline/gate rules as bench-core. Both incremental propose benchmarks
+# (grid and spread periods) have a 0-alloc baseline, so with GATE set
+# any allocation on the fast path fails CI.
 bench-session:
 	$(GO) test -run xxx -bench BenchmarkSession -benchmem -benchtime $(BENCHTIME) ./internal/service/ > bench-session.out
 	$(GO) run ./cmd/benchmerge -out BENCH_session.json $(if $(GATE),-gate $(GATE)) < bench-session.out

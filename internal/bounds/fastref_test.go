@@ -152,6 +152,30 @@ func TestFastBoundsMatchReference(t *testing.T) {
 				ts, lg, lokG, ls, lokS, gb, gok, sb, sok)
 		}
 	}
+	// One-shot sources only: U = 0, every slope denominator is 1 and the
+	// plan holds no chunk.
+	for i := range 200 {
+		srcs := []demand.Uniform{{C: 2, First: 10}, {C: 3, First: 20}}
+		if i > 0 {
+			srcs = make([]demand.Uniform, 1+rng.Intn(10))
+			for k := range srcs {
+				c := 1 + rng.Int63n(50)
+				srcs[k] = demand.Uniform{C: c, First: c + rng.Int63n(1000)}
+			}
+		}
+		gb, gok := George(srcs)
+		if wb, wok := refGeorge(srcs); gb != wb || gok != wok {
+			t.Fatalf("George(%v) = (%d,%v), ref (%d,%v)", srcs, gb, gok, wb, wok)
+		}
+		sb, sok := Superposition(srcs)
+		if wb, wok := refSuperposition(srcs); sb != wb || sok != wok {
+			t.Fatalf("Superposition(%v) = (%d,%v), ref (%d,%v)", srcs, sb, sok, wb, wok)
+		}
+		if lg, lokG, ls, lokS := LinearBounds(srcs); lg != gb || lokG != gok || ls != sb || lokS != sok {
+			t.Fatalf("LinearBounds(%v) = (%d,%v,%d,%v), want George (%d,%v) / Superposition (%d,%v)",
+				srcs, lg, lokG, ls, lokS, gb, gok, sb, sok)
+		}
+	}
 }
 
 // TestBestSourcesMatchesBest pins the scratch-oriented entry point, on

@@ -116,8 +116,6 @@ type State struct {
 	cUQ32  uint64
 
 	// Reusable working memory.
-	tl     demand.TestList
-	jobs   []int64
 	staged []demand.Uniform // proposed task's sources, sorted by First
 	newPts []int64          // staged sources' own test points
 	spareP []int64          // fold output double buffers
@@ -501,12 +499,15 @@ func (st *State) fold() bool {
 
 // Rebuild discards the anchor and reconstructs it with a level-L
 // superposition walk over the whole arena — the from-scratch path used
-// at construction. Points where the approximation overshoots the
-// interval get negative slack (sound: the owner only keeps sets the
-// exact analyzer admitted, and such points just fail future
-// certificates); only an accumulator leaving int64 range makes the
-// anchor unusable, after which every proposal escalates.
-func (st *State) Rebuild() {
+// at construction. The walk runs on s: its test list, job counters and
+// chunk registers, bound to the plan over the arena's slopes, so it is
+// exact and stays off math/big whenever that plan covers the periods.
+// Points where the approximation overshoots the interval get negative
+// slack (sound: the owner only keeps sets the exact analyzer admitted,
+// and such points just fail future certificates); only an accumulator
+// leaving int64 range makes the anchor unusable, after which every
+// proposal escalates.
+func (st *State) Rebuild(s *demand.Scratch) {
 	st.pts = st.pts[:0]
 	st.slack = st.slack[:0]
 	st.valid = false
@@ -518,33 +519,29 @@ func (st *State) Rebuild() {
 		}
 		st.uQ32 += q
 	}
-	st.tl.Reset()
-	st.tl.Grow(len(st.srcs))
-	if cap(st.jobs) < len(st.srcs) {
-		st.jobs = make([]int64, len(st.srcs))
-	}
-	st.jobs = st.jobs[:len(st.srcs)]
-	for i := range st.jobs {
-		st.jobs[i] = 0
-	}
+	s.Util(st.srcs)
+	dbf, uready, one, tmp := s.Reg(1), s.Reg(2), s.Reg(3), s.Reg(4)
+	one.SetInt(1)
+	tl := s.TestList(len(st.srcs))
+	jobs := s.Jobs(len(st.srcs))
 	for i := range st.srcs {
-		st.tl.Add(st.srcs[i].JobDeadline(1), i)
+		tl.Add(st.srcs[i].JobDeadline(1), i)
 	}
-	var dbf, uready numeric.Fast
 	var iold int64
-	for !st.tl.Empty() {
-		e := st.tl.Next()
+	for !tl.Empty() {
+		e := tl.Next()
 		src := &st.srcs[e.Src]
-		st.jobs[e.Src]++
-		dbf = dbf.AddInt(src.C).AddScaled(uready, e.I-iold)
+		jobs[e.Src]++
+		dbf.AddInt(src.C)
+		dbf.AddScaled(uready, e.I-iold)
 		iold = e.I
-		if st.jobs[e.Src] >= st.level {
-			uready = uready.AddRat(src.UtilRat())
+		if jobs[e.Src] >= st.level {
+			uready.AddRat(src.UtilRat())
 		} else {
-			st.tl.Add(src.NextDeadline(e.I), e.Src)
+			tl.Add(src.NextDeadline(e.I), e.Src)
 		}
-		if st.tl.Empty() || st.tl.Peek().I != e.I {
-			c, ok := dbf.CeilInt64()
+		if tl.Empty() || tl.Peek().I != e.I {
+			c, ok := numeric.QuoCeilChunked(dbf, one, tmp)
 			if !ok {
 				// Approximation left int64 range: no certificate.
 				st.pts = st.pts[:0]

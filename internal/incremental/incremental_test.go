@@ -91,7 +91,7 @@ func TestFoldMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		st := New(engine.DefaultSuperPosLevel)
-		st.Rebuild()
+		st.Rebuild(demand.NewScratch())
 		n := 2 + r.Intn(12)
 		for i := 0; i < n; i++ {
 			var tk workload.Task
@@ -110,7 +110,7 @@ func TestFoldMatchesRebuild(t *testing.T) {
 		}
 		ref := New(engine.DefaultSuperPosLevel)
 		ref.srcs = append(ref.srcs, st.srcs...)
-		ref.Rebuild()
+		ref.Rebuild(demand.NewScratch())
 		if !ref.valid {
 			t.Fatalf("seed %d: rebuild failed on small parameters", seed)
 		}
@@ -148,7 +148,7 @@ func TestCheckSound(t *testing.T) {
 			ts = append(ts, m)
 			st.appendTask(workload.Task{Sporadic: &m})
 		}
-		st.Rebuild()
+		st.Rebuild(demand.NewScratch())
 		if !st.Usable() {
 			continue
 		}
@@ -190,7 +190,7 @@ func TestCommitRollback(t *testing.T) {
 		m := randTask(r)
 		st.appendTask(workload.Task{Sporadic: &m})
 	}
-	st.Rebuild()
+	st.Rebuild(demand.NewScratch())
 	if !st.Usable() {
 		t.Fatal("rebuild failed on small parameters")
 	}
@@ -242,7 +242,7 @@ func TestOverflowEscalates(t *testing.T) {
 	st := New(engine.DefaultSuperPosLevel)
 	huge := model.Task{WCET: 1 << 62, Deadline: 1 << 62, Period: 1 << 62}
 	st.appendTask(workload.Task{Sporadic: &huge})
-	st.Rebuild()
+	st.Rebuild(demand.NewScratch())
 	if !st.Usable() {
 		t.Skip("rebuild already rejected the huge set")
 	}
@@ -262,7 +262,7 @@ func TestOverflowEscalates(t *testing.T) {
 // TestOneShotSources exercises Sep == 0 lowering through fold and check.
 func TestOneShotSources(t *testing.T) {
 	st := New(engine.DefaultSuperPosLevel)
-	st.Rebuild()
+	st.Rebuild(demand.NewScratch())
 	one := eventstream.Task{WCET: 5, Deadline: 10, Stream: eventstream.Stream{{Offset: 0, Cycle: 0}}}
 	st.Admit(workload.Task{Event: &one})
 	if !st.valid {

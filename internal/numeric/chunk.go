@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 	"math/bits"
@@ -508,6 +509,10 @@ func (v *Chunked) Cmp(o *Chunked) int {
 	if v.br != nil || o.br != nil {
 		return v.ratView().Cmp(o.ratView())
 	}
+	if v.plan.n == 0 {
+		// No chunks: both values are their integer parts.
+		return cmp.Compare(v.ip, o.ip)
+	}
 	// Compare the fractional-part difference against the integer gap.
 	// f_v - f_o lies in (-n, n); gaps at least n are decided outright.
 	gap, ok := SubChecked(o.ip, v.ip)
@@ -707,7 +712,11 @@ func QuoCeilChunked(a, b, t *Chunked) (int64, bool) {
 	return hi, true
 }
 
-// quoCeilBig is the arbitrary-precision path of QuoCeilChunked.
+// quoCeilBig is the arbitrary-precision path of QuoCeilChunked. It
+// divides the cross products directly: normalizing the quotient as a
+// big.Rat would cost a GCD as wide as the operands.
 func quoCeilBig(s, o *big.Rat) (int64, bool) {
-	return ceilRatInt64(new(big.Rat).Quo(s, o))
+	n := new(big.Int).Mul(s.Num(), o.Denom())
+	d := new(big.Int).Mul(s.Denom(), o.Num())
+	return ceilDivBig(n, d)
 }

@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -155,6 +156,10 @@ func TestChunkedRandomOpsGrid(t *testing.T) {
 	dens := []int64{10, 20, 50, 100, 1000, 2000, 5000}
 	for trial := 0; trial < 30; trial++ {
 		chunkedOps(t, dens, rng, 200)
+	}
+	// Integer denominators only: a plan without chunks.
+	for trial := 0; trial < 10; trial++ {
+		chunkedOps(t, []int64{1}, rng, 200)
 	}
 }
 
@@ -513,6 +518,9 @@ func FuzzChunkedVsBigRat(f *testing.F) {
 					if got, want := v.CmpInt(x%5), ref.Cmp(new(big.Rat).SetInt64(x%5)); got != want {
 						t.Fatalf("op %d reg %d: CmpInt(%d) = %d, want %d (v=%s)", i, k, x%5, got, want, ref)
 					}
+					if got, want := v.Cmp(u), ref.Cmp(uref); got != want {
+						t.Fatalf("op %d reg %d: Cmp = %d, want %d (v=%s u=%s)", i, k, got, want, ref, uref)
+					}
 				}
 				if got := v.Rat(); got.Cmp(ref) != 0 {
 					t.Fatalf("op %d (%d) reg %d: chunked=%s ref=%s", i, op, k, got, ref)
@@ -522,9 +530,12 @@ func FuzzChunkedVsBigRat(f *testing.F) {
 	})
 }
 
-// FuzzFastVsBigRat cross-checks the Fast session sums against big.Rat
-// the same way, covering the promotion/demotion boundary. Subtraction is
-// AddRat with a negated numerator, as the sessions use it.
+// FuzzFastVsBigRat cross-checks the session sums, UtilSum, against
+// big.Rat: after every term the bracket must hold the exact sum, a
+// decided CmpOne must match the exact comparison with 1, and Float must
+// be the nearest float64. Terms are proper fractions over the two
+// fuzzed denominators, the same with a zero numerator allowed, and small
+// integers.
 func FuzzFastVsBigRat(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, int64(1<<40), int64(999999937))
 	f.Add([]byte{1, 1, 1, 1, 1, 1}, int64(2305843009213693951), int64(4611686018427387847))
@@ -532,7 +543,7 @@ func FuzzFastVsBigRat(f *testing.F) {
 		if d1 <= 0 || d2 <= 0 {
 			return
 		}
-		var v Fast
+		var u UtilSum
 		ref := new(big.Rat)
 		dens := []int64{d1, d2}
 		for i, op := range prog {
@@ -541,34 +552,18 @@ func FuzzFastVsBigRat(f *testing.F) {
 			}
 			x := int64(i)*104729 + int64(op)
 			d := dens[int(op/16)%2]
-			switch op % 6 {
+			var num, den int64
+			switch op % 3 {
 			case 0:
-				v = v.AddInt(x)
-				ref.Add(ref, new(big.Rat).SetInt64(x))
+				num, den = x%d+1, d
 			case 1:
-				v = v.AddRat(x%d+1, d)
-				ref.Add(ref, big.NewRat(x%d+1, d))
-			case 2:
-				v = v.AddRat(-(x%d + 1), d)
-				ref.Sub(ref, big.NewRat(x%d+1, d))
-			case 3:
-				v = v.AddScaled(fastOf(x%d, d), x%(1<<40))
-				prod := new(big.Rat).Mul(big.NewRat(x%d, d), new(big.Rat).SetInt64(x%(1<<40)))
-				ref.Add(ref, prod)
-			case 4:
-				got, ok := v.CeilInt64()
-				want, wok := ceilRatInt64(ref)
-				if ok != wok || got != want {
-					t.Fatalf("op %d: CeilInt64 = (%d,%v), want (%d,%v) (v=%s)", i, got, ok, want, wok, ref)
-				}
-			case 5:
-				if got, want := v.CmpInt(x%7), ref.Cmp(new(big.Rat).SetInt64(x%7)); got != want {
-					t.Fatalf("op %d: CmpInt(%d) = %d, want %d (v=%s)", i, x%7, got, want, ref)
-				}
+				num, den = x%d, d
+			default:
+				num, den = x%1000, 1
 			}
-			if got := v.rat(); got.Cmp(ref) != 0 {
-				t.Fatalf("op %d (%d): fast=%s ref=%s", i, op, got, ref)
-			}
+			u = u.Add(num, den)
+			ref.Add(ref, big.NewRat(num, den))
+			checkSum(t, u, ref, fmt.Sprintf("op %d (%d)", i, op))
 		}
 	})
 }

@@ -44,11 +44,15 @@
 //
 // # Session sums
 //
-// Fast is an int64 numerator/denominator rational that promotes to
-// big.Rat on overflow and demotes when the value fits again. Its one job
-// is the running sums of an admission session (the utilization gate and
-// the incremental anchor rebuild), which outlive any single analysis and
-// therefore any per-analysis chunk plan.
+// An admission session's utilization gate lives across proposals whose
+// periods nobody knows in advance, so no chunk plan fits it. UtilSum
+// keeps that sum as a 128-bit fixed-point lower bound plus a count of
+// truncated terms, which brackets the exact value within 2^-128 per
+// term: every comparison with 1 is decided by integer arithmetic except
+// for sums that close to 1, where the session compares exactly on chunk
+// registers. The session's other sum, the incremental anchor rebuild,
+// is a one-shot walk over a known source set and runs on a Scratch's
+// registers like any analysis.
 //
 // The package also contains overflow-checked int64 helpers (gcd, lcm,
 // checked multiplication/addition) shared by the bounds and demand

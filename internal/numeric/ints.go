@@ -1,6 +1,10 @@
 package numeric
 
-import "math"
+import (
+	"math"
+	"math/big"
+	"math/bits"
+)
 
 // MaxInt64 re-exports math.MaxInt64 so callers of the demand package do not
 // need to import math for the "no further deadline" sentinel.
@@ -78,4 +82,58 @@ func FloorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
+}
+
+// mulInt64 returns a*b and whether the product fits in int64, detected
+// through the 128-bit product of math/bits.Mul64. Magnitude MinInt64 is
+// conservatively treated as overflow.
+func mulInt64(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	if a == math.MinInt64 || b == math.MinInt64 {
+		return 0, false
+	}
+	neg := (a < 0) != (b < 0)
+	ua, ub := uint64(absInt64(a)), uint64(absInt64(b))
+	hi, lo := bits.Mul64(ua, ub)
+	if hi != 0 || lo > math.MaxInt64 {
+		return 0, false
+	}
+	if neg {
+		return -int64(lo), true
+	}
+	return int64(lo), true
+}
+
+// addInt64 returns a+b and whether the sum fits in int64.
+func addInt64(a, b int64) (int64, bool) {
+	s := a + b
+	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+		return 0, false
+	}
+	return s, true
+}
+
+func absInt64(v int64) int64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// ceilDivBig returns ceil(n/d) for n >= 0 and d > 0 and whether it fits
+// in int64; a negative n reports false.
+func ceilDivBig(n, d *big.Int) (int64, bool) {
+	if n.Sign() < 0 {
+		return 0, false
+	}
+	q, m := new(big.Int).QuoRem(n, d, new(big.Int))
+	if m.Sign() != 0 {
+		q.Add(q, big.NewInt(1))
+	}
+	if !q.IsInt64() {
+		return 0, false
+	}
+	return q.Int64(), true
 }

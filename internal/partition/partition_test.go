@@ -109,6 +109,21 @@ func TestPlaceHeuristicRanking(t *testing.T) {
 			t.Errorf("winning heuristic %q, want %q", pl.Heuristic, h)
 		}
 	}
+	// Period-1 tasks make every fill an integer (a plan without chunks),
+	// so equal processors tie exactly and the lowest index wins.
+	ties := workload.NewPartitioned(
+		[]workload.Processor{{Speed: 2}, {Speed: 2}, {Speed: 2}, {Speed: 2}},
+		[]workload.PartitionedTask{task("a", 1, 1, 1), task("b", 1, 1, 1)},
+	)
+	for _, h := range []Heuristic{FirstFit, WorstFit, Balance} {
+		pl, err := Place(context.Background(), ties, Config{Heuristics: []Heuristic{h}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pl.Feasible || !slices.Equal(pl.Assignment, []int{0, 1}) {
+			t.Errorf("%s placed period-1 tasks on %v, want [0 1]", h, pl.Assignment)
+		}
+	}
 }
 
 func TestPlaceSpeedScaling(t *testing.T) {

@@ -74,8 +74,10 @@ type ProposeOutcome struct {
 	// keeping the propose path allocation-free.
 	Stages obs.StageLog
 	// Promotions counts this decision's exits from the bounded-denominator
-	// fast path (zero on the gate and fast paths, which never run chunked
-	// arithmetic).
+	// fast path: those of the exact utilization comparison the gate falls
+	// back to and of an escalated analysis. A decision the fixed-point
+	// gate and the certificate settle alone runs no chunked arithmetic
+	// and counts zero.
 	Promotions uint64
 }
 
@@ -103,6 +105,10 @@ type AdmissionStats struct {
 	// count toward neither).
 	FastAccepts int64
 	Escalations int64
+	// Promotions counts the bounded-denominator fast-path exits of every
+	// analysis the controller ran: the seed analysis and anchor rebuild
+	// at construction, exact gate fallbacks and escalations.
+	Promotions uint64
 }
 
 // Admission is a concurrency-safe online admission controller: tasks are
@@ -112,13 +118,14 @@ type AdmissionStats struct {
 // tasks, event sessions admit event-driven tasks.
 //
 // The controller is built for sustained proposal rates: it keeps the
-// running utilization incrementally as an exact fast rational (so the
-// reject-on-overload path costs one addition and one comparison, no
-// allocation, and never consults an analyzer), caches the committed and
-// pending tasks in one contiguous candidate buffer (so a proposal appends
-// the candidate instead of re-materializing the whole session workload),
-// and owns an analysis Scratch reused across every decision (so the
-// analyzers run allocation-free in steady state).
+// running utilization incrementally as a 128-bit fixed-point bound (so
+// the reject-on-overload path costs one addition and one comparison, no
+// allocation, and never consults an analyzer; only a sum within 2^-128
+// per term of 1 is compared exactly, on the Scratch registers), caches
+// the committed and pending tasks in one contiguous candidate buffer (so
+// a proposal appends the candidate instead of re-materializing the whole
+// session workload), and owns an analysis Scratch reused across every
+// decision (so the analyzers run allocation-free in steady state).
 type Admission struct {
 	mu        sync.Mutex
 	analyzer  engine.Analyzer
@@ -126,7 +133,7 @@ type Admission struct {
 	model     workload.Model
 	committed workload.Workload
 	pending   workload.Workload
-	util      numeric.Fast // utilization of committed + pending
+	util      numeric.UtilSum // utilization of committed + pending
 	// candTasks/candEvents hold committed followed by pending tasks in
 	// admission order; a proposal appends the candidate, a rejection
 	// truncates it again, a rollback truncates to the committed prefix.
@@ -147,7 +154,7 @@ type Admission struct {
 	inc *incremental.State
 	// committedUtil mirrors util at the last commit point, making
 	// Rollback's utilization reset O(1) instead of O(committed).
-	committedUtil numeric.Fast
+	committedUtil numeric.UtilSum
 }
 
 // NewAdmission builds an admission controller. It fails when the analyzer
@@ -189,14 +196,14 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 			}
 		}
 		adm.committed = seed
-		adm.util = workloadUtilFast(seed)
+		adm.util = workloadUtil(seed)
 		adm.candTasks = append(model.TaskSet(nil), seed.Tasks...)
 		adm.candEvents = append([]eventstream.Task(nil), seed.Events...)
 	}
 	if !cfg.NoIncremental && incremental.Eligible(a.Info().Name, cfg.Options) {
 		inc := incremental.New(engine.DefaultSuperPosLevel)
 		if inc.AppendWorkload(adm.committed) {
-			inc.Rebuild()
+			inc.Rebuild(adm.scratch)
 		}
 		if inc.Usable() {
 			inc.Commit()
@@ -293,14 +300,20 @@ func (a *Admission) proposeLocked(t workload.Task) (ProposeOutcome, error) {
 	a.stats.Proposed++
 	a.stages.Reset()
 
+	p0 := a.scratch.ArithPromotions()
+
 	// Cheap gate: incremental utilization. U > 1 is exactly infeasible
 	// under either model, so this is a sound O(1) rejection, not a
-	// heuristic.
+	// heuristic. The fixed-point bound settles all but sums within
+	// 2^-128 per term of 1, which are compared exactly.
 	grown := addTaskUtil(a.util, t)
-	cmp1 := grown.CmpInt(1)
+	cmp1, ok := grown.CmpOne()
+	if !ok {
+		cmp1 = a.exactCmpOneLocked(t)
+	}
 	if cmp1 > 0 {
 		a.stats.Rejected++
-		return a.outcome(false, core.Result{Verdict: core.Infeasible}, obs.PathGate), nil
+		return a.outcome(false, core.Result{Verdict: core.Infeasible}, obs.PathGate, p0), nil
 	}
 
 	// Incremental fast path: with strictly sub-unit grown utilization the
@@ -318,45 +331,54 @@ func (a *Admission) proposeLocked(t workload.Task) (ProposeOutcome, error) {
 				MaxLevel:   engine.DefaultSuperPosLevel,
 			}
 			a.stats.FastAccepts++
-			return a.outcome(true, res, obs.PathFast), nil
+			return a.outcome(true, res, obs.PathFast, p0), nil
 		}
 	}
 
 	start := time.Now()
-	p0 := a.scratch.ArithPromotions()
+	pe := a.scratch.ArithPromotions()
 	res, err := engine.AnalyzeWorkload(a.analyzer, a.candidateLocked(t), a.analyzeOptions())
 	if err != nil {
 		a.retractCandidateLocked()
 		return ProposeOutcome{}, err
 	}
-	promos := a.scratch.ArithPromotions() - p0
 	if a.stages.Len() == 0 {
 		// A non-cascade analyzer records no stages itself; log the whole
 		// run as its one stage so traces always name the deciding test.
-		a.stages.Record(a.analyzer.Info().Name, res.Verdict.String(), res.Iterations, time.Since(start).Nanoseconds(), promos)
+		a.stages.Record(a.analyzer.Info().Name, res.Verdict.String(), res.Iterations, time.Since(start).Nanoseconds(), a.scratch.ArithPromotions()-pe)
 	}
 	a.stats.Iterations += res.Iterations
 	a.stats.Escalations++
 	if res.Verdict != core.Feasible {
 		a.stats.Rejected++
 		a.retractCandidateLocked()
-		out := a.outcome(false, res, obs.PathCascade)
-		out.Promotions = promos
-		return out, nil
+		return a.outcome(false, res, obs.PathCascade, p0), nil
 	}
 	// Admitted: the candidate stays in the buffer (it is now the last
 	// pending task) and is mirrored into the pending workload.
 	a.retractCandidateLocked()
 	a.admitLocked(t, grown)
-	out := a.outcome(true, res, obs.PathCascade)
-	out.Promotions = promos
-	return out, nil
+	return a.outcome(true, res, obs.PathCascade, p0), nil
+}
+
+// exactCmpOneLocked compares the utilization of the session plus t with
+// 1 exactly on the Scratch registers — the gate's fallback for the sums
+// UtilSum cannot place. The plan it builds is the one an escalated
+// cascade over the same candidate looks up next. The caller holds the
+// mutex.
+func (a *Admission) exactCmpOneLocked(t workload.Task) int {
+	w := a.candidateLocked(t)
+	defer a.retractCandidateLocked()
+	if a.model == workload.Events {
+		return a.scratch.Util(eventstream.Sources(w.Events)).CmpInt(1)
+	}
+	return a.scratch.UtilTasks(w.Tasks).CmpInt(1)
 }
 
 // admitLocked stages an accepted task: appends it to the candidate buffer,
 // mirrors it into the pending workload, folds it into the incremental
 // state and advances the running utilization; the caller holds the mutex.
-func (a *Admission) admitLocked(t workload.Task, grown numeric.Fast) {
+func (a *Admission) admitLocked(t workload.Task, grown numeric.UtilSum) {
 	if a.model == workload.Events {
 		a.candEvents = append(a.candEvents, *t.Event)
 		a.pending.Events = append(a.pending.Events, *t.Event)
@@ -396,8 +418,9 @@ func (a *Admission) retractCandidateLocked() {
 	}
 }
 
-// outcome snapshots the decision state; the caller holds the mutex.
-func (a *Admission) outcome(admitted bool, res core.Result, path string) ProposeOutcome {
+// outcome snapshots the decision state, counting the promotions since
+// the tally p0 read when the decision began; the caller holds the mutex.
+func (a *Admission) outcome(admitted bool, res core.Result, path string, p0 uint64) ProposeOutcome {
 	return ProposeOutcome{
 		Admitted:    admitted,
 		Result:      res,
@@ -407,6 +430,7 @@ func (a *Admission) outcome(admitted bool, res core.Result, path string) Propose
 		Escalated:   path == obs.PathCascade,
 		Path:        path,
 		Stages:      a.stages,
+		Promotions:  a.scratch.ArithPromotions() - p0,
 	}
 }
 
@@ -463,33 +487,34 @@ func (a *Admission) Snapshot() (committed, pending workload.Workload, utilizatio
 func (a *Admission) Stats() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats
+	st := a.stats
+	st.Promotions = a.scratch.ArithPromotions()
+	return st
 }
 
-// addTaskUtil adds one task's exact utilization to u without allocating:
-// C/T for a sporadic task, Σ C/cycle over the stream for an event task.
-func addTaskUtil(u numeric.Fast, t workload.Task) numeric.Fast {
+// addTaskUtil adds one task's utilization to u without allocating: C/T
+// for a sporadic task, Σ C/cycle over the stream for an event task.
+func addTaskUtil(u numeric.UtilSum, t workload.Task) numeric.UtilSum {
 	if t.Event != nil {
 		return addEventUtil(u, t.Event)
 	}
-	return u.AddRat(t.Sporadic.WCET, t.Sporadic.Period)
+	return u.Add(t.Sporadic.WCET, t.Sporadic.Period)
 }
 
 // addEventUtil adds an event task's utilization (one-shot elements
 // contribute nothing).
-func addEventUtil(u numeric.Fast, et *eventstream.Task) numeric.Fast {
+func addEventUtil(u numeric.UtilSum, et *eventstream.Task) numeric.UtilSum {
 	for _, e := range et.Stream {
 		if e.Cycle > 0 {
-			u = u.AddRat(et.WCET, e.Cycle)
+			u = u.Add(et.WCET, e.Cycle)
 		}
 	}
 	return u
 }
 
-// workloadUtilFast returns a workload's exact utilization as a fast
-// rational.
-func workloadUtilFast(w workload.Workload) numeric.Fast {
-	var u numeric.Fast
+// workloadUtil returns a workload's utilization as a fixed-point sum.
+func workloadUtil(w workload.Workload) numeric.UtilSum {
+	var u numeric.UtilSum
 	if w.Kind() == workload.Events {
 		for i := range w.Events {
 			u = addEventUtil(u, &w.Events[i])
@@ -497,7 +522,7 @@ func workloadUtilFast(w workload.Workload) numeric.Fast {
 		return u
 	}
 	for _, t := range w.Tasks {
-		u = u.AddRat(t.WCET, t.Period)
+		u = u.Add(t.WCET, t.Period)
 	}
 	return u
 }

@@ -1,7 +1,7 @@
 package service
 
 // Allocation regression for the admission hot loop: with the cached
-// candidate buffer, the fast-rational utilization gate and the
+// candidate buffer, the fixed-point utilization gate and the
 // per-controller Scratch, a ProposeBatch decision may allocate only a
 // small constant (outcome slice, cascade closures, Devi's sorted copy) —
 // never per-session-size slices or big.Rat chains.

@@ -5,23 +5,26 @@ package service_test
 // admission controller actually pays per decision on a large committed
 // session, in both period regimes from the core suite:
 //
-//   - grid: round {1,2,5}·10^k periods, the shape where the whole
-//     decision — utilization gate, incremental certificate, rollback —
-//     stays in int64 and must not allocate.
-//   - spread: log-uniform periods over four decades, where exact
-//     utilization arithmetic overflows int64 and falls back to big.Rat
-//     (allocations come from that pre-existing path, not the
-//     certificate).
+//   - grid: round {1,2,5}·10^k periods, where one chunk covers every
+//     period.
+//   - spread: log-uniform periods over four decades, where a running
+//     int64 fraction would overflow. The incremental decision —
+//     fixed-point utilization gate, certificate, rollback — never touches
+//     a fraction, so it stays allocation-free here too; the full cascade
+//     computes on chunk registers, promoting to big.Rat where 1000
+//     periods outgrow the chunk plan.
 //
 // The incremental/full pair on the same session is the headline number:
 // full forces NoIncremental (every proposal re-runs the cascade over the
 // whole set), incremental is the default fast path. BENCH_session.json
-// records both so the speedup and the 0-alloc grid contract are gated
-// in CI.
+// records both so the speedup and the 0-alloc contract of both
+// incremental rows are gated in CI. BenchmarkSessionOpen times the
+// session open itself.
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/churn"
@@ -96,6 +99,14 @@ func BenchmarkSessionPropose(b *testing.B) {
 				light := workload.SporadicTask(model.Task{
 					WCET: 1, Deadline: 500000, Period: 1000000,
 				})
+				// One warm-up decision sizes the certificate's fold
+				// buffers, and a collection clears the seed analysis's
+				// garbage, so the loop measures the steady state.
+				if _, err := adm.ProposeTask(light); err != nil {
+					b.Fatal(err)
+				}
+				adm.Rollback()
+				runtime.GC()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for b.Loop() {
@@ -110,6 +121,41 @@ func BenchmarkSessionPropose(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSessionOpen times NewAdmission, the session-open layer of
+// session churn: the seed's cascade analysis, its utilization sum and
+// the incremental anchor rebuild. "churn" cycles over the 100-task seeds
+// of churn scenarios 1–40; "grid" opens the 1000-task round-period seed.
+func BenchmarkSessionOpen(b *testing.B) {
+	churnSeeds := make([]workload.Workload, 40)
+	for i := range churnSeeds {
+		sc, err := churn.Generate("open", churn.Config{SeedTasks: 100, Ops: 1},
+			rand.New(rand.NewSource(int64(i+1))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		churnSeeds[i] = sc.Seed
+	}
+	for _, shape := range []struct {
+		name  string
+		seeds []workload.Workload
+	}{
+		{"churn", churnSeeds},
+		{"grid", []workload.Workload{benchSessionSeed(1000, true, 1)}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				_, err := service.NewAdmission(service.AdmissionConfig{Seed: shape.seeds[i%len(shape.seeds)]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
 	}
 }
 

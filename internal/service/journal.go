@@ -196,6 +196,7 @@ func (s *Server) rebuildEntry(st *store.SessionState) (*sessionEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.m.promotions.Add(adm.Stats().Promotions)
 	return &sessionEntry{adm: adm, analyzer: req.Analyzer, options: req.Options, lastSeq: st.Seq}, nil
 }
 

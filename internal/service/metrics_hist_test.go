@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -133,4 +135,39 @@ func TestProposeLatencyMetrics(t *testing.T) {
 	if err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Errorf("metrics page is not valid exposition format: %v\n%s", err, text)
 	}
+}
+
+// TestSessionOpenCountsPromotions opens a session whose seed no chunk
+// plan can cover — 40 pairwise-coprime periods above 2^31 — and expects
+// the register exits of the seed analysis and the anchor rebuild on the
+// promotions counter right after the open.
+func TestSessionOpenCountsPromotions(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	seed := make(model.TaskSet, 0, 40)
+	for v := int64(1<<31) + 11; len(seed) < 40; v += 2 {
+		if big.NewInt(v).ProbablyPrime(20) {
+			seed = append(seed, model.Task{WCET: 1 << 20, Deadline: v, Period: v})
+		}
+	}
+	b, err := json.Marshal(SessionRequest{Workload: workload.NewSporadic(seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(b)))
+	if rr.Code != http.StatusCreated {
+		t.Fatalf("open: %d %s", rr.Code, rr.Body)
+	}
+	var page bytes.Buffer
+	srv.writeMetrics(&page)
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "edfd_arith_promotions_total "); ok {
+			if n, err := strconv.ParseUint(v, 10, 64); err != nil || n == 0 {
+				t.Fatalf("edfd_arith_promotions_total = %q after an open no plan covers, want > 0", v)
+			}
+			return
+		}
+	}
+	t.Fatalf("metrics page lacks edfd_arith_promotions_total:\n%s", page.String())
 }

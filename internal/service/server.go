@@ -600,6 +600,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	s.m.promotions.Add(adm.Stats().Promotions)
 	id, e, err := s.sessions.open(adm, req.Analyzer, req.Options)
 	if err != nil {
 		s.fail(w, http.StatusTooManyRequests, err)
