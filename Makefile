@@ -21,6 +21,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkedVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx . | tee bench.out

@@ -1103,18 +1103,15 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.writeMetrics(w, scrapes)
 }
 
-// decodeBody reads the full request body and decodes it as T, answering
-// 400 itself on failure. The raw bytes come back too, so forwarding
-// reuses the client's exact payload instead of a re-encoding.
+// decodeBody decodes the request body as T through service.DecodeBody,
+// the replicas' own decoder, answering 400 itself on failure. The raw
+// bytes come back too, so forwarding reuses the client's exact payload
+// instead of a re-encoding.
 func decodeBody[T any](p *Proxy, w http.ResponseWriter, r *http.Request) ([]byte, T, bool) {
 	var req T
-	body, err := io.ReadAll(r.Body)
+	body, err := service.DecodeBody(r, &req)
 	if err != nil {
-		p.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
-		return nil, req, false
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		p.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		p.fail(w, http.StatusBadRequest, err)
 		return nil, req, false
 	}
 	return body, req, true

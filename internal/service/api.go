@@ -120,22 +120,14 @@ type AnalyzeRequest struct {
 	Options OptionsJSON
 }
 
-// analyzeShadow carries AnalyzeRequest's non-workload fields.
-type analyzeShadow struct {
-	Name     string      `json:"name,omitempty"`
-	Analyzer string      `json:"analyzer,omitempty"`
-	Options  OptionsJSON `json:"options,omitzero"`
-}
-
-// UnmarshalJSON flattens the workload out of the request object, so
-// pre-workload bodies ({"tasks": [...]}) keep working.
+// UnmarshalJSON flattens the workload out of the request object in one
+// walk, so pre-workload bodies ({"tasks": [...]}) keep working.
 func (r *AnalyzeRequest) UnmarshalJSON(data []byte) error {
-	var aux analyzeShadow
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Name, r.Analyzer, r.Options = aux.Name, aux.Analyzer, aux.Options
-	return json.Unmarshal(data, &r.Workload)
+	*r = AnalyzeRequest{}
+	return workload.DecodeRequest(data, &r.Workload,
+		workload.Field{Name: "name", Dst: &r.Name},
+		workload.Field{Name: "analyzer", Dst: &r.Analyzer},
+		workload.Field{Name: "options", Dst: &r.Options})
 }
 
 // MarshalJSON emits the flattened wire form; sporadic requests omit the
@@ -182,14 +174,8 @@ type WorkloadSet struct {
 
 // UnmarshalJSON flattens the workload out of the set object.
 func (s *WorkloadSet) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		Name string `json:"name"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	s.Name = aux.Name
-	return json.Unmarshal(data, &s.Workload)
+	*s = WorkloadSet{}
+	return workload.DecodeRequest(data, &s.Workload, workload.Field{Name: "name", Dst: &s.Name})
 }
 
 // MarshalJSON emits the flattened wire form.
@@ -247,15 +233,10 @@ type SessionRequest struct {
 
 // UnmarshalJSON flattens the seed workload out of the request object.
 func (r *SessionRequest) UnmarshalJSON(data []byte) error {
-	var aux struct {
-		Analyzer string      `json:"analyzer,omitempty"`
-		Options  OptionsJSON `json:"options,omitzero"`
-	}
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Analyzer, r.Options = aux.Analyzer, aux.Options
-	return json.Unmarshal(data, &r.Workload)
+	*r = SessionRequest{}
+	return workload.DecodeRequest(data, &r.Workload,
+		workload.Field{Name: "analyzer", Dst: &r.Analyzer},
+		workload.Field{Name: "options", Dst: &r.Options})
 }
 
 // MarshalJSON emits the flattened wire form. An empty seed still carries
@@ -359,24 +340,15 @@ type PartitionRequest struct {
 	Workers int
 }
 
-// partitionShadow carries PartitionRequest's non-workload fields.
-type partitionShadow struct {
-	Name       string      `json:"name,omitempty"`
-	Analyzer   string      `json:"analyzer,omitempty"`
-	Options    OptionsJSON `json:"options,omitzero"`
-	Heuristics []string    `json:"heuristics,omitempty"`
-	Workers    int         `json:"workers,omitempty"`
-}
-
 // UnmarshalJSON flattens the workload out of the request object.
 func (r *PartitionRequest) UnmarshalJSON(data []byte) error {
-	var aux partitionShadow
-	if err := json.Unmarshal(data, &aux); err != nil {
-		return err
-	}
-	r.Name, r.Analyzer, r.Options = aux.Name, aux.Analyzer, aux.Options
-	r.Heuristics, r.Workers = aux.Heuristics, aux.Workers
-	return json.Unmarshal(data, &r.Workload)
+	*r = PartitionRequest{}
+	return workload.DecodeRequest(data, &r.Workload,
+		workload.Field{Name: "name", Dst: &r.Name},
+		workload.Field{Name: "analyzer", Dst: &r.Analyzer},
+		workload.Field{Name: "options", Dst: &r.Options},
+		workload.Field{Name: "heuristics", Dst: &r.Heuristics},
+		workload.Field{Name: "workers", Dst: &r.Workers})
 }
 
 // MarshalJSON emits the flattened wire form.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -855,13 +856,41 @@ func resolveAnalysis(name string, oj OptionsJSON) (engine.Analyzer, core.Options
 	return a, opt, err
 }
 
-// decode parses a JSON body, answering 400 itself on failure.
+// decode parses a JSON body through DecodeBody, answering 400 itself on
+// failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if _, err := DecodeBody(r, v); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return false
 	}
 	return true
+}
+
+// DecodeBody reads a request body once and decodes it into v; it is the
+// one request decoder of edfd and edfproxy. A v that implements
+// json.Unmarshaler, as every request carrying a workload does, decodes
+// the bytes itself, so encoding/json's outer syntax check and skip do
+// not run on top of its own; any other v goes through json.Unmarshal.
+// Either way encoding/json's scanner checks the whole body, so trailing
+// bytes after the value are rejected. The bytes come back for callers
+// that forward them.
+func DecodeBody(r *http.Request, v any) ([]byte, error) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, fmt.Errorf("reading request: %w", err)
+	}
+	if err := decodeJSON(body, v); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return body, nil
+}
+
+// decodeJSON decodes one request body into v, as DecodeBody does.
+func decodeJSON(body []byte, v any) error {
+	if u, ok := v.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(body)
+	}
+	return json.Unmarshal(body, v)
 }
 
 // fail writes the uniform typed error body and counts the error.

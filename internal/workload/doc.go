@@ -1,7 +1,49 @@
 // Package workload defines the polymorphic workload type shared by the
 // analysis engine, the edfd wire API and the CLI tools: one schema that
-// carries either a sporadic task set (the paper's base model) or a
-// Gresser event-stream task set (Section 3.4), selected by a "model"
-// discriminator that defaults to sporadic so pre-existing payloads keep
-// parsing unchanged.
+// carries a sporadic task set (the paper's base model), a Gresser
+// event-stream task set (Section 3.4), or a partitioned multiprocessor
+// workload (sporadic tasks with optional affinities, placed onto a set of
+// processors). A "model" discriminator selects among them and defaults to
+// sporadic, so pre-existing payloads keep parsing unchanged.
+//
+// # Decoding
+//
+// Every request that carries a workload decodes through DecodeRequest, a
+// walker that reads the body once. It first checks the bytes with
+// json.Valid, encoding/json's own syntax check (its nesting limit and its
+// rejection of trailing bytes included), and answers encoding/json's
+// error for bytes that fail it. It then walks the validated object once,
+// and afterwards types the task array under the final "model". The
+// decoded value equals what encoding/json's struct decoding gives for
+// the same bytes, which FuzzWorkloadJSON (engine) and FuzzRequestJSON
+// (service) check differentially against the nested decoders the walker
+// replaced. The rules it reproduces:
+//
+//   - Keys match case-insensitively under bytes.EqualFold, the
+//     equivalence of encoding/json's field matching ("TASKS" and
+//     "ſelf_ſuſpenſion" match). A key with an escape is unquoted through
+//     json.Unmarshal first. Keys the model does not read are skipped,
+//     whatever their type: "stream" on a sporadic task, "period" on an
+//     event task, "processors" outside the partitioned model.
+//   - "tasks" and "processors" take their last occurrence, null
+//     included; earlier occurrences are never typed. "model" takes its
+//     last non-null string.
+//   - A request's own keys (name, analyzer, options, heuristics, workers:
+//     see Field), and a partitioned task's "affinity", go to
+//     json.Unmarshal in document order into one value, which is
+//     encoding/json's in-place merge of repeated keys.
+//   - Sporadic and partitioned elements are typed by hand: the seven
+//     model.Task keys, plus "affinity" for partitioned tasks. An int64
+//     field takes a JSON integer literal through strconv.ParseInt(lit,
+//     10, 64), so 1e2, 1.0 and overflow are type errors. null leaves a
+//     scalar alone and sets a slice to nil; a null element is a zero
+//     task; [] is an empty, non-nil task set. A string with an escape or
+//     invalid UTF-8 goes through json.Unmarshal. Event task arrays and
+//     processor arrays go to json.Unmarshal on their own byte spans.
+//   - A body of null decodes as an empty object; any other non-object
+//     body is a type error.
+//
+// A proposal Task is an event task when its object has a "stream" key,
+// even "stream": null, and is then decoded by json.Unmarshal; any other
+// object takes the sporadic walk.
 package workload
