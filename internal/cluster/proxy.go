@@ -707,7 +707,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// split is visible to the client.
 	w.Header().Set(HeaderAttempts, strconv.Itoa(attempts))
 	w.Header().Set(HeaderReplica, strings.Join(sortedKeys(served), ","))
-	writeJSON(w, http.StatusOK, out)
+	service.WriteJSON(w, http.StatusOK, out)
 }
 
 // subBatchCall runs one sub-batch with failover, decoding the reply. It
@@ -893,7 +893,7 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	p.m.sessionRoutes.Add(1)
 	start := time.Now()
-	resp, err := p.post(r.Context(), r.Method, owner, r.URL.Path, body)
+	resp, err := p.post(r.Context(), r.Method, owner, r.URL.EscapedPath(), body)
 	if tr != nil {
 		detail := ""
 		if err != nil {
@@ -1002,7 +1002,7 @@ func (p *Proxy) takeover(w http.ResponseWriter, r *http.Request, id, deadOwner s
 		return false
 	}
 	start := time.Now()
-	resp, err := p.post(r.Context(), r.Method, target, r.URL.Path, body)
+	resp, err := p.post(r.Context(), r.Method, target, r.URL.EscapedPath(), body)
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		detail := "from " + deadOwner
 		if err != nil {
@@ -1057,7 +1057,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if healthy == 0 {
 		status, code = "no healthy replicas", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	service.WriteJSON(w, code, map[string]any{
 		"status":    status,
 		"healthy":   healthy,
 		"replicas":  reps,
@@ -1128,11 +1128,5 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // fail writes the service's uniform typed error body.
 func (p *Proxy) fail(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, service.ErrorFor(code, err).Response())
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	service.WriteJSON(w, code, service.ErrorFor(code, err).Response())
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -301,6 +303,75 @@ func TestProxySessionSticky(t *testing.T) {
 	}
 	if !strings.Contains(mtext, "edfd_sessions_active 0") {
 		t.Error("session not closed on its owner")
+	}
+}
+
+// TestProxyForwardsEscapedSessionPath checks that edfproxy forwards a
+// session path as the client escaped it. An id that extends a live one by
+// an escaped '?' or '#' names no session on edfd, so the proxy must not
+// reach the live session through it, on the owner's route or on the
+// takeover route.
+func TestProxyForwardsEscapedSessionPath(t *testing.T) {
+	send := func(method, url string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	ctx := context.Background()
+
+	// The owner's route: with one replica, every id's owner is the one
+	// holding the session, and both daemons must answer 404.
+	tc := startCluster(t, 1, service.Config{})
+	h, _, err := tc.c.OpenSession(ctx, service.SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ method, suffix string }{
+		{http.MethodDelete, "%3Fx"}, {http.MethodDelete, "%23x"}, {http.MethodGet, "%3Fx"},
+	} {
+		path := "/v1/sessions/" + h.ID + c.suffix
+		direct, proxied := send(c.method, tc.sp.URLs()[0]+path), send(c.method, tc.hs.URL+path)
+		if direct != http.StatusNotFound || proxied != direct {
+			t.Errorf("%s %s: edfd %d, edfproxy %d, want 404 from both", c.method, path, direct, proxied)
+		}
+	}
+	if _, _, err := h.State(ctx); err != nil {
+		t.Fatalf("session %s after the escaped paths: %v", h.ID, err)
+	}
+
+	// The takeover route: an id whose ring guess is the dead owner goes to
+	// the peer, which shares the store but knows no session by that id, so
+	// the proxy answers the orphan 503 and the session survives.
+	tc = startSharedCluster(t, 2)
+	h, _, err = tc.c.OpenSession(ctx, service.SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rt, err := h.State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := ringOf(tc.sp.URLs()...)
+	key := ""
+	for i := 0; ring.Get(h.ID+"?"+key) != rt.Owner; i++ {
+		key = "x" + strconv.Itoa(i)
+	}
+	tc.replicaByURL(t, rt.Owner).Kill()
+	path := "/v1/sessions/" + h.ID + "%3F" + key
+	if status := send(http.MethodDelete, tc.hs.URL+path); status != http.StatusServiceUnavailable {
+		t.Errorf("DELETE %s after its owner died: %d, want 503", path, status)
+	}
+	if _, rt, err := h.State(ctx); err != nil || !rt.TakenOver() {
+		t.Fatalf("session %s after the escaped path: route %+v, %v; want taken over", h.ID, rt, err)
 	}
 }
 

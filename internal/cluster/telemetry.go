@@ -143,7 +143,7 @@ func (p *Proxy) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, service.TracesResponse{Traces: p.traces.Recent(n)})
+	service.WriteJSON(w, http.StatusOK, service.TracesResponse{Traces: p.traces.Recent(n)})
 }
 
 // defaultRecentTraces mirrors the service default for GET /v1/traces.
@@ -190,7 +190,7 @@ func (p *Proxy) handleTrace(w http.ResponseWriter, r *http.Request) {
 			merged.Path = fr.t.Path
 		}
 	}
-	writeJSON(w, http.StatusOK, &merged)
+	service.WriteJSON(w, http.StatusOK, &merged)
 }
 
 // traceFragment is one replica's record of a trace.

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -82,6 +82,20 @@ func (o OptionsJSON) Core() (core.Options, error) {
 	return opt, nil
 }
 
+// appendMember appends the "options" member of a request unless o is
+// zero, which its omitzero tag omits.
+func (o OptionsJSON) appendMember(b []byte) []byte {
+	if o == (OptionsJSON{}) {
+		return b
+	}
+	b = append(workload.AppendKey(b, "options"), '{')
+	b = appendOptString(b, "arithmetic", o.Arithmetic)
+	b = appendOptString(b, "revision_order", o.RevisionOrder)
+	b = appendOptInt(b, "max_iterations", o.MaxIterations)
+	b = appendOptInt(b, "max_level", o.MaxLevel)
+	return append(b, '}')
+}
+
 // ResultJSON is the wire form of a core.Result.
 type ResultJSON struct {
 	Verdict         string `json:"verdict"`
@@ -91,6 +105,18 @@ type ResultJSON struct {
 	FailureInterval int64  `json:"failure_interval,omitempty"`
 	Bound           int64  `json:"bound,omitempty"`
 	BoundKind       string `json:"bound_kind,omitempty"`
+}
+
+// appendJSON appends the result as json.Marshal writes it.
+func (r ResultJSON) appendJSON(b []byte) []byte {
+	b = workload.AppendString(append(b, `{"verdict":`...), r.Verdict)
+	b = strconv.AppendInt(workload.AppendKey(b, "iterations"), r.Iterations, 10)
+	b = appendOptInt(b, "revisions", r.Revisions)
+	b = appendOptInt(b, "max_level", r.MaxLevel)
+	b = appendOptInt(b, "failure_interval", r.FailureInterval)
+	b = appendOptInt(b, "bound", r.Bound)
+	b = appendOptString(b, "bound_kind", r.BoundKind)
+	return append(b, '}')
 }
 
 // NewResultJSON converts an engine result to its wire form.
@@ -130,17 +156,17 @@ func (r *AnalyzeRequest) UnmarshalJSON(data []byte) error {
 		workload.Field{Name: "options", Dst: &r.Options})
 }
 
-// MarshalJSON emits the flattened wire form; sporadic requests omit the
-// model discriminator and stay byte-compatible with the pre-workload
-// schema.
+// MarshalJSON emits the flattened wire form in one append pass; sporadic
+// requests omit the model discriminator and stay byte-compatible with
+// the pre-workload schema.
 func (r AnalyzeRequest) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Name     string         `json:"name,omitempty"`
-		Model    workload.Model `json:"model,omitempty"`
-		Tasks    any            `json:"tasks"`
-		Analyzer string         `json:"analyzer,omitempty"`
-		Options  OptionsJSON    `json:"options,omitzero"`
-	}{r.Name, r.Workload.WireModel(), r.Workload.TasksJSON(), r.Analyzer, r.Options})
+	b := append(make([]byte, 0, 96+r.Workload.EncodedSizeHint()), '{')
+	b = appendOptString(b, "name", r.Name)
+	b = appendOptString(b, "model", string(r.Workload.WireModel()))
+	b = r.Workload.AppendTasks(workload.AppendKey(b, "tasks"))
+	b = appendOptString(b, "analyzer", r.Analyzer)
+	b = r.Options.appendMember(b)
+	return append(b, '}'), nil
 }
 
 // AnalyzeResponse reports one analysis with telemetry.
@@ -163,6 +189,20 @@ type AnalyzeResponse struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
+// MarshalJSON emits the reply in one append pass, byte-identical to
+// encoding/json's reflection over the struct tags.
+func (r AnalyzeResponse) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 256), '{')
+	b = appendOptString(b, "name", r.Name)
+	b = workload.AppendString(workload.AppendKey(b, "model"), r.Model)
+	b = workload.AppendString(workload.AppendKey(b, "analyzer"), r.Analyzer)
+	b = r.Result.appendJSON(workload.AppendKey(b, "result"))
+	b = strconv.AppendInt(workload.AppendKey(b, "wall_ns"), r.WallNS, 10)
+	b = strconv.AppendBool(workload.AppendKey(b, "cached"), r.Cached)
+	b = appendOptString(b, "fingerprint", r.Fingerprint)
+	return append(b, '}'), nil
+}
+
 // WorkloadSet is one named workload of a batch request: {"name": ...,
 // "model": ..., "tasks": [...]}. It replaces the sporadic-only SetJSON of
 // the pre-workload schema, whose payloads still parse (no model means
@@ -178,14 +218,12 @@ func (s *WorkloadSet) UnmarshalJSON(data []byte) error {
 	return workload.DecodeRequest(data, &s.Workload, workload.Field{Name: "name", Dst: &s.Name})
 }
 
-// MarshalJSON emits the flattened wire form.
+// MarshalJSON emits the flattened wire form in one append pass.
 func (s WorkloadSet) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Name       string               `json:"name,omitempty"`
-		Model      workload.Model       `json:"model,omitempty"`
-		Processors []workload.Processor `json:"processors,omitempty"`
-		Tasks      any                  `json:"tasks"`
-	}{s.Name, s.Workload.WireModel(), s.Workload.Processors, s.Workload.TasksJSON()})
+	b := append(make([]byte, 0, 64+s.Workload.EncodedSizeHint()), '{')
+	b = appendOptString(b, "name", s.Name)
+	b = appendWorkload(b, s.Workload)
+	return append(b, '}'), nil
 }
 
 // BatchRequest fans workloads x analyzers over the parallel batch runner.
@@ -239,23 +277,18 @@ func (r *SessionRequest) UnmarshalJSON(data []byte) error {
 		workload.Field{Name: "options", Dst: &r.Options})
 }
 
-// MarshalJSON emits the flattened wire form. An empty seed still carries
-// its model so event sessions can be opened without tasks.
+// MarshalJSON emits the flattened wire form in one append pass. An empty
+// seed omits its task array but still carries its model, so event
+// sessions can be opened without tasks.
 func (r SessionRequest) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Analyzer string         `json:"analyzer,omitempty"`
-		Options  OptionsJSON    `json:"options,omitzero"`
-		Model    workload.Model `json:"model,omitempty"`
-		Tasks    any            `json:"tasks,omitempty"`
-	}{r.Analyzer, r.Options, r.Workload.WireModel(), tasksOrNil(r.Workload)})
-}
-
-// tasksOrNil omits the task array entirely for an empty seed.
-func tasksOrNil(w Workload) any {
-	if w.Len() == 0 {
-		return nil
+	b := append(make([]byte, 0, 96+r.Workload.EncodedSizeHint()), '{')
+	b = appendOptString(b, "analyzer", r.Analyzer)
+	b = r.Options.appendMember(b)
+	b = appendOptString(b, "model", string(r.Workload.WireModel()))
+	if r.Workload.Len() > 0 {
+		b = r.Workload.AppendTasks(workload.AppendKey(b, "tasks"))
 	}
-	return w.TasksJSON()
+	return append(b, '}'), nil
 }
 
 // SessionResponse describes a session's current state.
@@ -276,6 +309,12 @@ type ProposeRequest struct {
 	Task WorkloadTask `json:"task"`
 }
 
+// MarshalJSON emits {"task": ...} in one append pass.
+func (r ProposeRequest) MarshalJSON() ([]byte, error) {
+	b := r.Task.AppendJSON(append(make([]byte, 0, 96), `{"task":`...))
+	return append(b, '}'), nil
+}
+
 // ProposeResponse reports an admission verdict.
 type ProposeResponse struct {
 	// Admitted reports whether the task was staged (pending commit).
@@ -292,6 +331,25 @@ type ProposeResponse struct {
 	// Path names the decision path: "gate" (utilization rejection), "fast"
 	// (incremental certificate) or "cascade" (full escalation).
 	Path string `json:"path,omitempty"`
+}
+
+// MarshalJSON emits the reply in one append pass, byte-identical to
+// encoding/json's reflection over the struct tags.
+func (r ProposeResponse) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 192), '{')
+	b = strconv.AppendBool(workload.AppendKey(b, "admitted"), r.Admitted)
+	b = r.Result.appendJSON(workload.AppendKey(b, "result"))
+	b, err := workload.AppendFloat(workload.AppendKey(b, "utilization"), r.Utilization)
+	if err != nil {
+		return nil, err
+	}
+	b = strconv.AppendInt(workload.AppendKey(b, "committed"), int64(r.Committed), 10)
+	b = strconv.AppendInt(workload.AppendKey(b, "pending"), int64(r.Pending), 10)
+	if r.Escalated {
+		b = append(workload.AppendKey(b, "escalated"), "true"...)
+	}
+	b = appendOptString(b, "path", r.Path)
+	return append(b, '}'), nil
 }
 
 // ProposeBatchRequest stages several tasks in one round trip. The tasks
@@ -351,19 +409,25 @@ func (r *PartitionRequest) UnmarshalJSON(data []byte) error {
 		workload.Field{Name: "workers", Dst: &r.Workers})
 }
 
-// MarshalJSON emits the flattened wire form.
+// MarshalJSON emits the flattened wire form in one append pass.
 func (r PartitionRequest) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Name       string               `json:"name,omitempty"`
-		Model      workload.Model       `json:"model,omitempty"`
-		Processors []workload.Processor `json:"processors,omitempty"`
-		Tasks      any                  `json:"tasks"`
-		Analyzer   string               `json:"analyzer,omitempty"`
-		Options    OptionsJSON          `json:"options,omitzero"`
-		Heuristics []string             `json:"heuristics,omitempty"`
-		Workers    int                  `json:"workers,omitempty"`
-	}{r.Name, r.Workload.WireModel(), r.Workload.Processors, r.Workload.TasksJSON(),
-		r.Analyzer, r.Options, r.Heuristics, r.Workers})
+	b := append(make([]byte, 0, 128+r.Workload.EncodedSizeHint()), '{')
+	b = appendOptString(b, "name", r.Name)
+	b = appendWorkload(b, r.Workload)
+	b = appendOptString(b, "analyzer", r.Analyzer)
+	b = r.Options.appendMember(b)
+	if len(r.Heuristics) > 0 {
+		b = append(workload.AppendKey(b, "heuristics"), '[')
+		for i, h := range r.Heuristics {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = workload.AppendString(b, h)
+		}
+		b = append(b, ']')
+	}
+	b = appendOptInt(b, "workers", int64(r.Workers))
+	return append(b, '}'), nil
 }
 
 // PartitionResponse reports a placement run: the proven placement with
@@ -377,6 +441,131 @@ type PartitionResponse struct {
 	partition.Placement
 	// WallNS is the whole placement's wall time in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
+}
+
+// MarshalJSON emits the reply in one append pass, byte-identical to
+// encoding/json's reflection over the struct tags: the embedded
+// Placement's members sit between analyzer and wall_ns. Placement itself
+// has no MarshalJSON, which PartitionResponse would promote.
+func (r PartitionResponse) MarshalJSON() ([]byte, error) {
+	pl := &r.Placement
+	b := append(make([]byte, 0, 256+8*len(pl.Assignment)+192*len(pl.Processors)+128*len(pl.Attempts)), '{')
+	b = appendOptString(b, "name", r.Name)
+	b = workload.AppendString(workload.AppendKey(b, "model"), r.Model)
+	b = workload.AppendString(workload.AppendKey(b, "analyzer"), r.Analyzer)
+	b = strconv.AppendBool(workload.AppendKey(b, "feasible"), pl.Feasible)
+	b = appendOptString(b, "heuristic", string(pl.Heuristic))
+	if len(pl.Assignment) > 0 {
+		b = workload.AppendInts(workload.AppendKey(b, "assignment"), pl.Assignment)
+	}
+	if len(pl.Processors) > 0 {
+		b = append(workload.AppendKey(b, "processors"), '[')
+		for i := range pl.Processors {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = appendProcessorReport(b, &pl.Processors[i]); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(pl.Attempts) > 0 {
+		b = append(workload.AppendKey(b, "attempts"), '[')
+		for i := range pl.Attempts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendAttempt(b, &pl.Attempts[i])
+		}
+		b = append(b, ']')
+	}
+	if pl.Counterexample != nil {
+		b = appendAttempt(workload.AppendKey(b, "counterexample"), pl.Counterexample)
+	}
+	st := pl.Stats
+	b = strconv.AppendUint(append(workload.AppendKey(b, "stats"), `{"bin_checks":`...), st.BinChecks, 10)
+	b = strconv.AppendUint(workload.AppendKey(b, "cache_hits"), st.CacheHits, 10)
+	b = strconv.AppendUint(workload.AppendKey(b, "gate_rejections"), st.GateRejections, 10)
+	if st.Promotions != 0 {
+		b = strconv.AppendUint(workload.AppendKey(b, "promotions"), st.Promotions, 10)
+	}
+	b = strconv.AppendInt(workload.AppendKey(append(b, '}'), "wall_ns"), r.WallNS, 10)
+	return append(b, '}'), nil
+}
+
+// appendProcessorReport appends one bin of a placement as json.Marshal
+// writes it.
+func appendProcessorReport(b []byte, p *partition.ProcessorReport) ([]byte, error) {
+	b = strconv.AppendInt(append(b, `{"processor":`...), int64(p.Index), 10)
+	b = appendOptString(b, "name", p.Name)
+	b = strconv.AppendInt(workload.AppendKey(b, "speed"), p.Speed, 10)
+	b = workload.AppendInts(workload.AppendKey(b, "tasks"), p.Tasks)
+	b, err := workload.AppendFloat(workload.AppendKey(b, "utilization"), p.Utilization)
+	if err != nil {
+		return nil, err
+	}
+	b = workload.AppendString(workload.AppendKey(b, "utilization_exact"), p.UtilizationExact)
+	b = workload.AppendString(workload.AppendKey(b, "verdict"), p.Verdict)
+	b = appendOptInt(b, "iterations", p.Iterations)
+	b = appendOptInt(b, "wall_ns", p.WallNS)
+	if p.CacheHit {
+		b = append(workload.AppendKey(b, "cache_hit"), "true"...)
+	}
+	b = appendOptString(b, "fingerprint", p.Fingerprint)
+	return append(b, '}'), nil
+}
+
+// appendAttempt appends one failed heuristic's trail as json.Marshal
+// writes it.
+func appendAttempt(b []byte, a *partition.Attempt) []byte {
+	b = workload.AppendString(append(b, `{"heuristic":`...), string(a.Heuristic))
+	b = strconv.AppendInt(workload.AppendKey(b, "placed"), int64(a.Placed), 10)
+	b = strconv.AppendInt(workload.AppendKey(b, "failed_task"), int64(a.FailedTask), 10)
+	b = appendOptString(b, "failed_task_name", a.FailedTaskName)
+	b = workload.AppendKey(b, "rejections")
+	if a.Rejections == nil {
+		return append(b, "null}"...)
+	}
+	b = append(b, '[')
+	for i, rj := range a.Rejections {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"processor":`...), int64(rj.Processor), 10)
+		b = workload.AppendString(workload.AppendKey(b, "reason"), rj.Reason)
+		b = append(b, '}')
+	}
+	return append(b, "]}"...)
+}
+
+// appendWorkload appends the members a set or a partition request
+// flattens its workload into: the model unless sporadic, a non-empty
+// processor set, and the task array.
+func appendWorkload(b []byte, w Workload) []byte {
+	b = appendOptString(b, "model", string(w.WireModel()))
+	if len(w.Processors) > 0 {
+		b = workload.AppendProcessors(workload.AppendKey(b, "processors"), w.Processors)
+	}
+	return w.AppendTasks(workload.AppendKey(b, "tasks"))
+}
+
+// appendOptString appends a string member that omitempty drops when
+// empty.
+func appendOptString(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return workload.AppendString(workload.AppendKey(b, key), s)
+}
+
+// appendOptInt appends an integer member that omitempty drops when zero.
+func appendOptInt(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(workload.AppendKey(b, key), v, 10)
 }
 
 // WireVersion identifies the request/response schema generation served

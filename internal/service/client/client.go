@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -130,7 +131,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) (Route, error) {
 	var body io.Reader
 	if in != nil {
-		payload, err := json.Marshal(in)
+		payload, err := service.EncodeJSON(in)
 		if err != nil {
 			return Route{}, fmt.Errorf("edfd: encoding request: %w", err)
 		}
@@ -269,7 +270,11 @@ func (c *Client) Session(id string) *Session {
 	return &Session{c: c, ID: id}
 }
 
-func (s *Session) path(suffix string) string { return "/v1/sessions/" + s.ID + suffix }
+// path escapes the id, so an id holding '/', '?' or '#' names itself and
+// no other session.
+func (s *Session) path(suffix string) string {
+	return "/v1/sessions/" + url.PathEscape(s.ID) + suffix
+}
 
 // State fetches the session's current counts and utilization. The
 // Route includes Route.Owner and, after an owner death,

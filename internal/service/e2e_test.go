@@ -4,7 +4,9 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -171,6 +173,35 @@ func TestE2ESessionFlow(t *testing.T) {
 	var ce *client.Error
 	if _, _, err := sess.State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
 		t.Errorf("closed session: %v, want 404", err)
+	}
+}
+
+// TestClientSessionIDEscaped checks that the typed client escapes a
+// session id into its path: an id that extends a live one by '?', '#'
+// or '/' names no session, so reading or closing it answers 404 and
+// leaves the live session alone.
+func TestClientSessionIDEscaped(t *testing.T) {
+	_, c := newTestServer(t, service.Config{})
+	ctx := context.Background()
+	h, _, err := c.OpenSession(ctx, service.SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	notFound := func(err error) bool {
+		var ce *client.Error
+		return errors.As(err, &ce) && ce.StatusCode == http.StatusNotFound
+	}
+	for _, suffix := range []string{"?x", "#x", "/x"} {
+		s := c.Session(h.ID + suffix)
+		if _, _, err := s.State(ctx); !notFound(err) {
+			t.Errorf("State of session %q: %v, want 404", s.ID, err)
+		}
+		if err := s.Close(ctx); !notFound(err) {
+			t.Errorf("Close of session %q: %v, want 404", s.ID, err)
+		}
+	}
+	if _, _, err := h.State(ctx); err != nil {
+		t.Fatalf("session %s after the escaped ids: %v", h.ID, err)
 	}
 }
 

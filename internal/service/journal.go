@@ -35,7 +35,7 @@ func (s *Server) journalOpen(id string, e *sessionEntry, req SessionRequest) err
 	if s.store == nil {
 		return nil
 	}
-	cfg, err := json.Marshal(req)
+	cfg, err := req.MarshalJSON()
 	if err != nil {
 		return err
 	}
@@ -162,13 +162,7 @@ func (s *Server) submitLocked(e *sessionEntry, recs ...store.Record) {
 }
 
 func admitRecord(id string, t workload.Task) store.Record {
-	raw, err := json.Marshal(t)
-	if err != nil {
-		// Tasks that served a decision always marshal; a failure here
-		// would be a schema bug, and an empty Task record replays as a
-		// no-op rather than corrupting the session.
-		raw = nil
-	}
+	raw, _ := t.MarshalJSON() // a Task always encodes
 	return store.Record{Type: store.TypeAdmit, Session: id, Task: raw}
 }
 
@@ -376,17 +370,14 @@ func (s *Server) captureSnapshot() (store.Snapshot, bool) {
 		committed, pending, _ := e.adm.Snapshot()
 		analyzer, options := e.analyzer, e.options
 		e.jmu.Unlock()
-		cfg, err := json.Marshal(SessionRequest{Analyzer: analyzer, Options: options, Workload: committed})
+		cfg, err := SessionRequest{Analyzer: analyzer, Options: options, Workload: committed}.MarshalJSON()
 		if err != nil {
 			s.log.Error("snapshot capture failed", "session", id, "err", err)
 			continue
 		}
 		img := store.SessionSnapshot{ID: id, Seq: seq, Config: cfg}
 		for _, t := range pendingTasks(pending) {
-			raw, err := json.Marshal(t)
-			if err != nil {
-				continue
-			}
+			raw, _ := t.MarshalJSON() // a Task always encodes
 			img.Pending = append(img.Pending, raw)
 		}
 		snap.Sessions = append(snap.Sessions, img)

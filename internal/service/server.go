@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -211,7 +212,7 @@ func (s *Server) Handler() http.Handler {
 			defer func() { <-s.limiter }()
 		default:
 			s.m.throttled.Add(1)
-			writeJSON(w, http.StatusTooManyRequests,
+			WriteJSON(w, http.StatusTooManyRequests,
 				ErrorFor(http.StatusTooManyRequests, errors.New("server at capacity, retry later")).Response())
 			return
 		}
@@ -328,7 +329,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Workload.Kind() == workload.Events {
 		s.m.eventAnalyses.Add(1)
 	}
-	writeJSON(w, http.StatusOK, AnalyzeResponse{
+	WriteJSON(w, http.StatusOK, AnalyzeResponse{
 		Name:        req.Name,
 		Model:       string(req.Workload.Kind()),
 		Analyzer:    a.Info().Name,
@@ -447,7 +448,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		tr.EndSpan("batch", run, fmt.Sprintf("%d jobs, %d ran", len(out), len(jobs)))
 	}
 	s.m.batchJobs.Add(uint64(len(out)))
-	writeJSON(w, http.StatusOK, BatchResponse{Results: out})
+	WriteJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
 
 // handlePartition places a partitioned workload onto its processors,
@@ -530,7 +531,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		}
 		tr.EndSpan("place", start, detail)
 	}
-	writeJSON(w, http.StatusOK, PartitionResponse{
+	WriteJSON(w, http.StatusOK, PartitionResponse{
 		Name:      req.Name,
 		Model:     string(workload.Partitioned),
 		Analyzer:  a.Info().Name,
@@ -557,7 +558,7 @@ func analyzersJSON() []AnalyzerJSON {
 }
 
 func (s *Server) handleAnalyzers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, analyzersJSON())
+	WriteJSON(w, http.StatusOK, analyzersJSON())
 }
 
 // handleSchema declares what this server speaks, so callers (the
@@ -569,7 +570,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	for i, h := range hs {
 		names[i] = string(h)
 	}
-	writeJSON(w, http.StatusOK, SchemaResponse{
+	WriteJSON(w, http.StatusOK, SchemaResponse{
 		WireVersion: WireVersion,
 		Models: []string{
 			string(workload.Sporadic),
@@ -623,7 +624,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.publish(r.Context(), obs.Event{Type: obs.EventOpen, Session: id, Utilization: st.Utilization})
 	s.log.Info("session opened", "session", id, "trace", traceID(r.Context()),
 		"analyzer", st.Analyzer, "model", st.Model, "seed", st.Committed)
-	writeJSON(w, http.StatusCreated, st)
+	WriteJSON(w, http.StatusCreated, st)
 }
 
 // session resolves the {id} path value, answering 404 itself on a miss.
@@ -657,7 +658,7 @@ func (s *Server) sessionState(id string, adm *Admission) SessionResponse {
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	if id, e, release, ok := s.session(w, r); ok {
 		defer release()
-		writeJSON(w, http.StatusOK, s.sessionState(id, e.adm))
+		WriteJSON(w, http.StatusOK, s.sessionState(id, e.adm))
 	}
 }
 
@@ -733,7 +734,7 @@ func (s *Server) handleSessionPropose(w http.ResponseWriter, r *http.Request) {
 	s.m.proposals.Add(1)
 	s.countProposePath(out)
 	s.publishDecision(r.Context(), id, out, latency)
-	writeJSON(w, http.StatusOK, newProposeResponse(out))
+	WriteJSON(w, http.StatusOK, newProposeResponse(out))
 }
 
 func (s *Server) handleSessionProposeBatch(w http.ResponseWriter, r *http.Request) {
@@ -792,7 +793,7 @@ func (s *Server) handleSessionProposeBatch(w http.ResponseWriter, r *http.Reques
 		}
 		tr.EndSpan("propose-batch", start, fmt.Sprintf("%d tasks, %d escalated", len(outs), escalations))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleSessionCommit(w http.ResponseWriter, r *http.Request) {
@@ -824,7 +825,7 @@ func (s *Server) finishPending(w http.ResponseWriter, r *http.Request, event str
 		Utilization: out.Utilization,
 		LatencyNS:   time.Since(start).Nanoseconds(),
 	})
-	writeJSON(w, http.StatusOK, CommitResponse{
+	WriteJSON(w, http.StatusOK, CommitResponse{
 		Moved:       out.Moved,
 		Committed:   out.Committed,
 		Utilization: out.Utilization,
@@ -832,7 +833,7 @@ func (s *Server) finishPending(w http.ResponseWriter, r *http.Request, event str
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"uptime_ns": time.Since(s.started).Nanoseconds(),
 	})
@@ -896,13 +897,41 @@ func decodeJSON(body []byte, v any) error {
 // fail writes the uniform typed error body and counts the error.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.m.errors.Add(1)
-	writeJSON(w, code, ErrorFor(code, err).Response())
+	WriteJSON(w, code, ErrorFor(code, err).Response())
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteJSON writes v as a reply with status code; it is the one reply
+// writer of edfd and edfproxy, the twin of DecodeBody. The body is the
+// bytes json.NewEncoder(w).Encode(v) writes, the trailing newline
+// included, sent with its Content-Length. v is encoded before the status
+// is written, so a value that cannot be encoded (a NaN float) answers 500
+// with the typed error body instead of a success status with no body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	b, err := EncodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		b, _ = EncodeJSON(ErrorFor(code, fmt.Errorf("encoding reply: %w", err)).Response()) // strings always encode
+	}
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	// Encoding a value we just built can only fail on a broken
-	// connection; nothing useful can be written at that point.
-	_ = json.NewEncoder(w).Encode(v)
+	// A write fails only on a broken connection; nothing useful can be
+	// sent at that point.
+	_, _ = w.Write(b)
+}
+
+// EncodeJSON returns json.Marshal(v)'s bytes in one pass. A v that
+// implements json.Marshaler, as every hand-encoded request and reply type
+// does, writes them itself, so encoding/json's compaction of its output
+// does not run on top; any other v goes through json.Marshal. The
+// hand-encoded types write compact, escaped JSON identical to
+// encoding/json's (TestWireEncodeMatchesReference, FuzzWireEncode), and
+// the daemons still check every body they receive with json.Valid.
+func EncodeJSON(v any) ([]byte, error) {
+	if m, ok := v.(json.Marshaler); ok {
+		return m.MarshalJSON()
+	}
+	return json.Marshal(v)
 }

@@ -125,7 +125,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.traces.Recent(n)})
+	WriteJSON(w, http.StatusOK, TracesResponse{Traces: s.traces.Recent(n)})
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -134,7 +134,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("service: unknown trace"))
 		return
 	}
-	writeJSON(w, http.StatusOK, t)
+	WriteJSON(w, http.StatusOK, t)
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -1,21 +1,60 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/partition"
 	"repro/internal/workload"
 )
 
-// wireBody is one request body shape with its two decoders: the
-// reference (today's nested passes, as json.Unmarshal drives them) and
-// the daemons' one-pass decode.
+// wireValue is one request or reply value of the wire benchmarks with
+// its reference encoder: json.Marshal(ref) writes the bytes that the
+// encoding before the one-pass appenders wrote for val.
+type wireValue struct {
+	name string
+	val  json.Marshaler
+	ref  any
+}
+
+// wireBody is a request value's body with its two decoders: the
+// reference (the nested passes, as json.Unmarshal drives them) and the
+// daemons' one-pass decode.
 type wireBody struct {
-	name     string
-	body     []byte
-	ref, new func([]byte) error
+	wireValue
+	body              []byte
+	refDecode, decode func([]byte) error
+}
+
+// wireTask draws one sporadic task of the wire benchmarks.
+func wireTask(rng *rand.Rand) model.Task {
+	p := 100 + rng.Int63n(99900)
+	c := 1 + rng.Int63n(p/20)
+	return model.Task{WCET: c, Deadline: c + rng.Int63n(p-c+1), Period: p}
+}
+
+// wirePartitioned is the partition-cold-shaped workload of the wire
+// benchmarks: 8 processors of speeds 1 and 2, 24 tasks, some with
+// affinities.
+func wirePartitioned(rng *rand.Rand) Workload {
+	procs := make([]workload.Processor, 8)
+	for i := range procs {
+		procs[i].Speed = 1 + int64(i%2)
+	}
+	parts := make([]workload.PartitionedTask, 24)
+	for i := range parts {
+		parts[i].Task = wireTask(rng)
+		switch i % 4 {
+		case 1:
+			parts[i].Affinity = []int{i % 8}
+		case 2:
+			parts[i].Affinity = []int{1, 5}
+		}
+	}
+	return PartitionedWorkload(procs, parts)
 }
 
 // wireBodies builds the decode benchmark's fixed bodies: a 25-task
@@ -24,57 +63,65 @@ type wireBody struct {
 // proposal.
 func wireBodies() []wireBody {
 	rng := rand.New(rand.NewSource(1))
-	task := func() model.Task {
-		p := 100 + rng.Int63n(99900)
-		c := 1 + rng.Int63n(p/20)
-		return model.Task{WCET: c, Deadline: c + rng.Int63n(p-c+1), Period: p}
-	}
 	sporadic := func(n int) Workload {
 		ts := make(model.TaskSet, n)
 		for i := range ts {
-			ts[i] = task()
+			ts[i] = wireTask(rng)
 		}
 		return SporadicWorkload(ts)
 	}
-	procs := make([]workload.Processor, 8)
-	for i := range procs {
-		procs[i].Speed = 1 + int64(i%2)
-	}
-	parts := make([]workload.PartitionedTask, 24)
-	for i := range parts {
-		parts[i].Task = task()
-		switch i % 4 {
-		case 1:
-			parts[i].Affinity = []int{i % 8}
-		case 2:
-			parts[i].Affinity = []int{1, 5}
-		}
-	}
-	must := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			panic(err)
-		}
-		return b
-	}
-	return []wireBody{
-		{"analyze-25", must(AnalyzeRequest{Workload: sporadic(25)}),
-			func(b []byte) error { var r refAnalyzeRequest; return json.Unmarshal(b, &r) },
-			func(b []byte) error { var r AnalyzeRequest; return decodeJSON(b, &r) }},
-		{"partition-m8-24", must(PartitionRequest{Workload: PartitionedWorkload(procs, parts)}),
-			func(b []byte) error { var r refPartitionRequest; return json.Unmarshal(b, &r) },
-			func(b []byte) error { var r PartitionRequest; return decodeJSON(b, &r) }},
-		{"session-100", must(SessionRequest{Workload: sporadic(100)}),
-			func(b []byte) error { var r refSessionRequest; return json.Unmarshal(b, &r) },
-			func(b []byte) error { var r SessionRequest; return decodeJSON(b, &r) }},
-		{"propose-1", must(ProposeRequest{Task: SporadicTask(task())}),
-			func(b []byte) error {
+	part := PartitionRequest{Workload: wirePartitioned(rng)}
+	analyze := AnalyzeRequest{Workload: sporadic(25)}
+	session := SessionRequest{Workload: sporadic(100)}
+	propose := ProposeRequest{Task: SporadicTask(wireTask(rng))}
+	out := []wireBody{
+		{wireValue: wireValue{"analyze-25", analyze, refAnalyzeRequest{analyze}},
+			refDecode: func(b []byte) error { var r refAnalyzeRequest; return json.Unmarshal(b, &r) },
+			decode:    func(b []byte) error { var r AnalyzeRequest; return decodeJSON(b, &r) }},
+		{wireValue: wireValue{"partition-m8-24", part, refPartitionRequest{part}},
+			refDecode: func(b []byte) error { var r refPartitionRequest; return json.Unmarshal(b, &r) },
+			decode:    func(b []byte) error { var r PartitionRequest; return decodeJSON(b, &r) }},
+		{wireValue: wireValue{"session-100", session, refSessionRequest{session}},
+			refDecode: func(b []byte) error { var r refSessionRequest; return json.Unmarshal(b, &r) },
+			decode:    func(b []byte) error { var r SessionRequest; return decodeJSON(b, &r) }},
+		{wireValue: wireValue{"propose-1", propose, refProposeRequest{refTask{propose.Task}}},
+			refDecode: func(b []byte) error {
 				var r struct {
 					Task refTask `json:"task"`
 				}
 				return json.Unmarshal(b, &r)
 			},
-			func(b []byte) error { var r ProposeRequest; return decodeJSON(b, &r) }},
+			decode: func(b []byte) error { var r ProposeRequest; return decodeJSON(b, &r) }},
+	}
+	for i := range out {
+		b, err := json.Marshal(out[i].ref)
+		if err != nil {
+			panic(err)
+		}
+		out[i].body = b
+	}
+	return out
+}
+
+// wireReplies builds the encode benchmark's fixed replies: an analysis
+// verdict, a fast-path proposal verdict, and the placement of
+// wireBodies' partition body.
+func wireReplies() []wireValue {
+	const fp = "4afcb62c58b927c9e8133fdbb4aab5583e0415fd39dfb54952e3bda3be88fd70"
+	analyze := AnalyzeResponse{Model: "sporadic", Analyzer: "cascade",
+		Result: ResultJSON{Verdict: "feasible", Iterations: 37}, WallNS: 6412, Fingerprint: fp}
+	propose := ProposeResponse{Admitted: true, Result: ResultJSON{Verdict: "feasible", Iterations: 4},
+		Utilization: 0.8734512, Committed: 41, Pending: 1, Path: "fast"}
+	pl, err := partition.Place(context.Background(), wirePartitioned(rand.New(rand.NewSource(1))),
+		partition.Config{Workers: 1})
+	if err != nil {
+		panic(err)
+	}
+	part := PartitionResponse{Model: "partitioned", Analyzer: "cascade", Placement: pl, WallNS: 81234}
+	return []wireValue{
+		{"analyze-reply", analyze, plainAnalyzeResponse(analyze)},
+		{"propose-reply", propose, plainProposeResponse(propose)},
+		{"partition-reply-m8-24", part, plainPartitionResponse(part)},
 	}
 }
 
@@ -86,12 +133,42 @@ func BenchmarkWireDecode(b *testing.B) {
 		for _, side := range []struct {
 			name   string
 			decode func([]byte) error
-		}{{"ref", wb.ref}, {"new", wb.new}} {
+		}{{"ref", wb.refDecode}, {"new", wb.decode}} {
 			b.Run(wb.name+"/"+side.name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(len(wb.body)))
 				for range b.N {
 					if err := side.decode(wb.body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWireEncode encodes each request and reply shape as the typed
+// client and the daemons did before the one-pass appenders (ref:
+// json.Marshal, reflection plus the compaction of a MarshalJSON's output)
+// and as they do now (new: EncodeJSON, one append pass), so the two rows
+// give before and after numbers on one host.
+func BenchmarkWireEncode(b *testing.B) {
+	var values []wireValue
+	for _, wb := range wireBodies() {
+		values = append(values, wb.wireValue)
+	}
+	for _, wv := range append(values, wireReplies()...) {
+		for _, side := range []struct {
+			name   string
+			encode func() ([]byte, error)
+		}{
+			{"ref", func() ([]byte, error) { return json.Marshal(wv.ref) }},
+			{"new", func() ([]byte, error) { return EncodeJSON(wv.val) }},
+		} {
+			b.Run(wv.name+"/"+side.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for range b.N {
+					if _, err := side.encode(); err != nil {
 						b.Fatal(err)
 					}
 				}

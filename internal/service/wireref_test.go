@@ -151,3 +151,111 @@ func (t *refTask) UnmarshalJSON(data []byte) error {
 	t.T = workload.Task{Sporadic: &st}
 	return err
 }
+
+// The reference encoders below are the MarshalJSON bodies that predate
+// the one-pass appenders, kept verbatim in behaviour as the oracle of
+// TestWireEncodeMatchesReference, FuzzWireEncode and BenchmarkWireEncode:
+// json.Marshal of a ref value writes exactly what json.Marshal of the
+// wrapped value wrote before, reflection over an anonymous struct plus
+// encoding/json's compaction of that output. The replies had no
+// MarshalJSON; json.Marshal of the method-free plain copies of their
+// types is their reference.
+
+// refTasksJSON is the task array a request flattened next to its model.
+func refTasksJSON(w workload.Workload) any {
+	switch w.Kind() {
+	case workload.Events:
+		return w.Events
+	case workload.Partitioned:
+		return w.PartTasks
+	}
+	return w.Tasks
+}
+
+func (w refWorkload) MarshalJSON() ([]byte, error) {
+	switch w.W.Kind() {
+	case workload.Events:
+		return json.Marshal(struct {
+			Model workload.Model     `json:"model"`
+			Tasks []eventstream.Task `json:"tasks"`
+		}{workload.Events, w.W.Events})
+	case workload.Partitioned:
+		return json.Marshal(struct {
+			Model      workload.Model             `json:"model"`
+			Processors []workload.Processor       `json:"processors"`
+			Tasks      []workload.PartitionedTask `json:"tasks"`
+		}{workload.Partitioned, w.W.Processors, w.W.PartTasks})
+	}
+	return json.Marshal(struct {
+		Tasks model.TaskSet `json:"tasks"`
+	}{w.W.Tasks})
+}
+
+func (r refAnalyzeRequest) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Name     string         `json:"name,omitempty"`
+		Model    workload.Model `json:"model,omitempty"`
+		Tasks    any            `json:"tasks"`
+		Analyzer string         `json:"analyzer,omitempty"`
+		Options  OptionsJSON    `json:"options,omitzero"`
+	}{r.R.Name, r.R.Workload.WireModel(), refTasksJSON(r.R.Workload), r.R.Analyzer, r.R.Options})
+}
+
+func (r refPartitionRequest) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Name       string               `json:"name,omitempty"`
+		Model      workload.Model       `json:"model,omitempty"`
+		Processors []workload.Processor `json:"processors,omitempty"`
+		Tasks      any                  `json:"tasks"`
+		Analyzer   string               `json:"analyzer,omitempty"`
+		Options    OptionsJSON          `json:"options,omitzero"`
+		Heuristics []string             `json:"heuristics,omitempty"`
+		Workers    int                  `json:"workers,omitempty"`
+	}{r.R.Name, r.R.Workload.WireModel(), r.R.Workload.Processors, refTasksJSON(r.R.Workload),
+		r.R.Analyzer, r.R.Options, r.R.Heuristics, r.R.Workers})
+}
+
+func (r refSessionRequest) MarshalJSON() ([]byte, error) {
+	var tasks any
+	if r.R.Workload.Len() > 0 {
+		tasks = refTasksJSON(r.R.Workload)
+	}
+	return json.Marshal(struct {
+		Analyzer string         `json:"analyzer,omitempty"`
+		Options  OptionsJSON    `json:"options,omitzero"`
+		Model    workload.Model `json:"model,omitempty"`
+		Tasks    any            `json:"tasks,omitempty"`
+	}{r.R.Analyzer, r.R.Options, r.R.Workload.WireModel(), tasks})
+}
+
+func (s refWorkloadSet) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Name       string               `json:"name,omitempty"`
+		Model      workload.Model       `json:"model,omitempty"`
+		Processors []workload.Processor `json:"processors,omitempty"`
+		Tasks      any                  `json:"tasks"`
+	}{s.S.Name, s.S.Workload.WireModel(), s.S.Workload.Processors, refTasksJSON(s.S.Workload)})
+}
+
+func (t refTask) MarshalJSON() ([]byte, error) {
+	switch {
+	case t.T.Event != nil:
+		return json.Marshal(t.T.Event)
+	case t.T.Sporadic != nil:
+		return json.Marshal(t.T.Sporadic)
+	default:
+		return []byte("null"), nil
+	}
+}
+
+// refProposeRequest is ProposeRequest as reflection encoded it, its task
+// through the reference task encoder.
+type refProposeRequest struct {
+	Task refTask `json:"task"`
+}
+
+type (
+	plainAnalyzeResponse   AnalyzeResponse
+	plainProposeResponse   ProposeResponse
+	plainPartitionResponse PartitionResponse
+)

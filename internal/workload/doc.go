@@ -46,4 +46,35 @@
 // A proposal Task is an event task when its object has a "stream" key,
 // even "stream": null, and is then decoded by json.Unmarshal; any other
 // object takes the sporadic walk.
+//
+// # Encoding
+//
+// Every hand-written MarshalJSON of the wire types (Workload and Task
+// here, the request and reply types of package service) is one append
+// pass built from the appenders in encode.go, and writes exactly the
+// bytes json.Marshal writes for the same value. Callers that invoke
+// MarshalJSON directly (service.EncodeJSON, the typed client, both
+// daemons' reply writer, the session journal) therefore skip
+// encoding/json's reflection and its compaction of a MarshalJSON's
+// output; json.Marshal of a value takes the same path and gets the same
+// bytes. The rules it reproduces:
+//
+//   - Members appear in struct-tag order; omitempty drops empty strings,
+//     zero numbers, false and empty slices, omitzero drops a zero options
+//     object, and a nil slice without omitempty is null.
+//   - A string of printable ASCII other than ", \, <, > and & is copied
+//     between quotes; any other string goes through json.Marshal, so
+//     the escaping of HTML characters, control bytes, invalid UTF-8
+//     (as \ufffd) and U+2028/U+2029 stays encoding/json's.
+//   - Integers are strconv's base-10 form. A float64 is the shortest
+//     representation that round-trips, in 'f' format unless its
+//     magnitude is below 1e-6 or at least 1e21, where it takes 'e' format
+//     with a one-digit negative exponent shortened (1e-7, not 1e-07). A
+//     NaN or infinity returns json.Marshal's *json.UnsupportedValueError,
+//     never invalid JSON.
+//   - Event task arrays, as in decoding, go to json.Marshal.
+//
+// TestWireEncodeMatchesReference and FuzzWireEncode (service) compare
+// every hand-encoded type with the encoders it replaced, kept in the
+// tests as the reference.
 package workload

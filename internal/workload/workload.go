@@ -194,42 +194,23 @@ func (w Workload) With(t Task) Workload {
 	return out
 }
 
-// MarshalJSON renders the workload in its wire form. Sporadic workloads
-// omit the discriminator so their payloads stay byte-compatible with the
-// pre-workload schema; event and partitioned workloads carry their model.
+// MarshalJSON renders the workload in its wire form in one append pass.
+// Sporadic workloads omit the discriminator so their payloads stay
+// byte-compatible with the pre-workload schema; event and partitioned
+// workloads carry their model, and partitioned ones their processors.
 func (w Workload) MarshalJSON() ([]byte, error) {
-	switch w.Kind() {
-	case Events:
-		return json.Marshal(struct {
-			Model Model              `json:"model"`
-			Tasks []eventstream.Task `json:"tasks"`
-		}{Events, w.Events})
-	case Partitioned:
-		return json.Marshal(struct {
-			Model      Model             `json:"model"`
-			Processors []Processor       `json:"processors"`
-			Tasks      []PartitionedTask `json:"tasks"`
-		}{Partitioned, w.Processors, w.PartTasks})
+	b := append(make([]byte, 0, 32+w.EncodedSizeHint()), '{')
+	if m := w.WireModel(); m != "" {
+		b = AppendString(AppendKey(b, "model"), string(m))
 	}
-	return json.Marshal(struct {
-		Tasks model.TaskSet `json:"tasks"`
-	}{w.Tasks})
+	if w.Kind() == Partitioned {
+		b = AppendProcessors(AppendKey(b, "processors"), w.Processors)
+	}
+	b = w.AppendTasks(AppendKey(b, "tasks"))
+	return append(b, '}'), nil
 }
 
-// TasksJSON returns the task array for hand-rolled encoders that flatten
-// the workload into an enclosing object (the model goes next to it via
-// Kind; partitioned encoders must also emit Processors).
-func (w Workload) TasksJSON() any {
-	switch w.Kind() {
-	case Events:
-		return w.Events
-	case Partitioned:
-		return w.PartTasks
-	}
-	return w.Tasks
-}
-
-// WireModel returns the discriminator value to emit next to TasksJSON:
+// WireModel returns the discriminator value to emit next to AppendTasks:
 // the model for event and partitioned workloads, empty (omittable) for
 // sporadic ones.
 func (w Workload) WireModel() Model {
@@ -287,15 +268,23 @@ func (t Task) Utilization() *big.Rat {
 	return new(big.Rat)
 }
 
-// MarshalJSON renders whichever side is set.
+// MarshalJSON renders whichever side is set, in one append pass.
 func (t Task) MarshalJSON() ([]byte, error) {
+	return t.AppendJSON(make([]byte, 0, 64)), nil
+}
+
+// AppendJSON appends the task's wire form: json.Marshal's bytes for an
+// event task, the hand-encoded sporadic task, or null when neither side
+// is set.
+func (t Task) AppendJSON(dst []byte) []byte {
 	switch {
 	case t.Event != nil:
-		return json.Marshal(t.Event)
+		b, _ := json.Marshal(t.Event) // strings and int64s always encode
+		return append(dst, b...)
 	case t.Sporadic != nil:
-		return json.Marshal(t.Sporadic)
+		return append(appendTaskFields(append(dst, '{'), t.Sporadic), '}')
 	default:
-		return []byte("null"), nil
+		return append(dst, "null"...)
 	}
 }
 
