@@ -23,6 +23,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplyJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzSSEScanner$$' -fuzztime $(FUZZTIME) ./internal/obs/
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx . | tee bench.out

@@ -426,6 +426,9 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, seq []string, me
 // stream copies an upstream response through to the client. SSE bodies
 // (a relayed per-session feed) are flushed per chunk so events reach the
 // subscriber as they happen instead of sitting in the response buffer.
+// Any other body keeps the replica's Content-Length, so a reply past
+// net/http's response buffer is not re-sent chunked and the client can
+// size its read.
 func (p *Proxy) stream(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	ct := resp.Header.Get("Content-Type")
@@ -439,6 +442,8 @@ func (p *Proxy) stream(w http.ResponseWriter, resp *http.Response) {
 				w.Header().Set(h, v)
 			}
 		}
+	} else if resp.ContentLength > 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
 	if fl, ok := w.(http.Flusher); ok && sse {
@@ -815,7 +820,7 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.StatusCode == http.StatusCreated {
 		var sr service.SessionResponse
-		if json.Unmarshal(payload, &sr) == nil && sr.ID != "" {
+		if service.DecodeJSON(payload, &sr) == nil && sr.ID != "" {
 			p.recordOwner(sr.ID, rep)
 			p.m.sessionCreates.Add(1)
 		}

@@ -1,15 +1,19 @@
 package cluster_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // wireRow is one row of the request wire contract, shared with the
@@ -108,4 +112,39 @@ func postRaw(t *testing.T, url, body string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, reply
+}
+
+// TestProxyForwardsContentLength requires a reply past net/http's 2 KB
+// response buffer to reach the client with the replica's Content-Length
+// through edfproxy too, not re-sent chunked, so the typed client can size
+// its read through either daemon.
+func TestProxyForwardsContentLength(t *testing.T) {
+	tc := startCluster(t, 1, service.Config{})
+	procs := make([]workload.Processor, 16)
+	for i := range procs {
+		procs[i].Name = "processor-" + strconv.Itoa(i)
+	}
+	tasks := make([]workload.PartitionedTask, 32)
+	for i := range tasks {
+		tasks[i].Task = model.Task{WCET: 1, Deadline: 10, Period: 10}
+	}
+	body, err := service.EncodeJSON(service.PartitionRequest{Workload: service.PartitionedWorkload(procs, tasks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range []string{tc.sp.URLs()[0], tc.hs.URL} {
+		resp, err := http.Post(base+"/v1/partition", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(reply) <= 2048 || resp.ContentLength != int64(len(reply)) {
+			t.Errorf("%s: status %d, %d-byte reply with Content-Length %d, want 200 past 2 KB with its length",
+				base, resp.StatusCode, len(reply), resp.ContentLength)
+		}
+	}
 }

@@ -302,6 +302,21 @@ type SessionResponse struct {
 	Utilization float64 `json:"utilization"`
 }
 
+// MarshalJSON emits the reply in one append pass, byte-identical to
+// encoding/json's reflection over the struct tags.
+func (r SessionResponse) MarshalJSON() ([]byte, error) {
+	b := workload.AppendString(append(make([]byte, 0, 128), `{"id":`...), r.ID)
+	b = workload.AppendString(workload.AppendKey(b, "model"), r.Model)
+	b = workload.AppendString(workload.AppendKey(b, "analyzer"), r.Analyzer)
+	b = strconv.AppendInt(workload.AppendKey(b, "committed"), int64(r.Committed), 10)
+	b = strconv.AppendInt(workload.AppendKey(b, "pending"), int64(r.Pending), 10)
+	b, err := workload.AppendFloat(workload.AppendKey(b, "utilization"), r.Utilization)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
+}
+
 // ProposeRequest stages one task into a session. The task is polymorphic:
 // a "stream" key makes it an event-driven task, otherwise it is sporadic.
 // Its model must match the session's.
@@ -372,6 +387,18 @@ type CommitResponse struct {
 	Moved       int     `json:"moved"`
 	Committed   int     `json:"committed"`
 	Utilization float64 `json:"utilization"`
+}
+
+// MarshalJSON emits the reply in one append pass, byte-identical to
+// encoding/json's reflection over the struct tags.
+func (r CommitResponse) MarshalJSON() ([]byte, error) {
+	b := strconv.AppendInt(append(make([]byte, 0, 64), `{"moved":`...), int64(r.Moved), 10)
+	b = strconv.AppendInt(workload.AppendKey(b, "committed"), int64(r.Committed), 10)
+	b, err := workload.AppendFloat(workload.AppendKey(b, "utilization"), r.Utilization)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '}'), nil
 }
 
 // PartitionRequest asks for a feasible placement of a partitioned

@@ -6,7 +6,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,7 +126,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return err
 }
 
-// doRoute is do plus the proxy routing metadata of the response.
+// doRoute is do plus the proxy routing metadata of the response. Every
+// reply is read once, to EOF, so its connection goes back to the pool,
+// and decoded through service.DecodeJSON.
 func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) (Route, error) {
 	var body io.Reader
 	if in != nil {
@@ -148,7 +149,8 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 	if err != nil {
 		return Route{}, err
 	}
-	defer resp.Body.Close()
+	reply, err := readReply(resp)
+	resp.Body.Close()
 	rt := routeFrom(resp.Header)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er service.ErrorResponse
@@ -157,7 +159,7 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 			Message:   resp.Status,
 			Retryable: service.RetryableStatus(resp.StatusCode),
 		}
-		if json.NewDecoder(resp.Body).Decode(&er) == nil && (er.Error != "" || er.Message != "") {
+		if service.DecodeJSON(reply, &er) == nil && (er.Error != "" || er.Message != "") {
 			se = er.Err(resp.StatusCode)
 		}
 		if se.Owner == "" {
@@ -172,13 +174,47 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 			cause:      se,
 		}
 	}
+	if err != nil {
+		return rt, fmt.Errorf("edfd: reading response: %w", err)
+	}
 	if out == nil {
 		return rt, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := service.DecodeJSON(reply, out); err != nil {
 		return rt, fmt.Errorf("edfd: decoding response: %w", err)
 	}
 	return rt, nil
+}
+
+// maxReplyPrealloc bounds the buffer a reply's Content-Length sizes up
+// front, at the daemons' own body limit. A longer body grows the buffer
+// as its bytes arrive, so a wrong header cannot force a large
+// allocation.
+const maxReplyPrealloc = 8 << 20
+
+// readReply reads a reply body to EOF into one buffer sized by its
+// Content-Length (every edfd JSON reply carries one), or through
+// io.ReadAll when the length is absent.
+func readReply(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	// One byte more than the body, so the read that reports EOF needs no
+	// room of its own.
+	b := make([]byte, 0, min(resp.ContentLength, maxReplyPrealloc)+1)
+	for {
+		n, err := resp.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // Analyze runs one analysis. The Route carries the cluster routing

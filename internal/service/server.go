@@ -867,27 +867,29 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// DecodeBody reads a request body once and decodes it into v; it is the
-// one request decoder of edfd and edfproxy. A v that implements
-// json.Unmarshaler, as every request carrying a workload does, decodes
-// the bytes itself, so encoding/json's outer syntax check and skip do
-// not run on top of its own; any other v goes through json.Unmarshal.
-// Either way encoding/json's scanner checks the whole body, so trailing
-// bytes after the value are rejected. The bytes come back for callers
-// that forward them.
+// DecodeBody reads a request body once and decodes it into v through
+// DecodeJSON; it is the one request decoder of edfd and edfproxy. The
+// bytes come back for callers that forward them.
 func DecodeBody(r *http.Request, v any) ([]byte, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return nil, fmt.Errorf("reading request: %w", err)
 	}
-	if err := decodeJSON(body, v); err != nil {
+	if err := DecodeJSON(body, v); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
 	return body, nil
 }
 
-// decodeJSON decodes one request body into v, as DecodeBody does.
-func decodeJSON(body []byte, v any) error {
+// DecodeJSON decodes one whole body into v, the twin of EncodeJSON. A v
+// that implements json.Unmarshaler, as every request carrying a workload
+// and every hot reply does, decodes the bytes itself, so encoding/json's
+// outer syntax check and skip do not run on top of its own; any other v
+// goes through json.Unmarshal. Either way encoding/json's scanner checks
+// the whole body, so trailing bytes after the value are an error.
+// DecodeBody calls it for both daemons' requests, and the typed client
+// for every reply.
+func DecodeJSON(body []byte, v any) error {
 	if u, ok := v.(json.Unmarshaler); ok {
 		return u.UnmarshalJSON(body)
 	}

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -77,13 +79,13 @@ func wireBodies() []wireBody {
 	out := []wireBody{
 		{wireValue: wireValue{"analyze-25", analyze, refAnalyzeRequest{analyze}},
 			refDecode: func(b []byte) error { var r refAnalyzeRequest; return json.Unmarshal(b, &r) },
-			decode:    func(b []byte) error { var r AnalyzeRequest; return decodeJSON(b, &r) }},
+			decode:    func(b []byte) error { var r AnalyzeRequest; return DecodeJSON(b, &r) }},
 		{wireValue: wireValue{"partition-m8-24", part, refPartitionRequest{part}},
 			refDecode: func(b []byte) error { var r refPartitionRequest; return json.Unmarshal(b, &r) },
-			decode:    func(b []byte) error { var r PartitionRequest; return decodeJSON(b, &r) }},
+			decode:    func(b []byte) error { var r PartitionRequest; return DecodeJSON(b, &r) }},
 		{wireValue: wireValue{"session-100", session, refSessionRequest{session}},
 			refDecode: func(b []byte) error { var r refSessionRequest; return json.Unmarshal(b, &r) },
-			decode:    func(b []byte) error { var r SessionRequest; return decodeJSON(b, &r) }},
+			decode:    func(b []byte) error { var r SessionRequest; return DecodeJSON(b, &r) }},
 		{wireValue: wireValue{"propose-1", propose, refProposeRequest{refTask{propose.Task}}},
 			refDecode: func(b []byte) error {
 				var r struct {
@@ -91,7 +93,7 @@ func wireBodies() []wireBody {
 				}
 				return json.Unmarshal(b, &r)
 			},
-			decode: func(b []byte) error { var r ProposeRequest; return decodeJSON(b, &r) }},
+			decode: func(b []byte) error { var r ProposeRequest; return DecodeJSON(b, &r) }},
 	}
 	for i := range out {
 		b, err := json.Marshal(out[i].ref)
@@ -103,9 +105,9 @@ func wireBodies() []wireBody {
 	return out
 }
 
-// wireReplies builds the encode benchmark's fixed replies: an analysis
-// verdict, a fast-path proposal verdict, and the placement of
-// wireBodies' partition body.
+// wireReplies builds the wire benchmarks' fixed replies: an analysis
+// verdict, a fast-path proposal verdict, the placement of wireBodies'
+// partition body, a session state and a commit.
 func wireReplies() []wireValue {
 	const fp = "4afcb62c58b927c9e8133fdbb4aab5583e0415fd39dfb54952e3bda3be88fd70"
 	analyze := AnalyzeResponse{Model: "sporadic", Analyzer: "cascade",
@@ -118,18 +120,45 @@ func wireReplies() []wireValue {
 		panic(err)
 	}
 	part := PartitionResponse{Model: "partitioned", Analyzer: "cascade", Placement: pl, WallNS: 81234}
+	session := SessionResponse{ID: "7f3a9c01d2e4b658", Model: "sporadic", Analyzer: "cascade", Committed: 40,
+		Utilization: 0.8612345}
+	commit := CommitResponse{Moved: 1, Committed: 41, Utilization: 0.8734512}
 	return []wireValue{
 		{"analyze-reply", analyze, plainAnalyzeResponse(analyze)},
 		{"propose-reply", propose, plainProposeResponse(propose)},
 		{"partition-reply-m8-24", part, plainPartitionResponse(part)},
+		{"session-reply", session, plainSessionResponse(session)},
+		{"commit-reply", commit, plainCommitResponse(commit)},
 	}
 }
 
-// BenchmarkWireDecode decodes each body shape with the reference decoder
-// (ref) and the daemons' one-pass decoder (new) in the same run, so the
+// replyBodies builds the decode benchmark's reply bodies from
+// wireReplies, as the daemons send them (trailing newline included),
+// with their two decoders: the typed client's before the one-pass walk
+// (ref: json.NewDecoder into the method-free twin) and now (DecodeJSON).
+func replyBodies() []wireBody {
+	var out []wireBody
+	for _, wv := range wireReplies() {
+		body, err := wv.val.MarshalJSON()
+		if err != nil {
+			panic(err)
+		}
+		refType, newType := reflect.TypeOf(wv.ref), reflect.TypeOf(wv.val)
+		out = append(out, wireBody{wireValue: wv, body: append(body, '\n'),
+			refDecode: func(b []byte) error {
+				return json.NewDecoder(bytes.NewReader(b)).Decode(reflect.New(refType).Interface())
+			},
+			decode: func(b []byte) error { return DecodeJSON(b, reflect.New(newType).Interface()) }})
+	}
+	return out
+}
+
+// BenchmarkWireDecode decodes each request body shape with the reference
+// decoder (ref) and the daemons' one-pass decoder (new), and each reply
+// as the typed client did (ref) and does (new), in the same run, so the
 // two rows give before and after numbers on one host.
 func BenchmarkWireDecode(b *testing.B) {
-	for _, wb := range wireBodies() {
+	for _, wb := range append(wireBodies(), replyBodies()...) {
 		for _, side := range []struct {
 			name   string
 			decode func([]byte) error

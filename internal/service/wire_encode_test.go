@@ -46,31 +46,32 @@ func checkEncode(t testing.TB, v json.Marshaler, ref any) {
 func checkDecoded(t testing.TB, data []byte) {
 	t.Helper()
 	var ar AnalyzeRequest
-	if decodeJSON(data, &ar) == nil {
+	if DecodeJSON(data, &ar) == nil {
 		checkEncode(t, ar, refAnalyzeRequest{ar})
 	}
 	var pr PartitionRequest
-	if decodeJSON(data, &pr) == nil {
+	if DecodeJSON(data, &pr) == nil {
 		checkEncode(t, pr, refPartitionRequest{pr})
 	}
 	var sr SessionRequest
-	if decodeJSON(data, &sr) == nil {
+	if DecodeJSON(data, &sr) == nil {
 		checkEncode(t, sr, refSessionRequest{sr})
 	}
 	var ws WorkloadSet
-	if decodeJSON(data, &ws) == nil {
+	if DecodeJSON(data, &ws) == nil {
 		checkEncode(t, ws, refWorkloadSet{ws})
 		checkEncode(t, ws.Workload, refWorkload{ws.Workload})
 	}
 	var task WorkloadTask
-	if decodeJSON(data, &task) == nil {
+	if DecodeJSON(data, &task) == nil {
 		checkEncode(t, task, refTask{task})
 		checkEncode(t, ProposeRequest{Task: task}, refProposeRequest{refTask{task}})
 	}
 }
 
 // checkBuilt builds one value of every hand-encoded type from s and
-// checks each against its reference encoder.
+// checks each against its reference encoder, and each reply's decode
+// against its encode.
 func checkBuilt(t testing.TB, s *encSource) {
 	t.Helper()
 	w := s.workload()
@@ -97,6 +98,17 @@ func checkBuilt(t testing.TB, s *encSource) {
 	pa := PartitionResponse{Name: s.str(), Model: s.str(), Analyzer: s.str(), Placement: s.placement(),
 		WallNS: s.int64()}
 	checkEncode(t, pa, plainPartitionResponse(pa))
+	se := SessionResponse{ID: s.str(), Model: s.str(), Analyzer: s.str(), Committed: int(s.int64()),
+		Pending: int(s.int64()), Utilization: s.float()}
+	checkEncode(t, se, plainSessionResponse(se))
+	co := CommitResponse{Moved: int(s.int64()), Committed: int(s.int64()), Utilization: s.float()}
+	checkEncode(t, co, plainCommitResponse(co))
+
+	checkReplyRoundTrip(t, an, new(AnalyzeResponse), new(plainAnalyzeResponse))
+	checkReplyRoundTrip(t, pp, new(ProposeResponse), new(plainProposeResponse))
+	checkReplyRoundTrip(t, pa, new(PartitionResponse), new(plainPartitionResponse))
+	checkReplyRoundTrip(t, se, new(SessionResponse), new(plainSessionResponse))
+	checkReplyRoundTrip(t, co, new(CommitResponse), new(plainCommitResponse))
 }
 
 // TestWireEncodeMatchesReference checks every hand-encoded request and

@@ -23,18 +23,31 @@ var readmeBodies = []string{
 	  "heuristics":["balance","first-fit"],"heuristics":[null],"workers":2,"analyzer":"devi","options":{"max_level":3}}`,
 }
 
-// wireCompatBodies reads the request bodies of TestWireCompat's table.
-func wireCompatBodies(t testing.TB) []string {
+// wireCompatRow is one row of TestWireCompat's table (internal/cluster):
+// a request body and, for a 200, the reply pinned for it.
+type wireCompatRow struct {
+	Name  string `json:"name"`
+	Route string `json:"route"`
+	Body  string `json:"body"`
+	Reply string `json:"reply"`
+}
+
+// wireCompatRows reads TestWireCompat's table.
+func wireCompatRows(t testing.TB) []wireCompatRow {
 	raw, err := os.ReadFile("testdata/wire_compat.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []struct {
-		Body string `json:"body"`
-	}
+	var rows []wireCompatRow
 	if err := json.Unmarshal(raw, &rows); err != nil {
 		t.Fatal(err)
 	}
+	return rows
+}
+
+// wireCompatBodies returns the request bodies of TestWireCompat's table.
+func wireCompatBodies(t testing.TB) []string {
+	rows := wireCompatRows(t)
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		out[i] = r.Body
@@ -44,7 +57,7 @@ func wireCompatBodies(t testing.TB) []string {
 
 // FuzzRequestJSON decodes every input as each request type that carries
 // a workload, and as a proposal task, through the daemons' decoder
-// (decodeJSON) and through json.Unmarshal (the path of nested sets,
+// (DecodeJSON) and through json.Unmarshal (the path of nested sets,
 // proposal tasks and journal replay). Both must accept the input exactly
 // when json.Unmarshal accepts it into the type's reference decoder, and
 // decode it to a reflect.DeepEqual value, nil-versus-empty included.
@@ -73,7 +86,7 @@ func differential[T any](t *testing.T, data []byte, refErr error, want T) {
 	for _, path := range []struct {
 		name   string
 		decode func([]byte, any) error
-	}{{"decodeJSON", decodeJSON}, {"json.Unmarshal", json.Unmarshal}} {
+	}{{"DecodeJSON", DecodeJSON}, {"json.Unmarshal", json.Unmarshal}} {
 		var got T
 		err := path.decode(data, &got)
 		if (err == nil) != (refErr == nil) {
@@ -92,7 +105,7 @@ func TestWireDecodeAllocs(t *testing.T) {
 	body := wireBodies()[0].body
 	allocs := testing.AllocsPerRun(100, func() {
 		var req AnalyzeRequest
-		if err := decodeJSON(body, &req); err != nil {
+		if err := DecodeJSON(body, &req); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -159,7 +159,9 @@ func (t *refTask) UnmarshalJSON(data []byte) error {
 // wrapped value wrote before, reflection over an anonymous struct plus
 // encoding/json's compaction of that output. The replies had no
 // MarshalJSON; json.Marshal of the method-free plain copies of their
-// types is their reference.
+// types is their reference. The same plain types are the reference of
+// the one-pass reply decode: json.Unmarshal into them is the decode the
+// replies had before their UnmarshalJSON (FuzzReplyJSON).
 
 // refTasksJSON is the task array a request flattened next to its model.
 func refTasksJSON(w workload.Workload) any {
@@ -258,4 +260,6 @@ type (
 	plainAnalyzeResponse   AnalyzeResponse
 	plainProposeResponse   ProposeResponse
 	plainPartitionResponse PartitionResponse
+	plainSessionResponse   SessionResponse
+	plainCommitResponse    CommitResponse
 )

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -169,6 +170,9 @@ func commitConfig(cfg json.RawMessage, pending []json.RawMessage) (json.RawMessa
 	var obj map[string]json.RawMessage
 	if err := json.Unmarshal(cfg, &obj); err != nil {
 		return nil, fmt.Errorf("config not an object: %w", err)
+	}
+	if obj == nil { // a null config decodes without error
+		return nil, errors.New("config not an object: null")
 	}
 	var tasks []json.RawMessage
 	if raw, ok := obj["tasks"]; ok && len(raw) > 0 && string(raw) != "null" {

@@ -30,41 +30,39 @@ type Field struct {
 // what encoding/json's struct decoding of the same bytes gives; the
 // package documentation lists the rules.
 func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
-	if !json.Valid(data) {
-		return syntaxError(data)
+	s, err := NewScanner(data)
+	if err != nil {
+		return err
 	}
-	s := scanner{data: data}
 	var name, tasks, procs []byte // quoted model name and value spans; nil while absent
 	var nameEsc bool
 	var n int // elements of tasks
-	switch s.peek() {
+	switch s.Peek() {
 	case 'n': // null decodes as an empty object
 	case '{':
-		s.i++
-		for s.member() {
-			key := s.key()
+		for s.Member() {
+			key := s.Key()
 			start := s.i
 			switch {
 			case foldIs(key, "model"):
 				switch s.data[s.i] {
 				case 'n':
-					s.skip()
+					s.Skip()
 				case '"':
-					name, nameEsc = s.str()
+					name, nameEsc = s.Str()
 				default:
 					return typeError("model", s.data[s.i], "a string")
 				}
 			case foldIs(key, "tasks"):
-				n = s.skip()
+				n = s.Skip()
 				tasks = s.data[start:s.i]
 			case foldIs(key, "processors"):
-				s.skip()
-				procs = s.data[start:s.i]
+				procs = s.Value()
 			default:
-				s.skip()
+				v := s.Value()
 				for _, f := range fields {
 					if foldIs(key, f.Name) {
-						if err := json.Unmarshal(s.data[start:s.i], f.Dst); err != nil {
+						if err := json.Unmarshal(v, f.Dst); err != nil {
 							return err
 						}
 					}
@@ -74,7 +72,7 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 	default:
 		return typeError("request", s.data[s.i], "an object")
 	}
-	m, err := ParseModel(unquote(name, nameEsc))
+	m, err := ParseModel(Unquote(name, nameEsc))
 	if err != nil {
 		return err
 	}
@@ -96,23 +94,23 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 	if tasks[0] != '[' {
 		return typeError(string(m)+" tasks", tasks[0], "an array")
 	}
-	t := scanner{data: tasks, i: 1}
+	t := Scanner{data: tasks}
 	if m == Partitioned {
 		w.PartTasks = make([]PartitionedTask, n)
 		for k := range w.PartTasks {
+			t.Elem()
 			if err := t.task(&w.PartTasks[k].Task, &w.PartTasks[k].Affinity, k); err != nil {
 				return err
 			}
-			t.next()
 		}
 		return nil
 	}
 	w.Tasks = make(model.TaskSet, n)
 	for k := range w.Tasks {
+		t.Elem()
 		if err := t.task(&w.Tasks[k], nil, k); err != nil {
 			return err
 		}
-		t.next()
 	}
 	return nil
 }
@@ -133,11 +131,11 @@ func (w *Workload) UnmarshalJSON(data []byte) error {
 // pre-existing {"wcet", "deadline", "period"} payloads keep working. A
 // null task is a zero sporadic task.
 func (t *Task) UnmarshalJSON(data []byte) error {
-	if !json.Valid(data) {
-		return syntaxError(data)
+	s, err := NewScanner(data)
+	if err != nil {
+		return err
 	}
-	s := scanner{data: data}
-	switch s.peek() {
+	switch s.Peek() {
 	case 'n':
 		*t = Task{Sporadic: &model.Task{}}
 		return nil
@@ -177,9 +175,8 @@ const (
 	fUnknown
 )
 
-// taskField resolves a task key: an exact match first, then a case-folded
-// one. The keys are distinct under folding, so the order cannot change
-// the result.
+// taskField resolves a task key as MatchKey does, with a switch for the
+// exact keys of the hot path.
 func taskField(key []byte) int {
 	switch string(key) {
 	case "name":
@@ -199,12 +196,29 @@ func taskField(key []byte) int {
 	case "affinity":
 		return fAffinity
 	}
-	for f, k := range taskKeys {
+	if f := MatchKey(key, taskKeys[:]); f >= 0 {
+		return f
+	}
+	return fUnknown
+}
+
+// MatchKey returns the index in keys of the struct field an object key
+// names, matched as encoding/json matches fields: an exact match first,
+// then a case-folded one (bytes.EqualFold). It returns -1 when no key
+// matches. The keys of one struct are distinct under folding, so the
+// order cannot change the result.
+func MatchKey(key []byte, keys []string) int {
+	for f, k := range keys {
+		if string(key) == k {
+			return f
+		}
+	}
+	for f, k := range keys {
 		if foldIs(key, k) {
 			return f
 		}
 	}
-	return fUnknown
+	return -1
 }
 
 // intField returns the int64 field f of t.
@@ -228,40 +242,36 @@ func intField(t *model.Task, f int) *int64 {
 // (and its affinity into aff, for partitioned arrays), as encoding/json
 // types a struct element: null leaves the zero task, an object sets the
 // fields it names in document order, anything else is a type error.
-func (s *scanner) task(t *model.Task, aff *[]int, k int) error {
-	switch s.peek() {
+func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
+	switch s.Peek() {
 	case 'n':
 		s.i += len("null")
 		return nil
 	case '{':
-		s.i++
 	default:
 		return typeError("task "+strconv.Itoa(k), s.data[s.i], "an object")
 	}
-	for s.member() {
-		f := taskField(s.key())
+	for s.Member() {
+		f := taskField(s.Key())
 		c := s.data[s.i]
 		switch {
 		case f == fAffinity && aff != nil:
-			start := s.i
-			s.skip()
-			if err := json.Unmarshal(s.data[start:s.i], aff); err != nil {
+			if err := json.Unmarshal(s.Value(), aff); err != nil {
 				return fmt.Errorf("workload: task %d: affinity: %w", k, err)
 			}
 		case f == fUnknown || f == fAffinity || c == 'n':
-			s.skip()
+			s.Skip()
 		case f == fName:
 			if c != '"' {
 				return typeError("task "+strconv.Itoa(k)+" name", c, "a string")
 			}
-			t.Name = unquote(s.str())
+			t.Name = Unquote(s.Str())
 		default:
-			start := s.i
-			s.skip()
-			v, ok := parseInt(s.data[start:s.i])
+			lit := s.Value()
+			v, ok := ParseInt(lit)
 			if c != '-' && (c < '0' || c > '9') || !ok {
 				return fmt.Errorf("workload: task %d: %s: cannot decode %s %s as an int64",
-					k, taskKeys[f], kindOf(c), s.data[start:s.i])
+					k, taskKeys[f], kindOf(c), lit)
 			}
 			*intField(t, f) = v
 		}
@@ -269,11 +279,11 @@ func (s *scanner) task(t *model.Task, aff *[]int, k int) error {
 	return nil
 }
 
-// parseInt types a number literal as encoding/json types an int64 field,
+// ParseInt types a number literal as encoding/json types an int64 field,
 // through strconv.ParseInt(lit, 10, 64): fractions, exponents and
 // overflow fail. Literals of up to 18 digits take a shortcut that cannot
 // overflow.
-func parseInt(lit []byte) (int64, bool) {
+func ParseInt(lit []byte) (int64, bool) {
 	d := lit
 	if len(d) > 0 && d[0] == '-' {
 		d = d[1:]
@@ -295,17 +305,31 @@ func parseInt(lit []byte) (int64, bool) {
 	return v, true
 }
 
-// scanner walks bytes that json.Valid accepted. It checks no syntax, and
-// on such input no index it reads reaches len(data).
-type scanner struct {
+// Scanner walks bytes that json.Valid accepted, one value at a time. It
+// is the one JSON scanner of the wire decoders: DecodeRequest walks
+// request bodies on it, and package service walks replies on it. It
+// checks no syntax, and on such input no index it reads reaches
+// len(data).
+type Scanner struct {
 	data []byte
 	i    int
 }
 
+// NewScanner checks data with json.Valid, encoding/json's own syntax
+// check (its nesting limit and its rejection of trailing bytes
+// included), and returns a Scanner at the start of data, or
+// encoding/json's error for bytes that fail it.
+func NewScanner(data []byte) (Scanner, error) {
+	if !json.Valid(data) {
+		return Scanner{}, syntaxError(data)
+	}
+	return Scanner{data: data}, nil
+}
+
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
-// peek skips whitespace and returns the next byte, 0 at the end.
-func (s *scanner) peek() byte {
+// Peek skips whitespace and returns the next byte, 0 at the end.
+func (s *Scanner) Peek() byte {
 	for s.i < len(s.data) && isSpace(s.data[s.i]) {
 		s.i++
 	}
@@ -315,47 +339,64 @@ func (s *scanner) peek() byte {
 	return 0
 }
 
-// member advances to the next member of the object being walked and
-// reports whether there is one: it consumes the ',' before a key, or the
+// Member advances to the next member of an object, called first with the
+// cursor at its '{' and then after each member's value, and reports
+// whether there is one: it consumes the '{' or ',' before a key, or the
 // closing '}'.
-func (s *scanner) member() bool {
-	switch s.peek() {
+func (s *Scanner) Member() bool {
+	switch s.Peek() {
 	case '}':
 		s.i++
 		return false
-	case ',':
+	case '{', ',':
 		s.i++
-		s.peek()
+		if s.Peek() == '}' { // only after '{': a comma is always followed by a key
+			s.i++
+			return false
+		}
 	}
 	return true
 }
 
-// key consumes a member's key and colon, leaving s.i at the value, and
-// returns the key as encoding/json compares it. A key with an escape is
-// unquoted through json.Unmarshal; one with invalid UTF-8 matches no
+// Elem advances to the next element of an array, called first with the
+// cursor at its '[' and then after each element, and reports whether
+// there is one: it consumes the '[' or ',' before an element, or the
+// closing ']'.
+func (s *Scanner) Elem() bool {
+	switch s.Peek() {
+	case ']':
+		s.i++
+		return false
+	case '[', ',':
+		s.i++
+		if s.Peek() == ']' { // only after '['
+			s.i++
+			return false
+		}
+	}
+	return true
+}
+
+// Key consumes a member's key and colon, leaving the cursor at the value,
+// and returns the key as encoding/json compares it. A key with an escape
+// is unquoted through json.Unmarshal; one with invalid UTF-8 matches no
 // field either way, so its raw bytes serve.
-func (s *scanner) key() []byte {
-	q, esc := s.str()
+func (s *Scanner) Key() []byte {
+	q, esc := s.Str()
 	raw := q[1 : len(q)-1]
 	if esc && bytes.IndexByte(raw, '\\') >= 0 {
-		raw = []byte(unquote(q, esc))
+		raw = []byte(Unquote(q, esc))
 	}
-	s.peek()
+	s.Peek()
 	s.i++ // ':'
-	s.peek()
+	s.Peek()
 	return raw
 }
 
-// next consumes the ',' or ']' after an array element.
-func (s *scanner) next() {
-	s.peek()
-	s.i++
-}
-
-// str consumes the string at s.i and returns it with its quotes, and
-// whether it needs encoding/json's unquoting: it holds an escape or a
+// Str consumes the string at the cursor and returns it with its quotes,
+// and whether it needs encoding/json's unquoting: it holds an escape or a
 // byte that is not ASCII.
-func (s *scanner) str() (q []byte, esc bool) {
+func (s *Scanner) Str() (q []byte, esc bool) {
 	start := s.i
 	for j := start + 1; j < len(s.data); j++ {
 		switch c := s.data[j]; {
@@ -373,12 +414,19 @@ func (s *scanner) str() (q []byte, esc bool) {
 	return s.data[start:], esc
 }
 
-// skip consumes the value at s.i and returns the number of elements when
-// it is an array.
-func (s *scanner) skip() int {
+// Value consumes the value at the cursor and returns its bytes.
+func (s *Scanner) Value() []byte {
+	start := s.i
+	s.Skip()
+	return s.data[start:s.i]
+}
+
+// Skip consumes the value at the cursor and returns the number of
+// elements when it is an array.
+func (s *Scanner) Skip() int {
 	switch s.data[s.i] {
 	case '"':
-		s.str()
+		s.Str()
 		return 0
 	case '{', '[':
 	default:
@@ -397,14 +445,14 @@ func (s *scanner) skip() int {
 	}
 	n := 0
 	if s.data[s.i] == '[' {
-		if probe := (scanner{s.data, s.i + 1}); probe.peek() != ']' {
+		if probe := (Scanner{s.data, s.i + 1}); probe.Peek() != ']' {
 			n = 1
 		}
 	}
 	for depth := 0; s.i < len(s.data); {
 		switch s.data[s.i] {
 		case '"':
-			s.str()
+			s.Str()
 			continue
 		case '{', '[':
 			depth++
@@ -423,23 +471,22 @@ func (s *scanner) skip() int {
 	return n
 }
 
-// hasKey reports whether the object at s.i has a key matching name,
-// consuming the object.
-func (s *scanner) hasKey(name string) bool {
-	s.i++
+// hasKey reports whether the object at the cursor has a key matching
+// name, consuming the object.
+func (s *Scanner) hasKey(name string) bool {
 	found := false
-	for s.member() {
-		found = foldIs(s.key(), name) || found
-		s.skip()
+	for s.Member() {
+		found = foldIs(s.Key(), name) || found
+		s.Skip()
 	}
 	return found
 }
 
-// unquote decodes a string str returned as encoding/json decodes it: its
+// Unquote decodes a string Str returned as encoding/json decodes it: its
 // raw content when plain or valid UTF-8 without escapes, json.Unmarshal
 // otherwise (escapes, and invalid UTF-8, which becomes U+FFFD). A nil q
 // is the empty string.
-func unquote(q []byte, esc bool) string {
+func Unquote(q []byte, esc bool) string {
 	if q == nil {
 		return ""
 	}

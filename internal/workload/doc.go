@@ -47,6 +47,18 @@
 // even "stream": null, and is then decoded by json.Unmarshal; any other
 // object takes the sporadic walk.
 //
+// One scanner, Scanner, serves requests and replies: DecodeRequest walks
+// request bodies on it, and package service walks the analyze, propose,
+// partition, session and commit replies on it. NewScanner runs the one
+// json.Valid check; the scanner itself checks no syntax. The reply walks
+// take the bodies the daemons write and skip unknown keys, and hand
+// anything else to encoding/json whole, into a method-free copy of the
+// reset value: a repeated key (encoding/json merges the occurrences), a
+// value of the wrong kind, a number its field cannot hold, or a body that
+// is not an object. Their result therefore equals json.Unmarshal's by
+// construction on those bodies, and FuzzReplyJSON (service) checks the
+// walked ones. MatchKey is the key rule both sides share.
+//
 // # Encoding
 //
 // Every hand-written MarshalJSON of the wire types (Workload and Task
