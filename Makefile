@@ -9,7 +9,7 @@ build:
 
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/engine/ ./internal/service/... ./internal/cluster/ ./internal/store/
+	$(GO) test -race ./internal/engine/ ./internal/service/... ./internal/cluster/ ./internal/store/ ./internal/obs/
 
 # Fuzz smoke: `go test ./...` only replays the seed corpora; this runs
 # each fuzz target alone for FUZZTIME of fresh inputs. A failing input is

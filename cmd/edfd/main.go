@@ -46,23 +46,15 @@
 // attributes; -log-level tunes the threshold. The stdout banner line
 // stays printf-style — scripts parse it for the listen address. With
 // -debug-addr a second mux serves net/http/pprof on that address only.
+// The process shell (logger, pprof mux, listen, serve and drain) is
+// service.Daemon, shared with edfproxy.
 //
 // The server drains in-flight requests on SIGINT/SIGTERM before exiting.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/service"
 	"repro/internal/store"
@@ -87,50 +79,8 @@ func main() {
 	)
 	flag.Parse()
 
-	log, err := newLogger(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edfd:", err)
-		os.Exit(2)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// An explicit listener resolves ":0" to a real port before the
-	// banner prints, so scripts (make smoke) can parse the address.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edfd:", err)
-		os.Exit(1)
-	}
-
-	var st *store.DiskStore
-	if *storeDir != "" {
-		// The default node name is persisted in the store dir (node-id
-		// file), NOT derived from the listen address: with -addr :0 the
-		// address changes every restart, which would orphan the previous
-		// run's segments — replayed forever, compacted never. Fleets
-		// sharing one directory must pass explicit -store-node values.
-		node := *storeNode
-		if node == "" {
-			node, err = store.DefaultNode(*storeDir)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "edfd:", err)
-				os.Exit(1)
-			}
-		}
-		st, err = store.Open(*storeDir, node, store.Options{
-			BatchSize: *storeBatch,
-			MaxWait:   *storeWait,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edfd:", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		log.Info("durable store open", "dir", *storeDir, "node", node,
-			"batch", *storeBatch, "max_wait", storeWait.String())
-	}
+	d := service.NewDaemon("edfd", *logLevel, *debugAddr)
+	ln := d.Listen(*addr)
 	cfg := service.Config{
 		CacheCapacity:    *cache,
 		Workers:          *workers,
@@ -139,71 +89,36 @@ func main() {
 		MaxSessions:      *sessions,
 		SessionTTL:       *sessionTTL,
 		SnapshotInterval: *snapEvery,
-		Logger:           log,
+		Logger:           d.Log,
 	}
-	if st != nil {
+	if *storeDir != "" {
+		// The default node name is persisted in the store dir (node-id
+		// file), NOT derived from the listen address: with -addr :0 the
+		// address changes every restart, which would orphan the previous
+		// run's segments — replayed forever, compacted never. Fleets
+		// sharing one directory must pass explicit -store-node values.
+		node := *storeNode
+		if node == "" {
+			var err error
+			if node, err = store.DefaultNode(*storeDir); err != nil {
+				d.Exit(1, err)
+			}
+		}
+		st, err := store.Open(*storeDir, node, store.Options{
+			BatchSize: *storeBatch,
+			MaxWait:   *storeWait,
+		})
+		if err != nil {
+			d.Exit(1, err)
+		}
+		defer st.Close()
+		d.Log.Info("durable store open", "dir", *storeDir, "node", node,
+			"batch", *storeBatch, "max_wait", storeWait.String())
 		cfg.Store = st
 	}
 	srv := service.New(cfg)
 	defer srv.Close()
-	if *debugAddr != "" {
-		go serveDebug(log, *debugAddr)
-	}
-	hs := &http.Server{
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() {
-		// The stdout banner is the scriptable contract (make smoke parses
-		// the address); structured diagnostics go to stderr via slog.
-		fmt.Printf("edfd: listening on %s (cache %d, inflight %d, timeout %s, session-ttl %s)\n",
-			ln.Addr(), *cache, *inflight, *timeout, *sessionTTL)
-		log.Info("listening", "addr", ln.Addr().String(), "cache", *cache,
-			"inflight", *inflight, "timeout", timeout.String(), "session_ttl", sessionTTL.String())
-		errc <- hs.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		log.Error("serve failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	// Graceful drain: stop accepting, finish in-flight work, then exit.
-	// Close first so open SSE feeds end — otherwise Shutdown would wait
-	// its full timeout on streams that never finish on their own.
-	log.Info("shutting down")
-	srv.Close()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Error("shutdown failed", "err", err)
-		os.Exit(1)
-	}
-}
-
-// newLogger builds the daemon's JSON logger at the requested threshold.
-func newLogger(level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	return slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
-}
-
-// serveDebug exposes net/http/pprof on its own opt-in address, keeping
-// profiling off the public API mux.
-func serveDebug(log *slog.Logger, addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	log.Info("debug mux listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		log.Error("debug mux failed", "err", err)
-	}
+	d.Serve(ln, srv.Handler(), srv.Close,
+		fmt.Sprintf("(cache %d, inflight %d, timeout %s, session-ttl %s)", *cache, *inflight, *timeout, *sessionTTL),
+		"cache", *cache, "inflight", *inflight, "timeout", timeout.String(), "session_ttl", sessionTTL.String())
 }

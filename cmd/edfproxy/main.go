@@ -12,12 +12,15 @@
 //
 //	POST /v1/analyze     by workload fingerprint; idempotent, fails over
 //	                     to the next ring node when a replica is down
+//	POST /v1/partition   by workload fingerprint, like /v1/analyze, so
+//	                     one replica's cache holds every per-bin verdict
 //	POST /v1/batch       split per-fingerprint across replicas, per-job
 //	                     results re-merged in deterministic set-major order
 //	POST /v1/sessions    sticky: the creating replica owns the session;
 //	/v1/sessions/{id}... later requests always go to the owner (503 naming
 //	                     the owner when it is down — sessions are stateful)
 //	GET  /v1/analyzers   any healthy replica (registries are identical)
+//	GET  /v1/schema      any healthy replica (schemas are identical)
 //	GET  /v1/events      fleet-wide SSE admission feed fanned in from every
 //	                     replica, events labeled with their replica
 //	GET  /v1/traces      recent proxied request traces
@@ -27,10 +30,13 @@
 //	                     per-replica {replica="..."} samples + edfproxy_*
 //	                     routing/failover counters
 //
+// An unknown workload model gets a 400 from request decoding, as on
+// edfd itself.
+//
 // Diagnostics go to stderr as JSON (log/slog); -log-level tunes the
 // threshold, -debug-addr serves net/http/pprof on a separate opt-in mux.
 // The stdout banner line stays printf-style — scripts parse it for the
-// listen address.
+// listen address. The process shell is service.Daemon, shared with edfd.
 //
 // A background checker probes every replica's /healthz each interval,
 // ejecting failed replicas from the ring and re-admitting them when they
@@ -42,21 +48,12 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
-	"net/http"
-	"net/http/pprof"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/service"
 )
 
 func main() {
@@ -70,11 +67,7 @@ func main() {
 	)
 	flag.Parse()
 
-	log, err := newLogger(*logLevel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edfproxy:", err)
-		os.Exit(2)
-	}
+	d := service.NewDaemon("edfproxy", *logLevel, *debugAddr)
 	var urls []string
 	for _, u := range strings.Split(*replicas, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -85,83 +78,14 @@ func main() {
 		Replicas:       urls,
 		VirtualNodes:   *vnodes,
 		HealthInterval: *interval,
-		Logger:         log,
+		Logger:         d.Log,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "edfproxy:", err)
-		os.Exit(2)
+		d.Exit(2, err)
 	}
 	p.Start()
 	defer p.Close()
-	if *debugAddr != "" {
-		go serveDebug(log, *debugAddr)
-	}
-
-	hs := &http.Server{
-		Handler:           p.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// An explicit listener resolves ":0" to a real port before the banner
-	// prints, so scripts (make smoke-cluster) can parse the address.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edfproxy:", err)
-		os.Exit(1)
-	}
-	errc := make(chan error, 1)
-	go func() {
-		// The stdout banner is the scriptable contract (make smoke-cluster
-		// parses the address); structured diagnostics go to stderr.
-		fmt.Printf("edfproxy: listening on %s (%d replicas, %d vnodes, health every %s)\n",
-			ln.Addr(), len(urls), *vnodes, *interval)
-		log.Info("listening", "addr", ln.Addr().String(), "replicas", len(urls),
-			"vnodes", *vnodes, "health_interval", interval.String())
-		errc <- hs.Serve(ln)
-	}()
-
-	select {
-	case err := <-errc:
-		log.Error("serve failed", "err", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-
-	// Close first so open feed relays and SSE streams end — otherwise
-	// Shutdown would wait its full timeout on streams that never finish.
-	log.Info("shutting down")
-	p.Close()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		log.Error("shutdown failed", "err", err)
-		os.Exit(1)
-	}
-}
-
-// newLogger builds the daemon's JSON logger at the requested threshold.
-func newLogger(level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	return slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})), nil
-}
-
-// serveDebug exposes net/http/pprof on its own opt-in address, keeping
-// profiling off the public API mux.
-func serveDebug(log *slog.Logger, addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	log.Info("debug mux listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		log.Error("debug mux failed", "err", err)
-	}
+	d.Serve(d.Listen(*addr), p.Handler(), p.Close,
+		fmt.Sprintf("(%d replicas, %d vnodes, health every %s)", len(urls), *vnodes, *interval),
+		"replicas", len(urls), "vnodes", *vnodes, "health_interval", interval.String())
 }

@@ -24,9 +24,15 @@
 // their replica, relays redialing ejected replicas until they return —
 // and the aggregate /metrics page is Prometheus text exposition:
 // replica families summed fleet-wide next to per-replica
-// {replica="..."} samples, with fleet hit-rate and propose-latency
-// quantiles recomputed from the summed histograms.
+// {replica="..."} samples, with the fleet hit rate and the p50/p99 of
+// every histogram family recomputed from the summed histograms.
+//
+// The proxy shares its request skeleton with edfd rather than copying
+// it: trace adoption, the /v1/traces listing, the body limit and the
+// request decoder and reply writer come from internal/service, the SSE
+// loop and the exposition helpers from internal/obs.
 //
 // Spawner boots real in-process replicas on ephemeral ports for tests and
-// benchmarks; cmd/edfproxy wraps Proxy as a standalone daemon.
+// benchmarks; cmd/edfproxy wraps Proxy as a standalone daemon on the
+// process shell it shares with cmd/edfd (service.Daemon).
 package cluster

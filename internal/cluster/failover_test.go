@@ -218,16 +218,27 @@ func TestHealthEjectAndReadmit(t *testing.T) {
 	}
 }
 
-// healthyCount reads the proxy's own healthz gauge.
+// healthyCount reads the proxy's own healthz gauge, and checks that it
+// agrees with the per-replica map of the same reply.
 func healthyCount(t testing.TB, p *cluster.Proxy) int {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	p.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var body struct {
-		Healthy int `json:"healthy"`
+		Healthy  int               `json:"healthy"`
+		Replicas map[string]string `json:"replicas"`
 	}
 	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 		t.Fatalf("healthz body: %v", err)
+	}
+	inMap := 0
+	for _, state := range body.Replicas {
+		if state == "healthy" {
+			inMap++
+		}
+	}
+	if body.Healthy != inMap {
+		t.Fatalf("healthz says %d healthy but its map lists %d: %v", body.Healthy, inMap, body.Replicas)
 	}
 	return body.Healthy
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,7 +18,6 @@ type proxyMetrics struct {
 	requests         atomic.Uint64 // requests entering the proxy
 	analyzeRouted    atomic.Uint64 // /v1/analyze requests routed by fingerprint
 	partitionRouted  atomic.Uint64 // /v1/partition requests routed by fingerprint
-	modelRejections  atomic.Uint64 // requests 400d for a model the fleet lacks
 	batchRequests    atomic.Uint64 // /v1/batch requests accepted
 	batchSplits      atomic.Uint64 // per-replica sub-batches dispatched
 	batchJobs        atomic.Uint64 // merged batch jobs returned to clients
@@ -43,40 +43,29 @@ type proxyMetrics struct {
 // family, as the format requires. Ratios and quantiles cannot be
 // summed; they are recomputed from their summable parts.
 func (p *Proxy) writeMetrics(w io.Writer, scrapes []replicaScrape) {
-	healthy, total := p.replicaCounts()
+	states, healthy := p.replicaStates()
 	ew := obs.NewExpositionWriter(w)
-	counter := func(name, help string, v uint64) {
-		name = "edfproxy_" + name
-		ew.Family(name, obs.Counter, help)
-		ew.Sample(name, nil, float64(v))
-	}
-	gauge := func(name, help string, v float64) {
-		name = "edfproxy_" + name
-		ew.Family(name, obs.Gauge, help)
-		ew.Sample(name, nil, v)
-	}
-	counter("requests_total", "Requests entering the proxy.", p.m.requests.Load())
-	counter("analyze_routed_total", "Analyze requests routed by workload fingerprint.", p.m.analyzeRouted.Load())
-	counter("partition_routed_total", "Partition requests routed by workload fingerprint.", p.m.partitionRouted.Load())
-	counter("model_rejections_total", "Requests rejected for a workload model the fleet does not support.", p.m.modelRejections.Load())
-	counter("batch_requests_total", "Batch requests accepted.", p.m.batchRequests.Load())
-	counter("batch_splits_total", "Per-replica sub-batches dispatched.", p.m.batchSplits.Load())
-	counter("batch_jobs_total", "Merged batch jobs returned to clients.", p.m.batchJobs.Load())
-	counter("session_creates_total", "Sessions opened through the proxy.", p.m.sessionCreates.Load())
-	counter("session_routes_total", "Session requests routed to their sticky owner.", p.m.sessionRoutes.Load())
-	counter("session_owner_unavailable", "Session requests whose owner replica was down.", p.m.sessionOrphans.Load())
-	counter("takeover_total", "Sessions reassigned to a takeover peer after their owner died.", p.m.takeovers.Load())
-	counter("takeover_failed_total", "Takeover attempts no surviving peer could serve.", p.m.takeoverFailed.Load())
-	counter("failovers_total", "Requests retried on the next ring node.", p.m.failovers.Load())
-	counter("replica_ejections_total", "Replicas removed from the ring.", p.m.ejections.Load())
-	counter("replica_readmissions_total", "Replicas re-added after recovering.", p.m.readmissions.Load())
-	counter("no_replica_errors_total", "Requests failed because the ring was empty.", p.m.noReplica.Load())
-	counter("upstream_errors_total", "Replica requests that failed every attempt.", p.m.upstreamErrors.Load())
-	counter("events_relayed_total", "Feed events relayed from replica streams.", p.m.eventsRelayed.Load())
-	gauge("event_subscribers", "Fleet feed streams currently open.", float64(p.m.eventSubscribers.Load()))
-	gauge("replicas_healthy", "Replicas currently on the ring.", float64(healthy))
-	gauge("replicas_configured", "Replicas configured at startup.", float64(total))
-	gauge("sessions_tracked", "Session owners the proxy remembers.", float64(p.ownedSessions()))
+	ew.Counter("edfproxy_requests_total", "Requests entering the proxy.", p.m.requests.Load())
+	ew.Counter("edfproxy_analyze_routed_total", "Analyze requests routed by workload fingerprint.", p.m.analyzeRouted.Load())
+	ew.Counter("edfproxy_partition_routed_total", "Partition requests routed by workload fingerprint.", p.m.partitionRouted.Load())
+	ew.Counter("edfproxy_batch_requests_total", "Batch requests accepted.", p.m.batchRequests.Load())
+	ew.Counter("edfproxy_batch_splits_total", "Per-replica sub-batches dispatched.", p.m.batchSplits.Load())
+	ew.Counter("edfproxy_batch_jobs_total", "Merged batch jobs returned to clients.", p.m.batchJobs.Load())
+	ew.Counter("edfproxy_session_creates_total", "Sessions opened through the proxy.", p.m.sessionCreates.Load())
+	ew.Counter("edfproxy_session_routes_total", "Session requests routed to their sticky owner.", p.m.sessionRoutes.Load())
+	ew.Counter("edfproxy_session_owner_unavailable", "Session requests whose owner replica was down.", p.m.sessionOrphans.Load())
+	ew.Counter("edfproxy_takeover_total", "Sessions reassigned to a takeover peer after their owner died.", p.m.takeovers.Load())
+	ew.Counter("edfproxy_takeover_failed_total", "Takeover attempts no surviving peer could serve.", p.m.takeoverFailed.Load())
+	ew.Counter("edfproxy_failovers_total", "Requests retried on the next ring node.", p.m.failovers.Load())
+	ew.Counter("edfproxy_replica_ejections_total", "Replicas removed from the ring.", p.m.ejections.Load())
+	ew.Counter("edfproxy_replica_readmissions_total", "Replicas re-added after recovering.", p.m.readmissions.Load())
+	ew.Counter("edfproxy_no_replica_errors_total", "Requests failed because the ring was empty.", p.m.noReplica.Load())
+	ew.Counter("edfproxy_upstream_errors_total", "Replica requests that failed every attempt.", p.m.upstreamErrors.Load())
+	ew.Counter("edfproxy_events_relayed_total", "Feed events relayed from replica streams.", p.m.eventsRelayed.Load())
+	ew.Gauge("edfproxy_event_subscribers", "Fleet feed streams currently open.", float64(p.m.eventSubscribers.Load()))
+	ew.Gauge("edfproxy_replicas_healthy", "Replicas currently on the ring.", float64(len(healthy)))
+	ew.Gauge("edfproxy_replicas_configured", "Replicas configured at startup.", float64(len(states)))
+	ew.Gauge("edfproxy_sessions_tracked", "Session owners the proxy remembers.", float64(p.ownedSessions()))
 
 	// Merge the replica pages. Families and samples keep the first
 	// scrape's order (replica pages are identically structured), values
@@ -145,21 +134,23 @@ func (p *Proxy) writeMetrics(w io.Writer, scrapes []replicaScrape) {
 		ew.Family("edfd_cache_hit_rate", obs.Gauge, "Fleet cache hits over lookups.")
 		ew.SampleString("edfd_cache_hit_rate", nil, fmt.Sprintf("%.4f", hits/(hits+misses)))
 	}
-	// Quantiles cannot be summed either, but the cumulative latency
-	// buckets can — the summed page is itself a fleet histogram, so the
-	// fleet p50/p99 fall out of it.
-	var bs []fleetBucket
-	if fb, ok := famIdx["edfd_propose_ns"]; ok {
+	// Quantiles cannot be summed either, but cumulative buckets can: each
+	// summed histogram is itself a fleet histogram, so the fleet p50/p99
+	// of every histogram family fall out of its summed buckets.
+	for _, fb := range fams {
+		if fb.typ != obs.Histogram {
+			continue
+		}
+		var bs []obs.Bucket
 		for _, e := range fb.entries {
-			if e.sample.Name != "edfd_propose_ns_bucket" {
-				continue
-			}
-			if le, err := strconv.ParseInt(e.sample.Label("le"), 10, 64); err == nil {
-				bs = append(bs, fleetBucket{le: le, cum: e.sum})
+			le, err := strconv.ParseFloat(e.sample.Label("le"), 64)
+			if e.sample.Name == fb.name+"_bucket" && err == nil && !math.IsInf(le, 1) {
+				bs = append(bs, obs.Bucket{LE: le, Count: e.sum})
 			}
 		}
+		sort.Slice(bs, func(i, j int) bool { return bs[i].LE < bs[j].LE })
+		ew.Quantiles(fb.name, "of "+fb.name+" across the fleet, from summed buckets", bs)
 	}
-	writeFleetQuantiles(ew, bs)
 }
 
 // familyOf maps a sample name to its metric family: the name itself for
@@ -179,42 +170,6 @@ func familyOf(name string, types map[string]obs.MetricType) (string, obs.MetricT
 	return name, obs.Untyped
 }
 
-// fleetBucket is one summed cumulative latency bucket.
-type fleetBucket struct {
-	le  int64
-	cum float64
-}
-
-// writeFleetQuantiles re-derives edfd_propose_ns_p50/p99 from the summed
-// cumulative buckets. Replica pages without buckets (an older edfd) just
-// produce no fleet quantiles.
-func writeFleetQuantiles(ew *obs.ExpositionWriter, bs []fleetBucket) {
-	if len(bs) == 0 {
-		return
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	count := bs[len(bs)-1].cum
-	quantile := func(q float64) int64 {
-		if count <= 0 {
-			return 0
-		}
-		rank := q * count
-		if rank < 1 {
-			rank = 1
-		}
-		for _, b := range bs {
-			if b.cum >= rank {
-				return b.le
-			}
-		}
-		return bs[len(bs)-1].le
-	}
-	ew.Family("edfd_propose_ns_p50", obs.Gauge, "Fleet median proposal latency, from summed buckets.")
-	ew.Sample("edfd_propose_ns_p50", nil, float64(quantile(0.50)))
-	ew.Family("edfd_propose_ns_p99", obs.Gauge, "Fleet 99th-percentile proposal latency, from summed buckets.")
-	ew.Sample("edfd_propose_ns_p99", nil, float64(quantile(0.99)))
-}
-
 // replicaScrape is one replica's parsed /metrics page.
 type replicaScrape struct {
 	replica string
@@ -223,8 +178,8 @@ type replicaScrape struct {
 }
 
 // parseScrape parses a replica exposition page, dropping the derived
-// series (edfd_cache_hit_rate, edfd_propose_ns_p50/p99) — neither can be
-// summed across replicas; the aggregate recomputes them from their
+// series (edfd_cache_hit_rate, each histogram's _p50 and _p99): none can
+// be summed across replicas; the aggregate recomputes them from their
 // summable parts.
 func parseScrape(r io.Reader) ([]obs.Sample, map[string]obs.MetricType, error) {
 	samples, types, err := obs.ParseExpositionTyped(r)

@@ -55,33 +55,76 @@ func TestParseScrapeDropsDerived(t *testing.T) {
 }
 
 // TestWriteFleetQuantiles rebuilds fleet p50/p99 from summed cumulative
-// buckets — the two-replica sum below has 90 samples <= 1024 ns and 10
-// more <= 1048576 ns.
+// buckets on the merged page, for every histogram family on it.
 func TestWriteFleetQuantiles(t *testing.T) {
-	var sb strings.Builder
-	writeFleetQuantiles(obs.NewExpositionWriter(&sb), []fleetBucket{
-		{le: 1024, cum: 90},
-		{le: 1048576, cum: 100},
-	})
-	out := sb.String()
-	if !strings.Contains(out, "edfd_propose_ns_p50 1024\n") {
-		t.Errorf("fleet p50 wrong:\n%s", out)
+	p, err := New(Config{Replicas: []string{"http://a", "http://b"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "edfd_propose_ns_p99 1048576\n") {
-		t.Errorf("fleet p99 wrong:\n%s", out)
+	// page merges one replica page per bucket list, each carrying the
+	// buckets under two histogram families; a nil list is a page without
+	// histograms.
+	page := func(reps ...[]obs.Bucket) string {
+		t.Helper()
+		var scrapes []replicaScrape
+		for i, bs := range reps {
+			var sb strings.Builder
+			ew := obs.NewExpositionWriter(&sb)
+			ew.Counter("edfd_cache_hits", "Result cache hits.", 1)
+			for _, fam := range []string{"edfd_propose_ns", "edfd_other_ns"} {
+				if bs == nil {
+					break
+				}
+				ew.Family(fam, obs.Histogram, "Latency.")
+				for _, b := range bs {
+					ew.Sample(fam+"_bucket", []obs.Label{{Name: "le", Value: obs.FormatValue(b.LE)}}, b.Count)
+				}
+				n := bs[len(bs)-1].Count
+				ew.Sample(fam+"_bucket", []obs.Label{{Name: "le", Value: "+Inf"}}, n)
+				ew.Sample(fam+"_count", nil, n)
+			}
+			samples, types, err := parseScrape(strings.NewReader(sb.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scrapes = append(scrapes, replicaScrape{replica: "http://" + string(rune('a'+i)), samples: samples, types: types})
+		}
+		var out strings.Builder
+		p.writeMetrics(&out, scrapes)
+		if err := obs.ValidateExposition(strings.NewReader(out.String())); err != nil {
+			t.Fatalf("merged page invalid: %v\n%s", err, out.String())
+		}
+		return out.String()
+	}
+
+	// Two replicas whose sum has 90 samples <= 1024 ns and 10 more
+	// <= 1048576 ns.
+	out := page(
+		[]obs.Bucket{{LE: 1024, Count: 50}, {LE: 1048576, Count: 55}},
+		[]obs.Bucket{{LE: 1024, Count: 40}, {LE: 1048576, Count: 45}},
+	)
+	for _, fam := range []string{"edfd_propose_ns", "edfd_other_ns"} {
+		if !strings.Contains(out, fam+"_p50 1024\n") {
+			t.Errorf("fleet %s p50 wrong:\n%s", fam, out)
+		}
+		if !strings.Contains(out, fam+"_p99 1048576\n") {
+			t.Errorf("fleet %s p99 wrong:\n%s", fam, out)
+		}
 	}
 
 	// No buckets (older replicas): no quantile lines at all.
-	sb.Reset()
-	writeFleetQuantiles(obs.NewExpositionWriter(&sb), nil)
-	if sb.Len() != 0 {
-		t.Errorf("quantiles emitted without buckets:\n%s", sb.String())
+	if out = page(nil); strings.Contains(out, "_p50") || strings.Contains(out, "_p99") {
+		t.Errorf("quantiles emitted without buckets:\n%s", out)
 	}
 
 	// Zero samples: quantiles pin to zero rather than inventing latency.
-	sb.Reset()
-	writeFleetQuantiles(obs.NewExpositionWriter(&sb), []fleetBucket{{le: 1024, cum: 0}})
-	if !strings.Contains(sb.String(), "edfd_propose_ns_p50 0\n") {
-		t.Errorf("zero-sample p50 wrong:\n%s", sb.String())
+	if out = page([]obs.Bucket{{LE: 1024, Count: 0}}); !strings.Contains(out, "edfd_propose_ns_p50 0\n") {
+		t.Errorf("zero-sample p50 wrong:\n%s", out)
+	}
+
+	// Nearest rank: of 8, 1000 and 1000 ns the median is the second
+	// sample, in the 1024 bucket.
+	if out = page([]obs.Bucket{{LE: 8, Count: 1}, {LE: 1024, Count: 3}}); !strings.Contains(out, "edfd_propose_ns_p50 1024\n") {
+		t.Errorf("three-sample p50 wrong:\n%s", out)
 	}
 }

@@ -93,9 +93,10 @@ func TestProxyPartitionFailover(t *testing.T) {
 }
 
 // TestProxySchemaGate exercises GET /v1/schema through the proxy and
-// the model gate built on it: supported models pass through, and the
-// typed 400 for an unknown model is the proxy's own (no replica sees
-// the request).
+// the proxy's answer to workload models: supported models pass through,
+// and an unknown model gets the typed 400 from the proxy's request
+// decode, the same decoder every edfd runs, before any replica sees the
+// request.
 func TestProxySchemaGate(t *testing.T) {
 	tc := startCluster(t, 2, service.Config{})
 	ctx := context.Background()
@@ -108,7 +109,7 @@ func TestProxySchemaGate(t *testing.T) {
 		t.Errorf("wire version %q through the proxy", sr.WireVersion)
 	}
 
-	// A supported model passes the gate (and primes the schema cache).
+	// A supported model is routed and placed.
 	if _, _, err := tc.c.Partition(ctx, partReq("ok", pTask("a", 1, 10, 10))); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +122,8 @@ func TestProxySchemaGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	// An unknown model already fails the request decode (the workload
-	// parser rejects it), which is also a 400 — either way the client
-	// must see bad_request, never a 5xx.
+	// The workload parser rejects the model while the body decodes, so
+	// the client sees bad_request, never a 5xx.
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown model: status %d", resp.StatusCode)
 	}

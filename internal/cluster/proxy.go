@@ -9,10 +9,12 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -38,11 +40,10 @@ const (
 	HeaderTakeover = "X-Edf-Takeover"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values, and fixed limits.
 const (
 	DefaultHealthInterval = 2 * time.Second
-	defaultHealthTimeout  = 2 * time.Second
-	maxRequestBytes       = 8 << 20
+	healthTimeout         = 2 * time.Second
 	// maxTrackedSessions bounds the proxy's session->owner map; replicas
 	// bound real sessions themselves (MaxSessions, TTL sweeping), this
 	// only caps the proxy's bookkeeping for leaked ids.
@@ -60,12 +61,6 @@ type Config struct {
 	// HealthInterval spaces background /healthz sweeps once Start runs;
 	// 0 selects DefaultHealthInterval.
 	HealthInterval time.Duration
-	// Client carries replica traffic; nil selects a keep-alive transport
-	// sized for a small replica fleet.
-	Client *http.Client
-	// TraceCapacity bounds the retained request traces; 0 selects
-	// obs.DefaultTraceCapacity.
-	TraceCapacity int
 	// Logger receives structured routing and replica lifecycle logs; nil
 	// discards them.
 	Logger *slog.Logger
@@ -88,12 +83,6 @@ type Proxy struct {
 	healthStop chan struct{}
 	healthTick time.Duration
 
-	// schemaMu guards schemaModels, the fleet's supported workload models
-	// fetched lazily from GET /v1/schema (nil until the first successful
-	// fetch; the gate fails open meanwhile).
-	schemaMu     sync.Mutex
-	schemaModels map[string]bool
-
 	log    *slog.Logger
 	traces *obs.Recorder
 	// stop ends the fleet feed relays so a graceful shutdown is not held
@@ -108,19 +97,17 @@ func New(cfg Config) (*Proxy, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: at least one replica required")
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-			// A replica that accepts connections but never answers (wedged
-			// process, SIGSTOP) must still trigger failover: cap the wait
-			// for response headers just above edfd's own per-request
-			// deadline, after which a live replica would have answered 503.
-			ResponseHeaderTimeout: service.DefaultRequestTimeout + 5*time.Second,
-		}}
-	}
+	// A keep-alive transport sized for a small replica fleet.
+	hc := &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 64,
+		IdleConnTimeout:     90 * time.Second,
+		// A replica that accepts connections but never answers (wedged
+		// process, SIGSTOP) must still trigger failover: cap the wait
+		// for response headers just above edfd's own per-request
+		// deadline, after which a live replica would have answered 503.
+		ResponseHeaderTimeout: service.DefaultRequestTimeout + 5*time.Second,
+	}}
 	tick := cfg.HealthInterval
 	if tick <= 0 {
 		tick = DefaultHealthInterval
@@ -137,7 +124,7 @@ func New(cfg Config) (*Proxy, error) {
 		owners:     make(map[string]string),
 		healthTick: tick,
 		log:        log,
-		traces:     obs.NewRecorder(cfg.TraceCapacity),
+		traces:     obs.NewRecorder(0),
 		stop:       make(chan struct{}),
 	}
 	for _, rep := range cfg.Replicas {
@@ -174,39 +161,33 @@ func (p *Proxy) Close() {
 // Handler returns the routed proxy handler.
 func (p *Proxy) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/analyze", p.handleAnalyze)
+	mux.HandleFunc("POST /v1/analyze", routed(p, "/v1/analyze", &p.m.analyzeRouted,
+		func(r *service.AnalyzeRequest) workload.Workload { return r.Workload }))
 	mux.HandleFunc("POST /v1/batch", p.handleBatch)
-	mux.HandleFunc("POST /v1/partition", p.handlePartition)
-	mux.HandleFunc("GET /v1/analyzers", p.handleAnalyzers)
-	mux.HandleFunc("GET /v1/schema", p.handleSchema)
+	mux.HandleFunc("POST /v1/partition", routed(p, "/v1/partition", &p.m.partitionRouted,
+		func(r *service.PartitionRequest) workload.Workload { return r.Workload }))
+	mux.HandleFunc("GET /v1/analyzers", p.fromAny("/v1/analyzers"))
+	mux.HandleFunc("GET /v1/schema", p.fromAny("/v1/schema"))
 	mux.HandleFunc("POST /v1/sessions", p.handleSessionCreate)
 	mux.HandleFunc("/v1/sessions/{id}", p.handleSession)
 	mux.HandleFunc("/v1/sessions/{id}/{action}", p.handleSession)
 	mux.HandleFunc("GET /v1/events", p.handleEvents)
-	mux.HandleFunc("GET /v1/traces", p.handleTraces)
+	// Every proxied request is traced at this layer, so the proxy's own
+	// ring is the fleet-wide listing.
+	mux.HandleFunc("GET /v1/traces", service.TraceList(p.traces, service.WriteError))
 	mux.HandleFunc("GET /v1/traces/{id}", p.handleTrace)
 	mux.HandleFunc("GET /healthz", p.handleHealthz)
 	mux.HandleFunc("GET /metrics", p.handleMetrics)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		p.m.requests.Add(1)
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-		// Streaming observability reads and the ops endpoints are not
-		// traced; everything else mints (or adopts) a trace here, and
-		// post() propagates its ID to the replicas so their spans land
-		// under the same ID.
-		if !strings.HasPrefix(r.URL.Path, "/v1/") || service.StreamingPath(r.URL.Path) {
+		r.Body = http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)
+		if !service.Traced(r.URL.Path) {
 			mux.ServeHTTP(w, r)
 			return
 		}
-		id := r.Header.Get(obs.TraceHeader)
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		tr := obs.StartTrace(id, service.OpFor(r))
-		w.Header().Set(obs.TraceHeader, id)
-		mux.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), tr)))
-		p.traces.Record(tr)
-		p.log.Debug("request routed", "op", tr.Op, "trace", tr.ID, "session", tr.Session)
+		// post propagates the trace ID to the replicas, so their spans
+		// land under the same ID.
+		service.ServeTraced(w, r, mux, p.traces, p.log)
 	})
 }
 
@@ -255,28 +236,21 @@ func (p *Proxy) isHealthy(rep string) bool {
 	return p.healthy[rep]
 }
 
-// replicaCounts returns (healthy, configured).
-func (p *Proxy) replicaCounts() (int, int) {
+// replicaStates snapshots the health map, and the replicas on the ring
+// in sorted order.
+func (p *Proxy) replicaStates() (map[string]bool, []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, ok := range p.healthy {
+	states := make(map[string]bool, len(p.healthy))
+	var healthy []string
+	for rep, ok := range p.healthy {
+		states[rep] = ok
 		if ok {
-			n++
+			healthy = append(healthy, rep)
 		}
 	}
-	return n, len(p.healthy)
-}
-
-// replicaStates snapshots the health map in sorted order.
-func (p *Proxy) replicaStates() map[string]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]bool, len(p.healthy))
-	for rep, ok := range p.healthy {
-		out[rep] = ok
-	}
-	return out
+	sort.Strings(healthy)
+	return states, healthy
 }
 
 func (p *Proxy) ownedSessions() int {
@@ -304,25 +278,30 @@ func (p *Proxy) healthLoop(stop <-chan struct{}) {
 // rebalancing. It is the body of the background checker and is exported
 // so tests and operators can force an immediate sweep.
 func (p *Proxy) CheckReplicas(ctx context.Context) {
-	states := p.replicaStates()
+	states, _ := p.replicaStates()
+	fanOut(sortedKeys(states), func(_ int, rep string) { p.check(ctx, rep) })
+}
+
+// check probes rep's /healthz and sets its ring membership from the
+// answer: on the ring when it answers 200 within the health timeout,
+// ejected otherwise. It reports whether the replica is healthy.
+func (p *Proxy) check(ctx context.Context, rep string) bool {
+	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
+	defer cancel()
+	_, err := p.fetch(ctx, rep, "/healthz")
+	p.setHealthy(rep, err == nil)
+	return err == nil
+}
+
+// fanOut calls fn for every replica of reps, with its index,
+// concurrently, and returns once every call has.
+func fanOut(reps []string, fn func(i int, rep string)) {
 	var wg sync.WaitGroup
-	for rep := range states {
+	for i, rep := range reps {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, defaultHealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(hctx, http.MethodGet, rep+"/healthz", nil)
-			if err != nil {
-				return
-			}
-			resp, err := p.hc.Do(req)
-			ok := err == nil && resp.StatusCode == http.StatusOK
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-			p.setHealthy(rep, ok)
+			fn(i, rep)
 		}()
 	}
 	wg.Wait()
@@ -369,58 +348,99 @@ func (p *Proxy) post(ctx context.Context, method, rep, path string, body []byte)
 	return resp, nil
 }
 
-// forward tries the request on each node of seq in order, streaming the
-// first acceptable response through to the client. It returns the
-// serving replica and attempt count for callers that post-process.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, seq []string, method, path string, body []byte) (served string, resp *http.Response, ok bool) {
-	if len(seq) == 0 {
-		p.m.noReplica.Add(1)
-		p.fail(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
-		return "", nil, false
+// readReply reads and closes a replica reply's body, at most
+// MaxRequestBytes of it. Every reply the proxy does not stream through to
+// its client ends here; the JSON ones then decode with
+// service.DecodeJSON, the decoder of the typed client.
+func readReply(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	return io.ReadAll(io.LimitReader(resp.Body, service.MaxRequestBytes))
+}
+
+// fetch GETs path from rep and returns the body of a 200 reply.
+func (p *Proxy) fetch(ctx context.Context, rep, path string) ([]byte, error) {
+	resp, err := p.post(ctx, http.MethodGet, rep, path, nil)
+	if err != nil {
+		return nil, err
 	}
-	tr := obs.FromContext(r.Context())
-	span := func(rep string, start time.Time, detail string) {
-		if tr == nil {
-			return
-		}
+	body, err := readReply(resp)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("replica %s: GET %s: status %d", rep, path, resp.StatusCode)
+	}
+	return body, err
+}
+
+// span records one upstream step on the request's trace, and nothing
+// outside a traced request: the step's name, the replica it ran on, and
+// its extent on the trace's clock. A Trace is single-goroutine by
+// contract, so steps run in parallel are added after their barrier.
+func span(ctx context.Context, name, rep string, start time.Time, dur time.Duration, detail string) {
+	if tr := obs.FromContext(ctx); tr != nil {
 		tr.AddSpan(obs.Span{
-			Name:    "forward",
+			Name:    name,
 			StartNS: start.Sub(tr.Start()).Nanoseconds(),
-			DurNS:   time.Since(start).Nanoseconds(),
+			DurNS:   dur.Nanoseconds(),
 			Replica: rep,
 			Detail:  detail,
 		})
 	}
-	attempts := 0
+}
+
+// outcome is the span detail of one upstream call.
+func outcome(resp *http.Response, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return "status " + strconv.Itoa(resp.StatusCode)
+}
+
+// forward tries the request on each node of seq in order and returns the
+// first acceptable response, with the replica that served it, for the
+// caller to relay. It answers the client itself when no node can serve.
+func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, seq []string, method, path string, body []byte) (served string, resp *http.Response, ok bool) {
+	if len(seq) == 0 {
+		p.m.noReplica.Add(1)
+		service.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
+		return "", nil, false
+	}
 	for i, rep := range seq {
-		attempts++
 		if i > 0 {
 			p.m.failovers.Add(1)
 		}
 		start := time.Now()
 		rs, err := p.post(r.Context(), method, rep, path, body)
+		retry := err == nil && retryable(rs.StatusCode) && i < len(seq)-1
+		detail := outcome(rs, err)
+		if retry {
+			detail = "retryable " + detail
+		}
+		span(r.Context(), "forward", rep, start, time.Since(start), detail)
 		if err != nil {
-			span(rep, start, "error: "+err.Error())
 			if r.Context().Err() != nil {
-				p.fail(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
+				service.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
 				return "", nil, false
 			}
 			continue
 		}
-		if retryable(rs.StatusCode) && i < len(seq)-1 {
-			span(rep, start, "retryable status "+strconv.Itoa(rs.StatusCode))
-			io.Copy(io.Discard, rs.Body)
-			rs.Body.Close()
+		if retry {
+			_, _ = readReply(rs)
 			continue
 		}
-		span(rep, start, "status "+strconv.Itoa(rs.StatusCode))
 		w.Header().Set(HeaderReplica, rep)
-		w.Header().Set(HeaderAttempts, strconv.Itoa(attempts))
+		w.Header().Set(HeaderAttempts, strconv.Itoa(i+1))
 		return rep, rs, true
 	}
 	p.m.upstreamErrors.Add(1)
-	p.fail(w, http.StatusBadGateway, fmt.Errorf("all %d replicas failed for %s", len(seq), path))
+	service.WriteError(w, http.StatusBadGateway, fmt.Errorf("all %d replicas failed for %s", len(seq), path))
 	return "", nil, false
+}
+
+// relay forwards along seq and streams the serving replica's reply
+// through to the client.
+func (p *Proxy) relay(w http.ResponseWriter, r *http.Request, seq []string, method, path string, body []byte) {
+	if _, resp, ok := p.forward(w, r, seq, method, path, body); ok {
+		p.stream(w, resp)
+	}
 }
 
 // stream copies an upstream response through to the client. SSE bodies
@@ -466,101 +486,30 @@ func (f flushWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (p *Proxy) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	body, req, ok := decodeBody[service.AnalyzeRequest](p, w, r)
-	if !ok {
-		return
-	}
-	if !p.gateModel(w, r, req.Workload) {
-		return
-	}
-	p.m.analyzeRouted.Add(1)
-	_, resp, ok := p.forward(w, r, p.seqFor(routeKey(req.Workload)), http.MethodPost, "/v1/analyze", body)
-	if ok {
-		p.stream(w, resp)
-	}
-}
-
-// handlePartition routes a placement request by its workload's
-// fingerprint: all requests about the same partitioned workload land on
-// one replica, whose cache then holds every per-bin verdict — and since
-// bin checks use the plain sporadic fingerprint domain, single-bin
-// /v1/analyze traffic for the same scaled task sets shares them.
-func (p *Proxy) handlePartition(w http.ResponseWriter, r *http.Request) {
-	body, req, ok := decodeBody[service.PartitionRequest](p, w, r)
-	if !ok {
-		return
-	}
-	if !p.gateModel(w, r, req.Workload) {
-		return
-	}
-	p.m.partitionRouted.Add(1)
-	_, resp, ok := p.forward(w, r, p.seqFor(routeKey(req.Workload)), http.MethodPost, "/v1/partition", body)
-	if ok {
-		p.stream(w, resp)
-	}
-}
-
-func (p *Proxy) handleAnalyzers(w http.ResponseWriter, r *http.Request) {
-	// Registries are identical across replicas; any healthy one answers.
-	_, resp, ok := p.forward(w, r, p.seqFor("analyzers"), http.MethodGet, "/v1/analyzers", nil)
-	if ok {
-		p.stream(w, resp)
-	}
-}
-
-func (p *Proxy) handleSchema(w http.ResponseWriter, r *http.Request) {
-	// Schemas are identical across replicas; any healthy one answers.
-	_, resp, ok := p.forward(w, r, p.seqFor("schema"), http.MethodGet, "/v1/schema", nil)
-	if ok {
-		p.stream(w, resp)
-	}
-}
-
-// fleetModels returns the workload models the fleet supports, fetched
-// once from GET /v1/schema of the first replica that answers and cached
-// for the proxy's lifetime (registries are static per fleet). It
-// returns nil while no replica has answered yet — callers fail open.
-func (p *Proxy) fleetModels(ctx context.Context) map[string]bool {
-	p.schemaMu.Lock()
-	defer p.schemaMu.Unlock()
-	if p.schemaModels != nil {
-		return p.schemaModels
-	}
-	for _, rep := range p.seqFor("schema") {
-		resp, err := p.post(ctx, http.MethodGet, rep, "/v1/schema", nil)
-		if err != nil {
-			continue
+// routed serves an endpoint routed by its workload's fingerprint,
+// /v1/analyze and /v1/partition: every request about one workload lands
+// on the replica whose cache holds its results. Placement bins are
+// fingerprinted in the plain sporadic domain, so single-bin /v1/analyze
+// traffic for the same scaled task sets shares a placement's per-bin
+// verdicts. The body decodes as T, and the client's bytes go on as they
+// came.
+func routed[T any](p *Proxy, path string, routes *atomic.Uint64, workloadOf func(*T) workload.Workload) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, req, ok := decodeBody[T](w, r)
+		if !ok {
+			return
 		}
-		var sr service.SchemaResponse
-		err = json.NewDecoder(io.LimitReader(resp.Body, maxRequestBytes)).Decode(&sr)
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil || len(sr.Models) == 0 {
-			continue
-		}
-		models := make(map[string]bool, len(sr.Models))
-		for _, m := range sr.Models {
-			models[m] = true
-		}
-		p.schemaModels = models
-		return models
+		routes.Add(1)
+		p.relay(w, r, p.seqFor(routeKey(workloadOf(&req))), http.MethodPost, path, body)
 	}
-	return nil
 }
 
-// gateModel rejects a workload whose model the fleet's declared schema
-// does not list, before any forwarding. An unreachable schema fails
-// open: the replica owns the rejection then.
-func (p *Proxy) gateModel(w http.ResponseWriter, r *http.Request, wl workload.Workload) bool {
-	models := p.fleetModels(r.Context())
-	if models == nil || models[string(wl.Kind())] {
-		return true
+// fromAny serves a read that every replica answers alike, the analyzer
+// registry or the schema, from any healthy one.
+func (p *Proxy) fromAny(path string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		p.relay(w, r, p.seqFor(path), http.MethodGet, path, nil)
 	}
-	p.m.modelRejections.Add(1)
-	p.fail(w, http.StatusBadRequest,
-		fmt.Errorf("workload model %q is not supported by the fleet (see GET /v1/schema)", wl.Kind()))
-	return false
 }
 
 // subBatch is the slice of a batch bound for one replica.
@@ -571,7 +520,7 @@ type subBatch struct {
 }
 
 func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, req, ok := decodeBody[service.BatchRequest](p, w, r)
+	body, req, ok := decodeBody[service.BatchRequest](w, r)
 	if !ok {
 		return
 	}
@@ -579,10 +528,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Sets) == 0 {
 		// Forward the degenerate request untouched; the replica owns the
 		// error contract.
-		_, resp, ok := p.forward(w, r, p.seqFor("batch-empty"), http.MethodPost, "/v1/batch", body)
-		if ok {
-			p.stream(w, resp)
-		}
+		p.relay(w, r, p.seqFor("batch-empty"), http.MethodPost, "/v1/batch", body)
 		return
 	}
 
@@ -593,7 +539,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 		seq := p.seqFor(routeKey(set.Workload))
 		if len(seq) == 0 {
 			p.m.noReplica.Add(1)
-			p.fail(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
+			service.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
 			return
 		}
 		owner := seq[0]
@@ -612,11 +558,7 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One owner: the common case for small batches — forward the original
 	// body untouched, no re-merge needed.
 	if len(groups) == 1 {
-		g := groups[order[0]]
-		_, resp, ok := p.forward(w, r, g.seq, http.MethodPost, "/v1/batch", body)
-		if ok {
-			p.stream(w, resp)
-		}
+		p.relay(w, r, groups[order[0]].seq, http.MethodPost, "/v1/batch", body)
 		return
 	}
 
@@ -632,40 +574,24 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 		err      error
 	}
 	results := make([]groupResult, len(order))
-	var wg sync.WaitGroup
-	for gi, owner := range order {
-		p.m.batchSplits.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := groups[owner]
-			results[gi] = groupResult{g: g, start: time.Now()}
-			defer func() { results[gi].dur = time.Since(results[gi].start) }()
-			payload, err := json.Marshal(g.req)
-			if err != nil {
-				results[gi].err = err
-				return
-			}
-			results[gi].resp, results[gi].served, results[gi].attempts, results[gi].err = p.subBatchCall(r.Context(), g.seq, payload)
-		}()
-	}
-	wg.Wait()
-	// Spans are added after the barrier: a Trace is single-goroutine by
-	// contract, so the parallel dispatchers only record timings.
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		for _, gr := range results {
-			detail := fmt.Sprintf("%d sets, %d attempts", len(gr.g.origSets), gr.attempts)
-			if gr.err != nil {
-				detail = "error: " + gr.err.Error()
-			}
-			tr.AddSpan(obs.Span{
-				Name:    "sub-batch",
-				StartNS: gr.start.Sub(tr.Start()).Nanoseconds(),
-				DurNS:   gr.dur.Nanoseconds(),
-				Replica: gr.served,
-				Detail:  detail,
-			})
+	p.m.batchSplits.Add(uint64(len(order)))
+	fanOut(order, func(gi int, owner string) {
+		gr := &results[gi]
+		gr.g, gr.start = groups[owner], time.Now()
+		defer func() { gr.dur = time.Since(gr.start) }()
+		payload, err := json.Marshal(gr.g.req)
+		if err != nil {
+			gr.err = err
+			return
 		}
+		gr.resp, gr.served, gr.attempts, gr.err = p.subBatchCall(r.Context(), gr.g.seq, payload)
+	})
+	for _, gr := range results {
+		detail := fmt.Sprintf("%d sets, %d attempts", len(gr.g.origSets), gr.attempts)
+		if gr.err != nil {
+			detail = "error: " + gr.err.Error()
+		}
+		span(r.Context(), "sub-batch", gr.served, gr.start, gr.dur, detail)
 	}
 
 	// Re-merge in deterministic set-major order: per-set job runs keep
@@ -685,16 +611,16 @@ func (p *Proxy) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// does not depend on how the batch happened to shard.
 			var rse *replicaStatusError
 			if errors.As(gr.err, &rse) && rse.status < 500 {
-				p.fail(w, rse.status, rse)
+				service.WriteError(w, rse.status, rse)
 				return
 			}
 			p.m.upstreamErrors.Add(1)
-			p.fail(w, http.StatusBadGateway, fmt.Errorf("batch split failed: %w", gr.err))
+			service.WriteError(w, http.StatusBadGateway, fmt.Errorf("batch split failed: %w", gr.err))
 			return
 		}
 		for _, job := range gr.resp.Results {
 			if job.SetIndex < 0 || job.SetIndex >= len(gr.g.origSets) {
-				p.fail(w, http.StatusBadGateway,
+				service.WriteError(w, http.StatusBadGateway,
 					fmt.Errorf("replica returned set index %d for a %d-set sub-batch", job.SetIndex, len(gr.g.origSets)))
 				return
 			}
@@ -761,28 +687,29 @@ func (e *replicaStatusError) Error() string { return e.msg }
 // the failure is worth the next ring node; an authoritative bad answer
 // (4xx, undecodable body) is not.
 func decodeSubBatch(rep string, resp *http.Response) (service.BatchResponse, error, bool) {
-	defer resp.Body.Close()
-	if retryable(resp.StatusCode) {
-		io.Copy(io.Discard, resp.Body)
-		return service.BatchResponse{}, fmt.Errorf("replica %s: status %d", rep, resp.StatusCode), true
-	}
-	if resp.StatusCode != http.StatusOK {
+	var out service.BatchResponse
+	body, err := readReply(resp)
+	switch {
+	case retryable(resp.StatusCode):
+		return out, fmt.Errorf("replica %s: status %d", rep, resp.StatusCode), true
+	case resp.StatusCode != http.StatusOK:
 		var er service.ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&er)
+		_ = service.DecodeJSON(body, &er)
 		if er.Error == "" {
 			er.Error = fmt.Sprintf("replica %s: status %d", rep, resp.StatusCode)
 		}
-		return service.BatchResponse{}, &replicaStatusError{resp.StatusCode, er.Error}, false
+		return out, &replicaStatusError{resp.StatusCode, er.Error}, false
+	case err == nil:
+		err = service.DecodeJSON(body, &out)
 	}
-	var out service.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err != nil {
 		return service.BatchResponse{}, fmt.Errorf("replica %s: %w", rep, err), false
 	}
 	return out, nil, false
 }
 
 func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	body, req, ok := decodeBody[service.SessionRequest](p, w, r)
+	body, req, ok := decodeBody[service.SessionRequest](w, r)
 	if !ok {
 		return
 	}
@@ -811,11 +738,10 @@ func (p *Proxy) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer resp.Body.Close()
 	// Buffer the (small) reply to learn the session id before relaying.
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxRequestBytes))
+	payload, err := readReply(resp)
 	if err != nil {
-		p.fail(w, http.StatusBadGateway, fmt.Errorf("reading session reply: %w", err))
+		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("reading session reply: %w", err))
 		return
 	}
 	if resp.StatusCode == http.StatusCreated {
@@ -876,12 +802,12 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	owner := p.ownerOf(id)
 	if owner == "" {
 		p.m.noReplica.Add(1)
-		p.fail(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
+		service.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
 		return
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		p.fail(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return
 	}
 	if len(body) == 0 {
@@ -899,21 +825,7 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	p.m.sessionRoutes.Add(1)
 	start := time.Now()
 	resp, err := p.post(r.Context(), r.Method, owner, r.URL.EscapedPath(), body)
-	if tr != nil {
-		detail := ""
-		if err != nil {
-			detail = "error: " + err.Error()
-		} else {
-			detail = "status " + strconv.Itoa(resp.StatusCode)
-		}
-		tr.AddSpan(obs.Span{
-			Name:    "route",
-			StartNS: start.Sub(tr.Start()).Nanoseconds(),
-			DurNS:   time.Since(start).Nanoseconds(),
-			Replica: owner,
-			Detail:  detail,
-		})
-	}
+	span(r.Context(), "route", owner, start, time.Since(start), outcome(resp, err))
 	if err != nil {
 		// A failed request does not prove the owner is dead: it may have
 		// applied the decision with only the response lost (timeout,
@@ -922,19 +834,20 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 		// session. Probe the owner before any takeover: only a
 		// confirmed-dead owner loses the session; a live one is
 		// re-admitted and the client gets the 503 naming it, so a retry
-		// lands back on the same replica.
+		// lands back on the same replica. post already ejected the owner
+		// passively; the probe re-admits it when it answers.
 		if r.Context().Err() != nil {
-			p.fail(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
+			service.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("client canceled: %w", err))
 			return
 		}
-		if p.confirmDead(owner) {
+		if !p.check(context.Background(), owner) {
 			p.orphanOrTakeover(w, r, id, owner, body,
 				fmt.Errorf("session %s: owner replica %s failed: %v", id, owner, err))
 			return
 		}
 		p.m.sessionOrphans.Add(1)
 		w.Header().Set(HeaderOwner, owner)
-		p.fail(w, http.StatusServiceUnavailable,
+		service.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("session %s: request to owner replica %s failed but the owner is alive, retry: %v", id, owner, err))
 		return
 	}
@@ -950,32 +863,6 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 	p.stream(w, resp)
 }
 
-// confirmDead probes a failed owner's /healthz synchronously. post
-// already ejected the replica passively; this distinguishes a dead
-// process (probe fails too — takeover may proceed) from a transient
-// request failure against a live one (probe answers — the failed
-// request may have been applied there, so the session must stay put).
-// An answering owner is re-admitted to the ring on the spot.
-func (p *Proxy) confirmDead(owner string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), defaultHealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return true
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		p.setHealthy(owner, true)
-		return false
-	}
-	return true
-}
-
 // orphanOrTakeover handles a dead session owner: try a takeover peer
 // first, and only 503 (naming the owner, so the typed client can
 // attribute the failure) when no peer could inherit the session.
@@ -985,7 +872,7 @@ func (p *Proxy) orphanOrTakeover(w http.ResponseWriter, r *http.Request, id, own
 	}
 	p.m.sessionOrphans.Add(1)
 	w.Header().Set(HeaderOwner, owner)
-	p.fail(w, http.StatusServiceUnavailable, cause)
+	service.WriteError(w, http.StatusServiceUnavailable, cause)
 }
 
 // takeover reassigns a dead owner's session to the next healthy ring
@@ -1008,28 +895,17 @@ func (p *Proxy) takeover(w http.ResponseWriter, r *http.Request, id, deadOwner s
 	}
 	start := time.Now()
 	resp, err := p.post(r.Context(), r.Method, target, r.URL.EscapedPath(), body)
-	if tr := obs.FromContext(r.Context()); tr != nil {
-		detail := "from " + deadOwner
-		if err != nil {
-			detail = "error: " + err.Error()
-		} else {
-			detail += ", status " + strconv.Itoa(resp.StatusCode)
-		}
-		tr.AddSpan(obs.Span{
-			Name:    "takeover",
-			StartNS: start.Sub(tr.Start()).Nanoseconds(),
-			DurNS:   time.Since(start).Nanoseconds(),
-			Replica: target,
-			Detail:  detail,
-		})
+	detail := outcome(resp, err)
+	if err == nil {
+		detail = "from " + deadOwner + ", " + detail
 	}
+	span(r.Context(), "takeover", target, start, time.Since(start), detail)
 	if err != nil {
 		p.m.takeoverFailed.Add(1)
 		return false
 	}
 	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		_, _ = readReply(resp)
 		p.m.takeoverFailed.Add(1)
 		return false
 	}
@@ -1048,75 +924,56 @@ func (p *Proxy) takeover(w http.ResponseWriter, r *http.Request, id, deadOwner s
 }
 
 func (p *Proxy) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	healthy, total := p.replicaCounts()
-	states := p.replicaStates()
+	// One snapshot, so the status, the count and the map always agree.
+	states, healthy := p.replicaStates()
 	reps := make(map[string]string, len(states))
 	for rep, ok := range states {
+		reps[rep] = "unhealthy"
 		if ok {
 			reps[rep] = "healthy"
-		} else {
-			reps[rep] = "unhealthy"
 		}
 	}
 	status, code := "ok", http.StatusOK
-	if healthy == 0 {
+	if len(healthy) == 0 {
 		status, code = "no healthy replicas", http.StatusServiceUnavailable
 	}
 	service.WriteJSON(w, code, map[string]any{
 		"status":    status,
-		"healthy":   healthy,
+		"healthy":   len(healthy),
 		"replicas":  reps,
-		"total":     total,
+		"total":     len(states),
 		"uptime_ns": time.Since(p.started).Nanoseconds(),
 	})
 }
 
 func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	states := p.replicaStates()
-	var mu sync.Mutex
-	var scrapes []replicaScrape
-	var wg sync.WaitGroup
-	for rep, ok := range states {
-		if !ok {
-			continue
+	_, healthy := p.replicaStates()
+	scrapes := make([]replicaScrape, len(healthy))
+	fanOut(healthy, func(i int, rep string) {
+		page, err := p.fetch(r.Context(), rep, "/metrics")
+		if err != nil {
+			return
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := p.post(r.Context(), http.MethodGet, rep, "/metrics", nil)
-			if err != nil || resp.StatusCode != http.StatusOK {
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				return
-			}
-			defer resp.Body.Close()
-			samples, types, err := parseScrape(io.LimitReader(resp.Body, maxRequestBytes))
-			if err != nil {
-				p.log.Warn("unparseable replica metrics page", "replica", rep, "err", err)
-				return
-			}
-			mu.Lock()
-			scrapes = append(scrapes, replicaScrape{replica: rep, samples: samples, types: types})
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sort.Slice(scrapes, func(i, j int) bool { return scrapes[i].replica < scrapes[j].replica })
+		samples, types, err := parseScrape(bytes.NewReader(page))
+		if err != nil {
+			p.log.Warn("unparseable replica metrics page", "replica", rep, "err", err)
+			return
+		}
+		scrapes[i] = replicaScrape{replica: rep, samples: samples, types: types}
+	})
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	p.writeMetrics(w, scrapes)
+	p.writeMetrics(w, slices.DeleteFunc(scrapes, func(sc replicaScrape) bool { return sc.replica == "" }))
 }
 
 // decodeBody decodes the request body as T through service.DecodeBody,
 // the replicas' own decoder, answering 400 itself on failure. The raw
 // bytes come back too, so forwarding reuses the client's exact payload
 // instead of a re-encoding.
-func decodeBody[T any](p *Proxy, w http.ResponseWriter, r *http.Request) ([]byte, T, bool) {
+func decodeBody[T any](w http.ResponseWriter, r *http.Request) ([]byte, T, bool) {
 	var req T
 	body, err := service.DecodeBody(r, &req)
 	if err != nil {
-		p.fail(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return nil, req, false
 	}
 	return body, req, true
@@ -1129,9 +986,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// fail writes the service's uniform typed error body.
-func (p *Proxy) fail(w http.ResponseWriter, code int, err error) {
-	service.WriteJSON(w, code, service.ErrorFor(code, err).Response())
 }

@@ -2,15 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -25,55 +22,24 @@ const (
 	relayBackoffMax = 2 * time.Second
 )
 
-// handleEvents serves the fleet-wide admission feed: one SSE stream
-// fanning in every configured replica's /v1/events, each event stamped
-// with the replica that published it. Relays dial all configured
-// replicas — healthy or not — and reconnect with backoff, so the feed
-// survives replica ejection and re-admission without missing the
-// recovered replica's new events.
+// handleEvents serves the fleet-wide admission feed through the same
+// obs.ServeSSE loop as edfd's own feeds: one SSE stream fanning in every
+// configured replica's /v1/events, each event stamped with the replica
+// that published it. Relays dial all configured replicas — healthy or
+// not — and reconnect with backoff, so the feed survives replica
+// ejection and re-admission without missing the recovered replica's new
+// events.
 func (p *Proxy) handleEvents(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	ch := make(chan obs.Event, obs.DefaultSubscriberBuffer)
-	for rep := range p.replicaStates() {
+	states, _ := p.replicaStates()
+	for rep := range states {
 		go p.relayEvents(ctx, rep, ch)
 	}
 	p.m.eventSubscribers.Add(1)
 	defer p.m.eventSubscribers.Add(-1)
-
-	fl, _ := w.(http.Flusher)
-	h := w.Header()
-	h.Set("Content-Type", obs.SSEContentType)
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	if fl != nil {
-		fl.Flush()
-	}
-	tick := time.NewTicker(obs.DefaultHeartbeat)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-p.stop:
-			return
-		case ev := <-ch:
-			if obs.WriteSSEEvent(w, ev) != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		case <-tick.C:
-			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			if fl != nil {
-				fl.Flush()
-			}
-		}
-	}
+	obs.ServeSSE(w, r, ch, p.stop)
 }
 
 // relayEvents streams one replica's feed into out until ctx ends or the
@@ -130,25 +96,6 @@ func (p *Proxy) relayEvents(ctx context.Context, rep string, out chan<- obs.Even
 	}
 }
 
-// handleTraces lists the proxy's recent traces. Every proxied request
-// mints or adopts a trace at this layer, so the proxy's own ring is the
-// fleet-wide listing.
-func (p *Proxy) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := defaultRecentTraces
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			p.fail(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
-			return
-		}
-		n = v
-	}
-	service.WriteJSON(w, http.StatusOK, service.TracesResponse{Traces: p.traces.Recent(n)})
-}
-
-// defaultRecentTraces mirrors the service default for GET /v1/traces.
-const defaultRecentTraces = 64
-
 // handleTrace returns the merged fleet view of one trace: the proxy's
 // own routing spans plus every replica fragment recorded under the same
 // ID, replica spans stamped with their origin and re-anchored onto the
@@ -158,7 +105,7 @@ func (p *Proxy) handleTrace(w http.ResponseWriter, r *http.Request) {
 	fragments := p.collectReplicaTraces(r.Context(), id)
 	local, ok := p.traces.Get(id)
 	if !ok && len(fragments) == 0 {
-		p.fail(w, http.StatusNotFound, errors.New("cluster: unknown trace"))
+		service.WriteError(w, http.StatusNotFound, errors.New("cluster: unknown trace"))
 		return
 	}
 	var merged obs.Trace
@@ -202,35 +149,15 @@ type traceFragment struct {
 // collectReplicaTraces asks every healthy replica for its fragment of a
 // trace, in parallel, ordered oldest-first.
 func (p *Proxy) collectReplicaTraces(ctx context.Context, id string) []traceFragment {
-	var mu sync.Mutex
-	var out []traceFragment
-	var wg sync.WaitGroup
-	for rep, healthy := range p.replicaStates() {
-		if !healthy {
-			continue
+	_, healthy := p.replicaStates()
+	frags := make([]traceFragment, len(healthy))
+	fanOut(healthy, func(i int, rep string) {
+		body, err := p.fetch(ctx, rep, "/v1/traces/"+url.PathEscape(id))
+		if err == nil && service.DecodeJSON(body, &frags[i].t) == nil {
+			frags[i].rep = rep
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := p.post(ctx, http.MethodGet, rep, "/v1/traces/"+url.PathEscape(id), nil)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				io.Copy(io.Discard, resp.Body)
-				return
-			}
-			var t obs.Trace
-			if json.NewDecoder(io.LimitReader(resp.Body, maxRequestBytes)).Decode(&t) != nil {
-				return
-			}
-			mu.Lock()
-			out = append(out, traceFragment{rep: rep, t: t})
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sort.Slice(out, func(i, j int) bool { return out[i].t.StartUnixNS < out[j].t.StartUnixNS })
-	return out
+	})
+	frags = slices.DeleteFunc(frags, func(f traceFragment) bool { return f.rep == "" })
+	sort.Slice(frags, func(i, j int) bool { return frags[i].t.StartUnixNS < frags[j].t.StartUnixNS })
+	return frags
 }

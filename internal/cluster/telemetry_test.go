@@ -253,3 +253,48 @@ func TestProxyFleetFeedContinuity(t *testing.T) {
 		}
 	}
 }
+
+// TestSSEHeaders pins the server-sent-events headers of every feed:
+// edfd's server-wide and per-session feeds and the fleet feed through
+// edfproxy come from one SSE loop, and the proxied per-session feed
+// relays the replica's headers.
+func TestSSEHeaders(t *testing.T) {
+	tc := startCluster(t, 1, service.Config{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h, _, err := tc.c.OpenSession(ctx, service.SessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := tc.sp.Replicas[0].URL
+	hc := &http.Client{}
+	defer hc.CloseIdleConnections()
+	for _, feed := range []struct{ name, url string }{
+		{"edfd /v1/events", rep + "/v1/events"},
+		{"edfd /v1/sessions/{id}/events", rep + "/v1/sessions/" + h.ID + "/events"},
+		{"edfproxy /v1/events", tc.hs.URL + "/v1/events"},
+		{"edfproxy /v1/sessions/{id}/events", tc.hs.URL + "/v1/sessions/" + h.ID + "/events"},
+	} {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, feed.url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", feed.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", feed.name, resp.StatusCode)
+		}
+		for header, want := range map[string]string{
+			"Content-Type":      obs.SSEContentType,
+			"Cache-Control":     "no-cache",
+			"X-Accel-Buffering": "no",
+		} {
+			if got := resp.Header.Get(header); got != want {
+				t.Errorf("%s: %s = %q, want %q", feed.name, header, got, want)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,6 +85,54 @@ func (e *ExpositionWriter) SampleString(name string, labels []Label, value strin
 	}
 	sb.WriteByte('}')
 	e.printf("%s %s\n", sb.String(), value)
+}
+
+// Counter writes a counter family of one unlabeled sample.
+func (e *ExpositionWriter) Counter(name, help string, v uint64) {
+	e.Family(name, Counter, help)
+	e.Sample(name, nil, float64(v))
+}
+
+// Gauge writes a gauge family of one unlabeled sample.
+func (e *ExpositionWriter) Gauge(name, help string, v float64) {
+	e.Family(name, Gauge, help)
+	e.Sample(name, nil, v)
+}
+
+// Bucket is one cumulative histogram bucket: Count samples were at most
+// LE.
+type Bucket struct {
+	LE    float64
+	Count float64
+}
+
+// Quantile returns the upper bound of the bucket holding the sample of
+// nearest rank ⌈q·n⌉, where n is the count of the last bucket and the
+// buckets ascend by LE. Cumulative counts sum across replicas, so this is
+// the same conservative estimate for one edfd's histogram and for a
+// fleet's summed one. No samples yield zero.
+func Quantile(bs []Bucket, q float64) float64 {
+	if len(bs) == 0 || bs[len(bs)-1].Count <= 0 {
+		return 0
+	}
+	rank := max(math.Ceil(q*bs[len(bs)-1].Count), 1)
+	for _, b := range bs {
+		if b.Count >= rank {
+			return b.LE
+		}
+	}
+	return bs[len(bs)-1].LE
+}
+
+// Quantiles writes the name_p50 and name_p99 gauges of histogram family
+// name, derived from its cumulative buckets; what completes their help
+// text ("Median <what>."). No buckets write nothing.
+func (e *ExpositionWriter) Quantiles(name, what string, bs []Bucket) {
+	if len(bs) == 0 {
+		return
+	}
+	e.Gauge(name+"_p50", "Median "+what+".", Quantile(bs, 0.50))
+	e.Gauge(name+"_p99", "99th-percentile "+what+".", Quantile(bs, 0.99))
 }
 
 // FormatValue renders a float the way the exposition format expects:

@@ -13,20 +13,17 @@ import (
 // SSEContentType is the server-sent-events media type.
 const SSEContentType = "text/event-stream"
 
-// DefaultHeartbeat spaces SSE keep-alive comments so intermediaries and
+// heartbeat spaces SSE keep-alive comments so intermediaries and
 // clients can distinguish an idle feed from a dead connection.
-const DefaultHeartbeat = 15 * time.Second
+const heartbeat = 15 * time.Second
 
-// ServeSSE streams a subscriber's events to w as server-sent events until
-// the request context ends, stop closes, or the connection breaks. Each
-// event is one "id: <seq>" / "data: <json>" block; heartbeat comments
-// (": keep-alive") go out when the feed is idle. The subscriber is closed
-// on return.
-func ServeSSE(w http.ResponseWriter, r *http.Request, sub *Subscriber, heartbeat time.Duration, stop <-chan struct{}) {
-	defer sub.Close()
-	if heartbeat <= 0 {
-		heartbeat = DefaultHeartbeat
-	}
+// ServeSSE streams events to w as server-sent events until the request
+// context ends, stop closes, events closes, or the connection breaks.
+// Each event is one "id: <seq>" / "data: <json>" block; heartbeat
+// comments (": keep-alive") go out when the feed is idle. Every feed of
+// both daemons runs through it: edfd passes a hub subscriber's channel,
+// edfproxy the fan-in of its replica relays.
+func ServeSSE(w http.ResponseWriter, r *http.Request, events <-chan Event, stop <-chan struct{}) {
 	fl, _ := w.(http.Flusher)
 	h := w.Header()
 	h.Set("Content-Type", SSEContentType)
@@ -44,7 +41,7 @@ func ServeSSE(w http.ResponseWriter, r *http.Request, sub *Subscriber, heartbeat
 			return
 		case <-stop:
 			return
-		case ev, ok := <-sub.Events():
+		case ev, ok := <-events:
 			if !ok {
 				return
 			}

@@ -601,8 +601,7 @@ const WireVersion = "edf.wire.v1"
 
 // SchemaResponse describes what this server speaks: the wire-schema
 // version, the workload models it accepts, the analyzer registry and
-// the partition heuristics. The cluster proxy uses it to reject
-// workload models its fleet cannot serve before forwarding.
+// the partition heuristics.
 type SchemaResponse struct {
 	WireVersion string         `json:"wire_version"`
 	Models      []string       `json:"models"`

@@ -186,12 +186,6 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 	return rt, nil
 }
 
-// maxReplyPrealloc bounds the buffer a reply's Content-Length sizes up
-// front, at the daemons' own body limit. A longer body grows the buffer
-// as its bytes arrive, so a wrong header cannot force a large
-// allocation.
-const maxReplyPrealloc = 8 << 20
-
 // readReply reads a reply body to EOF into one buffer sized by its
 // Content-Length (every edfd JSON reply carries one), or through
 // io.ReadAll when the length is absent.
@@ -200,8 +194,10 @@ func readReply(resp *http.Response) ([]byte, error) {
 		return io.ReadAll(resp.Body)
 	}
 	// One byte more than the body, so the read that reports EOF needs no
-	// room of its own.
-	b := make([]byte, 0, min(resp.ContentLength, maxReplyPrealloc)+1)
+	// room of its own. The daemons' own body limit caps what the header
+	// can preallocate: a longer body grows the buffer as its bytes
+	// arrive, so a wrong header cannot force a large allocation.
+	b := make([]byte, 0, min(resp.ContentLength, service.MaxRequestBytes)+1)
 	for {
 		n, err := resp.Body.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]

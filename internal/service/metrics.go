@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -52,33 +51,15 @@ func (h *latencyHist) observe(ns int64, n int) {
 	h.sum.Add(uint64(ns) * uint64(n))
 }
 
-// snapshot copies the bucket counters (non-cumulative).
-func (h *latencyHist) snapshot() (b [histBuckets]uint64, count, sum uint64) {
-	for i := range h.buckets {
-		b[i] = h.buckets[i].Load()
-	}
-	return b, h.count.Load(), h.sum.Load()
-}
-
-// histQuantile returns the upper bound of the bucket holding the q-th
-// sample — the same conservative estimate for one replica and for a
-// summed fleet. Zero samples yield zero.
-func histQuantile(b [histBuckets]uint64, count uint64, q float64) int64 {
-	if count == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(count))
-	if rank < 1 {
-		rank = 1
-	}
+// snapshot returns the buckets in cumulative "le" form (Count samples
+// took at most LE ns) with the sample count and sum.
+func (h *latencyHist) snapshot() (bs [histBuckets]obs.Bucket, count, sum uint64) {
 	var cum uint64
-	for i, n := range b {
-		cum += n
-		if cum >= rank {
-			return int64(1) << i
-		}
+	for i := range h.buckets {
+		cum += h.buckets[i].Load()
+		bs[i] = obs.Bucket{LE: float64(int64(1) << i), Count: float64(cum)}
 	}
-	return int64(1) << (histBuckets - 1)
+	return bs, h.count.Load(), h.sum.Load()
 }
 
 // metrics holds the server's own counters. Cache and session numbers are
@@ -153,74 +134,60 @@ func (s *Server) writeMetrics(w io.Writer) {
 	active, created, expired := s.sessions.counts()
 	published, dropped, subscribers := s.hub.Stats()
 	ew := obs.NewExpositionWriter(w)
-	counter := func(name, help string, v uint64) {
-		ew.Family(name, obs.Counter, help)
-		ew.Sample(name, nil, float64(v))
-	}
-	gauge := func(name, help string, v float64) {
-		ew.Family(name, obs.Gauge, help)
-		ew.Sample(name, nil, v)
-	}
-	counter("edfd_requests_total", "Requests accepted into a handler.", s.m.requests.Load())
-	counter("edfd_requests_throttled", "Requests rejected by the concurrency limiter.", s.m.throttled.Load())
-	counter("edfd_requests_errors", "Requests answered with a 4xx/5xx error body.", s.m.errors.Load())
-	gauge("edfd_requests_inflight", "Requests currently inside a handler.", float64(s.m.inflight.Load()))
-	gauge("edfd_requests_inflight_peak", "High-water mark of concurrent requests.", float64(s.m.maxInflight.Load()))
-	counter("edfd_analyses_total", "Single analyses served, cache hits included.", s.m.analyses.Load())
-	counter("edfd_analyses_events_total", "Analyses on event-stream workloads.", s.m.eventAnalyses.Load())
-	counter("edfd_batch_jobs_total", "Batch jobs served, cache hits included.", s.m.batchJobs.Load())
-	counter("edfd_partition_requests_total", "Partitioned placement requests served.", s.m.partitionRequests.Load())
-	counter("edfd_partition_feasible_total", "Placement requests answered with a proven placement.", s.m.partitionFeasible.Load())
-	counter("edfd_partition_infeasible_total", "Placement requests answered with a counterexample.", s.m.partitionInfeasible.Load())
-	counter("edfd_partition_bin_checks_total", "Bin verdicts consulted during placement: gate-surviving trials plus final bins.", s.m.partitionBinChecks.Load())
-	counter("edfd_partition_bin_cache_hits_total", "Final-bin verdicts served from the content-addressed cache.", s.m.partitionBinCacheHits.Load())
-	counter("edfd_partition_gate_rejections_total", "Candidate bins dismissed by the O(1) utilization gate.", s.m.partitionGateRejections.Load())
-	counter("edfd_session_proposals_total", "Session proposals decided, bulk members included.", s.m.proposals.Load())
-	counter("edfd_session_propose_batches_total", "Propose-batch requests served.", s.m.proposeBatches.Load())
-	counter("edfd_session_proposals_incremental_total", "Proposals decided by the O(delta) paths (gate or certificate).", s.m.incremental.Load())
-	counter("edfd_session_proposals_escalated_total", "Proposals decided by a full analyzer run.", s.m.escalated.Load())
-	counter("edfd_arith_promotions_total", "Exits of analyses from the bounded-denominator arithmetic fast path (values promoted to big rationals).", s.m.promotions.Load())
-	gauge("edfd_sessions_active", "Admission sessions currently open.", float64(active))
-	counter("edfd_sessions_created", "Admission sessions opened over the server's lifetime.", created)
-	counter("edfd_sessions_expired", "Admission sessions closed by the idle TTL sweeper.", expired)
-	counter("edfd_cache_hits", "Result cache hits.", cs.Hits)
-	counter("edfd_cache_misses", "Result cache misses.", cs.Misses)
-	counter("edfd_cache_evictions", "Result cache evictions.", cs.Evictions)
-	gauge("edfd_cache_entries", "Result cache entries resident.", float64(cs.Entries))
-	gauge("edfd_cache_capacity", "Result cache capacity.", float64(cs.Capacity))
+	ew.Counter("edfd_requests_total", "Requests accepted into a handler.", s.m.requests.Load())
+	ew.Counter("edfd_requests_throttled", "Requests rejected by the concurrency limiter.", s.m.throttled.Load())
+	ew.Counter("edfd_requests_errors", "Requests answered with a 4xx/5xx error body.", s.m.errors.Load())
+	ew.Gauge("edfd_requests_inflight", "Requests currently inside a handler.", float64(s.m.inflight.Load()))
+	ew.Gauge("edfd_requests_inflight_peak", "High-water mark of concurrent requests.", float64(s.m.maxInflight.Load()))
+	ew.Counter("edfd_analyses_total", "Single analyses served, cache hits included.", s.m.analyses.Load())
+	ew.Counter("edfd_analyses_events_total", "Analyses on event-stream workloads.", s.m.eventAnalyses.Load())
+	ew.Counter("edfd_batch_jobs_total", "Batch jobs served, cache hits included.", s.m.batchJobs.Load())
+	ew.Counter("edfd_partition_requests_total", "Partitioned placement requests served.", s.m.partitionRequests.Load())
+	ew.Counter("edfd_partition_feasible_total", "Placement requests answered with a proven placement.", s.m.partitionFeasible.Load())
+	ew.Counter("edfd_partition_infeasible_total", "Placement requests answered with a counterexample.", s.m.partitionInfeasible.Load())
+	ew.Counter("edfd_partition_bin_checks_total", "Bin verdicts consulted during placement: gate-surviving trials plus final bins.", s.m.partitionBinChecks.Load())
+	ew.Counter("edfd_partition_bin_cache_hits_total", "Final-bin verdicts served from the content-addressed cache.", s.m.partitionBinCacheHits.Load())
+	ew.Counter("edfd_partition_gate_rejections_total", "Candidate bins dismissed by the O(1) utilization gate.", s.m.partitionGateRejections.Load())
+	ew.Counter("edfd_session_proposals_total", "Session proposals decided, bulk members included.", s.m.proposals.Load())
+	ew.Counter("edfd_session_propose_batches_total", "Propose-batch requests served.", s.m.proposeBatches.Load())
+	ew.Counter("edfd_session_proposals_incremental_total", "Proposals decided by the O(delta) paths (gate or certificate).", s.m.incremental.Load())
+	ew.Counter("edfd_session_proposals_escalated_total", "Proposals decided by a full analyzer run.", s.m.escalated.Load())
+	ew.Counter("edfd_arith_promotions_total", "Exits of analyses from the bounded-denominator arithmetic fast path (values promoted to big rationals).", s.m.promotions.Load())
+	ew.Gauge("edfd_sessions_active", "Admission sessions currently open.", float64(active))
+	ew.Counter("edfd_sessions_created", "Admission sessions opened over the server's lifetime.", created)
+	ew.Counter("edfd_sessions_expired", "Admission sessions closed by the idle TTL sweeper.", expired)
+	ew.Counter("edfd_cache_hits", "Result cache hits.", cs.Hits)
+	ew.Counter("edfd_cache_misses", "Result cache misses.", cs.Misses)
+	ew.Counter("edfd_cache_evictions", "Result cache evictions.", cs.Evictions)
+	ew.Gauge("edfd_cache_entries", "Result cache entries resident.", float64(cs.Entries))
+	ew.Gauge("edfd_cache_capacity", "Result cache capacity.", float64(cs.Capacity))
 	ew.Family("edfd_cache_hit_rate", obs.Gauge, "Hits over lookups, 0 when the cache is idle.")
 	ew.SampleString("edfd_cache_hit_rate", nil, fmt.Sprintf("%.4f", cs.HitRate()))
-	counter("edfd_events_published_total", "Admission feed events published.", published)
-	counter("edfd_events_dropped_total", "Feed events dropped on saturated subscriber buffers.", dropped)
-	gauge("edfd_event_subscribers", "Feed subscribers currently connected.", float64(subscribers))
+	ew.Counter("edfd_events_published_total", "Admission feed events published.", published)
+	ew.Counter("edfd_events_dropped_total", "Feed events dropped on saturated subscriber buffers.", dropped)
+	ew.Gauge("edfd_event_subscribers", "Feed subscribers currently connected.", float64(subscribers))
 
 	if s.store != nil {
 		st := s.store.Stats()
-		counter("edfd_store_records_total", "Decision records written to the write-ahead log.", st.Records)
-		counter("edfd_store_appends_total", "Append/Submit calls against the store.", st.Appends)
-		counter("edfd_store_flushes_total", "Group-commit batches flushed.", st.Flushes)
-		counter("edfd_store_syncs_total", "fsync calls amortized by group commit.", st.Syncs)
-		counter("edfd_store_bytes_total", "Bytes written to the write-ahead log.", st.Bytes)
-		counter("edfd_store_snapshots_total", "Compacting snapshots written.", st.Snapshots)
-		counter("edfd_store_truncations_total", "Damaged log tails truncated during replay.", st.Truncations)
-		counter("edfd_store_sessions_resumed_total", "Sessions replayed back to life at startup.", s.m.resumed.Load())
-		counter("edfd_store_sessions_rehydrated_total", "Sessions rehydrated on demand (takeover path).", s.m.rehydrated.Load())
-		counter("edfd_store_journal_errors_total", "Failed journal or snapshot writes.", s.m.journalErrors.Load())
+		ew.Counter("edfd_store_records_total", "Decision records written to the write-ahead log.", st.Records)
+		ew.Counter("edfd_store_appends_total", "Append/Submit calls against the store.", st.Appends)
+		ew.Counter("edfd_store_flushes_total", "Group-commit batches flushed.", st.Flushes)
+		ew.Counter("edfd_store_syncs_total", "fsync calls amortized by group commit.", st.Syncs)
+		ew.Counter("edfd_store_bytes_total", "Bytes written to the write-ahead log.", st.Bytes)
+		ew.Counter("edfd_store_snapshots_total", "Compacting snapshots written.", st.Snapshots)
+		ew.Counter("edfd_store_truncations_total", "Damaged log tails truncated during replay.", st.Truncations)
+		ew.Counter("edfd_store_sessions_resumed_total", "Sessions replayed back to life at startup.", s.m.resumed.Load())
+		ew.Counter("edfd_store_sessions_rehydrated_total", "Sessions rehydrated on demand (takeover path).", s.m.rehydrated.Load())
+		ew.Counter("edfd_store_journal_errors_total", "Failed journal or snapshot writes.", s.m.journalErrors.Load())
 	}
 
-	// Buckets are rendered cumulatively ("le" semantics): sums of
-	// cumulative counters across replicas stay cumulative, so the proxy
-	// can add them up and re-derive fleet quantiles.
 	hb, hcount, hsum := s.m.proposeNS.snapshot()
 	ew.Family("edfd_propose_ns", obs.Histogram, "Per-proposal decision latency in nanoseconds, log2 buckets.")
-	var cum uint64
-	for i := range hb {
-		cum += hb[i]
-		ew.Sample("edfd_propose_ns_bucket", []obs.Label{{Name: "le", Value: strconv.FormatInt(int64(1)<<i, 10)}}, float64(cum))
+	for _, b := range hb {
+		ew.Sample("edfd_propose_ns_bucket", []obs.Label{{Name: "le", Value: obs.FormatValue(b.LE)}}, b.Count)
 	}
 	ew.Sample("edfd_propose_ns_bucket", []obs.Label{{Name: "le", Value: "+Inf"}}, float64(hcount))
 	ew.Sample("edfd_propose_ns_sum", nil, float64(hsum))
 	ew.Sample("edfd_propose_ns_count", nil, float64(hcount))
-	gauge("edfd_propose_ns_p50", "Median proposal latency, derived from the histogram.", float64(histQuantile(hb, hcount, 0.50)))
-	gauge("edfd_propose_ns_p99", "99th-percentile proposal latency, derived from the histogram.", float64(histQuantile(hb, hcount, 0.99)))
+	ew.Quantiles("edfd_propose_ns", "proposal latency, derived from the histogram", hb[:])
 }

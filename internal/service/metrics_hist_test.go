@@ -42,14 +42,25 @@ func TestHistQuantile(t *testing.T) {
 	if want := uint64(90*900 + 10*1_000_000); sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)
 	}
-	if p50 := histQuantile(b, count, 0.50); p50 != 1024 {
-		t.Errorf("p50 = %d, want 1024", p50)
+	if p50 := obs.Quantile(b[:], 0.50); p50 != 1024 {
+		t.Errorf("p50 = %v, want 1024", p50)
 	}
-	if p99 := histQuantile(b, count, 0.99); p99 != 1<<20 {
-		t.Errorf("p99 = %d, want %d", p99, 1<<20)
+	if p99 := obs.Quantile(b[:], 0.99); p99 != 1<<20 {
+		t.Errorf("p99 = %v, want %d", p99, 1<<20)
 	}
-	if z := histQuantile([histBuckets]uint64{}, 0, 0.99); z != 0 {
-		t.Errorf("empty quantile = %d, want 0", z)
+	var empty latencyHist
+	if eb, _, _ := empty.snapshot(); obs.Quantile(eb[:], 0.99) != 0 {
+		t.Errorf("empty quantile = %v, want 0", obs.Quantile(eb[:], 0.99))
+	}
+
+	// Nearest rank: the median of 8, 1000 and 1000 ns is the second
+	// sample, in the 1024 bucket, not the first (truncating 0.5·3 to 1).
+	var three latencyHist
+	three.observe(8, 1)
+	three.observe(1000, 2)
+	tb, _, _ := three.snapshot()
+	if p50 := obs.Quantile(tb[:], 0.50); p50 != 1024 {
+		t.Errorf("three-sample p50 = %v, want 1024", p50)
 	}
 }
 

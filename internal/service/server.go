@@ -38,16 +38,10 @@ type Config struct {
 	// MaxSessions bounds concurrently open admission sessions; 0 selects
 	// DefaultMaxSessions.
 	MaxSessions int
-	// MaxBatchJobs bounds sets x analyzers per batch request; 0 selects
-	// DefaultMaxBatchJobs.
-	MaxBatchJobs int
 	// SessionTTL closes admission sessions idle past this duration; 0 (the
 	// default) disables sweeping, preserving the sessions-live-until-closed
 	// behavior.
 	SessionTTL time.Duration
-	// TraceCapacity bounds the retained request traces; 0 selects
-	// obs.DefaultTraceCapacity.
-	TraceCapacity int
 	// Logger receives structured request and session lifecycle logs
 	// (trace/session attrs attached); nil discards them.
 	Logger *slog.Logger
@@ -68,11 +62,19 @@ const (
 	DefaultMaxInFlight    = 256
 	DefaultRequestTimeout = 30 * time.Second
 	DefaultMaxSessions    = 1024
-	DefaultMaxBatchJobs   = 4096
-	maxRequestBytes       = 8 << 20
 	// DefaultSnapshotInterval is the compacting-snapshot cadence when a
 	// store is configured without an explicit interval.
 	DefaultSnapshotInterval = 30 * time.Second
+)
+
+// Fixed limits.
+const (
+	// MaxRequestBytes caps a request body on edfd and edfproxy alike,
+	// the proxy's reads of replica replies, and the buffer the typed
+	// client preallocates for a reply.
+	MaxRequestBytes = 8 << 20
+	// maxBatchJobs bounds sets x analyzers per batch request.
+	maxBatchJobs = 4096
 )
 
 // Server is the edfd daemon: engine registry in, HTTP/JSON out. Construct
@@ -119,9 +121,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.MaxBatchJobs <= 0 {
-		cfg.MaxBatchJobs = DefaultMaxBatchJobs
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.DiscardHandler)
@@ -134,7 +133,7 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 		log:      log,
 		hub:      obs.NewHub(),
-		traces:   obs.NewRecorder(cfg.TraceCapacity),
+		traces:   obs.NewRecorder(0),
 		stop:     make(chan struct{}),
 	}
 	s.sessions.onExpired = s.publishExpired
@@ -194,16 +193,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions/{id}/rollback", s.handleSessionRollback)
 	mux.HandleFunc("GET /v1/sessions/{id}/events", s.handleSessionEvents)
 	mux.HandleFunc("GET /v1/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
+	mux.HandleFunc("GET /v1/traces", TraceList(s.traces, s.fail))
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Health and metrics bypass the limiter: they must answer even
-		// (especially) when the analysis path is saturated. So do the
-		// observability reads — trace lookups and the SSE feeds, whose
-		// streams must also outlive the request timeout.
-		if !strings.HasPrefix(r.URL.Path, "/v1/") || StreamingPath(r.URL.Path) {
+		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+		if !Traced(r.URL.Path) {
 			mux.ServeHTTP(w, r)
 			return
 		}
@@ -212,29 +208,14 @@ func (s *Server) Handler() http.Handler {
 			defer func() { <-s.limiter }()
 		default:
 			s.m.throttled.Add(1)
-			WriteJSON(w, http.StatusTooManyRequests,
-				ErrorFor(http.StatusTooManyRequests, errors.New("server at capacity, retry later")).Response())
+			WriteError(w, http.StatusTooManyRequests, errors.New("server at capacity, retry later"))
 			return
 		}
 		s.m.enter()
 		defer s.m.leave()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		// Adopt the caller's trace id (edfproxy propagates one) or mint a
-		// fresh one, and echo it so a direct caller learns the id. The
-		// trace is recorded after the handler returns — net/http flushes
-		// the buffered response after that, so by the time the client
-		// reads the response the trace is resolvable.
-		id := r.Header.Get(obs.TraceHeader)
-		if id == "" {
-			id = obs.NewTraceID()
-		}
-		tr := obs.StartTrace(id, OpFor(r))
-		w.Header().Set(obs.TraceHeader, id)
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-		mux.ServeHTTP(w, r.WithContext(obs.WithTrace(ctx, tr)))
-		s.traces.Record(tr)
-		s.log.Debug("request served", "op", tr.Op, "trace", tr.ID, "session", tr.Session, "path", tr.Path)
+		ServeTraced(w, r.WithContext(ctx), mux, s.traces, s.log)
 	})
 }
 
@@ -363,9 +344,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if jobs := len(req.Sets) * len(analyzers); jobs > s.cfg.MaxBatchJobs {
+	if jobs := len(req.Sets) * len(analyzers); jobs > maxBatchJobs {
 		s.fail(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("batch of %d jobs exceeds the limit of %d", jobs, s.cfg.MaxBatchJobs))
+			fmt.Errorf("batch of %d jobs exceeds the limit of %d", jobs, maxBatchJobs))
 		return
 	}
 	wls := make([]workload.Workload, len(req.Sets))
@@ -561,9 +542,8 @@ func (s *Server) handleAnalyzers(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, analyzersJSON())
 }
 
-// handleSchema declares what this server speaks, so callers (the
-// cluster proxy included) can reject unsupported workload models
-// without a round trip per request.
+// handleSchema declares what this server speaks: the wire version, the
+// workload models, the analyzer registry and the placement heuristics.
 func (s *Server) handleSchema(w http.ResponseWriter, _ *http.Request) {
 	hs := partition.AllHeuristics()
 	names := make([]string, len(hs))
@@ -899,6 +879,12 @@ func DecodeJSON(body []byte, v any) error {
 // fail writes the uniform typed error body and counts the error.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.m.errors.Add(1)
+	WriteError(w, code, err)
+}
+
+// WriteError writes err as the uniform typed error body with status
+// code, for edfd and edfproxy alike.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	WriteJSON(w, code, ErrorFor(code, err).Response())
 }
 

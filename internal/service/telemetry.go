@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -19,21 +20,55 @@ type TracesResponse struct {
 	Traces []obs.TraceSummary `json:"traces"`
 }
 
-// StreamingPath reports whether a /v1/ path serves observability reads:
-// trace lookups and SSE feeds. They bypass the concurrency limiter and
-// the request timeout — they must answer (and keep streaming) even when
-// the analysis path is saturated — and no trace is minted for them. The
-// proxy shares the predicate so both daemons treat the same paths as
-// streaming.
-func StreamingPath(p string) bool {
-	return p == "/v1/events" ||
-		strings.HasPrefix(p, "/v1/traces") ||
-		strings.HasSuffix(p, "/events")
+// Traced reports whether a request to path runs under a trace: every
+// /v1 request but the observability reads, trace lookups and SSE feeds.
+// Those reads, /healthz and /metrics bypass edfd's concurrency limiter
+// and request timeout: they must answer, and keep streaming, even when
+// the analysis path is saturated.
+func Traced(path string) bool {
+	return strings.HasPrefix(path, "/v1/") &&
+		!strings.HasPrefix(path, "/v1/traces") &&
+		!strings.HasSuffix(path, "/events")
 }
 
-// OpFor names a request's logical operation for its trace. edfd and
-// edfproxy share it so a fleet trace carries one op vocabulary.
-func OpFor(r *http.Request) string {
+// ServeTraced serves a traced request through h, for edfd and edfproxy
+// alike. It adopts the caller's trace id (edfproxy propagates one to its
+// replicas) or mints a fresh one, and echoes it so a direct caller learns
+// the id. The trace is recorded in rec after h returns; net/http flushes
+// the buffered reply after that, so by the time the client reads the
+// reply the trace is resolvable.
+func ServeTraced(w http.ResponseWriter, r *http.Request, h http.Handler, rec *obs.Recorder, log *slog.Logger) {
+	id := r.Header.Get(obs.TraceHeader)
+	if id == "" {
+		id = obs.NewTraceID()
+	}
+	tr := obs.StartTrace(id, opFor(r))
+	w.Header().Set(obs.TraceHeader, id)
+	h.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), tr)))
+	rec.Record(tr)
+	log.Debug("request served", "op", tr.Op, "trace", tr.ID, "session", tr.Session, "path", tr.Path)
+}
+
+// TraceList serves GET /v1/traces from rec on both daemons: the newest
+// ?n= trace summaries, 64 without n. fail answers a malformed n.
+func TraceList(rec *obs.Recorder, fail func(http.ResponseWriter, int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		n := defaultRecentTraces
+		if q := r.URL.Query().Get("n"); q != "" {
+			v, err := strconv.Atoi(q)
+			if err != nil || v < 0 {
+				fail(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
+				return
+			}
+			n = v
+		}
+		WriteJSON(w, http.StatusOK, TracesResponse{Traces: rec.Recent(n)})
+	}
+}
+
+// opFor names a request's logical operation for its trace; both daemons
+// trace through ServeTraced, so a fleet trace carries one op vocabulary.
+func opFor(r *http.Request) string {
 	p := strings.TrimPrefix(r.URL.Path, "/v1/")
 	switch {
 	case p == "analyze", p == "batch", p == "partition", p == "analyzers", p == "schema":
@@ -115,19 +150,6 @@ func (s *Server) publishExpired(ids []string) {
 	}
 }
 
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	n := defaultRecentTraces
-	if q := r.URL.Query().Get("n"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("invalid n %q", q))
-			return
-		}
-		n = v
-	}
-	WriteJSON(w, http.StatusOK, TracesResponse{Traces: s.traces.Recent(n)})
-}
-
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.traces.Get(r.PathValue("id"))
 	if !ok {
@@ -138,7 +160,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	obs.ServeSSE(w, r, s.hub.Subscribe("", 0), 0, s.stop)
+	sub := s.hub.Subscribe("", 0)
+	defer sub.Close()
+	obs.ServeSSE(w, r, sub.Events(), s.stop)
 }
 
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
@@ -146,12 +170,12 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the existence check so no decision can fall between
 	// the check and the subscription.
 	sub := s.hub.Subscribe(id, 0)
+	defer sub.Close()
 	_, release, err := s.ensureSession(id)
 	if err != nil {
-		sub.Close()
 		s.fail(w, http.StatusNotFound, err)
 		return
 	}
 	release()
-	obs.ServeSSE(w, r, sub, 0, s.stop)
+	obs.ServeSSE(w, r, sub.Events(), s.stop)
 }
