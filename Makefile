@@ -20,6 +20,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerdictAgreement$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkedVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanRebuild$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZTIME) ./internal/service/

@@ -13,7 +13,7 @@ import (
 func Baruah(ts model.TaskSet) (bound int64, ok bool) {
 	sc := demand.GetScratch()
 	defer demand.PutScratch(sc)
-	u := sc.UtilTasks(ts)
+	u := sc.Util(sc.Sources(ts))
 	if u.CmpInt(1) >= 0 {
 		return 0, false
 	}

@@ -21,11 +21,11 @@ import (
 func AllApprox(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	cmp := opt.Scratch.UtilTasks(ts).CmpInt(1)
+	srcs := opt.Scratch.Sources(ts)
+	cmp := opt.cmpUtilOne(srcs)
 	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	srcs := opt.Scratch.Sources(ts)
 	stopAt, kind, ok := fullUtilizationHorizon(ts, srcs, cmp, opt.Scratch)
 	if !ok {
 		return Result{Verdict: Undecided}
@@ -58,7 +58,7 @@ func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Uniform, cmp int, sc
 func AllApproxSources(srcs []demand.Uniform, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch opt.Scratch.Util(srcs).CmpInt(1) {
+	switch opt.cmpUtilOne(srcs) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:

@@ -256,7 +256,7 @@ func TestProcessorDemandSourcesFullUtilization(t *testing.T) {
 		{WCET: 1, Deadline: 2, Period: 2},
 	}
 	// U = 2/4 + 1/2 = 1 exactly.
-	if got := demand.NewScratch().UtilTasks(ts).CmpInt(1); got != 0 {
+	if got := demand.NewScratch().Util(demand.FromTasks(ts)).CmpInt(1); got != 0 {
 		t.Fatalf("test set utilization cmp 1 = %d, want 0", got)
 	}
 	srcs := demand.FromTasks(ts)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/demand"
 	"repro/internal/model"
 	"repro/internal/numeric"
 )
@@ -22,19 +21,20 @@ func Devi(ts model.TaskSet) Result { return DeviOpt(ts, Options{}) }
 // DeviOpt is Devi honoring Options: with a reused Scratch the test runs
 // allocation-free — the deadline-sorted copy lives in a scratch buffer
 // and the prefix accumulators in the chunk register bank. Only the
-// Scratch field influences the execution; the verdict is identical for
-// any Options value.
+// Scratch and Arithmetic fields influence the execution; the verdict is
+// identical for any Options value.
 func DeviOpt(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	return devi(ts, nil, opt.Scratch)
+	return devi(ts, nil, opt)
 }
 
 // devi evaluates the prefix conditions on the chunk registers. A non-nil
 // blocking function adds B(Dk) to the demand side of the condition at
 // Dk (see DeviWithOverheads).
-func devi(ts model.TaskSet, blocking func(int64) int64, sc *demand.Scratch) Result {
-	if sc.UtilTasks(ts).CmpInt(1) > 0 {
+func devi(ts model.TaskSet, blocking func(int64) int64, opt Options) Result {
+	sc := opt.Scratch
+	if opt.cmpUtilOne(sc.Sources(ts)) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	sorted := sc.SortedByDeadline(ts)

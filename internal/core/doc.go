@@ -13,13 +13,14 @@
 //
 // Every test returns a Result carrying the verdict and the number of
 // checked test intervals ("iterations"), the metric the paper's evaluation
-// uses. Every rational accumulator — utilization checks, the approximated
-// demand of the superposition tests, Devi's prefix sums and the
-// feasibility bounds — runs in one exact arithmetic, the bounded-
-// denominator chunk registers of the analysis Scratch (numeric.Chunked),
-// so no verdict is ever a rounding artifact. Options.Arithmetic only
-// selects the math/big reference (ArithBigRat) the registers are tested
-// against.
+// uses. Every rational accumulator — the approximated demand of the
+// superposition tests, Devi's prefix sums and the feasibility bounds —
+// runs in one exact arithmetic, the bounded-denominator chunk registers
+// of the analysis Scratch (numeric.Chunked), and every comparison of U
+// with 1 is decided exactly on a 128-bit fixed-point bracket
+// (demand.Scratch.UtilCmpOne), so no verdict is ever a rounding
+// artifact. Options.Arithmetic only selects the math/big reference
+// (ArithBigRat) the registers and the bracket are tested against.
 //
 // The iterative tests walk []demand.Uniform, one concrete source type for
 // both activation models: a sporadic task is one source, and a Gresser

@@ -12,13 +12,13 @@ import (
 func LiuLayland(ts model.TaskSet) Result { return LiuLaylandOpt(ts, Options{}) }
 
 // LiuLaylandOpt is LiuLayland honoring Options: with a reused Scratch the
-// utilization sum runs allocation-free on the chunk registers. Only the
-// Scratch field influences the execution; the verdict is identical for
-// any Options value.
+// utilization comparison runs allocation-free. Only the Scratch and
+// Arithmetic fields influence the execution; the verdict is identical
+// for any Options value.
 func LiuLaylandOpt(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if opt.Scratch.UtilTasks(ts).CmpInt(1) > 0 {
+	if opt.cmpUtilOne(opt.Scratch.Sources(ts)) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
 	for _, t := range ts {

@@ -120,11 +120,11 @@ func ProcessorDemandWithOverheads(ts model.TaskSet, ov Overheads, opt Options) R
 	inflated, opt := prepareOverheads(ts, ov, opt)
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	cmp := opt.Scratch.UtilTasks(inflated).CmpInt(1)
+	srcs := opt.Scratch.Sources(inflated)
+	cmp := opt.cmpUtilOne(srcs)
 	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	srcs := opt.Scratch.Sources(inflated)
 	bmax := maxCriticalSection(inflated)
 	var bound int64
 	var kind bounds.Kind
@@ -158,5 +158,5 @@ func DeviWithOverheads(ts model.TaskSet, ov Overheads) Result {
 	inflated := InflateOverheads(ts, ov)
 	sc := demand.GetScratch()
 	defer demand.PutScratch(sc)
-	return devi(inflated, SRPBlocking(inflated), sc)
+	return devi(inflated, SRPBlocking(inflated), Options{Scratch: sc})
 }

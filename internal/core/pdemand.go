@@ -64,10 +64,10 @@ func taskBound(ts model.TaskSet, srcs []demand.Uniform, opt Options) (int64, bou
 func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if opt.Scratch.UtilTasks(ts).CmpInt(1) > 0 {
+	srcs := opt.Scratch.Sources(ts)
+	if opt.cmpUtilOne(srcs) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	srcs := opt.Scratch.Sources(ts)
 	bound, kind, ok := taskBound(ts, srcs, opt)
 	if !ok {
 		return Result{Verdict: Undecided}
@@ -87,7 +87,7 @@ func ProcessorDemand(ts model.TaskSet, opt Options) Result {
 func ProcessorDemandSources(srcs []demand.Uniform, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch opt.Scratch.Util(srcs).CmpInt(1) {
+	switch opt.cmpUtilOne(srcs) {
 	case 1:
 		return Result{Verdict: Infeasible, Iterations: 1}
 	case 0:

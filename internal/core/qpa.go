@@ -38,10 +38,10 @@ func QPA(ts model.TaskSet, opt Options) Result {
 	}
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	if opt.Scratch.UtilTasks(ts).CmpInt(1) > 0 {
+	srcs := opt.Scratch.Sources(ts)
+	if opt.cmpUtilOne(srcs) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	srcs := opt.Scratch.Sources(ts)
 	bound, kind, ok := taskBound(ts, srcs, opt)
 	if !ok {
 		return Result{Verdict: Undecided}

@@ -36,7 +36,7 @@ func SuperPosSources(srcs []demand.Uniform, level int64, opt Options) Result {
 	if level < 1 {
 		level = 1
 	}
-	if opt.Scratch.Util(srcs).CmpInt(1) > 0 {
+	if opt.cmpUtilOne(srcs) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: level}
 	}
 	opt.walkRegs()

@@ -158,9 +158,6 @@ func TestUtilizationSum(t *testing.T) {
 	if got := NewScratch().Util(FromTasks(ts)).Rat(); got.Cmp(big.NewRat(3, 4)) != 0 {
 		t.Errorf("U = %v, want 3/4", got)
 	}
-	if got := NewScratch().UtilTasks(ts).Rat(); got.Cmp(big.NewRat(3, 4)) != 0 {
-		t.Errorf("task U = %v, want 3/4", got)
-	}
 }
 
 func TestTestListOrdering(t *testing.T) {

@@ -26,14 +26,14 @@ type Scratch struct {
 	bools []bool
 
 	// Bounded-denominator arithmetic state: the per-workload chunk plan
-	// (cached under its denominator key across analyses of the same set),
+	// (kept under its denominator key across analyses of the same set and
+	// rebuilt from the prefix a new key shares with it),
 	// the always-empty plan of the big.Rat reference, which plan the
 	// registers bind to, the register bank the analyzers and bounds
 	// compute in, and the promotion tally that survives plan rebuilds.
 	denBuf  []int64
 	planKey []int64
 	plan    numeric.Plan
-	hasPlan bool
 	bigPlan numeric.Plan
 	useBig  bool
 	promos  uint64
@@ -108,21 +108,55 @@ func (s *Scratch) Bools(n int) []bool {
 	return s.bools
 }
 
-// Util binds the register bank to the bounded-denominator chunk plan
-// covering the sources' slope denominators and returns register 0
-// holding their total utilization Σ UtilRat, exactly. The plan is built
-// on first use and reused while the denominator sequence is unchanged
-// (the common case: every stage of a cascade analyzes the same
-// workload). A workload that genuinely exceeds the chunk cap gets an
-// empty plan: its registers stay exact, every fraction on math/big, and
-// each register's first fraction counts as a promotion.
-func (s *Scratch) Util(srcs []Uniform) *numeric.Chunked {
-	s.denBuf = s.denBuf[:0]
+// Bind binds the register bank to the bounded-denominator chunk plan
+// covering the sources' slope denominators, the plan every Util,
+// UtilCmpOne and walk over the same sources computes on. The plan is
+// kept while the denominator sequence is unchanged (the common case:
+// every stage of a cascade analyzes the same workload) and otherwise
+// rebuilt from the longest prefix the sequence shares with the previous
+// one (an admission session's next candidate differs from its last in a
+// few trailing periods). A workload that genuinely exceeds the chunk cap
+// gets an empty plan: its registers stay exact, every fraction on
+// math/big, and each register's first fraction counts as a promotion.
+func (s *Scratch) Bind(srcs []Uniform) {
+	s.denBuf = slices.Grow(s.denBuf[:0], len(srcs))
 	for _, src := range srcs {
 		_, den := src.UtilRat()
 		s.denBuf = append(s.denBuf, den)
 	}
 	s.arith()
+}
+
+// Util binds the register bank as Bind does and returns register 0
+// holding the sources' total utilization Σ UtilRat, exactly, for callers
+// that compute with U. A comparison of U with 1 is UtilCmpOne's, which
+// sums on the registers only when the fixed-point bracket cannot decide.
+func (s *Scratch) Util(srcs []Uniform) *numeric.Chunked {
+	s.Bind(srcs)
+	return s.utilReg(srcs)
+}
+
+// UtilCmpOne binds the register bank as Bind does and returns the sign
+// of U - 1 for the sources' total utilization U = Σ UtilRat. It decides
+// on numeric.UtilSum's 128-bit fixed-point bracket, a few integer
+// divisions per source whether or not a chunk plan covers the set, and
+// sums U exactly on register 0 only when U lies within 2^-128 per source
+// of 1, where the bracket cannot place it.
+func (s *Scratch) UtilCmpOne(srcs []Uniform) int {
+	s.Bind(srcs)
+	var u numeric.UtilSum
+	for _, src := range srcs {
+		u = u.Add(src.UtilRat())
+	}
+	if c, ok := u.CmpOne(); ok {
+		return c
+	}
+	return s.utilReg(srcs).CmpInt(1)
+}
+
+// utilReg sums the sources' utilization into register 0 on the bound
+// plan.
+func (s *Scratch) utilReg(srcs []Uniform) *numeric.Chunked {
 	u := s.Reg(0)
 	for _, src := range srcs {
 		u.AddRat(src.UtilRat())
@@ -130,32 +164,19 @@ func (s *Scratch) Util(srcs []Uniform) *numeric.Chunked {
 	return u
 }
 
-// UtilTasks is Util over a task set's Σ Ci/Ti, for callers that never
-// adapt the set to sources. Its plan key equals the one Util derives
-// from Sources(ts), so a cascade builds one plan and every stage hits
-// the cache.
-func (s *Scratch) UtilTasks(ts model.TaskSet) *numeric.Chunked {
-	s.denBuf = s.denBuf[:0]
-	for _, t := range ts {
-		s.denBuf = append(s.denBuf, t.Period)
-	}
-	s.arith()
-	u := s.Reg(0)
-	for _, t := range ts {
-		u.AddRat(t.WCET, t.Period)
-	}
-	return u
-}
-
-// arith binds the registers to the plan for the key staged in denBuf.
+// arith binds the registers to the plan for the key staged in denBuf,
+// rebuilding it from the prefix the key shares with the plan's.
 func (s *Scratch) arith() {
-	if !s.hasPlan || !slices.Equal(s.denBuf, s.planKey) {
+	shared := 0
+	for shared < len(s.denBuf) && shared < len(s.planKey) && s.denBuf[shared] == s.planKey[shared] {
+		shared++
+	}
+	if shared < len(s.denBuf) || shared < len(s.planKey) {
 		// Fold the retiring plan's tally so ArithPromotions stays
 		// monotonic across rebuilds.
 		s.promos += s.plan.Promotions()
-		s.plan.Build(s.denBuf)
-		s.hasPlan = true
-		s.planKey = append(s.planKey[:0], s.denBuf...)
+		s.plan.Rebuild(s.denBuf, shared)
+		s.planKey = append(s.planKey[:shared], s.denBuf[shared:]...)
 	}
 	s.useBig = false
 }
@@ -178,9 +199,8 @@ func (s *Scratch) ArithPromotions() uint64 {
 }
 
 // Reg returns register i of the chunk-register bank, zeroed and bound to
-// the plan of the last Util, UtilTasks or ArithBigRat call. Registers
-// are shared working memory: a computation owns the indices it uses
-// until it returns.
+// the plan of the last Bind, Util, UtilCmpOne or ArithBigRat call. Registers are shared working memory: a computation owns the
+// indices it uses until it returns.
 func (s *Scratch) Reg(i int) *numeric.Chunked {
 	if s.useBig {
 		s.regs[i].Init(&s.bigPlan)
@@ -224,7 +244,7 @@ func (s *Scratch) SortedByDeadline(ts model.TaskSet) model.TaskSet {
 // allocation happens. The returned slice is valid until the next Sources
 // call on the same Scratch.
 func (s *Scratch) Sources(ts model.TaskSet) []Uniform {
-	s.srcs = s.srcs[:0]
+	s.srcs = slices.Grow(s.srcs[:0], len(ts))
 	for _, t := range ts {
 		s.srcs = append(s.srcs, UniformFromTask(t))
 	}

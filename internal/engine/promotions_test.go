@@ -46,7 +46,9 @@ func unplannable() model.TaskSet {
 // TestCascadeStagePromotionAttribution pins the per-stage promotion
 // accounting: on a workload that exceeds the chunk cap, the deciding
 // stage reports its fast-path exits, and the stage log's total matches
-// the scratch's monotonic tally.
+// the scratch's monotonic tally. The liu stage only compares U with 1,
+// which the fixed-point bracket decides without a register, so it
+// records none.
 func TestCascadeStagePromotionAttribution(t *testing.T) {
 	sc := demand.NewScratch()
 	var stages obs.StageLog
@@ -64,6 +66,9 @@ func TestCascadeStagePromotionAttribution(t *testing.T) {
 	}
 	if deciding := stages.Stage(stages.Len() - 1); deciding.Promotions == 0 {
 		t.Fatalf("deciding stage %q recorded no promotions", deciding.Name)
+	}
+	if liu := stages.Stage(0); liu.Name != "liu" || liu.Promotions != 0 {
+		t.Fatalf("first stage %q recorded %d promotions, want liu with 0", liu.Name, liu.Promotions)
 	}
 
 	// Control: a plannable workload must attribute zero promotions.

@@ -519,7 +519,7 @@ func (st *State) Rebuild(s *demand.Scratch) {
 		}
 		st.uQ32 += q
 	}
-	s.Util(st.srcs)
+	s.Bind(st.srcs)
 	dbf, uready, one, tmp := s.Reg(1), s.Reg(2), s.Reg(3), s.Reg(4)
 	one.SetInt(1)
 	tl := s.TestList(len(st.srcs))

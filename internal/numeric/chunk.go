@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 )
 
 // MaxChunks bounds the number of chunk denominators a Plan may hold.
@@ -28,14 +29,35 @@ const chunkDenCap = int64(1) << 62
 // registers bound to an empty plan still compute exactly, every fraction
 // on math/big.
 //
+// First-fit depends only on the order of the denominators, so the fold
+// after the first k entries of a key is the same for every key starting
+// with them. A Plan keeps one undo record per folded entry, and Rebuild
+// undoes the placements past the prefix a new key shares with the
+// previous one and folds only the new tail: a session whose next
+// candidate differs from the last in a few trailing periods pays for
+// those, not for the whole key. The zero Plan is the build of an empty
+// key.
+//
 // A Plan serves one analysis at a time; values bound to it must not
 // outlive a rebuild.
 type Plan struct {
 	dens [MaxChunks]int64
-	n    int
+	n    int // chunks in use: 0 when the last build failed
+	// folded is the number of chunks the fold holds and undo records how
+	// it placed each entry of the last key, up to a failing entry.
+	folded int
+	undo   []placement
 	// promotions tallies how often values bound to this plan fell off the
 	// chunked fast path onto math/big (see Chunked.promote).
 	promotions uint64
+}
+
+// placement records how the fold placed one key entry: the chunk it
+// joined (-1 for denominator 1) and that chunk's denominator before it
+// (0 when the entry opened the chunk).
+type placement struct {
+	chunk int
+	prev  int64
 }
 
 // Build folds the given ingest denominators into chunk denominators and
@@ -43,35 +65,50 @@ type Plan struct {
 // empty. Denominator 1 (integer contributions) needs no
 // chunk; non-positive denominators fail the build. Building restarts the
 // promotion tally: callers tracking totals across rebuilds fold the old
-// count first.
-func (p *Plan) Build(dens []int64) bool {
-	p.n = 0
+// count first. Build is Rebuild with nothing shared.
+func (p *Plan) Build(dens []int64) bool { return p.Rebuild(dens, 0) }
+
+// Rebuild is Build for a key whose first shared entries equal those of
+// the key the plan was last built from: it keeps their placements, undoes
+// the rest and folds dens[shared:]. The plan, its chunk order and the
+// result are exactly Build(dens)'s, failures included.
+func (p *Plan) Rebuild(dens []int64, shared int) bool {
 	p.promotions = 0
-	for _, d := range dens {
-		if d <= 0 {
-			p.n = 0
-			return false
-		}
-		if d == 1 {
-			continue
-		}
-		placed := false
-		for c := 0; c < p.n; c++ {
-			if l, ok := LCM(p.dens[c], d); ok && l <= chunkDenCap {
-				p.dens[c] = l
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			if p.n == MaxChunks || d > chunkDenCap {
-				p.n = 0
-				return false
-			}
-			p.dens[p.n] = d
-			p.n++
+	shared = min(shared, len(p.undo))
+	for i := len(p.undo) - 1; i >= shared; i-- {
+		if u := p.undo[i]; u.prev != 0 {
+			p.dens[u.chunk] = u.prev
+		} else if u.chunk >= 0 {
+			p.folded--
 		}
 	}
+	p.undo = slices.Grow(p.undo[:shared], len(dens)-shared)
+	p.n = 0
+	for _, d := range dens[shared:] {
+		if d <= 0 {
+			return false
+		}
+		u := placement{chunk: -1}
+		if d != 1 {
+			u.chunk = p.folded
+			for c := 0; c < p.folded; c++ {
+				if l, ok := LCM(p.dens[c], d); ok && l <= chunkDenCap {
+					u = placement{chunk: c, prev: p.dens[c]}
+					p.dens[c] = l
+					break
+				}
+			}
+			if u.chunk == p.folded {
+				if p.folded == MaxChunks || d > chunkDenCap {
+					return false
+				}
+				p.dens[p.folded] = d
+				p.folded++
+			}
+		}
+		p.undo = append(p.undo, u)
+	}
+	p.n = p.folded
 	return true
 }
 

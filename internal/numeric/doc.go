@@ -3,9 +3,11 @@
 //
 // All task parameters (execution times, deadlines, periods) are integer time
 // units, so the exact demand bound function dbf is pure int64 arithmetic.
-// The utilization checks, the approximated tests and the feasibility
-// bounds however accumulate rational slopes C/T. Every such accumulator
-// runs on Chunked registers, one exact representation for every analysis.
+// The approximated tests and the feasibility bounds however accumulate
+// rational slopes C/T. Every such accumulator runs on Chunked registers,
+// one exact representation for every analysis. Comparing a utilization
+// with 1 needs no accumulator: UtilSum's fixed-point bracket decides it
+// (see Utilization against 1).
 //
 // # Bounded-denominator chunked values
 //
@@ -19,7 +21,10 @@
 // Plan.Build inspects the full set of source denominators before the
 // walk starts and folds them greedily (first-fit) into at most MaxChunks
 // chunk denominators, each the lcm of its members and each capped below
-// 2^62. A Chunked value is then one int64 numerator per chunk over that
+// 2^62. First-fit depends only on the order of the denominators, so
+// Plan.Rebuild keeps the fold of the prefix a new denominator key shares
+// with the previous one and folds only the tail; Build is Rebuild with
+// nothing shared. A Chunked value is then one int64 numerator per chunk over that
 // fixed denominator vector: adding a slope touches exactly one chunk,
 // comparisons against an integer bound cross-multiply chunk-by-chunk
 // with 128-bit intermediates, and nothing allocates — regardless of how
@@ -30,7 +35,8 @@
 // promotes to an embedded big.Rat when a numerator overflows its chunk
 // or a fraction's denominator divides no chunk; from then on it computes
 // in math/big and stays exact. Every promotion is counted on the owning
-// Plan. When Plan.Build cannot cover the denominators at all — more
+// Plan, so the count measures the walks and bounds that left the fast
+// path, and the utilization comparisons the bracket could not decide. When Plan.Build cannot cover the denominators at all — more
 // mutually incompatible periods than MaxChunks, e.g. many
 // pairwise-coprime periods above 2^31 — the plan stays empty and every
 // register bound to it promotes on its first fraction. The big.Rat
@@ -42,17 +48,22 @@
 // running workloads off the fast path, which is an observable capacity
 // signal rather than a silent slowdown.
 //
-// # Session sums
+// # Utilization against 1
 //
-// An admission session's utilization gate lives across proposals whose
-// periods nobody knows in advance, so no chunk plan fits it. UtilSum
-// keeps that sum as a 128-bit fixed-point lower bound plus a count of
-// truncated terms, which brackets the exact value within 2^-128 per
-// term: every comparison with 1 is decided by integer arithmetic except
-// for sums that close to 1, where the session compares exactly on chunk
-// registers. The session's other sum, the incremental anchor rebuild,
-// is a one-shot walk over a known source set and runs on a Scratch's
-// registers like any analysis.
+// UtilSum keeps a sum of utilizations as a 128-bit fixed-point lower
+// bound plus a count of truncated terms, which brackets the exact value
+// within 2^-128 per term: every comparison with 1 is decided by integer
+// arithmetic, a few divisions per term whether or not a plan covers the
+// periods, except for sums that close to 1, where the caller compares
+// exactly on chunk registers. Two comparisons use it. An admission
+// session's gate lives across proposals whose periods nobody knows in
+// advance, so no chunk plan fits it and the session keeps a running
+// UtilSum. Every analyzer stage opens with U against 1, which
+// demand.Scratch.UtilCmpOne decides on a fresh UtilSum over the stage's
+// sources; the math/big reference keeps the exact register sum there, so
+// it stays independent of the bracket. The session's other sum, the
+// incremental anchor rebuild, is a one-shot walk over a known source set
+// and runs on a Scratch's registers like any analysis.
 //
 // The package also contains overflow-checked int64 helpers (gcd, lcm,
 // checked multiplication/addition) shared by the bounds and demand

@@ -372,7 +372,7 @@ func (a *Admission) exactCmpOneLocked(t workload.Task) int {
 	if a.model == workload.Events {
 		return a.scratch.Util(eventstream.Sources(w.Events)).CmpInt(1)
 	}
-	return a.scratch.UtilTasks(w.Tasks).CmpInt(1)
+	return a.scratch.Util(a.scratch.Sources(w.Tasks)).CmpInt(1)
 }
 
 // admitLocked stages an accepted task: appends it to the candidate buffer,

@@ -19,7 +19,7 @@ package service_test
 // whole set), incremental is the default fast path. BENCH_session.json
 // records both so the speedup and the 0-alloc contract of both
 // incremental rows are gated in CI. BenchmarkSessionOpen times the
-// session open itself.
+// session open itself, and BenchmarkSessionEscalate one escalation.
 
 import (
 	"math"
@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/churn"
 	"repro/internal/model"
+	"repro/internal/numeric"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -189,5 +190,78 @@ func BenchmarkSessionChurn(b *testing.B) {
 				adm.Rollback()
 			}
 		}
+	}
+}
+
+// BenchmarkSessionEscalate times one escalated proposal on a churn-shaped
+// session that has committed a few tight-deadline tasks: each iteration
+// proposes the next of 64 distinct tight-deadline tasks (churn's
+// escalating flavor, kept where the certificate cannot vouch for them),
+// so the cascade decides it, and rolls back.
+// Consecutive candidates differ in their last period, as in a real
+// session, so the admission's Scratch rebuilds its chunk plan from the
+// shared prefix every time. "covered" opens a 124-task churn seed whose
+// every candidate fits a chunk plan (0 allocs/op); "uncovered" a 140-task
+// one no plan covers, where every fraction of the walks runs on math/big.
+func BenchmarkSessionEscalate(b *testing.B) {
+	for _, shape := range []struct {
+		name    string
+		tasks   int
+		covered bool
+	}{{"covered", 124, true}, {"uncovered", 140, false}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			sc, err := churn.Generate("escalate", churn.Config{SeedTasks: shape.tasks, Ops: 1}, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			adm, err := service.NewAdmission(service.AdmissionConfig{Seed: sc.Seed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var periods []int64
+			for _, t := range sc.Seed.Tasks {
+				periods = append(periods, t.Period)
+			}
+			// Commit tight tasks until the cascade first rejects one, as a
+			// churning session does: from then on nearly every tight task
+			// escalates. Then draw until 64 have escalated; the draws size
+			// every buffer, and a collection clears the set-up's garbage.
+			var tight []workload.Task
+			for len(tight) < 64 {
+				period := 1000 + rng.Int63n(99001)
+				d := period / 16
+				c := d/2 + rng.Int63n(d/4+1)
+				t := workload.SporadicTask(model.Task{WCET: c, Deadline: d, Period: period})
+				var plan numeric.Plan
+				if plan.Build(append(periods, period)) != shape.covered {
+					b.Fatalf("tight task %+v: candidate plan covered = %v", *t.Sporadic, !shape.covered)
+				}
+				out, err := adm.ProposeTask(t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tight) == 0 && out.Admitted {
+					adm.Commit()
+					periods = append(periods, period)
+					continue
+				}
+				adm.Rollback()
+				if out.Escalated {
+					tight = append(tight, t)
+				}
+			}
+			runtime.GC()
+			b.ReportAllocs()
+			b.ResetTimer()
+			i := 0
+			for b.Loop() {
+				if _, err := adm.ProposeTask(tight[i%len(tight)]); err != nil {
+					b.Fatal(err)
+				}
+				adm.Rollback()
+				i++
+			}
+		})
 	}
 }

@@ -100,8 +100,12 @@ func differential[T any](t *testing.T, data []byte, refErr error, want T) {
 
 // TestWireDecodeAllocs bounds the allocations of the daemons' decode of
 // a 25-task sporadic analyze body. The nested decoders made 34; the walk
-// leaves the request value and its task slice.
+// leaves the request value and its task slice. Race builds skip it:
+// there json.Valid allocates too (see raceEnabled).
 func TestWireDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("json.Valid allocates under the race detector")
+	}
 	body := wireBodies()[0].body
 	allocs := testing.AllocsPerRun(100, func() {
 		var req AnalyzeRequest

@@ -149,8 +149,12 @@ func TestReplyWalkTakesDaemonReplies(t *testing.T) {
 // TestReplyDecodeAllocs holds the client's decode of the benchmark's
 // analyze and partition replies at the allocations measured when the walk
 // replaced json.NewDecoder: the reply value and the strings and slices it
-// keeps, each slice allocated at its final length.
+// keeps, each slice allocated at its final length. Race builds skip it:
+// there json.Valid allocates too (see raceEnabled).
 func TestReplyDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("json.Valid allocates under the race detector")
+	}
 	for _, c := range []struct {
 		name string
 		max  float64
