@@ -64,10 +64,9 @@ bench-session:
 	rm -f bench-session.out
 
 # Durable-store benchmarks (sync append latency p50/p99 and fsyncs/op
-# across group-commit batch sizes, plus cold journal replay), merged
-# into the committed trend file BENCH_store.json under the same
-# baseline/gate rules as bench-core. The fsyncs/op sweep is the tuning
-# evidence behind the -store-batch / -store-max-wait defaults.
+# of the default store under 16 concurrent appenders, plus cold journal
+# replay), merged into the committed trend file BENCH_store.json under
+# the same baseline/gate rules as bench-core.
 bench-store:
 	$(GO) test -run xxx -bench BenchmarkStore -benchmem -benchtime $(BENCHTIME) ./internal/store/ > bench-store.out
 	$(GO) run ./cmd/benchmerge -out BENCH_store.json $(if $(GATE),-gate $(GATE)) < bench-store.out

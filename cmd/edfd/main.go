@@ -8,7 +8,6 @@
 //	edfd [-addr :8080] [-cache 4096] [-workers 0] [-inflight 256]
 //	     [-timeout 30s] [-sessions 1024] [-session-ttl 0]
 //	     [-store-dir ""] [-store-node ""] [-snapshot-interval 30s]
-//	     [-store-batch 64] [-store-max-wait 2ms]
 //
 // Endpoints:
 //
@@ -34,8 +33,10 @@
 // past the TTL (off by default).
 //
 // With -store-dir, admission decisions are journaled to a write-ahead
-// log in that directory (group-committed, compacted by periodic
-// snapshots) and a restarted edfd resumes its committed sessions.
+// log in that directory and a restarted edfd resumes its committed
+// sessions. An open, commit or close is fsynced, with every record
+// queued before it, before edfd replies; concurrent ones share one
+// fsync. Periodic snapshots compact the log.
 // Several replicas may share one directory — each journals to its own
 // per-node segment, named by -store-node (default: a stable name
 // persisted in the directory's node-id file; replicas sharing a
@@ -74,8 +75,6 @@ func main() {
 		storeDir   = flag.String("store-dir", "", "journal admission decisions to this directory (off when empty)")
 		storeNode  = flag.String("store-node", "", "segment name inside -store-dir (default: persisted node-id file)")
 		snapEvery  = flag.Duration("snapshot-interval", service.DefaultSnapshotInterval, "compacting store snapshot cadence")
-		storeBatch = flag.Int("store-batch", store.DefaultBatchSize, "records per group-commit fsync batch")
-		storeWait  = flag.Duration("store-max-wait", store.DefaultMaxWait, "max wait before a partial batch is fsynced")
 	)
 	flag.Parse()
 
@@ -104,16 +103,12 @@ func main() {
 				d.Exit(1, err)
 			}
 		}
-		st, err := store.Open(*storeDir, node, store.Options{
-			BatchSize: *storeBatch,
-			MaxWait:   *storeWait,
-		})
+		st, err := store.Open(*storeDir, node, store.Options{})
 		if err != nil {
 			d.Exit(1, err)
 		}
 		defer st.Close()
-		d.Log.Info("durable store open", "dir", *storeDir, "node", node,
-			"batch", *storeBatch, "max_wait", storeWait.String())
+		d.Log.Info("durable store open", "dir", *storeDir, "node", node)
 		cfg.Store = st
 	}
 	srv := service.New(cfg)

@@ -30,7 +30,7 @@ func AllApprox(ts model.TaskSet, opt Options) Result {
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := AllApproxSources(srcs, stopAt, opt)
+	r := allApprox(srcs, cmp, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
@@ -58,15 +58,20 @@ func fullUtilizationHorizon(ts model.TaskSet, srcs []demand.Uniform, cmp int, sc
 func AllApproxSources(srcs []demand.Uniform, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch opt.cmpUtilOne(srcs) {
-	case 1:
+	cmp := opt.cmpUtilOne(srcs)
+	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
-	case 0:
-		if stopAt == 0 && opt.MaxIterations == 0 {
-			// Fully utilized source sets carry no implicit superposition
-			// bound; without a horizon or cap the walk need not terminate.
-			return Result{Verdict: Undecided}
-		}
+	}
+	return allApprox(srcs, cmp, stopAt, opt)
+}
+
+// allApprox is the all-approximated walk for sources whose utilization
+// compares with 1 as cmp (cmp <= 0), on opt's Scratch.
+func allApprox(srcs []demand.Uniform, cmp int, stopAt int64, opt Options) Result {
+	if cmp == 0 && stopAt == 0 && opt.MaxIterations == 0 {
+		// Fully utilized source sets carry no implicit superposition
+		// bound; without a horizon or cap the walk need not terminate.
+		return Result{Verdict: Undecided}
 	}
 	opt.walkRegs()
 	tl := opt.Scratch.TestList(len(srcs))

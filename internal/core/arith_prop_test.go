@@ -79,6 +79,8 @@ func TestFastArithmeticMatchesBigRatSporadic(t *testing.T) {
 		for _, level := range []int64{1, 3, 7} {
 			compareResults(t, "superpos", SuperPos(ts, level, fast), SuperPos(ts, level, ref))
 		}
+		compareResults(t, "liu", LiuLaylandOpt(ts, fast), LiuLaylandOpt(ts, ref))
+		compareResults(t, "devi", DeviOpt(ts, fast), DeviOpt(ts, ref))
 		compareResults(t, "allapprox", AllApprox(ts, fast), AllApprox(ts, ref))
 		compareResults(t, "dynamic", DynamicError(ts, fast), DynamicError(ts, ref))
 		// ProcessorDemand has no scalar accumulator, but its bound now
@@ -144,6 +146,8 @@ func TestFastArithmeticMatchesBigRatSpread(t *testing.T) {
 			for _, level := range []int64{1, 3, 7} {
 				compareResults(t, "superpos", SuperPos(ts, level, fast), SuperPos(ts, level, ref))
 			}
+			compareResults(t, "liu", LiuLaylandOpt(ts, fast), LiuLaylandOpt(ts, ref))
+			compareResults(t, "devi", DeviOpt(ts, fast), DeviOpt(ts, ref))
 			compareResults(t, "allapprox", AllApprox(ts, fast), AllApprox(ts, ref))
 			compareResults(t, "dynamic", DynamicError(ts, fast), DynamicError(ts, ref))
 			compareResults(t, "pd", ProcessorDemand(ts, fast), ProcessorDemand(ts, ref))
@@ -200,6 +204,34 @@ func TestChunkPlanCapBoundary(t *testing.T) {
 		if promoted := sc.ArithPromotions() > 0; promoted != tc.promoted {
 			t.Fatalf("%s: promotions=%d, want promoted=%v",
 				tc.name, sc.ArithPromotions(), tc.promoted)
+		}
+	}
+}
+
+// TestBigRatWalksOnReferencePlan pins where each stage computes under
+// ArithBigRat on the past-cap prime set, which no chunk plan covers: the
+// exact utilization sum is the one promotion a stage records against a
+// fresh Scratch, and every accumulator walk after it runs on the math/big
+// reference plan, whose promotions are not counted.
+func TestBigRatWalksOnReferencePlan(t *testing.T) {
+	var ts model.TaskSet
+	for _, p := range capBoundaryPrimes(numeric.MaxChunks + 1) {
+		ts = append(ts, model.Task{WCET: 1, Deadline: p - 1, Period: p})
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(Options) Result
+	}{
+		{"liu", func(o Options) Result { return LiuLaylandOpt(ts, o) }},
+		{"devi", func(o Options) Result { return DeviOpt(ts, o) }},
+		{"superpos(3)", func(o Options) Result { return SuperPos(ts, 3, o) }},
+		{"allapprox", func(o Options) Result { return AllApprox(ts, o) }},
+		{"dynamic", func(o Options) Result { return DynamicError(ts, o) }},
+	} {
+		sc := demand.NewScratch()
+		tc.run(Options{Arithmetic: ArithBigRat, Scratch: sc})
+		if got := sc.ArithPromotions(); got != 1 {
+			t.Errorf("%s: %d promotions under ArithBigRat, want 1 (the utilization sum)", tc.name, got)
 		}
 	}
 }

@@ -37,6 +37,7 @@ func devi(ts model.TaskSet, blocking func(int64) int64, opt Options) Result {
 	if opt.cmpUtilOne(sc.Sources(ts)) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
+	opt.walkRegs()
 	sorted := sc.SortedByDeadline(ts)
 	cumU, cumGap, cond, tmp := sc.Reg(0), sc.Reg(1), sc.Reg(2), sc.Reg(3)
 	var iterations int64

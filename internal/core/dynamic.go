@@ -30,7 +30,7 @@ func DynamicError(ts model.TaskSet, opt Options) Result {
 	if !ok {
 		return Result{Verdict: Undecided}
 	}
-	r := DynamicErrorSources(srcs, stopAt, opt)
+	r := dynamicError(srcs, cmp, stopAt, opt)
 	if stopAt > 0 {
 		r.Bound, r.BoundKind = stopAt, kind
 	}
@@ -46,14 +46,19 @@ func DynamicError(ts model.TaskSet, opt Options) Result {
 func DynamicErrorSources(srcs []demand.Uniform, stopAt int64, opt Options) Result {
 	opt, borrowed := opt.acquire()
 	defer release(borrowed)
-	switch opt.cmpUtilOne(srcs) {
-	case 1:
+	cmp := opt.cmpUtilOne(srcs)
+	if cmp > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: 1}
-	case 0:
-		if stopAt == 0 && opt.MaxIterations == 0 {
-			// See AllApproxSources: no implicit bound at full utilization.
-			return Result{Verdict: Undecided}
-		}
+	}
+	return dynamicError(srcs, cmp, stopAt, opt)
+}
+
+// dynamicError is the dynamic error walk for sources whose utilization
+// compares with 1 as cmp (cmp <= 0), on opt's Scratch.
+func dynamicError(srcs []demand.Uniform, cmp int, stopAt int64, opt Options) Result {
+	if cmp == 0 && stopAt == 0 && opt.MaxIterations == 0 {
+		// See allApprox: no implicit bound at full utilization.
+		return Result{Verdict: Undecided}
 	}
 	opt.walkRegs()
 	tl := opt.Scratch.TestList(len(srcs))

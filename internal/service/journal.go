@@ -19,10 +19,13 @@ import (
 //
 // Durability points use the store's synchronous Append — the client
 // only sees a 2xx after the record is on disk — while high-rate admit
-// records and the loss-tolerant rollback/expire records ride the
-// asynchronous Submit: a crash loses at most an ordered suffix of
-// unsynced records, and losing an admit suffix is indistinguishable
-// from crashing before those proposals arrived.
+// records and the loss-tolerant rollback records ride the asynchronous
+// Submit and reach the disk with the next durability point: a crash
+// loses at most an ordered suffix of unsynced records, and losing an
+// admit suffix is indistinguishable from crashing before those
+// proposals arrived. The TTL sweeper's expire records are appended:
+// the sweeper runs off the request path, and a submitted record would
+// wait for whatever durability point came next.
 //
 // Per-session record order is preserved by the entry's jmu, which
 // spans (decision, log record, watermark) so the log can never show a
@@ -133,8 +136,9 @@ func (s *Server) journalClose(id string) {
 	}
 }
 
-// journalExpired writes expire records for TTL-swept sessions — without
-// them a restart would resurrect sessions the sweeper already removed.
+// journalExpired appends expire records for TTL-swept sessions — without
+// them a restart or a peer would resurrect sessions the sweeper already
+// removed.
 func (s *Server) journalExpired(ids []string) {
 	if s.store == nil {
 		return
@@ -143,7 +147,7 @@ func (s *Server) journalExpired(ids []string) {
 	for i, id := range ids {
 		recs[i] = store.Record{Type: store.TypeExpire, Session: id}
 	}
-	if _, err := s.store.Submit(recs...); err != nil {
+	if _, err := s.store.Append(recs...); err != nil {
 		s.m.journalErrors.Add(1)
 		s.log.Error("journal write failed", "type", store.TypeExpire, "err", err)
 	}

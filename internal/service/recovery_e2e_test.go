@@ -76,6 +76,19 @@ func proposeJSON(t *testing.T, ctx context.Context, s *client.Session, tk servic
 	return string(b)
 }
 
+// openStore opens a DiskStore on dir without fsync, closed when the test
+// ends; node names its segment as edfd's -store-node does, so two nodes
+// on one dir are a replica and its takeover peer.
+func openStore(t *testing.T, dir, node string) *store.DiskStore {
+	t.Helper()
+	st, err := store.Open(dir, node, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // TestE2ERecoveryDiskRestart drives the full restart story through HTTP
 // and a real disk store: committed sessions resume, pending proposals are
 // dropped, closed sessions stay closed.
@@ -164,7 +177,7 @@ func TestE2ERestartVerdictsBitIdentical(t *testing.T) {
 		stream := recoveryStream(t, int64(1000+trial), 22)
 		commitN, pendN := 6+trial, 3
 
-		st := store.NewMem()
+		st := openStore(t, t.TempDir(), "edfd-a")
 		srv1, c1 := newTestServer(t, service.Config{Store: st})
 		osrv, oc := newTestServer(t, service.Config{})
 
@@ -225,15 +238,15 @@ func TestE2ERestartVerdictsBitIdentical(t *testing.T) {
 }
 
 // TestE2ERehydrateOnMiss is the takeover building block: a second server
-// sharing the store serves a session it has never seen by rehydrating it
-// on the miss path.
+// sharing the store directory serves a session it has never seen by
+// rehydrating it on the miss path.
 func TestE2ERehydrateOnMiss(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMem()
-	_, c1 := newTestServer(t, service.Config{Store: st})
+	dir := t.TempDir()
+	_, c1 := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-a")})
 	// The peer exists before the session does, so startup replay cannot
 	// have carried it over — only lazy rehydration can.
-	_, c2 := newTestServer(t, service.Config{Store: st})
+	_, c2 := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-b")})
 
 	sess, _, err := c1.OpenSession(ctx, service.SessionRequest{
 		Workload: edf.SporadicWorkload(edf.TaskSet{{Name: "seed", WCET: 10, Deadline: 90, Period: 100}}),
@@ -275,7 +288,7 @@ func TestE2ERehydrateOnMiss(t *testing.T) {
 // the store immediately after Close.
 func TestCloseWritesFinalSnapshot(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMem()
+	st := openStore(t, t.TempDir(), "edfd-a")
 	// An hour-long interval guarantees the only snapshot is the
 	// shutdown one.
 	srv, c := newTestServer(t, service.Config{Store: st, SnapshotInterval: time.Hour})
@@ -317,7 +330,7 @@ func (c *countingStore) LoadSession(id string) (*store.SessionState, error) {
 // vector (every miss replays every segment in the directory).
 func TestRepeatedMissesSkipReplay(t *testing.T) {
 	ctx := context.Background()
-	cs := &countingStore{Store: store.NewMem()}
+	cs := &countingStore{Store: openStore(t, t.TempDir(), "edfd-a")}
 	_, c := newTestServer(t, service.Config{Store: cs})
 	for i := range 5 {
 		var ce *client.Error
@@ -331,11 +344,12 @@ func TestRepeatedMissesSkipReplay(t *testing.T) {
 }
 
 // TestE2EExpiredSessionsStayDead pins the TTL/durability interaction: the
-// sweeper journals expire records, so neither a restart nor a peer can
+// sweeper appends expire records, so neither a restart nor a peer can
 // resurrect a session the TTL already removed.
 func TestE2EExpiredSessionsStayDead(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir, "edfd-a")
 	srv1, c1 := newTestServer(t, service.Config{Store: st, SessionTTL: 25 * time.Millisecond})
 
 	sess, _, err := c1.OpenSession(ctx, service.SessionRequest{
@@ -344,25 +358,31 @@ func TestE2EExpiredSessionsStayDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every touch refreshes the idle clock, so poll slower than the TTL:
-	// each 150ms gap leaves the session idle long past 25ms.
+	// Leave the session idle past its TTL and watch the store, not the
+	// session: a session miss replays the store, and that replay would
+	// write a queued record itself. The expire record must reach the log
+	// after the open with no request to carry it.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		time.Sleep(150 * time.Millisecond)
-		if _, _, err := sess.State(ctx); err != nil {
-			break // expired
-		}
+	for st.Stats().Records < 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("session never expired")
+			t.Fatal("the sweeper's expire record never reached the log")
 		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var ce *client.Error
+	if _, _, err := sess.State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
+		t.Fatalf("expired session: %v, want 404", err)
 	}
 	srv1.Close()
 
-	// Restart over the same store: replay must not resurrect it, on the
-	// startup path or the lazy rehydration path.
+	// A peer reading the directory, and a restart over the same store,
+	// must not resurrect it, on the startup path or the lazy
+	// rehydration path.
+	_, peer := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-b")})
 	_, c2 := newTestServer(t, service.Config{Store: st})
-	var ce *client.Error
-	if _, _, err := c2.Session(sess.ID).State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
-		t.Fatalf("expired session after restart: %v, want 404", err)
+	for name, c := range map[string]*client.Client{"peer": peer, "restart": c2} {
+		if _, _, err := c.Session(sess.ID).State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
+			t.Fatalf("expired session on the %s: %v, want 404", name, err)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // batchSink is what a batcher flushes into: one write + one sync per
 // batch. The disk store implements it over its segment file.
@@ -11,62 +8,46 @@ type batchSink interface {
 	writeBatch(recs []Record) error
 }
 
+// maxPending caps how many submitted records may queue before the
+// flusher writes them without waiting for a durability point.
+const maxPending = 64
+
 // batcher is the group-commit core: records enqueue under a lock in
-// submission order, and a background flusher drains them in one
-// writeBatch call when the batch reaches size records or maxWait has
-// elapsed since the first enqueue, whichever comes first. Append waits
-// for its batch's flush; Submit returns at enqueue. Both preserve
-// order, so a crash loses only an ordered suffix.
+// submission order, and a background flusher writes everything queued
+// in one writeBatch call as soon as an Append waits on it, the queue
+// holds maxPending records, or the store closes. Records that arrive
+// during a write form the next batch, so concurrent durability points
+// share one write and fsync. Append waits for its batch's flush;
+// Submit returns at enqueue. Both preserve order, so a crash loses
+// only an ordered suffix.
 type batcher struct {
-	sink    batchSink
-	size    int
-	maxWait time.Duration
+	sink batchSink
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []Record
-	// waiters holds the done channels of Append callers in the current
-	// batch; flush closes them after the sink write returns (or records
-	// the error first).
+	// waiters holds the done channels of Append callers (and Load's
+	// drain) in the current batch; the flusher sends each the result of
+	// the batch's write.
 	waiters []chan error
-	// armedAt is when the current batch started filling (zero when
-	// empty); the flusher uses it for the max-wait deadline.
-	armedAt time.Time
 	closed  bool
 	stopped chan struct{}
 }
 
-// Batch tuning defaults: flush at 64 records or 2ms, whichever first.
-// At one record per propose, 2ms caps the sync latency a lone Append
-// pays while 64 amortizes fsync under heavy traffic.
-const (
-	DefaultBatchSize = 64
-	DefaultMaxWait   = 2 * time.Millisecond
-)
-
-func newBatcher(sink batchSink, size int, maxWait time.Duration) *batcher {
-	if size <= 0 {
-		size = DefaultBatchSize
-	}
-	if maxWait <= 0 {
-		maxWait = DefaultMaxWait
-	}
-	b := &batcher{sink: sink, size: size, maxWait: maxWait, stopped: make(chan struct{})}
+func newBatcher(sink batchSink) *batcher {
+	b := &batcher{sink: sink, stopped: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
 	go b.flusher()
 	return b
 }
 
 // enqueue adds records to the current batch. When wait is true it
-// returns a channel that receives/closes with the flush result.
+// returns a channel that receives the result of the batch's write.
 func (b *batcher) enqueue(recs []Record, wait bool) (<-chan error, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return nil, errClosed
-	}
-	if len(b.pending) == 0 && len(b.waiters) == 0 {
-		b.armedAt = time.Now()
 	}
 	b.pending = append(b.pending, recs...)
 	var done chan error
@@ -74,43 +55,34 @@ func (b *batcher) enqueue(recs []Record, wait bool) (<-chan error, error) {
 		done = make(chan error, 1)
 		b.waiters = append(b.waiters, done)
 	}
-	b.cond.Signal()
+	if b.due() {
+		b.cond.Signal()
+	}
 	b.mu.Unlock()
 	return done, nil
 }
 
-// flusher drains batches until close.
+// due reports whether the queue must be written now; b.mu is held.
+func (b *batcher) due() bool {
+	return len(b.waiters) > 0 || len(b.pending) >= maxPending || b.closed
+}
+
+// flusher writes due batches until close.
 func (b *batcher) flusher() {
 	defer close(b.stopped)
 	b.mu.Lock()
 	for {
-		for len(b.pending) == 0 && len(b.waiters) == 0 && !b.closed {
+		for !b.due() {
 			b.cond.Wait()
 		}
-		if len(b.pending) == 0 && len(b.waiters) == 0 && b.closed {
+		if b.closed && len(b.pending) == 0 && len(b.waiters) == 0 {
 			b.mu.Unlock()
 			return
-		}
-		// Wait for the batch to fill or the deadline to pass. cond has no
-		// timed wait, so sleep outside the lock in small steps; the common
-		// cases (batch already full, maxWait tiny) exit immediately.
-		for len(b.pending) < b.size && !b.closed {
-			remain := b.maxWait - time.Since(b.armedAt)
-			if remain <= 0 {
-				break
-			}
-			b.mu.Unlock()
-			if remain > time.Millisecond {
-				remain = time.Millisecond
-			}
-			time.Sleep(remain)
-			b.mu.Lock()
 		}
 		recs := b.pending
 		waiters := b.waiters
 		b.pending = nil
 		b.waiters = nil
-		b.armedAt = time.Time{}
 		b.mu.Unlock()
 
 		err := b.sink.writeBatch(recs)

@@ -17,15 +17,8 @@ import (
 
 var errClosed = errors.New("store: closed")
 
-// Options tune the disk store's group-commit batcher.
+// Options tune the disk store.
 type Options struct {
-	// BatchSize flushes the write-ahead batch when it reaches this many
-	// records (default DefaultBatchSize). 1 disables group commit: every
-	// record is its own write+fsync.
-	BatchSize int
-	// MaxWait flushes a non-empty batch after this long even if it has
-	// not filled (default DefaultMaxWait).
-	MaxWait time.Duration
 	// NoSync skips fsync after batch writes (tests/benchmarks only;
 	// crash durability is lost).
 	NoSync bool
@@ -62,6 +55,8 @@ type DiskStore struct {
 	stTruncations atomic.Uint64
 }
 
+var _ Store = (*DiskStore)(nil)
+
 // Open creates or reopens a disk store rooted at dir. node names this
 // process's segment files; it must be unique among processes sharing
 // dir and stable across restarts of the same logical replica (edfd uses
@@ -93,15 +88,12 @@ func Open(dir, node string, opts Options) (*DiskStore, error) {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
 	s.f = f
-	s.b = newBatcher(s, opts.BatchSize, opts.MaxWait)
+	s.b = newBatcher(s)
 	return s, nil
 }
 
 func (s *DiskStore) walPath(node string) string  { return filepath.Join(s.dir, "wal-"+node+".log") }
 func (s *DiskStore) snapPath(node string) string { return filepath.Join(s.dir, "snap-"+node+".json") }
-
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
 
 // nextSeqs assigns n hybrid-clock sequence numbers: monotonically
 // increasing within the process and, because the base is wall-clock
@@ -132,7 +124,8 @@ func (s *DiskStore) stamp(recs []Record) uint64 {
 	return base + uint64(len(recs)-1)
 }
 
-// Append writes records and blocks until they are durable.
+// Append writes records, together with every record queued before
+// them, and blocks until they are durable.
 func (s *DiskStore) Append(recs ...Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
@@ -149,7 +142,9 @@ func (s *DiskStore) Append(recs ...Record) (uint64, error) {
 	return last, nil
 }
 
-// Submit enqueues records in order and returns immediately.
+// Submit enqueues records in order and returns immediately; they reach
+// the log with the next Append, Load or Close, or once maxPending
+// records are queued.
 func (s *DiskStore) Submit(recs ...Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil

@@ -1,8 +1,9 @@
 // Package store is the durable-state subsystem for admission sessions:
 // an append-only write-ahead decision log with group-commit batching,
-// periodic compacting snapshots, and a pluggable Store interface with an
-// in-memory backend for tests and a disk-directory backend for
-// production (edfd -store-dir).
+// periodic compacting snapshots, and the Store interface the service
+// journals through, implemented by one backend, DiskStore, over a
+// directory (edfd -store-dir; tests open one in a temporary directory
+// with NoSync).
 //
 // # Log format
 //
@@ -20,13 +21,16 @@
 //
 // # Group commit
 //
-// Appends ride a batcher that coalesces concurrent records into one
-// write+fsync (flushing when the batch reaches a size threshold or a
-// max-wait deadline, whichever first). Append blocks until its record is
-// durable; Submit enqueues in order and returns immediately — callers
-// use Submit for records whose loss is tolerable as a suffix (admit,
-// rollback, expire) and Append for durability points (open, commit,
-// close).
+// Records ride a batcher with no timer: one flusher writes everything
+// queued, in one write+fsync, as soon as an Append (or Load's drain)
+// waits on it, the queue holds 64 records, or the store closes. Records
+// that arrive during a write form the next batch, so concurrent
+// durability points share one fsync. Append blocks until its records,
+// and every record queued before them, are durable; Submit enqueues in
+// order and returns immediately, so its records reach the log with the
+// next durability point. Callers use Submit for records whose loss is
+// tolerable as a suffix (admit, rollback) and Append for durability
+// points (open, commit, close, expire).
 //
 // # Records and replay
 //

@@ -1,16 +1,21 @@
 package store
 
-// Store is the pluggable durable-state backend for admission sessions.
-// Implementations must be safe for concurrent use.
+// Store is the durable-state interface the service journals admission
+// sessions through; DiskStore implements it. Implementations must be
+// safe for concurrent use.
 type Store interface {
-	// Append writes records to the log and returns after they are
-	// durable (fsynced, for disk backends). The store assigns Seq to
-	// each record in order; the returned seq is the last one assigned.
+	// Append writes records to the log, after every record queued
+	// before them, and returns once all of them are durable (fsynced
+	// unless the store was opened with NoSync). The store assigns Seq
+	// to each record in order; the returned seq is the last one
+	// assigned.
 	Append(recs ...Record) (uint64, error)
 	// Submit enqueues records in order and returns without waiting for
-	// durability. A crash loses at most an ordered suffix of submitted
-	// records. Use for records whose loss is recoverable (admit,
-	// rollback, expire); use Append for durability points.
+	// durability. The service submits admit and rollback records,
+	// whose loss replay tolerates, and appends the durability points
+	// (open, commit, close, expire). Submitted records reach the log
+	// with the next Append, Load or Close, or as soon as the queue
+	// fills; a crash loses at most an ordered suffix of them.
 	Submit(recs ...Record) (uint64, error)
 	// LastSeq returns the highest sequence number the store has assigned
 	// (or observed via Load) so far. Snapshot captures read it as a
@@ -42,7 +47,7 @@ type Stats struct {
 	Appends uint64
 	// Flushes is the number of group-commit batches written.
 	Flushes uint64
-	// Syncs is the number of fsync calls (0 for the memory backend).
+	// Syncs is the number of fsync calls (0 with NoSync).
 	Syncs uint64
 	// Bytes written to the log.
 	Bytes uint64

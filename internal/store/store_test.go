@@ -15,7 +15,7 @@ import (
 
 func openTest(t *testing.T, dir, node string) *DiskStore {
 	t.Helper()
-	s, err := Open(dir, node, Options{BatchSize: 4, MaxWait: time.Millisecond})
+	s, err := Open(dir, node, Options{})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
@@ -353,30 +353,6 @@ func TestSharedDirTwoNodes(t *testing.T) {
 	}
 }
 
-func TestMemStoreMatchesDisk(t *testing.T) {
-	disk := openTest(t, t.TempDir(), "a")
-	mem := NewMem()
-	for _, s := range []Store{disk, mem} {
-		journal(t, s, "s1")
-		sessions, _, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantState(t, sessions["s1"], []string{"seed", "t1", "t2"}, []string{"t3"})
-	}
-}
-
-func TestMemDropTail(t *testing.T) {
-	mem := NewMem()
-	journal(t, mem, "s1")
-	mem.DropTail(2) // lose the commit and the trailing admit
-	sessions, _, err := mem.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantState(t, sessions["s1"], []string{"seed"}, []string{"t1", "t2"})
-}
-
 // TestConcurrentLoadDuringAppends hammers Load while appends are in
 // flight: a live Load must never observe a batch mid-write — and above
 // all must never "repair" (truncate) the segment it races with, which
@@ -532,7 +508,7 @@ func TestDefaultNodeStable(t *testing.T) {
 
 func TestGroupCommitAmortizesFsync(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, "a", Options{BatchSize: 64, MaxWait: 50 * time.Millisecond})
+	s, err := Open(dir, "a", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,5 +532,165 @@ func TestGroupCommitAmortizesFsync(t *testing.T) {
 	// group commit this would be up to 66.
 	if st.Syncs > 8 {
 		t.Fatalf("syncs = %d, want <= 8 (group commit not amortizing)", st.Syncs)
+	}
+}
+
+// requireUnflushed waits 20 ms and fails unless the store has still
+// written exactly flushes batches: records submitted below the queue
+// cap wait for a durability point, however long that takes.
+func requireUnflushed(t *testing.T, s *DiskStore, flushes uint64) {
+	t.Helper()
+	<-time.After(20 * time.Millisecond)
+	if got := s.Stats().Flushes; got != flushes {
+		t.Fatalf("flushes = %d after an idle wait, want %d (submitted records written without a durability point)", got, flushes)
+	}
+}
+
+// waitFlushes waits until the store has written flushes batches.
+func waitFlushes(t *testing.T, s *DiskStore, flushes uint64) {
+	t.Helper()
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	deadline := time.After(5 * time.Second)
+	for s.Stats().Flushes < flushes {
+		select {
+		case <-tick.C:
+		case <-deadline:
+			t.Fatalf("flushes = %d, want %d", s.Stats().Flushes, flushes)
+		}
+	}
+}
+
+// submitAdmits submits n admit records of session s1, one per call.
+func submitAdmits(t *testing.T, s Store, n int) {
+	t.Helper()
+	for i := range n {
+		if _, err := s.Submit(Record{Type: TypeAdmit, Session: "s1", Task: task(fmt.Sprintf("t%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestAppendFlushesSubmitted pins the flush rule's common case:
+// submitted records stay queued until an Append, which writes them and
+// itself in one flush, in sequence order.
+func TestAppendFlushesSubmitted(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, "a")
+	submitAdmits(t, s, 3)
+	requireUnflushed(t, s, 0)
+	last, err := s.Append(Record{Type: TypeCommit, Session: "s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 1 || st.Records != 4 {
+		t.Fatalf("after Append: flushes=%d records=%d, want 1 and 4", st.Flushes, st.Records)
+	}
+	recs, _, err := readLogFile(walFile(t, dir), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for i, rec := range recs {
+		types = append(types, rec.Type)
+		if i > 0 && rec.Seq <= recs[i-1].Seq {
+			t.Fatalf("record %d seq %d not above its predecessor's %d", i, rec.Seq, recs[i-1].Seq)
+		}
+	}
+	if want := "[admit admit admit commit]"; fmt.Sprint(types) != want {
+		t.Fatalf("log = %v, want %s", types, want)
+	}
+	if recs[3].Seq != last {
+		t.Fatalf("Append returned seq %d, the log holds %d", last, recs[3].Seq)
+	}
+}
+
+// TestSubmitCapFlushes: a queue of submitted records is written without
+// any Append once it holds maxPending records, all in one flush.
+func TestSubmitCapFlushes(t *testing.T) {
+	s := openTest(t, t.TempDir(), "a")
+	submitAdmits(t, s, maxPending-1)
+	requireUnflushed(t, s, 0)
+	submitAdmits(t, s, 1)
+	waitFlushes(t, s, 1)
+	if st := s.Stats(); st.Flushes != 1 || st.Records != maxPending {
+		t.Fatalf("flushes=%d records=%d, want 1 and %d", st.Flushes, st.Records, maxPending)
+	}
+}
+
+// TestLoadAndCloseFlushSubmitted: Load's drain and Close write whatever
+// is still queued.
+func TestLoadAndCloseFlushSubmitted(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, "a")
+	if _, err := s.Append(Record{Type: TypeOpen, Session: "s1", Config: cfg("seed")}); err != nil {
+		t.Fatal(err)
+	}
+	submitAdmits(t, s, 3)
+	requireUnflushed(t, s, 1)
+	sessions, _, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 2 || st.Records != 4 {
+		t.Fatalf("after Load: flushes=%d records=%d, want 2 and 4", st.Flushes, st.Records)
+	}
+	wantState(t, sessions["s1"], []string{"seed"}, []string{"t0", "t1", "t2"})
+
+	submitAdmits(t, s, 2)
+	requireUnflushed(t, s, 2)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Flushes != 3 || st.Records != 6 {
+		t.Fatalf("after Close: flushes=%d records=%d, want 3 and 6", st.Flushes, st.Records)
+	}
+	sessions, _, err = openTest(t, dir, "a").Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantState(t, sessions["s1"], []string{"seed"}, []string{"t0", "t1", "t2", "t0", "t1"})
+}
+
+// TestConcurrentAppendsShareFlushes: Appends that arrive while a batch
+// is being written and fsynced wait for the next flush together, so
+// concurrent durability points share writes; every record still lands.
+func TestConcurrentAppendsShareFlushes(t *testing.T) {
+	s := openTest(t, t.TempDir(), "a")
+	const writers, each = 16, 20
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := fmt.Sprintf("s%d", w)
+			if _, err := s.Append(Record{Type: TypeOpen, Session: id, Config: cfg("seed")}); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range each - 1 {
+				if _, err := s.Append(Record{Type: TypeAdmit, Session: id, Task: task(fmt.Sprintf("t%d", i))}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.Records != writers*each {
+		t.Fatalf("records = %d, want %d", st.Records, writers*each)
+	}
+	if st.Flushes >= st.Records {
+		t.Fatalf("flushes = %d for %d concurrent appends: no flush was shared", st.Flushes, st.Records)
+	}
+	sessions, _, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range writers {
+		if st := sessions[fmt.Sprintf("s%d", w)]; st == nil || len(st.Pending) != each-1 {
+			t.Fatalf("session s%d = %+v, want %d pending admits", w, st, each-1)
+		}
 	}
 }
