@@ -19,13 +19,10 @@ import (
 //
 // Durability points use the store's synchronous Append — the client
 // only sees a 2xx after the record is on disk — while high-rate admit
-// records and the loss-tolerant rollback records ride the asynchronous
-// Submit and reach the disk with the next durability point: a crash
-// loses at most an ordered suffix of unsynced records, and losing an
-// admit suffix is indistinguishable from crashing before those
-// proposals arrived. The TTL sweeper's expire records are appended:
-// the sweeper runs off the request path, and a submitted record would
-// wait for whatever durability point came next.
+// records and the loss-tolerant rollback/expire records ride the
+// asynchronous Submit: a crash loses at most an ordered suffix of
+// unsynced records, and losing an admit suffix is indistinguishable
+// from crashing before those proposals arrived.
 //
 // Per-session record order is preserved by the entry's jmu, which
 // spans (decision, log record, watermark) so the log can never show a
@@ -136,9 +133,8 @@ func (s *Server) journalClose(id string) {
 	}
 }
 
-// journalExpired appends expire records for TTL-swept sessions — without
-// them a restart or a peer would resurrect sessions the sweeper already
-// removed.
+// journalExpired writes expire records for TTL-swept sessions — without
+// them a restart would resurrect sessions the sweeper already removed.
 func (s *Server) journalExpired(ids []string) {
 	if s.store == nil {
 		return
@@ -147,7 +143,7 @@ func (s *Server) journalExpired(ids []string) {
 	for i, id := range ids {
 		recs[i] = store.Record{Type: store.TypeExpire, Session: id}
 	}
-	if _, err := s.store.Append(recs...); err != nil {
+	if _, err := s.store.Submit(recs...); err != nil {
 		s.m.journalErrors.Add(1)
 		s.log.Error("journal write failed", "type", store.TypeExpire, "err", err)
 	}
@@ -223,7 +219,9 @@ func (s *Server) recoverSessions() {
 			s.log.Error("session not recovered", "session", id, "err", err)
 			continue
 		}
-		s.journalDroppedPending(e, id, st)
+		if len(st.Pending) > 0 {
+			s.journalRollback(e, id)
+		}
 		s.m.resumed.Add(1)
 		s.publishResume(id, e)
 		committed, _, _ := e.adm.Snapshot()
@@ -315,7 +313,12 @@ func (s *Server) rehydrate(id string) bool {
 		return false
 	}
 	if restored {
-		s.journalDroppedPending(e, id, st)
+		// Journal the rollback even when the replay saw no pending task:
+		// an owner the proxy marked unhealthy may still be alive with
+		// admits it stamped before this replay but had not yet written.
+		// This record's later seq clears them whenever they land, so
+		// the next commit here cannot fold them in.
+		s.journalRollback(e, id)
 		s.m.rehydrated.Add(1)
 		s.publishResume(id, e)
 		committed, _, _ := e.adm.Snapshot()
@@ -325,12 +328,9 @@ func (s *Server) rehydrate(id string) bool {
 	return true
 }
 
-// journalDroppedPending records the implicit rollback of pending tasks
-// a recovery drops, so a later replay (or another node's) agrees.
-func (s *Server) journalDroppedPending(e *sessionEntry, id string, st *store.SessionState) {
-	if len(st.Pending) == 0 {
-		return
-	}
+// journalRollback records the implicit rollback of the pending tasks a
+// recovery drops, so a later replay (or another node's) agrees.
+func (s *Server) journalRollback(e *sessionEntry, id string) {
 	e.jmu.Lock()
 	s.submitLocked(e, store.Record{Type: store.TypeRollback, Session: id})
 	e.jmu.Unlock()

@@ -282,6 +282,65 @@ func TestE2ERehydrateOnMiss(t *testing.T) {
 	}
 }
 
+// unwrittenAdmits stands in for an owner that has stamped its admit
+// records but not yet written them: it stamps them on a private store,
+// so they never reach the shared directory, and journals every other
+// record and snapshot there.
+type unwrittenAdmits struct {
+	store.Store
+	private store.Store
+}
+
+func (u *unwrittenAdmits) Submit(recs ...store.Record) (uint64, error) {
+	if recs[0].Type == store.TypeAdmit {
+		return u.private.Submit(recs...)
+	}
+	return u.Store.Submit(recs...)
+}
+
+// TestTakeoverClearsOwnersLateAdmits is the live-owner takeover race: the
+// proxy moves a session to a peer while its owner is still alive with an
+// uncommitted admit that reaches the shared directory only after the
+// peer's commit (here through the owner's final snapshot). Replay orders
+// records by seq, and that admit's seq is below the peer's commit, so
+// the peer's rehydration must journal a rollback even though it saw no
+// pending task; otherwise any later replay folds the admit into a commit
+// that never verified it.
+func TestTakeoverClearsOwnersLateAdmits(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	owner, oc := newTestServer(t, service.Config{Store: &unwrittenAdmits{
+		Store:   openStore(t, dir, "edfd-a"),
+		private: openStore(t, t.TempDir(), "edfd-a"),
+	}})
+	_, peer := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-b")})
+
+	sess, _, err := oc.OpenSession(ctx, service.SessionRequest{
+		Workload: edf.SporadicWorkload(edf.TaskSet{{Name: "seed", WCET: 10, Deadline: 90, Period: 100}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := sess.Propose(ctx, service.ProposeRequest{
+		Task: service.SporadicTask(edf.Task{Name: "late", WCET: 5, Deadline: 40, Period: 50}),
+	}); err != nil || !resp.Admitted {
+		t.Fatalf("propose on the owner: %+v, %v", resp, err)
+	}
+	if _, err := peer.Session(sess.ID).Commit(ctx); err != nil {
+		t.Fatalf("commit on the peer: %v", err)
+	}
+	owner.Close()
+
+	_, third := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-c")})
+	state, _, err := third.Session(sess.ID).State(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Committed != 1 || state.Pending != 0 {
+		t.Fatalf("replayed state: %+v, want committed=1 pending=0 (the owner's uncommitted admit was folded into the peer's commit)", state)
+	}
+}
+
 // TestCloseWritesFinalSnapshot pins the shutdown ordering: Close must
 // not return before the snapshotter's final compacting snapshot has
 // been written, because callers (edfd main, the cluster spawner) close
@@ -344,7 +403,7 @@ func TestRepeatedMissesSkipReplay(t *testing.T) {
 }
 
 // TestE2EExpiredSessionsStayDead pins the TTL/durability interaction: the
-// sweeper appends expire records, so neither a restart nor a peer can
+// sweeper journals expire records, so neither a restart nor a peer can
 // resurrect a session the TTL already removed.
 func TestE2EExpiredSessionsStayDead(t *testing.T) {
 	ctx := context.Background()
@@ -359,9 +418,8 @@ func TestE2EExpiredSessionsStayDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Leave the session idle past its TTL and watch the store, not the
-	// session: a session miss replays the store, and that replay would
-	// write a queued record itself. The expire record must reach the log
-	// after the open with no request to carry it.
+	// session: the expire record must reach the log after the open with
+	// no request to carry it.
 	deadline := time.Now().Add(10 * time.Second)
 	for st.Stats().Records < 2 {
 		if time.Now().After(deadline) {

@@ -8,18 +8,13 @@ type batchSink interface {
 	writeBatch(recs []Record) error
 }
 
-// maxPending caps how many submitted records may queue before the
-// flusher writes them without waiting for a durability point.
-const maxPending = 64
-
 // batcher is the group-commit core: records enqueue under a lock in
 // submission order, and a background flusher writes everything queued
-// in one writeBatch call as soon as an Append waits on it, the queue
-// holds maxPending records, or the store closes. Records that arrive
-// during a write form the next batch, so concurrent durability points
-// share one write and fsync. Append waits for its batch's flush;
-// Submit returns at enqueue. Both preserve order, so a crash loses
-// only an ordered suffix.
+// in one writeBatch call whenever anything is queued, with no timer.
+// Records that arrive during a write form the next batch, so
+// concurrent callers share one write and fsync. Append waits for its
+// batch's flush; Submit returns at enqueue. Both preserve order, so a
+// crash loses only an ordered suffix.
 type batcher struct {
 	sink batchSink
 
@@ -55,27 +50,20 @@ func (b *batcher) enqueue(recs []Record, wait bool) (<-chan error, error) {
 		done = make(chan error, 1)
 		b.waiters = append(b.waiters, done)
 	}
-	if b.due() {
-		b.cond.Signal()
-	}
+	b.cond.Signal()
 	b.mu.Unlock()
 	return done, nil
 }
 
-// due reports whether the queue must be written now; b.mu is held.
-func (b *batcher) due() bool {
-	return len(b.waiters) > 0 || len(b.pending) >= maxPending || b.closed
-}
-
-// flusher writes due batches until close.
+// flusher drains batches until close.
 func (b *batcher) flusher() {
 	defer close(b.stopped)
 	b.mu.Lock()
 	for {
-		for !b.due() {
+		for len(b.pending) == 0 && len(b.waiters) == 0 && !b.closed {
 			b.cond.Wait()
 		}
-		if b.closed && len(b.pending) == 0 && len(b.waiters) == 0 {
+		if len(b.pending) == 0 && len(b.waiters) == 0 && b.closed {
 			b.mu.Unlock()
 			return
 		}

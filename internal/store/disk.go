@@ -142,9 +142,8 @@ func (s *DiskStore) Append(recs ...Record) (uint64, error) {
 	return last, nil
 }
 
-// Submit enqueues records in order and returns immediately; they reach
-// the log with the next Append, Load or Close, or once maxPending
-// records are queued.
+// Submit enqueues records in order and returns immediately; the
+// flusher writes them as soon as it is free.
 func (s *DiskStore) Submit(recs ...Record) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil

@@ -22,15 +22,13 @@
 // # Group commit
 //
 // Records ride a batcher with no timer: one flusher writes everything
-// queued, in one write+fsync, as soon as an Append (or Load's drain)
-// waits on it, the queue holds 64 records, or the store closes. Records
-// that arrive during a write form the next batch, so concurrent
-// durability points share one fsync. Append blocks until its records,
-// and every record queued before them, are durable; Submit enqueues in
-// order and returns immediately, so its records reach the log with the
-// next durability point. Callers use Submit for records whose loss is
-// tolerable as a suffix (admit, rollback) and Append for durability
-// points (open, commit, close, expire).
+// queued, in one write+fsync, whenever anything is queued. Records that
+// arrive during a write form the next batch, so concurrent callers
+// share one fsync. Append blocks until its records, and every record
+// queued before them, are durable; Submit enqueues in order and returns
+// immediately. Callers use Submit for records whose loss is tolerable
+// as a suffix (admit, rollback, expire) and Append for durability
+// points (open, commit, close).
 //
 // # Records and replay
 //

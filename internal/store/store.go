@@ -11,11 +11,11 @@ type Store interface {
 	// assigned.
 	Append(recs ...Record) (uint64, error)
 	// Submit enqueues records in order and returns without waiting for
-	// durability. The service submits admit and rollback records,
-	// whose loss replay tolerates, and appends the durability points
-	// (open, commit, close, expire). Submitted records reach the log
-	// with the next Append, Load or Close, or as soon as the queue
-	// fills; a crash loses at most an ordered suffix of them.
+	// durability. The service submits admit, rollback and expire
+	// records, whose loss replay tolerates, and appends the durability
+	// points (open, commit, close). Submitted records are written as
+	// soon as the store's flusher is free, with no timer; a crash loses
+	// at most an ordered suffix of them.
 	Submit(recs ...Record) (uint64, error)
 	// LastSeq returns the highest sequence number the store has assigned
 	// (or observed via Load) so far. Snapshot captures read it as a

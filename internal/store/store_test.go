@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -535,29 +536,15 @@ func TestGroupCommitAmortizesFsync(t *testing.T) {
 	}
 }
 
-// requireUnflushed waits 20 ms and fails unless the store has still
-// written exactly flushes batches: records submitted below the queue
-// cap wait for a durability point, however long that takes.
-func requireUnflushed(t *testing.T, s *DiskStore, flushes uint64) {
+// waitRecords waits until the store has written n records.
+func waitRecords(t *testing.T, s *DiskStore, n uint64) {
 	t.Helper()
-	<-time.After(20 * time.Millisecond)
-	if got := s.Stats().Flushes; got != flushes {
-		t.Fatalf("flushes = %d after an idle wait, want %d (submitted records written without a durability point)", got, flushes)
-	}
-}
-
-// waitFlushes waits until the store has written flushes batches.
-func waitFlushes(t *testing.T, s *DiskStore, flushes uint64) {
-	t.Helper()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	deadline := time.After(5 * time.Second)
-	for s.Stats().Flushes < flushes {
-		select {
-		case <-tick.C:
-		case <-deadline:
-			t.Fatalf("flushes = %d, want %d", s.Stats().Flushes, flushes)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Records < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("records written = %d, want %d", s.Stats().Records, n)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -571,20 +558,50 @@ func submitAdmits(t *testing.T, s Store, n int) {
 	}
 }
 
-// TestAppendFlushesSubmitted pins the flush rule's common case:
-// submitted records stay queued until an Append, which writes them and
-// itself in one flush, in sequence order.
+// TestSubmitWritesWithoutAppend: submitted records reach the segment
+// on their own, with no Append, Load or Close to carry them.
+func TestSubmitWritesWithoutAppend(t *testing.T) {
+	s := openTest(t, t.TempDir(), "a")
+	submitAdmits(t, s, 3)
+	waitRecords(t, s, 3)
+}
+
+// TestIdleAppendWritesAtOnce: an Append on an idle store is written at
+// once rather than held for company, so the median of sequential
+// Appends stays far below a millisecond.
+func TestIdleAppendWritesAtOnce(t *testing.T) {
+	s, err := Open(t.TempDir(), "a", Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lat := make([]time.Duration, 21)
+	for i := range lat {
+		start := time.Now()
+		if _, err := s.Append(Record{Type: TypeOpen, Session: fmt.Sprintf("s%d", i), Config: cfg()}); err != nil {
+			t.Fatal(err)
+		}
+		lat[i] = time.Since(start)
+	}
+	slices.Sort(lat)
+	if med := lat[len(lat)/2]; med >= time.Millisecond {
+		t.Fatalf("median Append latency on an idle store = %v, want under 1ms", med)
+	}
+}
+
+// TestAppendFlushesSubmitted: an Append returns only once every record
+// submitted before it is written, and the log holds them in sequence
+// order with the Append's returned seq last.
 func TestAppendFlushesSubmitted(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, "a")
 	submitAdmits(t, s, 3)
-	requireUnflushed(t, s, 0)
 	last, err := s.Append(Record{Type: TypeCommit, Session: "s1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Flushes != 1 || st.Records != 4 {
-		t.Fatalf("after Append: flushes=%d records=%d, want 1 and 4", st.Flushes, st.Records)
+	if st := s.Stats(); st.Records != 4 {
+		t.Fatalf("after Append: records=%d, want 4", st.Records)
 	}
 	recs, _, err := readLogFile(walFile(t, dir), false)
 	if err != nil {
@@ -605,19 +622,6 @@ func TestAppendFlushesSubmitted(t *testing.T) {
 	}
 }
 
-// TestSubmitCapFlushes: a queue of submitted records is written without
-// any Append once it holds maxPending records, all in one flush.
-func TestSubmitCapFlushes(t *testing.T) {
-	s := openTest(t, t.TempDir(), "a")
-	submitAdmits(t, s, maxPending-1)
-	requireUnflushed(t, s, 0)
-	submitAdmits(t, s, 1)
-	waitFlushes(t, s, 1)
-	if st := s.Stats(); st.Flushes != 1 || st.Records != maxPending {
-		t.Fatalf("flushes=%d records=%d, want 1 and %d", st.Flushes, st.Records, maxPending)
-	}
-}
-
 // TestLoadAndCloseFlushSubmitted: Load's drain and Close write whatever
 // is still queued.
 func TestLoadAndCloseFlushSubmitted(t *testing.T) {
@@ -627,23 +631,21 @@ func TestLoadAndCloseFlushSubmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	submitAdmits(t, s, 3)
-	requireUnflushed(t, s, 1)
 	sessions, _, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Flushes != 2 || st.Records != 4 {
-		t.Fatalf("after Load: flushes=%d records=%d, want 2 and 4", st.Flushes, st.Records)
+	if st := s.Stats(); st.Records != 4 {
+		t.Fatalf("after Load: records=%d, want 4", st.Records)
 	}
 	wantState(t, sessions["s1"], []string{"seed"}, []string{"t0", "t1", "t2"})
 
 	submitAdmits(t, s, 2)
-	requireUnflushed(t, s, 2)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Flushes != 3 || st.Records != 6 {
-		t.Fatalf("after Close: flushes=%d records=%d, want 3 and 6", st.Flushes, st.Records)
+	if st := s.Stats(); st.Records != 6 {
+		t.Fatalf("after Close: records=%d, want 6", st.Records)
 	}
 	sessions, _, err = openTest(t, dir, "a").Load()
 	if err != nil {
