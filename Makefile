@@ -9,7 +9,7 @@ build:
 
 test: vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/engine/ ./internal/service/... ./internal/cluster/ ./internal/store/ ./internal/obs/
+	$(GO) test -race ./internal/engine/ ./internal/service/... ./internal/cluster/ ./internal/store/ ./internal/obs/ ./internal/partition/
 
 # Fuzz smoke: `go test ./...` only replays the seed corpora; this runs
 # each fuzz target alone for FUZZTIME of fresh inputs. A failing input is
@@ -21,6 +21,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkedVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRebuild$$' -fuzztime $(FUZZTIME) ./internal/numeric/
+	$(GO) test -run '^$$' -fuzz '^FuzzUtilSumCmp$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZTIME) ./internal/service/

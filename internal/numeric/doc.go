@@ -55,15 +55,19 @@
 // within 2^-128 per term: every comparison with 1 is decided by integer
 // arithmetic, a few divisions per term whether or not a plan covers the
 // periods, except for sums that close to 1, where the caller compares
-// exactly on chunk registers. Two comparisons use it. An admission
-// session's gate lives across proposals whose periods nobody knows in
-// advance, so no chunk plan fits it and the session keeps a running
-// UtilSum. Every analyzer stage opens with U against 1, which
-// demand.Scratch.UtilCmpOne decides on a fresh UtilSum over the stage's
-// sources; the math/big reference keeps the exact register sum there, so
-// it stays independent of the bracket. The session's other sum, the
-// incremental anchor rebuild, is a one-shot walk over a known source set
-// and runs on a Scratch's registers like any analysis.
+// exactly on chunk registers. UtilSum.Cmp orders two sums the same way,
+// undecided only where their brackets overlap. Three callers use the
+// bracket. An admission session's gate lives across proposals whose
+// periods nobody knows in advance, so no chunk plan fits it and the
+// session keeps a running UtilSum. Every analyzer stage opens with U
+// against 1, which demand.Scratch.UtilCmpOne decides on a fresh UtilSum
+// over the stage's sources; the math/big reference keeps the exact
+// register sum there, so it stays independent of the bracket. Partitioned
+// placement keeps a UtilSum per processor beside its exact fill register:
+// the bracket decides the utilization gate and the heuristics' bin
+// rankings, and the register only what the bracket cannot. The session's
+// other sum, the incremental anchor rebuild, is a one-shot walk over a
+// known source set and runs on a Scratch's registers like any analysis.
 //
 // The package also contains overflow-checked int64 helpers (gcd, lcm,
 // checked multiplication/addition) shared by the bounds and demand

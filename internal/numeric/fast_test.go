@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -237,4 +238,215 @@ func TestFastCmpAgainstBig(t *testing.T) {
 	if decided < 1900 {
 		t.Fatalf("only %d of 2000 near-1 sums decided; the bound is looser than 2^-128 per term", decided)
 	}
+}
+
+// bracketsDecide reports whether the brackets of u and o order the
+// sums: a sum without truncated terms is the point lo, one with them the
+// open interval (lo, lo + inexact·2^-128), and the brackets decide when
+// they are disjoint or the same point. A saturated integer part bounds
+// nothing from above and decides nothing.
+func bracketsDecide(u, o UtilSum) bool {
+	if u.ip == math.MaxUint64 || o.ip == math.MaxUint64 {
+		return false
+	}
+	ul, ol := loRat(u), loRat(o)
+	uh, oh := bracketHi(u), bracketHi(o)
+	switch {
+	case u.inexact == 0 && o.inexact == 0:
+		return true
+	case u.inexact == 0:
+		return ul.Cmp(ol) <= 0 || ul.Cmp(oh) >= 0
+	case o.inexact == 0:
+		return ol.Cmp(ul) <= 0 || ol.Cmp(uh) >= 0
+	}
+	return ul.Cmp(oh) >= 0 || ol.Cmp(uh) >= 0
+}
+
+// bracketHi returns lo + inexact·2^-128, the bracket's upper end.
+func bracketHi(u UtilSum) *big.Rat {
+	w := new(big.Rat).SetFrac(new(big.Int).SetUint64(u.inexact), new(big.Int).Lsh(big.NewInt(1), 128))
+	return w.Add(w, loRat(u))
+}
+
+// checkCmp asserts the UtilSum.Cmp contract for sums whose exact values
+// are ur and or: Cmp decides exactly when the brackets do (see
+// bracketsDecide), a decided result is the exact order, and the reversed
+// comparison is its mirror image.
+func checkCmp(t *testing.T, u, o UtilSum, ur, or *big.Rat, what string) {
+	t.Helper()
+	c, ok := u.Cmp(o)
+	rc, rok := o.Cmp(u)
+	if ok != rok || c != -rc {
+		t.Fatalf("%s: Cmp = (%d, %v), reversed (%d, %v)", what, c, ok, rc, rok)
+	}
+	if want := bracketsDecide(u, o); ok != want {
+		t.Fatalf("%s: Cmp decided %v, the brackets decide %v (%+v, %+v)", what, ok, want, u, o)
+	}
+	if want := ur.Cmp(or); ok && c != want {
+		t.Fatalf("%s: Cmp = %d, exact comparison %d (%s against %s)", what, c, want, ur.RatString(), or.RatString())
+	}
+}
+
+// TestUtilSumCmpMatchesBigRat compares random sums pairwise against
+// big.Rat, with most pairs equal or nearly equal: the same terms on both
+// sides, and the same fraction split into two terms on one side, which
+// moves its truncation. Hand-built pairs follow: equal sums whose lower
+// bounds sit one unit of 2^-128 apart, brackets one unit apart across
+// word boundaries, sums within 2^-135 of 1, and a saturated integer part.
+func TestUtilSumCmpMatchesBigRat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	decided := 0
+	for seq := range 400 {
+		var u, o UtilSum
+		ur, or := new(big.Rat), new(big.Rat)
+		for step := range 12 {
+			den := 2 + rng.Int63n(int64(1)<<(1+rng.Intn(61)))
+			num := rng.Int63n(den)
+			x := big.NewRat(num, den)
+			switch rng.Intn(4) {
+			case 0:
+				u, ur = u.Add(num, den), ur.Add(ur, x)
+			case 1:
+				o, or = o.Add(num, den), or.Add(or, x)
+			case 2:
+				u, ur = u.Add(num, den), ur.Add(ur, x)
+				o, or = o.Add(num, den), or.Add(or, x)
+			default:
+				u, ur = u.Add(num, den), ur.Add(ur, x)
+				o, or = o.Add(num/2, den).Add(num-num/2, den), or.Add(or, x)
+			}
+			checkCmp(t, u, o, ur, or, fmt.Sprintf("seq %d step %d", seq, step))
+			if _, ok := u.Cmp(o); ok {
+				decided++
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no random pair decided")
+	}
+
+	sum := func(terms ...int64) (UtilSum, *big.Rat) {
+		var u UtilSum
+		r := new(big.Rat)
+		for i := 0; i < len(terms); i += 2 {
+			u = u.Add(terms[i], terms[i+1])
+			r.Add(r, big.NewRat(terms[i], terms[i+1]))
+		}
+		return u, r
+	}
+	// 1/6 + 1/3 truncates to one unit below 1/2.
+	a, ar := sum(1, 6, 1, 3)
+	b, br := sum(1, 2)
+	if loRat(b).Sub(loRat(b), loRat(a)).Cmp(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 128))) != 0 {
+		t.Fatalf("1/6+1/3 lower bound %s, want one unit below 1/2", loRat(a).RatString())
+	}
+	checkCmp(t, a, b, ar, br, "1/6+1/3 against 1/2")
+	if _, ok := a.Cmp(b); ok {
+		t.Error("1/6+1/3 against 1/2 decided on overlapping brackets")
+	}
+	for _, pair := range [][2][]int64{
+		{{1, 3, 1, 3, 1, 3}, {1, 1}},
+		{{1, 3, 1, 6}, {1, 6, 1, 3}},
+		{{1, 4, 1, 4}, {1, 2}},
+		{{1, 3, 1, 6, 1, 10}, {1, 2, 1, 10}},
+		{{2, 7}, {1, 7, 1, 7}},
+	} {
+		u, ur := sum(pair[0]...)
+		o, or := sum(pair[1]...)
+		checkCmp(t, u, o, ur, or, fmt.Sprint(pair))
+	}
+	// Equal lower bounds, and lower bounds one unit apart carried across
+	// the fraction's words and into the integer part.
+	for _, base := range []UtilSum{{hi: 5, lo: 9}, {lo: math.MaxUint64}, {hi: math.MaxUint64, lo: math.MaxUint64}, {ip: 2, hi: math.MaxUint64, lo: math.MaxUint64}} {
+		next := base
+		var c uint64
+		next.lo, c = bits.Add64(next.lo, 1, 0)
+		next.hi, c = bits.Add64(next.hi, 0, c)
+		next.ip += c
+		for _, in := range [][2]uint64{{0, 0}, {1, 0}, {2, 0}, {0, 3}, {1, 1}, {2, 5}} {
+			u, o, same := base, next, base
+			u.inexact, o.inexact, same.inexact = in[0], in[1], in[1]
+			checkCmp(t, u, o, midRat(u), midRat(o), fmt.Sprintf("one unit above %+v, inexact %v", base, in))
+			if _, ok := u.Cmp(o); ok != (in[0] <= 1) {
+				t.Errorf("one unit above %+v, inexact %v: decided %v", base, in, ok)
+			}
+			checkCmp(t, u, same, midRat(u), midRat(same), fmt.Sprintf("equal to %+v, inexact %v", base, in))
+			if _, ok := u.Cmp(same); ok != (in[0] == 0 || in[1] == 0) {
+				t.Errorf("equal to %+v, inexact %v: decided %v", base, in, ok)
+			}
+		}
+	}
+	// Sums within 2^-135 of 1, against 1 and each other.
+	var near [2]UtilSum
+	var nearR [2]*big.Rat
+	for i, sign := range []int64{1, -1} {
+		nums, dens := nearOne(sign)
+		near[i], nearR[i] = sum(nums[0], dens[0], nums[1], dens[1], nums[2], dens[2])
+	}
+	one, oneR := sum(1, 1)
+	checkCmp(t, near[0], near[1], nearR[0], nearR[1], "1+1/pqr against 1-1/pqr")
+	checkCmp(t, near[0], one, nearR[0], oneR, "1+1/pqr against 1")
+	checkCmp(t, near[1], one, nearR[1], oneR, "1-1/pqr against 1")
+	// A saturated integer part never decides.
+	sat, satR := sum(math.MaxInt64, 1, math.MaxInt64, 1, math.MaxInt64, 1)
+	if sat.ip != math.MaxUint64 {
+		t.Fatalf("sum did not saturate: %+v", sat)
+	}
+	checkCmp(t, sat, b, satR, br, "saturated against 1/2")
+	checkCmp(t, sat, sat, satR, satR, "saturated against itself")
+}
+
+// midRat returns a point inside u's bracket: lo, or lo + inexact/2 units.
+func midRat(u UtilSum) *big.Rat {
+	w := new(big.Rat).SetFrac(new(big.Int).SetUint64(u.inexact), new(big.Int).Lsh(big.NewInt(1), 129))
+	return w.Add(w, loRat(u))
+}
+
+// FuzzUtilSumCmp builds two sums from one program and checks Cmp after
+// every term (see checkCmp). Each step adds a term to one side, the same
+// term to both, or the term to one side and its numerator split in two
+// to the other, so equal sums with different truncations are common.
+// Terms are drawn as in FuzzFastVsBigRat.
+func FuzzUtilSumCmp(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, int64(6), int64(3))
+	f.Add([]byte{3, 7, 11, 2, 6, 19}, int64(1<<40), int64(999999937))
+	f.Add([]byte{2, 2, 2, 2, 2}, int64(2305843009213693951), int64(4611686018427387847))
+	f.Fuzz(func(t *testing.T, prog []byte, d1, d2 int64) {
+		if d1 <= 0 || d2 <= 0 {
+			return
+		}
+		var u, o UtilSum
+		ur, or := new(big.Rat), new(big.Rat)
+		dens := []int64{d1, d2}
+		for i, op := range prog {
+			if i > 64 {
+				break
+			}
+			x := int64(i)*104729 + int64(op)
+			d := dens[int(op/16)%2]
+			var num, den int64
+			switch op % 3 {
+			case 0:
+				num, den = x%d+1, d
+			case 1:
+				num, den = x%d, d
+			default:
+				num, den = x%1000, 1
+			}
+			r := big.NewRat(num, den)
+			switch (op / 3) % 4 {
+			case 0:
+				u, ur = u.Add(num, den), ur.Add(ur, r)
+			case 1:
+				o, or = o.Add(num, den), or.Add(or, r)
+			case 2:
+				u, ur = u.Add(num, den), ur.Add(ur, r)
+				o, or = o.Add(num, den), or.Add(or, r)
+			default:
+				u, ur = u.Add(num, den), ur.Add(ur, r)
+				o, or = o.Add(num/2, den).Add(num-num/2, den), or.Add(or, r)
+			}
+			checkCmp(t, u, o, ur, or, fmt.Sprintf("op %d (%d)", i, op))
+		}
+	})
 }

@@ -74,6 +74,41 @@ func (u UtilSum) CmpOne() (cmp int, ok bool) {
 	return 0, false
 }
 
+// Cmp orders two sums. A sum without truncated terms is exactly lo; one
+// with them lies strictly inside (lo, lo + inexact·2^-128). ok is false
+// when the two brackets overlap — lower bounds too close for the
+// truncation, equal lower bounds that both truncated, or a saturated
+// integer part — and the caller compares exactly.
+func (u UtilSum) Cmp(o UtilSum) (cmp int, ok bool) {
+	if u.ip == math.MaxUint64 || o.ip == math.MaxUint64 {
+		return 0, false
+	}
+	if u.ip == o.ip && u.hi == o.hi && u.lo == o.lo {
+		switch {
+		case u.inexact == 0 && o.inexact == 0:
+			return 0, true
+		case u.inexact == 0:
+			return -1, true
+		case o.inexact == 0:
+			return 1, true
+		}
+		return 0, false
+	}
+	// Order the lower bounds, a below b, and sign the result for u.
+	a, b, sign := u, o, -1
+	if u.ip > o.ip || u.ip == o.ip && (u.hi > o.hi || u.hi == o.hi && u.lo > o.lo) {
+		a, b, sign = o, u, 1
+	}
+	// The sums are ordered when the gap b.lo - a.lo, in units of 2^-128,
+	// covers a's truncation: a < a.lo + a.inexact <= b.lo <= b.
+	lo, borrow := bits.Sub64(b.lo, a.lo, 0)
+	hi, borrow := bits.Sub64(b.hi, a.hi, borrow)
+	if b.ip-a.ip-borrow > 0 || hi > 0 || lo >= a.inexact {
+		return sign, true
+	}
+	return 0, false
+}
+
 // Float returns lo rounded to the nearest float64, a truncated term
 // acting as the sticky bit of the rounding: the result is the float64
 // nearest the exact sum unless a rounding boundary lies inside the

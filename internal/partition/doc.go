@@ -34,13 +34,25 @@
 // rank order; a task that fails everywhere carries every candidate's
 // verdict in its rejection trail.
 //
-// The fills are exact: each bin's is a numeric.Chunked register on one
-// chunk plan per placement, built over the task periods (scaling keeps a
-// task's period, so the plan covers every bin). The gate, the rankings
-// and the reported utilization all read these registers; the placement
-// loop touches math/big only when a register promotes (a plan that
-// cannot cover the periods, or an overflow), which Stats.Promotions
-// counts.
+// Brackets decide the gate and the rankings. Each bin keeps its fill as a
+// numeric.UtilSum, a 128-bit fixed-point lower bound plus a count of
+// truncated terms, and grows it by the task at hand once per task:
+// UtilSum.CmpOne settles the gate and UtilSum.Cmp the rankings, a few
+// integer operations per candidate and comparison. Candidates of equal
+// speed rank by their fills alone, since the task adds the same fraction
+// to each; balance compares the grown fills across speeds.
+//
+// Registers decide the rest, exactly. Each bin's fill is also a
+// numeric.Chunked register on one chunk plan per placement, built over
+// the task periods (scaling keeps a task's period, so the plan covers
+// every bin). A grown fill within its truncation of 1 (three tasks of
+// utilization 1/3), two brackets that overlap (1/6 + 1/3 against 1/2),
+// and worst-fit's remaining capacity speed·(1−fill) across speeds are
+// compared on the registers, so every decision and every tie broken by
+// index is the exact one. The registers also give the reported
+// utilization. The placement touches math/big only when a register
+// promotes (a plan that cannot cover the periods, or an overflow), which
+// Stats.Promotions counts.
 //
 // # Trials on the incremental certificate
 //

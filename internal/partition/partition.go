@@ -107,8 +107,13 @@ type Stats struct {
 	// gate without any analyzer run.
 	GateRejections uint64 `json:"gate_rejections"`
 	// Promotions counts exits from the bounded-denominator arithmetic
-	// fast path, in the analyzer runs and in the placement's own fill
-	// arithmetic.
+	// fast path, in the analyzer runs and in the placement's own exact
+	// fill registers. The gate and the rankings read fixed-point brackets
+	// and run a register operation only where a bracket cannot decide, on
+	// admission, and for worst-fit across speeds, so the placement's share
+	// counts those operations, not one per candidate; it promotes at all
+	// only on platforms whose periods no chunk plan covers, or on an
+	// overflow.
 	Promotions uint64 `json:"promotions,omitempty"`
 }
 
@@ -242,16 +247,46 @@ type bin struct {
 	// cert is the incremental certificate over scaled, in use when the
 	// placer certifies.
 	cert *incremental.State
-	fill numeric.Chunked // Σ ceil(C/speed)/T
-	// after is fill plus the task at hand, set while the bin is a
-	// candidate for it.
-	after numeric.Chunked
-	// rem is worst-fit's key, the remaining absolute capacity
-	// speed·(1−fill), kept current by admit.
-	rem numeric.Chunked
+	// util brackets the fill and grown the fill plus the task at hand;
+	// they decide the gate and the rankings.
+	util, grown numeric.UtilSum
+	fill        numeric.Chunked // Σ ceil(C/speed)/T, exactly
+	// after is fill plus the task at hand, computed only where a bracket
+	// cannot decide (afterSet).
+	after    numeric.Chunked
+	afterSet bool
+	// below reports the grown fill strictly below 1, as the gate found.
+	below bool
+	// rem is worst-fit's key across speeds, the remaining absolute
+	// capacity speed·(1−fill), computed from fill when remStale.
+	rem      numeric.Chunked
+	remStale bool
 	// reason is why the bin refused the task at hand ("" while it is a
 	// candidate): the rejection trail of a task that fails everywhere.
 	reason string
+}
+
+// exactAfter returns fill plus task t exactly, computing the after
+// register on first use for the task at hand.
+func (b *bin) exactAfter(t *model.Task) *numeric.Chunked {
+	if !b.afterSet {
+		b.after.CopyFrom(&b.fill)
+		b.after.AddRat(ceilDiv(t.WCET, b.speed), t.Period)
+		b.afterSet = true
+	}
+	return &b.after
+}
+
+// remaining returns the remaining absolute capacity speed·(1−fill).
+func (b *bin) remaining() *numeric.Chunked {
+	if b.remStale {
+		b.rem.CopyFrom(&b.fill)
+		b.rem.Neg()
+		b.rem.AddInt(1)
+		b.rem.MulInt(b.speed)
+		b.remStale = false
+	}
+	return &b.rem
 }
 
 // placer carries the run-wide state shared by the heuristics. Placers
@@ -273,6 +308,8 @@ type placer struct {
 	asg      []int // processor of each task
 	cands    []int // processors that can take the task at hand, ranked
 	stats    Stats
+	// heuristics is the strategy order, parsed from cfg.Heuristics.
+	heuristics []Heuristic
 }
 
 // placers recycles placer memory across placements.
@@ -298,21 +335,24 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 	if !ok {
 		return Placement{}, fmt.Errorf("partition: unknown analyzer %q", name)
 	}
-	hs := cfg.Heuristics
-	if len(hs) == 0 {
-		hs = AllHeuristics()
-	}
-	for _, h := range hs {
-		if _, err := ParseHeuristic(string(h)); err != nil {
-			return Placement{}, err
-		}
-	}
 
 	p := placers.Get().(*placer)
 	defer p.release()
+	// Run and report each heuristic as ParseHeuristic spells it.
+	p.heuristics = p.heuristics[:0]
+	for _, h := range cfg.Heuristics {
+		parsed, err := ParseHeuristic(string(h))
+		if err != nil {
+			return Placement{}, err
+		}
+		p.heuristics = append(p.heuristics, parsed)
+	}
+	if len(p.heuristics) == 0 {
+		p.heuristics = append(p.heuristics, AllHeuristics()...)
+	}
 	p.init(wl, analyzer, name, cfg)
 	var out Placement
-	for _, h := range hs {
+	for _, h := range p.heuristics {
 		attempt, err := p.run(ctx, h)
 		if err != nil {
 			return Placement{}, err
@@ -421,16 +461,15 @@ func taskOrder(buf []int, ts []workload.PartitionedTask) []int {
 	return order
 }
 
-// reset empties every bin for heuristic h.
-func (p *placer) reset(h Heuristic) {
+// reset empties every bin for the next heuristic.
+func (p *placer) reset() {
 	for j := range p.bins {
 		b := &p.bins[j]
 		b.tasks = b.tasks[:0]
 		b.scaled = b.scaled[:0]
+		b.util = numeric.UtilSum{}
 		b.fill.SetZero()
-		if h == WorstFit {
-			b.rem.SetInt(b.speed)
-		}
+		b.remStale = true
 		if p.certify {
 			b.cert.Reset()
 		}
@@ -441,31 +480,38 @@ func (p *placer) reset(h Heuristic) {
 // the bins the placement; on failure the attempt describes the first
 // unplaceable task.
 func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
-	p.reset(h)
+	p.reset()
 	for placed, ti := range p.order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		task := &p.wl.PartTasks[ti]
-		// Affinity, then the exact utilization gate, leave the candidates.
+		// Affinity, then the utilization gate, leave the candidates. The
+		// grown bracket decides the gate unless the grown fill lies within
+		// its truncation of 1; the after register decides those exactly.
 		p.cands = p.cands[:0]
 		for j := range p.bins {
 			b := &p.bins[j]
+			b.afterSet = false
 			if !task.Allows(j) {
 				b.reason = "affinity"
 				continue
 			}
-			b.after.CopyFrom(&b.fill)
-			b.after.AddRat(ceilDiv(task.WCET, b.speed), task.Period)
-			if b.after.CmpInt(1) > 0 {
+			b.grown = b.util.Add(ceilDiv(task.WCET, b.speed), task.Period)
+			c, ok := b.grown.CmpOne()
+			if !ok {
+				c = b.exactAfter(&task.Task).CmpInt(1)
+			}
+			if c > 0 {
 				p.stats.GateRejections++
 				b.reason = "gate"
 				continue
 			}
+			b.below = c < 0
 			b.reason = ""
 			p.cands = append(p.cands, j)
 		}
-		p.rank(h)
+		p.rank(h, &task.Task)
 		// Lazily down the ranking: the first feasible candidate wins.
 		won := false
 		for _, j := range p.cands {
@@ -474,7 +520,7 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 				p.bins[j].reason = v.String()
 				continue
 			}
-			p.admit(h, j, ti, st)
+			p.admit(j, ti, st)
 			won = true
 			break
 		}
@@ -495,32 +541,45 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 	return nil, nil
 }
 
-// rank orders the candidates by the heuristic, ties broken by processor
-// index (every candidate list starts index-ascending).
-func (p *placer) rank(h Heuristic) {
-	switch h {
-	case WorstFit:
-		// Remaining absolute capacity, largest first.
-		slices.SortStableFunc(p.cands, func(a, b int) int {
-			return p.bins[b].rem.Cmp(&p.bins[a].rem)
-		})
-	case Balance:
-		// Resulting fill, smallest first.
-		slices.SortStableFunc(p.cands, func(a, b int) int {
-			return p.bins[a].after.Cmp(&p.bins[b].after)
-		})
+// rank orders the candidates for task t by the heuristic, ties broken
+// by processor index (every candidate list starts index-ascending). The
+// brackets decide a comparison when they do not overlap, the exact
+// registers otherwise, so the order is the exact one.
+func (p *placer) rank(h Heuristic, t *model.Task) {
+	if h == FirstFit {
+		return
 	}
+	slices.SortStableFunc(p.cands, func(a, b int) int {
+		x, y := &p.bins[a], &p.bins[b]
+		if x.speed == y.speed {
+			// t adds the same fraction to both bins, so the smaller fill
+			// has the more remaining capacity and the smaller grown fill.
+			if c, ok := x.util.Cmp(y.util); ok {
+				return c
+			}
+			return x.fill.Cmp(&y.fill)
+		}
+		if h == WorstFit {
+			// Remaining absolute capacity, largest first.
+			return y.remaining().Cmp(x.remaining())
+		}
+		// Grown fill, smallest first.
+		if c, ok := x.grown.Cmp(y.grown); ok {
+			return c
+		}
+		return x.exactAfter(t).Cmp(y.exactAfter(t))
+	})
 }
 
-// trial decides whether bin b, whose after register holds the grown
-// fill, can also take the scaled task st. The incremental certificate
-// settles the trial when it can: it accepts only sets whose exact demand
-// fits the processor, which the eligible cascade accepts too. It needs
-// grown utilization strictly below 1; otherwise, and whenever it cannot
-// accept, the analyzer runs on the tentative bin.
+// trial decides whether bin b, which passed the gate, can also take the
+// scaled task st. The incremental certificate settles the trial when it
+// can: it accepts only sets whose exact demand fits the processor, which
+// the eligible cascade accepts too. It needs grown utilization strictly
+// below 1; otherwise, and whenever it cannot accept, the analyzer runs
+// on the tentative bin.
 func (p *placer) trial(b *bin, st model.Task) core.Verdict {
 	p.stats.BinChecks++
-	if p.certify && b.after.CmpInt(1) < 0 {
+	if p.certify && b.below {
 		if ok, _ := b.cert.Check(workload.SporadicTask(st)); ok {
 			return core.Feasible
 		}
@@ -535,17 +594,17 @@ func (p *placer) trial(b *bin, st model.Task) core.Verdict {
 }
 
 // admit places task ti, scaled to st, on processor j.
-func (p *placer) admit(h Heuristic, j, ti int, st model.Task) {
+func (p *placer) admit(j, ti int, st model.Task) {
 	b := &p.bins[j]
 	b.tasks = append(b.tasks, ti)
 	b.scaled = append(b.scaled, st)
-	b.fill.CopyFrom(&b.after)
-	if h == WorstFit {
-		b.rem.CopyFrom(&b.fill)
-		b.rem.Neg()
-		b.rem.AddInt(1)
-		b.rem.MulInt(b.speed)
+	b.util = b.grown
+	if b.afterSet {
+		b.fill.CopyFrom(&b.after)
+	} else {
+		b.fill.AddRat(st.WCET, st.Period)
 	}
+	b.remStale = true
 	if p.certify {
 		b.cert.Admit(workload.SporadicTask(st))
 	}

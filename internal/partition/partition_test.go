@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -122,6 +123,28 @@ func TestPlaceHeuristicRanking(t *testing.T) {
 		}
 		if !pl.Feasible || !slices.Equal(pl.Assignment, []int{0, 1}) {
 			t.Errorf("%s placed period-1 tasks on %v, want [0 1]", h, pl.Assignment)
+		}
+	}
+}
+
+// TestPlaceRunsParsedHeuristic: a heuristic spelled with padding and in
+// upper case passes validation, and must then run, and be reported, as
+// the heuristic it names, not as first-fit under the raw spelling.
+func TestPlaceRunsParsedHeuristic(t *testing.T) {
+	// One 0.5-utilization task, processors of speed 1 and 2: only
+	// first-fit takes processor 0.
+	wl := workload.NewPartitioned(
+		[]workload.Processor{{}, {Speed: 2}},
+		[]workload.PartitionedTask{task("t", 5, 10, 10)},
+	)
+	for _, h := range []Heuristic{WorstFit, Balance} {
+		spelling := " " + Heuristic(strings.ToUpper(string(h)))
+		pl, err := Place(context.Background(), wl, Config{Heuristics: []Heuristic{spelling}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pl.Feasible || pl.Heuristic != h || pl.Assignment[0] != 1 {
+			t.Errorf("%q: placed by %q on %v, want %q on processor 1", spelling, pl.Heuristic, pl.Assignment, h)
 		}
 	}
 }

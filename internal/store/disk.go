@@ -40,6 +40,9 @@ type DiskStore struct {
 
 	fileMu sync.Mutex
 	f      *os.File
+	// opened holds the records Open read from the own segment until the
+	// first Load takes them; a write to the segment drops them first.
+	opened []Record
 
 	b *batcher
 
@@ -78,11 +81,14 @@ func Open(dir, node string, opts Options) (*DiskStore, error) {
 	// file can be mid-write, and a concurrent reader "repairing" it
 	// would destroy records whose Append callers were already told are
 	// durable.
-	if _, truncated, err := readLogFile(s.walPath(node), true); err != nil {
+	recs, truncated, err := readLogFile(s.walPath(node), true)
+	if err != nil {
 		return nil, err
-	} else if truncated {
+	}
+	if truncated {
 		s.stTruncations.Add(1)
 	}
+	s.opened = recs
 	f, err := os.OpenFile(s.walPath(node), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
@@ -167,6 +173,7 @@ func (s *DiskStore) writeBatch(recs []Record) error {
 	}
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
+	s.opened = nil
 	if _, err := s.f.Write(buf); err != nil {
 		return fmt.Errorf("store: wal write: %w", err)
 	}
@@ -213,6 +220,7 @@ func (s *DiskStore) compact(snap Snapshot) error {
 	}
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
+	s.opened = nil
 	path := s.walPath(s.node)
 	recs, truncated, err := readLogFile(path, true)
 	if err != nil {
@@ -260,6 +268,8 @@ func (s *DiskStore) compact(snap Snapshot) error {
 // segment was repaired at Open and is read under fileMu here (so a
 // batch mid-write can never be observed, let alone "repaired" away),
 // and a foreign segment belongs to a process that repairs it itself.
+// The first Load after Open replays the records Open decoded, unless
+// the segment was written since.
 func (s *DiskStore) Load() (map[string]*SessionState, uint64, error) {
 	// Flush queued submissions first so Load observes everything this
 	// process has written (tests reuse one store across "restarts").
@@ -300,12 +310,17 @@ func (s *DiskStore) Load() (map[string]*SessionState, uint64, error) {
 	}
 	ownWal := "wal-" + s.node + ".log"
 	for _, name := range walFiles {
+		var recs []Record
+		var err error
 		if name == ownWal {
 			s.fileMu.Lock()
-		}
-		recs, _, err := readLogFile(filepath.Join(s.dir, name), false)
-		if name == ownWal {
+			if recs = s.opened; recs == nil {
+				recs, _, err = readLogFile(filepath.Join(s.dir, name), false)
+			}
+			s.opened = nil
 			s.fileMu.Unlock()
+		} else {
+			recs, _, err = readLogFile(filepath.Join(s.dir, name), false)
 		}
 		if err != nil {
 			return nil, 0, err

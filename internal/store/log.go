@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -98,7 +99,9 @@ func readLogFile(path string, own bool) (recs []Record, truncated bool, err erro
 		}
 		return nil, false, err
 	}
-	recs, valid, clean, err := readLog(f)
+	// Buffered, a replay reads the file in blocks rather than with two
+	// reads per frame.
+	recs, valid, clean, err := readLog(bufio.NewReader(f))
 	f.Close()
 	if err != nil {
 		return nil, false, fmt.Errorf("store: read %s: %w", path, err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -695,4 +696,75 @@ func TestConcurrentAppendsShareFlushes(t *testing.T) {
 			t.Fatalf("session s%d = %+v, want %d pending admits", w, st, each-1)
 		}
 	}
+}
+
+// TestRestartDecodesSegmentOnce: Open decodes the own segment to find a
+// damaged tail, and the first Load replays those records rather than
+// decoding the file again, so a restart (Open + Load) allocates about
+// what a Load that reads the segment does. The repair point stays where
+// Load stops: here at a frame whose CRC holds but whose payload is not a
+// record, and both Loads replay the same prefix.
+func TestRestartDecodesSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, "a")
+	for i := range 32 {
+		journal(t, s, fmt.Sprintf("s%d", i))
+	}
+	s.Close()
+	path := walFile(t, dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := encodeRecords([]Record{{Type: TypeAdmit, Session: "s0", Task: task("lost")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append(appendFrame(slices.Clone(data), []byte(`{"type":`)), tail...)
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTest(t, dir, "a")
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) || s2.Stats().Truncations != 1 {
+		t.Fatalf("Open kept %d of %d bytes (%d truncations, err %v), want the %d before the bad frame",
+			len(got), len(damaged), s2.Stats().Truncations, err, len(data))
+	}
+	first, _, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) || len(first) != 32 {
+		t.Fatalf("first Load replayed %d sessions, a re-read %d, or they differ", len(first), len(again))
+	}
+	wantState(t, first["s0"], []string{"seed", "t1", "t2"}, []string{"t3"})
+	s2.Close()
+
+	restart := testing.AllocsPerRun(5, func() {
+		s, err := Open(dir, "a", Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.Load(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+	})
+	s3 := openTest(t, dir, "a")
+	if _, _, err := s3.Load(); err != nil {
+		t.Fatal(err)
+	}
+	reload := testing.AllocsPerRun(5, func() {
+		if _, _, err := s3.Load(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if restart > reload*5/4 {
+		t.Fatalf("Open + Load: %.0f allocs, a segment-reading Load %.0f: the restart decodes the segment twice", restart, reload)
+	}
+	t.Logf("Open + Load %.0f allocs, Load %.0f", restart, reload)
 }
