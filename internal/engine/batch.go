@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -79,7 +80,9 @@ func Batch(sets []model.TaskSet, analyzers []Analyzer, opt core.Options) []Job {
 
 // Run executes the jobs over a bounded worker pool and returns one result
 // per job, in job order regardless of completion order, so batch output
-// is deterministic for any worker count. Each worker analyzes with its
+// is deterministic for any worker count. The calling goroutine is one of
+// the workers, so a one-worker run starts no goroutine; workers take the
+// next job index from a shared counter. Each worker analyzes with its
 // own pooled Scratch; Job.Opt.Scratch is ignored (it would be shared
 // across workers otherwise) and comes back nil in the results. Cancel
 // the context to stop: jobs not yet started are returned with Err set to
@@ -93,54 +96,46 @@ func Run(ctx context.Context, jobs []Job, ro RunOptions) []JobResult {
 	}
 	workers = min(workers, max(len(jobs), 1))
 
-	next := make(chan int)
+	var next atomic.Int64
+	work := func() {
+		// One analysis Scratch per worker: every job this worker runs
+		// reuses the same test list, job counters and source slice, so a
+		// long batch allocates per worker, not per job. Any
+		// caller-supplied Opt.Scratch is replaced — a Scratch serves one
+		// analysis at a time, and a single one shared across the
+		// fanned-out jobs would race between workers.
+		scratch := demand.GetScratch()
+		defer demand.PutScratch(scratch)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			job := jobs[i]
+			job.Opt.Scratch = scratch
+			p0 := scratch.ArithPromotions()
+			out[i] = runJob(ctx, job)
+			out[i].Promotions = scratch.ArithPromotions() - p0
+			// Do not leak the pooled scratch to the caller through the
+			// echoed Job: it is recycled when this worker exits.
+			out[i].Job.Opt.Scratch = nil
+		}
+	}
 	var wg sync.WaitGroup
-	for range workers {
+	for range workers - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One analysis Scratch per worker: every job this worker runs
-			// reuses the same test list, job counters and source slice,
-			// so a long batch allocates per worker, not per job. Any
-			// caller-supplied Opt.Scratch is replaced — a Scratch serves
-			// one analysis at a time, and a single one shared across the
-			// fanned-out jobs would race between workers.
-			scratch := demand.GetScratch()
-			defer demand.PutScratch(scratch)
-			for i := range next {
-				job := jobs[i]
-				job.Opt.Scratch = scratch
-				p0 := scratch.ArithPromotions()
-				out[i] = runJob(ctx, job)
-				out[i].Promotions = scratch.ArithPromotions() - p0
-				// Do not leak the pooled scratch to the caller through the
-				// echoed Job: it is recycled when this worker exits.
-				out[i].Job.Opt.Scratch = nil
-			}
+			work()
 		}()
 	}
-dispatch:
-	for i := range jobs {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			for ; i < len(jobs); i++ {
-				out[i] = JobResult{
-					Job:    jobs[i],
-					Result: core.Result{Verdict: core.Undecided},
-					Err:    ctx.Err(),
-				}
-			}
-			break dispatch
-		}
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return out
 }
 
-// runJob executes one job, honoring cancellation between dispatch and
-// start and dispatching on the job's workload model.
+// runJob executes one job, honoring cancellation before it starts and
+// dispatching on the job's workload model.
 func runJob(ctx context.Context, job Job) JobResult {
 	if err := ctx.Err(); err != nil {
 		return JobResult{Job: job, Result: core.Result{Verdict: core.Undecided}, Err: err}

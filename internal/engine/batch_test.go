@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 // TestBatchDeterminism is the engine's ordering contract: the same batch
@@ -89,6 +91,47 @@ func TestRunSetsGroups(t *testing.T) {
 		want := analyzers[1].Analyze(sets[si], core.Options{})
 		if perSet[1] != want {
 			t.Errorf("set %d: grouped pd result %+v, direct %+v", si, perSet[1], want)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the header
+// line of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	buf = bytes.TrimPrefix(buf, []byte("goroutine "))
+	return string(buf[:bytes.IndexByte(buf, ' ')])
+}
+
+// goroutineRecorder is an analyzer that records the goroutine each
+// analysis runs on.
+type goroutineRecorder struct{ ids []string }
+
+func (g *goroutineRecorder) Info() Info { return Info{Name: "goroutine-recorder", Kind: Exact} }
+
+func (g *goroutineRecorder) Analyze(model.TaskSet, core.Options) core.Result {
+	g.ids = append(g.ids, goroutineID())
+	return core.Result{Verdict: core.Feasible}
+}
+
+// TestRunOneWorkerOnCaller: the calling goroutine is one of Run's
+// workers, so a one-worker run analyzes every job on it and starts no
+// goroutine of its own.
+func TestRunOneWorkerOnCaller(t *testing.T) {
+	rec := &goroutineRecorder{}
+	sets := randomSets(t, 3, 5)
+	results := Run(context.Background(), Batch(sets, []Analyzer{rec}, core.Options{}), RunOptions{Workers: 1})
+	caller := goroutineID()
+	if len(rec.ids) != len(sets) {
+		t.Fatalf("analyzed %d jobs, want %d", len(rec.ids), len(sets))
+	}
+	for i, id := range rec.ids {
+		if id != caller {
+			t.Fatalf("job %d ran on goroutine %s, the caller is goroutine %s", i, id, caller)
+		}
+		if results[i].Err != nil || results[i].Result.Verdict != core.Feasible {
+			t.Fatalf("job %d: %+v", i, results[i])
 		}
 	}
 }

@@ -47,10 +47,14 @@
 // Admitting a task folds its ceiled staircase into the slack floors
 // (one O(m) integer pass) and merge-inserts its own first-L deadlines as
 // new anchor points — no rational arithmetic, no allocation in steady
-// state. Commit snapshots the anchor; Rollback restores the snapshot and
-// truncates the source arena, which undoes any number of pending
-// proposals exactly. Any arithmetic overflow marks the anchor broken —
-// decisions already made stay sound, later proposals simply escalate.
+// state. Commit snapshots the anchor; Rollback restores the snapshot,
+// which undoes any number of pending proposals exactly. Any arithmetic
+// overflow marks the anchor broken — decisions already made stay sound,
+// later proposals simply escalate.
+//
+// The state keeps no copy of the tasks it certifies: its owner already
+// holds them, and hands their sources to Rebuild when a whole set has to
+// be walked from scratch.
 //
 // # Owners
 //
@@ -98,10 +102,6 @@ const q32Shift = 32
 type State struct {
 	level int64 // superposition level of the anchor walk
 
-	// srcs is the session's source arena: committed then pending tasks
-	// in admission order, each lowered to Uniform sources.
-	srcs []demand.Uniform
-
 	// Working anchor (committed + pending).
 	pts   []int64
 	slack []int64
@@ -109,7 +109,6 @@ type State struct {
 	uQ32  uint64 // ceil(U * 2^32) upper bound of the current set
 
 	// Committed snapshot, restored verbatim on Rollback.
-	cSrcs  int
 	cPts   []int64
 	cSlack []int64
 	cValid bool
@@ -136,16 +135,11 @@ func New(level int64) *State {
 // level, keeping every buffer's capacity: an owner cycling through many
 // short-lived task sets allocates its working memory once.
 func (st *State) Reset() {
-	st.srcs = st.srcs[:0]
 	st.pts, st.slack = st.pts[:0], st.slack[:0]
 	st.valid, st.uQ32 = true, 0
-	st.cSrcs = 0
 	st.cPts, st.cSlack = st.cPts[:0], st.cSlack[:0]
 	st.cValid, st.cUQ32 = true, 0
 }
-
-// Len returns the number of sources currently in the arena.
-func (st *State) Len() int { return len(st.srcs) }
 
 // Points returns the current anchor size (for tests and introspection).
 func (st *State) Points() int { return len(st.pts) }
@@ -317,9 +311,9 @@ func (st *State) curMajorantCeil(I int64) (int64, bool) {
 // Check runs the incremental accept certificate for the proposed task t
 // against the current anchor. It returns ok == true only when the grown
 // set is provably feasible, under two preconditions the caller owns: the
-// grown utilization is strictly below 1, and the current arena is
-// exactly feasible (the admission invariant — every source in it was
-// accepted by this certificate or the exact analyzer). The latter covers
+// grown utilization is strictly below 1, and the current set is exactly
+// feasible (the admission invariant — every task in it was accepted by
+// this certificate or the exact analyzer). The latter covers
 // intervals before the proposal's first deadline, which the scan skips.
 // checked counts the verified test points, the effort analogue of a
 // test's iteration count. A false return says nothing — the caller
@@ -379,16 +373,15 @@ func (st *State) Check(t workload.Task) (ok bool, checked int64) {
 
 // Admit folds the proposed task into the state after the caller decided
 // to stage it (by the fast certificate or by an escalated analysis). The
-// sources always enter the arena; the anchor is updated when it is still
-// valid and the fold arithmetic stays in range, and marked unusable
-// otherwise — the decision already made is unaffected.
+// anchor is updated when it is still valid and the fold arithmetic stays
+// in range, and marked unusable otherwise — the decision already made is
+// unaffected.
 func (st *State) Admit(t workload.Task) {
-	if !st.stage(t) {
-		st.valid = false
+	if !st.valid {
 		return
 	}
-	st.srcs = append(st.srcs, st.staged...)
-	if !st.valid {
+	if !st.stage(t) {
+		st.valid = false
 		return
 	}
 	if !st.fold() {
@@ -498,39 +491,41 @@ func (st *State) fold() bool {
 }
 
 // Rebuild discards the anchor and reconstructs it with a level-L
-// superposition walk over the whole arena — the from-scratch path used
-// at construction. The walk runs on s: its test list, job counters and
-// chunk registers, bound to the plan over the arena's slopes, so it is
-// exact and stays off math/big whenever that plan covers the periods.
+// superposition walk over srcs, the sources of the owner's whole current
+// set — the from-scratch path used at construction. The walk runs on s:
+// its test list, job counters and chunk registers, bound to the plan
+// over the sources' slopes, so it is exact and stays off math/big
+// whenever that plan covers the periods. srcs may be s's own source
+// slice (Scratch.Sources); the walk neither keeps nor modifies it.
 // Points where the approximation overshoots the interval get negative
 // slack (sound: the owner only keeps sets the exact analyzer admitted,
 // and such points just fail future certificates); only an accumulator
 // leaving int64 range makes the anchor unusable, after which every
 // proposal escalates.
-func (st *State) Rebuild(s *demand.Scratch) {
+func (st *State) Rebuild(s *demand.Scratch, srcs []demand.Uniform) {
 	st.pts = st.pts[:0]
 	st.slack = st.slack[:0]
 	st.valid = false
 	st.uQ32 = 0
-	for _, src := range st.srcs {
+	for _, src := range srcs {
 		q, ok := slopeQ32(src.UtilRat())
 		if !ok || st.uQ32 > math.MaxUint64-q {
 			return
 		}
 		st.uQ32 += q
 	}
-	s.Bind(st.srcs)
+	s.Bind(srcs)
 	dbf, uready, one, tmp := s.Reg(1), s.Reg(2), s.Reg(3), s.Reg(4)
 	one.SetInt(1)
-	tl := s.TestList(len(st.srcs))
-	jobs := s.Jobs(len(st.srcs))
-	for i := range st.srcs {
-		tl.Add(st.srcs[i].JobDeadline(1), i)
+	tl := s.TestList(len(srcs))
+	jobs := s.Jobs(len(srcs))
+	for i := range srcs {
+		tl.Add(srcs[i].JobDeadline(1), i)
 	}
 	var iold int64
 	for !tl.Empty() {
 		e := tl.Next()
-		src := &st.srcs[e.Src]
+		src := &srcs[e.Src]
 		jobs[e.Src]++
 		dbf.AddInt(src.C)
 		dbf.AddScaled(uready, e.I-iold)
@@ -561,7 +556,6 @@ func (st *State) Rebuild(s *demand.Scratch) {
 
 // Commit snapshots the working anchor as the new committed state.
 func (st *State) Commit() {
-	st.cSrcs = len(st.srcs)
 	st.cPts = append(st.cPts[:0], st.pts...)
 	st.cSlack = append(st.cSlack[:0], st.slack...)
 	st.cValid = st.valid
@@ -569,40 +563,10 @@ func (st *State) Commit() {
 }
 
 // Rollback restores the committed snapshot exactly, discarding every
-// pending fold and source in one shot.
+// pending fold in one shot.
 func (st *State) Rollback() {
-	st.srcs = st.srcs[:st.cSrcs]
 	st.pts = append(st.pts[:0], st.cPts...)
 	st.slack = append(st.slack[:0], st.cSlack...)
 	st.valid = st.cValid
 	st.uQ32 = st.cUQ32
-}
-
-// AppendWorkload lowers an entire workload into the arena without
-// touching the anchor — the seeding path before the initial Rebuild.
-// It returns false when a task cannot be lowered.
-func (st *State) AppendWorkload(w workload.Workload) bool {
-	if w.Kind() == workload.Events {
-		for i := range w.Events {
-			if !st.appendTask(workload.Task{Event: &w.Events[i]}) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range w.Tasks {
-		if !st.appendTask(workload.Task{Sporadic: &w.Tasks[i]}) {
-			return false
-		}
-	}
-	return true
-}
-
-// appendTask lowers one task into the arena.
-func (st *State) appendTask(t workload.Task) bool {
-	if !st.stage(t) {
-		return false
-	}
-	st.srcs = append(st.srcs, st.staged...)
-	return true
 }

@@ -3,6 +3,7 @@ package incremental
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ import (
 )
 
 // approxAt computes the exact level-L approximated demand dbf'(I) of a
-// source arena as a rational — the reference the anchor's integer slack
+// source list as a rational — the reference the anchor's integer slack
 // floors are validated against.
 func approxAt(srcs []demand.Uniform, level, I int64) *big.Rat {
 	sum := new(big.Rat)
@@ -42,12 +43,22 @@ func approxAt(srcs []demand.Uniform, level, I int64) *big.Rat {
 	return sum
 }
 
-// checkInvariant asserts slack_k <= I_k - dbf'(I_k) at every anchor point.
-func checkInvariant(t *testing.T, st *State) {
+// sources lowers tk exactly as the state stages it: the tests keep their
+// own list of the sources a State certifies, which the State itself does
+// not store.
+func sources(tk workload.Task) []demand.Uniform {
+	var st State
+	st.stage(tk)
+	return st.staged
+}
+
+// checkInvariant asserts slack_k <= I_k - dbf'(I_k) at every anchor point,
+// dbf' taken over srcs, the sources of every task admitted so far.
+func checkInvariant(t *testing.T, st *State, srcs []demand.Uniform) {
 	t.Helper()
 	for k, I := range st.pts {
 		bound := new(big.Rat).SetInt64(I - st.slack[k])
-		if d := approxAt(st.srcs, st.level, I); bound.Cmp(d) < 0 {
+		if d := approxAt(srcs, st.level, I); bound.Cmp(d) < 0 {
 			t.Fatalf("anchor invariant broken at I=%d: I-slack=%s < dbf'=%s",
 				I, bound.RatString(), d.RatString())
 		}
@@ -91,7 +102,8 @@ func TestFoldMatchesRebuild(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		st := New(engine.DefaultSuperPosLevel)
-		st.Rebuild(demand.NewScratch())
+		st.Rebuild(demand.NewScratch(), nil)
+		var srcs []demand.Uniform
 		n := 2 + r.Intn(12)
 		for i := 0; i < n; i++ {
 			var tk workload.Task
@@ -103,14 +115,14 @@ func TestFoldMatchesRebuild(t *testing.T) {
 				tk = workload.Task{Event: &e}
 			}
 			st.Admit(tk)
+			srcs = append(srcs, sources(tk)...)
 			if !st.valid {
 				t.Fatalf("seed %d: fold overflowed on small parameters", seed)
 			}
-			checkInvariant(t, st)
+			checkInvariant(t, st, srcs)
 		}
 		ref := New(engine.DefaultSuperPosLevel)
-		ref.srcs = append(ref.srcs, st.srcs...)
-		ref.Rebuild(demand.NewScratch())
+		ref.Rebuild(demand.NewScratch(), srcs)
 		if !ref.valid {
 			t.Fatalf("seed %d: rebuild failed on small parameters", seed)
 		}
@@ -144,16 +156,15 @@ func TestCheckSound(t *testing.T) {
 		var ts model.TaskSet
 		st := New(engine.DefaultSuperPosLevel)
 		for i := 0; i < 1+r.Intn(10); i++ {
-			m := randTask(r)
-			ts = append(ts, m)
-			st.appendTask(workload.Task{Sporadic: &m})
+			ts = append(ts, randTask(r))
 		}
-		st.Rebuild(demand.NewScratch())
+		srcs := demand.FromTasks(ts)
+		st.Rebuild(demand.NewScratch(), srcs)
 		if !st.Usable() {
 			continue
 		}
-		// The admission invariant: the committed arena is only ever a set
-		// the exact analyzer admitted.
+		// The admission invariant: the committed set is only ever one the
+		// exact analyzer admitted.
 		if cascade.Analyze(ts, core.Options{}).Verdict != core.Feasible {
 			continue
 		}
@@ -162,7 +173,7 @@ func TestCheckSound(t *testing.T) {
 		if !ok {
 			continue
 		}
-		grown := utilOf(st.srcs)
+		grown := utilOf(srcs)
 		sm := demand.UniformFromTask(m)
 		n, d := sm.UtilRat()
 		grown.Add(grown, big.NewRat(n, d))
@@ -186,54 +197,63 @@ func TestCheckSound(t *testing.T) {
 func TestCommitRollback(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	st := New(engine.DefaultSuperPosLevel)
+	var ts model.TaskSet
 	for i := 0; i < 6; i++ {
-		m := randTask(r)
-		st.appendTask(workload.Task{Sporadic: &m})
+		ts = append(ts, randTask(r))
 	}
-	st.Rebuild(demand.NewScratch())
+	st.Rebuild(demand.NewScratch(), demand.FromTasks(ts))
 	if !st.Usable() {
 		t.Fatal("rebuild failed on small parameters")
 	}
 	st.Commit()
-	wantSrcs := len(st.srcs)
-	wantPts := append([]int64(nil), st.pts...)
-	wantSlack := append([]int64(nil), st.slack...)
-	wantU := st.uQ32
+	type anchor struct {
+		pts, slack []int64
+		uQ32       uint64
+		valid      bool
+	}
+	snap := func() anchor {
+		return anchor{slices.Clone(st.pts), slices.Clone(st.slack), st.uQ32, st.valid}
+	}
+	want := snap()
+	checkAnchor := func(when string, want anchor) {
+		t.Helper()
+		got := snap()
+		if got.uQ32 != want.uQ32 || got.valid != want.valid {
+			t.Fatalf("%s: uQ32 %d want %d, valid %v want %v", when, got.uQ32, want.uQ32, got.valid, want.valid)
+		}
+		if len(got.pts) != len(want.pts) {
+			t.Fatalf("%s: anchor size %d, want %d", when, len(got.pts), len(want.pts))
+		}
+		for k := range want.pts {
+			if got.pts[k] != want.pts[k] || got.slack[k] != want.slack[k] {
+				t.Fatalf("%s: anchor differs at %d: (%d,%d) want (%d,%d)",
+					when, k, got.pts[k], got.slack[k], want.pts[k], want.slack[k])
+			}
+		}
+	}
 
 	for i := 0; i < 10; i++ {
 		m := randTask(r)
 		st.Admit(workload.Task{Sporadic: &m})
 	}
-	if len(st.srcs) == wantSrcs {
-		t.Fatal("admits did not grow the arena")
+	if st.uQ32 == want.uQ32 {
+		t.Fatal("admits did not raise the utilization bound")
 	}
 	st.Rollback()
-	if len(st.srcs) != wantSrcs || st.uQ32 != wantU || !st.valid {
-		t.Fatalf("rollback mismatch: srcs %d want %d, uQ32 %d want %d, valid %v",
-			len(st.srcs), wantSrcs, st.uQ32, wantU, st.valid)
-	}
-	if len(st.pts) != len(wantPts) {
-		t.Fatalf("rollback anchor size %d, want %d", len(st.pts), len(wantPts))
-	}
-	for k := range wantPts {
-		if st.pts[k] != wantPts[k] || st.slack[k] != wantSlack[k] {
-			t.Fatalf("rollback anchor differs at %d: (%d,%d) want (%d,%d)",
-				k, st.pts[k], st.slack[k], wantPts[k], wantSlack[k])
-		}
-	}
+	checkAnchor("rollback", want)
 
 	// Rollback twice is idempotent; a fresh commit then sticks.
 	st.Rollback()
-	if len(st.srcs) != wantSrcs {
-		t.Fatal("second rollback changed the arena")
-	}
+	checkAnchor("second rollback", want)
 	m := randTask(r)
 	st.Admit(workload.Task{Sporadic: &m})
 	st.Commit()
-	st.Rollback()
-	if len(st.srcs) != wantSrcs+1 {
-		t.Fatalf("rollback after commit lost the committed admit: %d srcs", len(st.srcs))
+	committed := snap()
+	if committed.uQ32 == want.uQ32 {
+		t.Fatal("the committed admit did not raise the utilization bound")
 	}
+	st.Rollback()
+	checkAnchor("rollback after commit", committed)
 }
 
 // TestOverflowEscalates drives the fold into int64 overflow and asserts
@@ -241,8 +261,7 @@ func TestCommitRollback(t *testing.T) {
 func TestOverflowEscalates(t *testing.T) {
 	st := New(engine.DefaultSuperPosLevel)
 	huge := model.Task{WCET: 1 << 62, Deadline: 1 << 62, Period: 1 << 62}
-	st.appendTask(workload.Task{Sporadic: &huge})
-	st.Rebuild(demand.NewScratch())
+	st.Rebuild(demand.NewScratch(), demand.FromTasks(model.TaskSet{huge}))
 	if !st.Usable() {
 		t.Skip("rebuild already rejected the huge set")
 	}
@@ -252,7 +271,7 @@ func TestOverflowEscalates(t *testing.T) {
 	if st.Usable() {
 		t.Fatal("state stayed usable through guaranteed overflow")
 	}
-	// An unusable state must refuse certificates but keep its arena.
+	// An unusable state must refuse certificates.
 	m := model.Task{WCET: 1, Deadline: 10, Period: 10}
 	if ok, _ := st.Check(workload.Task{Sporadic: &m}); ok {
 		t.Fatal("unusable state issued a certificate")
@@ -262,13 +281,14 @@ func TestOverflowEscalates(t *testing.T) {
 // TestOneShotSources exercises Sep == 0 lowering through fold and check.
 func TestOneShotSources(t *testing.T) {
 	st := New(engine.DefaultSuperPosLevel)
-	st.Rebuild(demand.NewScratch())
+	st.Rebuild(demand.NewScratch(), nil)
 	one := eventstream.Task{WCET: 5, Deadline: 10, Stream: eventstream.Stream{{Offset: 0, Cycle: 0}}}
 	st.Admit(workload.Task{Event: &one})
 	if !st.valid {
 		t.Fatal("one-shot fold failed")
 	}
-	checkInvariant(t, st)
+	srcs := sources(workload.Task{Event: &one})
+	checkInvariant(t, st, srcs)
 	// A second one-shot at the same deadline must still certify: demand
 	// 10 into interval 10.
 	two := eventstream.Task{WCET: 5, Deadline: 10, Stream: eventstream.Stream{{Offset: 0, Cycle: 0}}}
@@ -277,7 +297,7 @@ func TestOneShotSources(t *testing.T) {
 		t.Fatal("certificate rejected a trivially feasible one-shot")
 	}
 	st.Admit(workload.Task{Event: &two})
-	checkInvariant(t, st)
+	checkInvariant(t, st, append(srcs, sources(workload.Task{Event: &two})...))
 	// A third overloads interval 10 (demand 15 > 10): must not certify.
 	if ok, _ := st.Check(workload.Task{Event: &two}); ok {
 		t.Fatal("certificate accepted an infeasible one-shot")

@@ -9,6 +9,8 @@ import (
 	"repro/internal/churn"
 	"repro/internal/demand"
 	"repro/internal/engine"
+	"repro/internal/eventstream"
+	"repro/internal/workload"
 )
 
 // refRebuild is the anchor walk on big.Rat accumulators, the reference
@@ -55,7 +57,7 @@ func refRebuild(srcs []demand.Uniform, level int64) (pts, slack []int64, valid b
 	return pts, slack, true
 }
 
-// rebuildArena draws one source arena of the given kind: 0 churn-shaped
+// rebuildArena draws one source list of the given kind: 0 churn-shaped
 // seeds, 1 log-uniform periods from 10 to 10^7 (every fifth arena has
 // 200–300 sources, more than 32 chunks can cover), 2 one-shot sources
 // only, 3 periodic sources mixed with one-shots.
@@ -69,11 +71,10 @@ func rebuildArena(t *testing.T, rng *rand.Rand, kind int) []demand.Uniform {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := New(engine.DefaultSuperPosLevel)
-		if !st.AppendWorkload(sc.Seed) {
-			t.Fatal("churn seed does not lower")
+		if sc.Seed.Kind() == workload.Events {
+			return eventstream.Sources(sc.Seed.Events)
 		}
-		return st.srcs
+		return demand.FromTasks(sc.Seed.Tasks)
 	case 1:
 		n := 1 + rng.Intn(150)
 		if rng.Intn(5) == 0 {
@@ -112,9 +113,8 @@ func TestRebuildMatchesBigRat(t *testing.T) {
 		kind := i % 4
 		srcs := rebuildArena(t, rng, kind)
 		st := New(engine.DefaultSuperPosLevel)
-		st.srcs = append(st.srcs, srcs...)
 		p0 := sc.ArithPromotions()
-		st.Rebuild(sc)
+		st.Rebuild(sc, srcs)
 		if kind == 1 && sc.ArithPromotions() > p0 {
 			promoted++
 		}

@@ -39,7 +39,7 @@ type AdmissionConfig struct {
 	// validation still runs). Used by store recovery, where the seed is
 	// a replayed committed set that was verified feasible when admitted:
 	// re-proving it at restart would only burn startup time. All other
-	// construction — utilization accumulation order, candidate buffers,
+	// construction — utilization accumulation order, the task buffer,
 	// the incremental certificate — is identical, so a recovered
 	// controller decides subsequent proposals bit-identically to the
 	// uninterrupted one.
@@ -121,25 +121,27 @@ type AdmissionStats struct {
 // running utilization incrementally as a 128-bit fixed-point bound (so
 // the reject-on-overload path costs one addition and one comparison, no
 // allocation, and never consults an analyzer; only a sum within 2^-128
-// per term of 1 is compared exactly, on the Scratch registers), caches
-// the committed and pending tasks in one contiguous candidate buffer (so
-// a proposal appends the candidate instead of re-materializing the whole
-// session workload), and owns an analysis Scratch reused across every
-// decision (so the analyzers run allocation-free in steady state).
+// per term of 1 is compared exactly, on the Scratch registers), keeps the
+// committed and pending tasks in one contiguous buffer (so a proposal
+// appends the candidate instead of re-materializing the whole session
+// workload, and a commit only moves the committed boundary), and owns an
+// analysis Scratch reused across every decision (so the analyzers run
+// allocation-free in steady state).
 type Admission struct {
-	mu        sync.Mutex
-	analyzer  engine.Analyzer
-	opt       core.Options
-	model     workload.Model
-	committed workload.Workload
-	pending   workload.Workload
+	mu       sync.Mutex
+	analyzer engine.Analyzer
+	opt      core.Options
+	// model is fixed at construction and never written again: check and
+	// Model read it without the mutex.
+	model workload.Model
+	// tasks holds the committed tasks followed by the pending ones, in
+	// admission order; its first committed entries are permanent. A
+	// proposal appends its candidate and a rejection truncates it again,
+	// Commit moves the boundary and Rollback truncates to it.
+	tasks     workload.Workload
+	committed int
 	util      numeric.UtilSum // utilization of committed + pending
-	// candTasks/candEvents hold committed followed by pending tasks in
-	// admission order; a proposal appends the candidate, a rejection
-	// truncates it again, a rollback truncates to the committed prefix.
-	candTasks  model.TaskSet
-	candEvents []eventstream.Task
-	scratch    *demand.Scratch
+	scratch   *demand.Scratch
 	// stages is the reusable per-decision stage log handed to the analyzer
 	// via Options.Stages; like scratch it serves one analysis at a time
 	// under the mutex, and its preallocated slots keep stage capture off
@@ -157,10 +159,15 @@ type Admission struct {
 	committedUtil numeric.UtilSum
 }
 
-// NewAdmission builds an admission controller. It fails when the analyzer
-// is unknown, lacks event support for an event-model seed, or the seed
+// NewAdmission builds an admission controller. It fails when the seed is
+// partitioned (sessions admit sporadic or event tasks), the analyzer is
+// unknown or lacks event support for an event-model seed, or the seed
 // workload is invalid or infeasible.
 func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
+	m := cfg.Seed.Kind()
+	if m == workload.Partitioned {
+		return nil, fmt.Errorf("sessions: %w", errPartitionedEndpoint)
+	}
 	name := cfg.Analyzer
 	if name == "" {
 		name = "cascade"
@@ -169,17 +176,15 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 	if !ok {
 		return nil, fmt.Errorf("service: unknown analyzer %q", name)
 	}
-	m := cfg.Seed.Kind()
 	if m == workload.Events && !a.Info().Events {
 		return nil, fmt.Errorf("service: analyzer %q cannot admit event-stream workloads", a.Info().Name)
 	}
 	adm := &Admission{
-		analyzer:  a,
-		opt:       cfg.Options,
-		model:     m,
-		committed: workload.Workload{Model: m},
-		pending:   workload.Workload{Model: m},
-		scratch:   demand.NewScratch(),
+		analyzer: a,
+		opt:      cfg.Options,
+		model:    m,
+		tasks:    workload.Workload{Model: m},
+		scratch:  demand.NewScratch(),
 	}
 	if cfg.Seed.Len() > 0 {
 		seed := cfg.Seed.Clone()
@@ -195,23 +200,20 @@ func NewAdmission(cfg AdmissionConfig) (*Admission, error) {
 				return nil, fmt.Errorf("service: seed workload is not admissible (%s)", res.Verdict)
 			}
 		}
-		adm.committed = seed
+		adm.tasks.Tasks, adm.tasks.Events = seed.Tasks, seed.Events
+		adm.committed = seed.Len()
 		adm.util = workloadUtil(seed)
-		adm.candTasks = append(model.TaskSet(nil), seed.Tasks...)
-		adm.candEvents = append([]eventstream.Task(nil), seed.Events...)
 	}
 	if !cfg.NoIncremental && incremental.Eligible(a.Info().Name, cfg.Options) {
 		inc := incremental.New(engine.DefaultSuperPosLevel)
-		if inc.AppendWorkload(adm.committed) {
-			inc.Rebuild(adm.scratch)
-		}
+		inc.Rebuild(adm.scratch, adm.sources())
 		if inc.Usable() {
 			inc.Commit()
 			adm.inc = inc
 		}
 		// An unusable anchor (a seed the walk cannot certify) would only
 		// ever escalate; dropping it keeps proposals from paying for the
-		// arena bookkeeping.
+		// fold bookkeeping.
 	}
 	adm.committedUtil = adm.util
 	return adm, nil
@@ -302,16 +304,24 @@ func (a *Admission) proposeLocked(t workload.Task) (ProposeOutcome, error) {
 
 	p0 := a.scratch.ArithPromotions()
 
+	// The candidate joins the buffer now and leaves it again on every
+	// rejection path: the exact gate and an escalation both analyze the
+	// buffer as it stands.
+	a.tasks.Append(t)
+
 	// Cheap gate: incremental utilization. U > 1 is exactly infeasible
 	// under either model, so this is a sound O(1) rejection, not a
 	// heuristic. The fixed-point bound settles all but sums within
-	// 2^-128 per term of 1, which are compared exactly.
+	// 2^-128 per term of 1, which are compared exactly on the Scratch
+	// registers; the plan that builds is the one an escalated cascade
+	// over the same candidate looks up next.
 	grown := addTaskUtil(a.util, t)
 	cmp1, ok := grown.CmpOne()
 	if !ok {
-		cmp1 = a.exactCmpOneLocked(t)
+		cmp1 = a.scratch.Util(a.sources()).CmpInt(1)
 	}
 	if cmp1 > 0 {
+		a.pop()
 		a.stats.Rejected++
 		return a.outcome(false, core.Result{Verdict: core.Infeasible}, obs.PathGate, p0), nil
 	}
@@ -337,9 +347,9 @@ func (a *Admission) proposeLocked(t workload.Task) (ProposeOutcome, error) {
 
 	start := time.Now()
 	pe := a.scratch.ArithPromotions()
-	res, err := engine.AnalyzeWorkload(a.analyzer, a.candidateLocked(t), a.analyzeOptions())
+	res, err := engine.AnalyzeWorkload(a.analyzer, a.tasks, a.analyzeOptions())
 	if err != nil {
-		a.retractCandidateLocked()
+		a.pop()
 		return ProposeOutcome{}, err
 	}
 	if a.stages.Len() == 0 {
@@ -350,42 +360,18 @@ func (a *Admission) proposeLocked(t workload.Task) (ProposeOutcome, error) {
 	a.stats.Iterations += res.Iterations
 	a.stats.Escalations++
 	if res.Verdict != core.Feasible {
+		a.pop()
 		a.stats.Rejected++
-		a.retractCandidateLocked()
 		return a.outcome(false, res, obs.PathCascade, p0), nil
 	}
-	// Admitted: the candidate stays in the buffer (it is now the last
-	// pending task) and is mirrored into the pending workload.
-	a.retractCandidateLocked()
 	a.admitLocked(t, grown)
 	return a.outcome(true, res, obs.PathCascade, p0), nil
 }
 
-// exactCmpOneLocked compares the utilization of the session plus t with
-// 1 exactly on the Scratch registers — the gate's fallback for the sums
-// UtilSum cannot place. The plan it builds is the one an escalated
-// cascade over the same candidate looks up next. The caller holds the
-// mutex.
-func (a *Admission) exactCmpOneLocked(t workload.Task) int {
-	w := a.candidateLocked(t)
-	defer a.retractCandidateLocked()
-	if a.model == workload.Events {
-		return a.scratch.Util(eventstream.Sources(w.Events)).CmpInt(1)
-	}
-	return a.scratch.Util(a.scratch.Sources(w.Tasks)).CmpInt(1)
-}
-
-// admitLocked stages an accepted task: appends it to the candidate buffer,
-// mirrors it into the pending workload, folds it into the incremental
-// state and advances the running utilization; the caller holds the mutex.
+// admitLocked stages an accepted task, which already is the last entry
+// of the buffer: it folds the task into the incremental state and
+// advances the running utilization; the caller holds the mutex.
 func (a *Admission) admitLocked(t workload.Task, grown numeric.UtilSum) {
-	if a.model == workload.Events {
-		a.candEvents = append(a.candEvents, *t.Event)
-		a.pending.Events = append(a.pending.Events, *t.Event)
-	} else {
-		a.candTasks = append(a.candTasks, *t.Sporadic)
-		a.pending.Tasks = append(a.pending.Tasks, *t.Sporadic)
-	}
 	if a.inc != nil {
 		a.inc.Admit(t)
 	}
@@ -393,29 +379,19 @@ func (a *Admission) admitLocked(t workload.Task, grown numeric.UtilSum) {
 	a.stats.Admitted++
 }
 
-// candidateLocked appends t to the cached committed+pending buffer and
-// returns it wrapped as the analyzer's workload — no per-proposal
-// re-materialization of the session; the caller holds the mutex. The
-// analyzers never mutate or retain the slice.
-func (a *Admission) candidateLocked(t workload.Task) workload.Workload {
-	w := workload.Workload{Model: a.model}
-	if a.model == workload.Events {
-		a.candEvents = append(a.candEvents, *t.Event)
-		w.Events = a.candEvents
-	} else {
-		a.candTasks = append(a.candTasks, *t.Sporadic)
-		w.Tasks = a.candTasks
-	}
-	return w
-}
+// pop drops the last task of the buffer, a rejected candidate, keeping
+// the buffer's capacity: that is what makes the steady-state
+// propose/rollback cycle allocation-free.
+func (a *Admission) pop() { a.tasks = a.tasks.Slice(0, a.tasks.Len()-1) }
 
-// retractCandidateLocked drops the rejected candidate from the buffer.
-func (a *Admission) retractCandidateLocked() {
+// sources lowers the whole buffer to demand sources, for the exact gate
+// and the anchor rebuild: sporadic tasks on the Scratch's reused source
+// slice, event tasks one source per stream element.
+func (a *Admission) sources() []demand.Uniform {
 	if a.model == workload.Events {
-		a.candEvents = a.candEvents[:len(a.candEvents)-1]
-	} else {
-		a.candTasks = a.candTasks[:len(a.candTasks)-1]
+		return eventstream.Sources(a.tasks.Events)
 	}
+	return a.scratch.Sources(a.tasks.Tasks)
 }
 
 // outcome snapshots the decision state, counting the promotions since
@@ -425,8 +401,8 @@ func (a *Admission) outcome(admitted bool, res core.Result, path string, p0 uint
 		Admitted:    admitted,
 		Result:      res,
 		Utilization: a.util.Float(),
-		Committed:   a.committed.Len(),
-		Pending:     a.pending.Len(),
+		Committed:   a.committed,
+		Pending:     a.tasks.Len() - a.committed,
 		Escalated:   path == obs.PathCascade,
 		Path:        path,
 		Stages:      a.stages,
@@ -434,45 +410,34 @@ func (a *Admission) outcome(admitted bool, res core.Result, path string, p0 uint
 	}
 }
 
-// Commit makes every pending task permanent. The candidate buffer already
-// lists committed followed by pending tasks, so it is left untouched.
+// Commit makes every pending task permanent by moving the committed
+// boundary to the end of the buffer.
 func (a *Admission) Commit() FinishOutcome {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := a.pending.Len()
-	// The models always match (both are fixed at construction).
-	a.committed, _ = a.committed.Concat(a.pending)
-	a.pending = workload.Workload{Model: a.model}
+	n := a.tasks.Len() - a.committed
+	a.committed = a.tasks.Len()
 	if a.inc != nil {
 		a.inc.Commit()
 	}
 	a.committedUtil = a.util
 	a.stats.Commits++
-	return FinishOutcome{Moved: n, Committed: a.committed.Len(), Utilization: a.util.Float()}
+	return FinishOutcome{Moved: n, Committed: a.committed, Utilization: a.util.Float()}
 }
 
-// Rollback discards every pending task, truncating the candidate buffer
-// back to its committed prefix.
+// Rollback discards every pending task, truncating the buffer back to
+// its committed prefix.
 func (a *Admission) Rollback() FinishOutcome {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := a.pending.Len()
-	// Truncate the pending mirror and the candidate buffer in place:
-	// keeping their capacity is what makes the steady-state
-	// propose/rollback cycle allocation-free.
-	if a.model == workload.Events {
-		a.candEvents = a.candEvents[:len(a.committed.Events)]
-		a.pending.Events = a.pending.Events[:0]
-	} else {
-		a.candTasks = a.candTasks[:len(a.committed.Tasks)]
-		a.pending.Tasks = a.pending.Tasks[:0]
-	}
+	n := a.tasks.Len() - a.committed
+	a.tasks = a.tasks.Slice(0, a.committed)
 	if a.inc != nil {
 		a.inc.Rollback()
 	}
 	a.util = a.committedUtil
 	a.stats.Rollbacks++
-	return FinishOutcome{Moved: n, Committed: a.committed.Len(), Utilization: a.util.Float()}
+	return FinishOutcome{Moved: n, Committed: a.committed, Utilization: a.util.Float()}
 }
 
 // Snapshot returns deep copies of the committed and pending workloads and
@@ -480,7 +445,7 @@ func (a *Admission) Rollback() FinishOutcome {
 func (a *Admission) Snapshot() (committed, pending workload.Workload, utilization float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.committed.Clone(), a.pending.Clone(), a.util.Float()
+	return a.tasks.Slice(0, a.committed).Clone(), a.tasks.Slice(a.committed, a.tasks.Len()).Clone(), a.util.Float()
 }
 
 // Stats returns the lifetime counters.

@@ -1,16 +1,18 @@
 package service
 
-// Allocation regression for the admission hot loop: with the cached
-// candidate buffer, the fixed-point utilization gate and the
+// Allocation regression for the admission hot loop: with the
+// session's task buffer, the fixed-point utilization gate and the
 // per-controller Scratch, a ProposeBatch decision may allocate only a
 // small constant (outcome slice, cascade closures, Devi's sorted copy) —
 // never per-session-size slices or big.Rat chains.
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -34,7 +36,7 @@ func proposeBatchAllocs(t *testing.T, analyzer string, n int) float64 {
 			WCET: p / 100, Deadline: p - p/20, Period: p,
 		}))
 	}
-	// Warm the candidate buffer and scratch to steady-state capacity.
+	// Warm the task buffer and scratch to steady-state capacity.
 	if _, err := adm.ProposeBatch(batch); err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +75,56 @@ func TestProposeBatchAllocBounded(t *testing.T) {
 			t.Log(fmt.Sprintf("ProposeBatch(%d tasks): %.1f allocs/cycle (budget %.1f)",
 				tc.batchSize, allocs, budget))
 		})
+	}
+}
+
+// TestProposeCommitAllocs: a commit moves the session buffer's committed
+// boundary instead of copying the committed tasks, so a propose-and-commit
+// cycle on a 1000-task session allocates nothing proportional to the
+// session. The proposal is a light task the certificate accepts; proposing
+// the same task each time adds no anchor points, and a burst of proposals
+// rolled back first leaves the task buffer room for every cycle, so the
+// only growth a growing session needs, the buffer's amortized doubling,
+// stays out of the measurement.
+func TestProposeCommitAllocs(t *testing.T) {
+	periods := []int64{1000, 2000, 5000, 10000, 20000, 50000, 100000}
+	seed := make(model.TaskSet, 0, 1000)
+	for i := range 1000 {
+		p := periods[i%len(periods)]
+		seed = append(seed, model.Task{WCET: max(p/2000, 1), Deadline: p, Period: p})
+	}
+	adm, err := NewAdmission(AdmissionConfig{Seed: workload.NewSporadic(seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	light := workload.SporadicTask(model.Task{WCET: 1, Deadline: 500000, Period: 1000000})
+	cycle := func() {
+		out, err := adm.ProposeTask(light)
+		if err != nil || !out.Admitted || out.Path != obs.PathFast {
+			panic(fmt.Sprintf("light proposal: %+v, %v", out, err))
+		}
+		adm.Commit()
+	}
+	const runs = 100
+	burst := make([]workload.Task, runs+1)
+	for i := range burst {
+		burst[i] = light
+	}
+	if _, err := adm.ProposeBatch(burst); err != nil {
+		t.Fatal(err)
+	}
+	adm.Rollback()
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d propose+commit cycles on a %d-task session: %d allocations, %d bytes",
+		runs, len(seed), mallocs, bytes)
+	if mallocs != 0 {
+		t.Fatalf("%d propose+commit cycles allocated %d times (%d bytes), want 0", runs, mallocs, bytes)
 	}
 }

@@ -1,7 +1,8 @@
 package service
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -27,11 +28,15 @@ import (
 // Per-session record order is preserved by the entry's jmu, which
 // spans (decision, log record, watermark) so the log can never show a
 // commit before the admits it covers, and a snapshot capture sees a
-// consistent (state, lastSeq) pair.
+// consistent (state, lastSeq) pair. Every journaled decision takes jmu
+// whether or not a store is configured; without one only the store
+// calls are skipped.
 
 // journalOpen writes the session's open record — synchronously, so the
 // session id handed to the client is already durable.
 func (s *Server) journalOpen(id string, e *sessionEntry, req SessionRequest) error {
+	e.jmu.Lock()
+	defer e.jmu.Unlock()
 	if s.store == nil {
 		return nil
 	}
@@ -39,8 +44,6 @@ func (s *Server) journalOpen(id string, e *sessionEntry, req SessionRequest) err
 	if err != nil {
 		return err
 	}
-	e.jmu.Lock()
-	defer e.jmu.Unlock()
 	seq, err := s.store.Append(store.Record{Type: store.TypeOpen, Session: id, Config: cfg})
 	if err != nil {
 		return err
@@ -52,13 +55,10 @@ func (s *Server) journalOpen(id string, e *sessionEntry, req SessionRequest) err
 // proposeJournaled decides one task and journals the admit record (in
 // decision order) when it was staged.
 func (s *Server) proposeJournaled(e *sessionEntry, id string, t workload.Task) (ProposeOutcome, error) {
-	if s.store == nil {
-		return e.adm.ProposeTask(t)
-	}
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	out, err := e.adm.ProposeTask(t)
-	if err == nil && out.Admitted {
+	if err == nil && out.Admitted && s.store != nil {
 		s.submitLocked(e, admitRecord(id, t))
 	}
 	return out, err
@@ -67,13 +67,10 @@ func (s *Server) proposeJournaled(e *sessionEntry, id string, t workload.Task) (
 // proposeBatchJournaled is the bulk counterpart: one Submit carries the
 // batch's admitted records, in decision order.
 func (s *Server) proposeBatchJournaled(e *sessionEntry, id string, tasks []workload.Task) ([]ProposeOutcome, error) {
-	if s.store == nil {
-		return e.adm.ProposeBatch(tasks)
-	}
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	outs, err := e.adm.ProposeBatch(tasks)
-	if err != nil {
+	if err != nil || s.store == nil {
 		return outs, err
 	}
 	var recs []store.Record
@@ -93,12 +90,12 @@ func (s *Server) proposeBatchJournaled(e *sessionEntry, id string, tasks []workl
 // rollback only narrows state, so losing its record merely replays
 // pending tasks a restart would drop anyway.
 func (s *Server) finishJournaled(e *sessionEntry, id, event string, move func(*Admission) FinishOutcome) FinishOutcome {
-	if s.store == nil {
-		return move(e.adm)
-	}
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	out := move(e.adm)
+	if s.store == nil {
+		return out
+	}
 	rec := store.Record{Session: id}
 	var seq uint64
 	var err error
@@ -166,25 +163,42 @@ func admitRecord(id string, t workload.Task) store.Record {
 	return store.Record{Type: store.TypeAdmit, Session: id, Task: raw}
 }
 
-// rebuildEntry turns a replayed session state back into a live entry.
-// TrustedSeed skips re-proving the committed set (it was verified
-// feasible when admitted); everything else about the construction is
-// identical, so subsequent verdicts are bit-identical to the
-// uninterrupted run. Replayed pending (uncommitted) tasks are dropped —
-// the same implicit rollback an explicit restart-and-reopen would do.
+// rebuildEntry turns a replayed session state back into a live entry:
+// the config's seed followed by the committed tasks, in order, becomes
+// the new controller's seed. TrustedSeed skips re-proving that set (it
+// was verified feasible when admitted); everything else about the
+// construction is identical, so subsequent verdicts are bit-identical to
+// the uninterrupted run. Replayed pending (uncommitted) tasks are
+// dropped — the same implicit rollback an explicit restart-and-reopen
+// would do. A config that is not a JSON object, or a committed payload
+// that is not a task of the session's model, fails only this session.
 func (s *Server) rebuildEntry(st *store.SessionState) (*sessionEntry, error) {
+	if cfg := bytes.TrimLeft(st.Config, " \t\r\n"); len(cfg) == 0 || cfg[0] != '{' {
+		return nil, errors.New("session config: not a JSON object")
+	}
 	var req SessionRequest
-	if err := json.Unmarshal(st.Config, &req); err != nil {
+	if err := req.UnmarshalJSON(st.Config); err != nil {
 		return nil, fmt.Errorf("session config: %w", err)
 	}
 	opt, err := req.Options.Core()
 	if err != nil {
 		return nil, err
 	}
+	seed := req.Workload
+	for i, raw := range st.Committed {
+		var t workload.Task
+		if err := t.UnmarshalJSON(raw); err != nil {
+			return nil, fmt.Errorf("committed task %d: %w", i, err)
+		}
+		if t.Kind() != seed.Kind() {
+			return nil, fmt.Errorf("committed task %d: a %s task in a %s session", i, t.Kind(), seed.Kind())
+		}
+		seed.Append(t)
+	}
 	adm, err := NewAdmission(AdmissionConfig{
 		Analyzer:    req.Analyzer,
 		Options:     opt,
-		Seed:        req.Workload,
+		Seed:        seed,
 		TrustedSeed: true,
 	})
 	if err != nil {
@@ -379,7 +393,7 @@ func (s *Server) captureSnapshot() (store.Snapshot, bool) {
 			s.log.Error("snapshot capture failed", "session", id, "err", err)
 			continue
 		}
-		img := store.SessionSnapshot{ID: id, Seq: seq, Config: cfg}
+		img := store.SessionState{ID: id, Seq: seq, Config: cfg}
 		for _, t := range pendingTasks(pending) {
 			raw, _ := t.MarshalJSON() // a Task always encodes
 			img.Pending = append(img.Pending, raw)

@@ -6,12 +6,16 @@ package service_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	edf "repro"
+	"repro/internal/eventstream"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/store"
@@ -441,6 +445,170 @@ func TestE2EExpiredSessionsStayDead(t *testing.T) {
 	for name, c := range map[string]*client.Client{"peer": peer, "restart": c2} {
 		if _, _, err := c.Session(sess.ID).State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
 			t.Fatalf("expired session on the %s: %v, want 404", name, err)
+		}
+	}
+}
+
+// taskNames decodes task payloads and returns their names in order.
+func taskNames(t *testing.T, raws []json.RawMessage) []string {
+	t.Helper()
+	var names []string
+	for _, raw := range raws {
+		var tk struct{ Name string }
+		if err := json.Unmarshal(raw, &tk); err != nil {
+			t.Fatalf("task payload %s: %v", raw, err)
+		}
+		names = append(names, tk.Name)
+	}
+	return names
+}
+
+// configTaskNames returns the names of a session config's seed tasks.
+func configTaskNames(t *testing.T, cfg json.RawMessage) []string {
+	t.Helper()
+	var c struct{ Tasks []json.RawMessage }
+	if err := json.Unmarshal(cfg, &c); err != nil {
+		t.Fatalf("config %s: %v", cfg, err)
+	}
+	return taskNames(t, c.Tasks)
+}
+
+// TestOldStoreDirReplays: testdata/store_v1 was written before replay
+// kept committed payloads apart from the config, when each commit was
+// folded into the config's task array. Its snapshot holds the open
+// config with three committed admits and one pending one (p0); the log
+// after it holds two more admits, a commit and one last admit (p1).
+// Replay gives the same committed and pending tasks, and a server over
+// the directory resumes the session with all eight committed tasks in
+// admission order.
+func TestOldStoreDirReplays(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "store_v1")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const id = "50edfb8d4b10fa3a2ef9f84acbe82d5a"
+	wantCommitted := []string{"seed0", "seed1", "a0", "a1", "a2", "p0", "a3", "a4"}
+
+	st := openStore(t, dir, "edfd-b")
+	states, _, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := states[id]
+	if len(states) != 1 || ss == nil {
+		t.Fatalf("replayed sessions = %v, want only %s", states, id)
+	}
+	committed := append(configTaskNames(t, ss.Config), taskNames(t, ss.Committed)...)
+	if fmt.Sprint(committed) != fmt.Sprint(wantCommitted) {
+		t.Fatalf("committed = %v, want %v", committed, wantCommitted)
+	}
+	if pending := taskNames(t, ss.Pending); fmt.Sprint(pending) != "[p1]" {
+		t.Fatalf("pending = %v, want [p1]", pending)
+	}
+
+	srv, c := newTestServer(t, service.Config{Store: st, SnapshotInterval: time.Hour})
+	state, _, err := c.Session(id).State(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Committed != len(wantCommitted) || state.Pending != 0 {
+		t.Fatalf("resumed state: %+v, want committed=%d pending=0", state, len(wantCommitted))
+	}
+	// The shutdown snapshot captures the resumed committed set in order.
+	srv.Close()
+	data, err := os.ReadFile(filepath.Join(dir, "snap-edfd-b.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap store.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Sessions) != 1 {
+		t.Fatalf("shutdown snapshot holds %d sessions, want 1", len(snap.Sessions))
+	}
+	img := snap.Sessions[0]
+	if got := append(configTaskNames(t, img.Config), taskNames(t, img.Committed)...); fmt.Sprint(got) != fmt.Sprint(wantCommitted) {
+		t.Fatalf("resumed committed set = %v, want %v", got, wantCommitted)
+	}
+}
+
+// TestDamagedSessionSkipped: sessions whose durable state cannot be
+// rebuilt — an open config that is CRC-valid JSON but not an object, a
+// null config, a committed payload that is not a task of the session's
+// model, a partitioned seed, which no session takes — fail alone. Load replays the directory, and both restart
+// recovery and a peer's rehydration resume the intact session and
+// answer 404 for each damaged one.
+func TestDamagedSessionSkipped(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	// The peer boots before the sessions exist, so only rehydration can
+	// bring them in.
+	_, peer := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-b")})
+
+	seedCfg, err := service.SessionRequest{Workload: edf.SporadicWorkload(edf.TaskSet{
+		{Name: "seed", WCET: 10, Deadline: 90, Period: 100},
+	})}.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sporadic, _ := service.SporadicTask(edf.Task{Name: "a", WCET: 5, Deadline: 40, Period: 50}).MarshalJSON()
+	event, _ := service.EventTask(eventstream.Task{Name: "e", WCET: 1, Deadline: 40,
+		Stream: eventstream.Periodic(50)}).MarshalJSON()
+	st := openStore(t, dir, "edfd-a")
+	journal := func(id string, cfg json.RawMessage, admits ...json.RawMessage) {
+		t.Helper()
+		if _, err := st.Append(store.Record{Type: store.TypeOpen, Session: id, Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		for _, admit := range admits {
+			if _, err := st.Submit(store.Record{Type: store.TypeAdmit, Session: id, Task: admit}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := st.Append(store.Record{Type: store.TypeCommit, Session: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal("s_good", seedCfg, sporadic)
+	journal("s_array", json.RawMessage(`[1,2]`), sporadic)
+	journal("s_null", json.RawMessage(`null`), sporadic)
+	journal("s_model", seedCfg, event)
+	journal("s_part", json.RawMessage(`{"model":"partitioned","processors":[{"speed":1}],`+
+		`"tasks":[{"wcet":1,"deadline":10,"period":10,"affinity":[0]}]}`))
+
+	states, _, err := st.Load()
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(states) != 5 {
+		t.Fatalf("Load replayed %d sessions, want 5", len(states))
+	}
+	_, restart := newTestServer(t, service.Config{Store: openStore(t, dir, "edfd-c")})
+	for name, c := range map[string]*client.Client{"restart": restart, "peer": peer} {
+		state, _, err := c.Session("s_good").State(ctx)
+		if err != nil {
+			t.Fatalf("intact session on the %s: %v", name, err)
+		}
+		if state.Committed != 2 || state.Pending != 0 {
+			t.Fatalf("intact session on the %s: %+v, want committed=2 pending=0", name, state)
+		}
+		for _, id := range []string{"s_array", "s_null", "s_model", "s_part"} {
+			var ce *client.Error
+			if _, _, err := c.Session(id).State(ctx); !asClientError(err, &ce) || ce.StatusCode != 404 {
+				t.Fatalf("damaged session %s on the %s: %v, want 404", id, name, err)
+			}
 		}
 	}
 }

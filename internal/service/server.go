@@ -573,10 +573,6 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Workload.Kind() == workload.Partitioned {
-		s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("sessions: %w", errPartitionedEndpoint))
-		return
-	}
 	adm, err := NewAdmission(AdmissionConfig{Analyzer: req.Analyzer, Options: opt, Seed: req.Workload})
 	if err != nil {
 		s.fail(w, http.StatusUnprocessableEntity, err)

@@ -2,35 +2,30 @@ package store
 
 import "sync"
 
-// batchSink is what a batcher flushes into: one write + one sync per
-// batch. The disk store implements it over its segment file.
-type batchSink interface {
-	writeBatch(recs []Record) error
-}
-
 // batcher is the group-commit core: records enqueue under a lock in
 // submission order, and a background flusher writes everything queued
-// in one writeBatch call whenever anything is queued, with no timer.
-// Records that arrive during a write form the next batch, so
+// in one DiskStore.writeBatch call whenever anything is queued, with no
+// timer. Records that arrive during a write form the next batch, so
 // concurrent callers share one write and fsync. Append waits for its
-// batch's flush; Submit returns at enqueue. Both preserve order, so a
-// crash loses only an ordered suffix.
+// batch's flush, and only a batch somebody waits on is fsynced; Submit
+// returns at enqueue. Both preserve order, so a crash loses only an
+// ordered suffix.
 type batcher struct {
-	sink batchSink
+	s *DiskStore
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []Record
 	// waiters holds the done channels of Append callers (and Load's
 	// drain) in the current batch; the flusher sends each the result of
-	// the batch's write.
+	// the batch's write and fsync.
 	waiters []chan error
 	closed  bool
 	stopped chan struct{}
 }
 
-func newBatcher(sink batchSink) *batcher {
-	b := &batcher{sink: sink, stopped: make(chan struct{})}
+func newBatcher(s *DiskStore) *batcher {
+	b := &batcher{s: s, stopped: make(chan struct{})}
 	b.cond = sync.NewCond(&b.mu)
 	go b.flusher()
 	return b
@@ -73,7 +68,7 @@ func (b *batcher) flusher() {
 		b.waiters = nil
 		b.mu.Unlock()
 
-		err := b.sink.writeBatch(recs)
+		err := b.s.writeBatch(recs, len(waiters) > 0)
 		for _, w := range waiters {
 			w <- err
 		}

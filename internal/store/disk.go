@@ -40,6 +40,9 @@ type DiskStore struct {
 
 	fileMu sync.Mutex
 	f      *os.File
+	// unsynced reports that the segment holds writes no fsync covers
+	// yet: submitted records nobody waited on.
+	unsynced bool
 	// opened holds the records Open read from the own segment until the
 	// first Load takes them; a write to the segment drops them first.
 	opened []Record
@@ -162,49 +165,101 @@ func (s *DiskStore) Submit(recs ...Record) (uint64, error) {
 	return last, nil
 }
 
-// writeBatch is the batcher sink: one write + one fsync per batch.
-func (s *DiskStore) writeBatch(recs []Record) error {
-	if len(recs) == 0 {
-		return nil // drain barrier: ordering is all the caller needs
-	}
+// writeBatch writes one batch to the segment in one write. When sync is
+// set (somebody waits on the batch: an Append, or Load's drain) it then
+// fsyncs the segment, which also covers every submitted batch written
+// before it without one; a batch nobody waits on is left to the next
+// such fsync, or to Close.
+func (s *DiskStore) writeBatch(recs []Record, sync bool) error {
 	buf, err := encodeRecords(recs)
 	if err != nil {
 		return err
 	}
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
-	s.opened = nil
-	if _, err := s.f.Write(buf); err != nil {
-		return fmt.Errorf("store: wal write: %w", err)
-	}
-	if !s.noSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
+	if len(buf) > 0 {
+		s.opened = nil
+		if _, err := s.f.Write(buf); err != nil {
+			return fmt.Errorf("store: wal write: %w", err)
 		}
-		s.stSyncs.Add(1)
+		s.unsynced = true
+		s.stFlushes.Add(1)
+		s.stRecords.Add(uint64(len(recs)))
+		s.stBytes.Add(uint64(len(buf)))
 	}
-	s.stFlushes.Add(1)
-	s.stRecords.Add(uint64(len(recs)))
-	s.stBytes.Add(uint64(len(buf)))
+	if !sync {
+		return nil
+	}
+	return s.syncLocked()
+}
+
+// syncLocked fsyncs the segment if it holds writes no fsync covers yet;
+// the caller holds fileMu.
+func (s *DiskStore) syncLocked() error {
+	if !s.unsynced {
+		return nil
+	}
+	if err := s.sync(s.f); err != nil {
+		return fmt.Errorf("store: wal sync: %w", err)
+	}
+	s.unsynced = false
 	return nil
 }
 
+// sync fsyncs f, counting the call, unless the store runs with NoSync.
+func (s *DiskStore) sync(f *os.File) error {
+	if s.noSync {
+		return nil
+	}
+	s.stSyncs.Add(1)
+	return f.Sync()
+}
+
+// replaceFile writes data to path through a temporary file, fsynced,
+// and a rename: a crash after the rename cannot leave a file whose data
+// was lost. syncDir then makes the rename itself durable.
+func (s *DiskStore) replaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = s.sync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// syncDir fsyncs the store directory, making the renames in it durable.
+func (s *DiskStore) syncDir() error {
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return s.sync(d)
+}
+
 // WriteSnapshot persists the image under this node's snapshot file
-// (write-temp + rename) and compacts this node's segment, dropping
-// records the snapshot covers. Close/expire records are always
-// retained so a stale image in another node's files cannot resurrect a
-// dead session.
+// (write-temp, fsync, rename, fsync the directory) and compacts this
+// node's segment the same way, dropping records the snapshot covers.
+// Close/expire records are always retained so a stale image in another
+// node's files cannot resurrect a dead session.
 func (s *DiskStore) WriteSnapshot(snap Snapshot) error {
 	data, err := json.MarshalIndent(&snap, "", " ")
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	path := s.snapPath(s.node)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := s.replaceFile(s.snapPath(s.node), data); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := s.syncDir(); err != nil {
 		return err
 	}
 	s.stSnapshots.Add(1)
@@ -246,21 +301,19 @@ func (s *DiskStore) compact(snap Snapshot) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := s.replaceFile(path, buf); err != nil {
 		return err
 	}
 	// Reopen the handle on the new inode; queued batches flush to it.
+	// The rewrite holds every record the old segment kept, synced.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: reopen wal after compaction: %w", err)
 	}
 	s.f.Close()
 	s.f = f
-	return nil
+	s.unsynced = false
+	return s.syncDir()
 }
 
 // Load replays every snapshot and segment in the directory. A damaged
@@ -433,13 +486,17 @@ func DefaultNode(dir string) (string, error) {
 	return name, nil
 }
 
-// Close flushes pending submissions and closes the segment.
+// Close writes pending submissions, fsyncs whatever no fsync covers yet
+// and closes the segment.
 func (s *DiskStore) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		s.b.close()
 		s.fileMu.Lock()
-		err = s.f.Close()
+		err = s.syncLocked()
+		if cerr := s.f.Close(); err == nil {
+			err = cerr
+		}
 		s.fileMu.Unlock()
 		close(s.closedCh)
 	})

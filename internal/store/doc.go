@@ -22,13 +22,21 @@
 // # Group commit
 //
 // Records ride a batcher with no timer: one flusher writes everything
-// queued, in one write+fsync, whenever anything is queued. Records that
+// queued, in one write, whenever anything is queued. Records that
 // arrive during a write form the next batch, so concurrent callers
-// share one fsync. Append blocks until its records, and every record
-// queued before them, are durable; Submit enqueues in order and returns
-// immediately. Callers use Submit for records whose loss is tolerable
-// as a suffix (admit, rollback, expire) and Append for durability
-// points (open, commit, close).
+// share one write and one fsync. Append blocks until its records, and
+// every record queued before them, are durable; Submit enqueues in
+// order and returns immediately. Callers use Submit for records whose
+// loss is tolerable as a suffix (admit, rollback, expire) and Append
+// for durability points (open, commit, close).
+//
+// Only what a caller waits on is fsynced: a batch carrying an Append
+// (or Load's drain) is, and its fsync covers every submitted batch
+// written before it; a batch nobody waits on is written without one.
+// Close fsyncs a trailing unsynced write. Snapshots and compacted
+// segments are written to a temporary file, fsynced, renamed into
+// place, and the directory fsynced, so a crash cannot lose records
+// already reported durable. NoSync skips every fsync.
 //
 // # Records and replay
 //
@@ -37,9 +45,12 @@
 // (pending tasks become committed), rollback (pending tasks dropped),
 // close and expire (session gone; replay excludes it so a restart
 // cannot resurrect a swept session). Load folds the snapshot and log
-// into per-session SessionState values; the service layer rebuilds live
-// Admission controllers from them and gets bit-identical verdicts
-// because the committed task order is preserved exactly.
+// into per-session SessionState values without parsing any payload: a
+// commit moves the pending admit payloads to Committed. The service
+// layer rebuilds live Admission controllers from the config's seed
+// followed by the committed tasks and gets bit-identical verdicts
+// because the committed task order is preserved exactly; a session
+// whose payloads it cannot decode fails alone.
 //
 // # Snapshots and shared directories
 //

@@ -2,14 +2,15 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Record types, one per session decision. Open and Admit carry opaque
 // payloads owned by the service layer (the session config and the
-// proposed task); the store never interprets them.
+// proposed task); the store never interprets them: replay only moves
+// admit payloads from Pending to Committed.
 const (
 	TypeOpen     = "open"
 	TypeAdmit    = "admit"
@@ -37,20 +38,6 @@ type Record struct {
 	Task json.RawMessage `json:"task,omitempty"`
 }
 
-// SessionSnapshot is the durable image of one session inside a Snapshot:
-// its config reflecting all committed decisions, any pending
-// (uncommitted) tasks, and the sequence watermark of the last record the
-// image covers.
-type SessionSnapshot struct {
-	ID string `json:"id"`
-	// Seq is the session's watermark: log records for this session with
-	// Seq <= this value are already folded into Config/Pending and are
-	// skipped during replay.
-	Seq     uint64            `json:"seq"`
-	Config  json.RawMessage   `json:"config"`
-	Pending []json.RawMessage `json:"pending,omitempty"`
-}
-
 // Snapshot is a compacting image of live session state.
 type Snapshot struct {
 	// Seq is a store watermark taken BEFORE any session was captured
@@ -58,19 +45,29 @@ type Snapshot struct {
 	// carries a higher seq, so compacting records at or below Seq (per
 	// the session marks) can never drop one the snapshot does not cover
 	// — not even a session whose first record landed mid-capture.
-	Seq      uint64            `json:"seq"`
-	Sessions []SessionSnapshot `json:"sessions"`
+	Seq      uint64         `json:"seq"`
+	Sessions []SessionState `json:"sessions"`
 }
 
-// SessionState is the replayed state of one session after folding a
-// snapshot and the log: the config as of the last committed decision,
-// tasks admitted but not yet committed, and the last sequence number
-// seen for the session.
+// SessionState is the durable state of one session: what Load replays
+// from snapshots and the log, and the image a Snapshot carries. The
+// store keeps the service's payloads opaque: the session is the open
+// config followed by the Committed tasks, in order, and the Pending
+// tasks are admitted but not yet committed.
 type SessionState struct {
-	ID      string
-	Seq     uint64
-	Config  json.RawMessage
-	Pending []json.RawMessage
+	ID string `json:"id"`
+	// Seq is the session's watermark: log records for this session with
+	// Seq <= this value are already folded into the state and are
+	// skipped during replay.
+	Seq uint64 `json:"seq"`
+	// Config is the config the session was opened with, or the one a
+	// snapshot captured.
+	Config json.RawMessage `json:"config"`
+	// Committed holds the admit payloads that commits after Config made
+	// permanent, in admission order.
+	Committed []json.RawMessage `json:"committed,omitempty"`
+	// Pending holds the admit payloads no commit covers yet.
+	Pending []json.RawMessage `json:"pending,omitempty"`
 }
 
 // replayer folds snapshot images and log records into SessionState
@@ -98,7 +95,7 @@ func (r *replayer) note(seq uint64) {
 // foldSnapshot applies one session image. Later images (higher
 // watermarks) win over earlier ones; a close/expire at or after the
 // watermark suppresses the image entirely.
-func (r *replayer) foldSnapshot(img SessionSnapshot) {
+func (r *replayer) foldSnapshot(img SessionState) {
 	r.note(img.Seq)
 	if closedAt, ok := r.closed[img.ID]; ok && closedAt >= img.Seq {
 		return
@@ -106,11 +103,9 @@ func (r *replayer) foldSnapshot(img SessionSnapshot) {
 	if cur, ok := r.sessions[img.ID]; ok && cur.Seq >= img.Seq {
 		return
 	}
-	st := &SessionState{ID: img.ID, Seq: img.Seq, Config: img.Config}
-	if len(img.Pending) > 0 {
-		st.Pending = append([]json.RawMessage(nil), img.Pending...)
-	}
-	r.sessions[img.ID] = st
+	img.Committed = slices.Clone(img.Committed)
+	img.Pending = slices.Clone(img.Pending)
+	r.sessions[img.ID] = &img
 }
 
 // foldRecord applies one log record. Records at or below a session's
@@ -137,11 +132,7 @@ func (r *replayer) foldRecord(rec Record) error {
 		if st == nil {
 			return nil
 		}
-		cfg, err := commitConfig(st.Config, st.Pending)
-		if err != nil {
-			return fmt.Errorf("store: commit replay for session %s: %w", rec.Session, err)
-		}
-		st.Config = cfg
+		st.Committed = append(st.Committed, st.Pending...)
 		st.Pending = nil
 		st.Seq = rec.Seq
 	case TypeRollback:
@@ -157,36 +148,6 @@ func (r *replayer) foldRecord(rec Record) error {
 		return fmt.Errorf("store: unknown record type %q", rec.Type)
 	}
 	return nil
-}
-
-// commitConfig folds pending tasks into a session config by appending
-// them to its "tasks" array. The config is otherwise opaque; only the
-// tasks key is touched, and the service layer's config schema keeps
-// tasks as a JSON array.
-func commitConfig(cfg json.RawMessage, pending []json.RawMessage) (json.RawMessage, error) {
-	if len(pending) == 0 {
-		return cfg, nil
-	}
-	var obj map[string]json.RawMessage
-	if err := json.Unmarshal(cfg, &obj); err != nil {
-		return nil, fmt.Errorf("config not an object: %w", err)
-	}
-	if obj == nil { // a null config decodes without error
-		return nil, errors.New("config not an object: null")
-	}
-	var tasks []json.RawMessage
-	if raw, ok := obj["tasks"]; ok && len(raw) > 0 && string(raw) != "null" {
-		if err := json.Unmarshal(raw, &tasks); err != nil {
-			return nil, fmt.Errorf("config tasks not an array: %w", err)
-		}
-	}
-	tasks = append(tasks, pending...)
-	rawTasks, err := json.Marshal(tasks)
-	if err != nil {
-		return nil, err
-	}
-	obj["tasks"] = rawTasks
-	return json.Marshal(obj)
 }
 
 // result returns the replayed sessions and the highest sequence seen.

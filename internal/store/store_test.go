@@ -52,6 +52,8 @@ func journal(t *testing.T, s Store, id string) {
 	must(s.Submit(Record{Type: TypeAdmit, Session: id, Task: task("t3")}))
 }
 
+// wantState checks a replayed session: the config's tasks followed by
+// the committed payloads, and the pending payloads.
 func wantState(t *testing.T, st *SessionState, wantTasks []string, wantPending []string) {
 	t.Helper()
 	if st == nil {
@@ -62,6 +64,13 @@ func wantState(t *testing.T, st *SessionState, wantTasks []string, wantPending [
 	}
 	if err := json.Unmarshal(st.Config, &c); err != nil {
 		t.Fatalf("config: %v", err)
+	}
+	for _, p := range st.Committed {
+		var v string
+		if err := json.Unmarshal(p, &v); err != nil {
+			t.Fatalf("committed: %v", err)
+		}
+		c.Tasks = append(c.Tasks, v)
 	}
 	if fmt.Sprint(c.Tasks) != fmt.Sprint(wantTasks) {
 		t.Fatalf("committed tasks = %v, want %v", c.Tasks, wantTasks)
@@ -247,9 +256,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sessions["s1"]
-	snap := Snapshot{Seq: maxSeq, Sessions: []SessionSnapshot{{
-		ID: "s1", Seq: st.Seq, Config: st.Config, Pending: st.Pending,
-	}}}
+	snap := Snapshot{Seq: maxSeq, Sessions: []SessionState{*st}}
 	if err := s.WriteSnapshot(snap); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
@@ -290,7 +297,7 @@ func TestSnapshotDoesNotResurrectClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sessions["s1"]
-	snap := Snapshot{Seq: maxSeq, Sessions: []SessionSnapshot{{ID: "s1", Seq: st.Seq, Config: st.Config, Pending: st.Pending}}}
+	snap := Snapshot{Seq: maxSeq, Sessions: []SessionState{*st}}
 	if err := s.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -464,9 +471,7 @@ func TestSnapshotWatermarkKeepsLaterRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sessions["s1"]
-	snap := Snapshot{Seq: wm, Sessions: []SessionSnapshot{{
-		ID: "s1", Seq: st.Seq, Config: st.Config, Pending: st.Pending,
-	}}}
+	snap := Snapshot{Seq: wm, Sessions: []SessionState{*st}}
 	if err := s.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -767,4 +772,74 @@ func TestRestartDecodesSegmentOnce(t *testing.T) {
 		t.Fatalf("Open + Load: %.0f allocs, a segment-reading Load %.0f: the restart decodes the segment twice", restart, reload)
 	}
 	t.Logf("Open + Load %.0f allocs, Load %.0f", restart, reload)
+}
+
+// TestSubmitDefersFsyncToAppend: submitted records are written without
+// an fsync; the next Append's one fsync covers them, Close fsyncs a
+// trailing unsynced write, and every record replays.
+func TestSubmitDefersFsyncToAppend(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, "a")
+	if _, err := s.Append(Record{Type: TypeOpen, Session: "s1", Config: cfg("seed")}); err != nil {
+		t.Fatal(err)
+	}
+	base := s.Stats().Syncs
+	const n = 16
+	submitAdmits(t, s, n)
+	waitRecords(t, s, n+1)
+	if got := s.Stats().Syncs - base; got != 0 {
+		t.Fatalf("%d written submits caused %d fsyncs, want 0", n, got)
+	}
+	if _, err := s.Append(Record{Type: TypeCommit, Session: "s1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs - base; got != 1 {
+		t.Fatalf("the Append after %d submits caused %d fsyncs, want 1", n, got)
+	}
+	submitAdmits(t, s, 1)
+	waitRecords(t, s, n+3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Syncs - base; got != 2 {
+		t.Fatalf("Close after an unsynced submit: %d fsyncs since the open, want 2", got)
+	}
+	sessions, _, err := openTest(t, dir, "a").Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := []string{"seed"}
+	for i := range n {
+		committed = append(committed, fmt.Sprintf("t%d", i))
+	}
+	wantState(t, sessions["s1"], committed, []string{"t0"})
+}
+
+// TestWriteSnapshotSyncs: a snapshot and the compacted segment are
+// fsynced before their renames and the directory after each, so a crash
+// cannot lose records already reported durable; NoSync skips all four.
+func TestWriteSnapshotSyncs(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		s, err := Open(t.TempDir(), "a", Options{NoSync: noSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal(t, s, "s1")
+		sessions, maxSeq, err := s.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s.Stats().Syncs
+		if err := s.WriteSnapshot(Snapshot{Seq: maxSeq, Sessions: []SessionState{*sessions["s1"]}}); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(4)
+		if noSync {
+			want = 0
+		}
+		if got := s.Stats().Syncs - base; got != want {
+			t.Errorf("NoSync %v: WriteSnapshot caused %d fsyncs, want %d", noSync, got, want)
+		}
+		s.Close()
+	}
 }

@@ -186,10 +186,29 @@ func (w Workload) Concat(v Workload) (Workload, error) {
 func (w Workload) With(t Task) Workload {
 	out := w.Clone()
 	out.Model = w.Kind()
-	if out.Model == Events {
-		out.Events = append(out.Events, *t.Event)
+	out.Append(t)
+	return out
+}
+
+// Append adds t to w in place, sharing w's backing array like the
+// built-in append. The caller must have checked the model
+// (Task.Kind() == w.Kind()).
+func (w *Workload) Append(t Task) {
+	if t.Event != nil {
+		w.Events = append(w.Events, *t.Event)
 	} else {
-		out.Tasks = append(out.Tasks, *t.Sporadic)
+		w.Tasks = append(w.Tasks, *t.Sporadic)
+	}
+}
+
+// Slice returns tasks i through j-1 of a sporadic or event workload as a
+// workload sharing w's memory, like a slice expression.
+func (w Workload) Slice(i, j int) Workload {
+	out := Workload{Model: w.Model}
+	if w.Kind() == Events {
+		out.Events = w.Events[i:j]
+	} else {
+		out.Tasks = w.Tasks[i:j]
 	}
 	return out
 }
