@@ -354,7 +354,7 @@ func (p *Proxy) post(ctx context.Context, method, rep, path string, body []byte)
 // service.DecodeJSON, the decoder of the typed client.
 func readReply(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()
-	return io.ReadAll(io.LimitReader(resp.Body, service.MaxRequestBytes))
+	return service.ReadBody(io.LimitReader(resp.Body, service.MaxRequestBytes), resp.ContentLength)
 }
 
 // fetch GETs path from rep and returns the body of a 200 reply.
@@ -805,7 +805,7 @@ func (p *Proxy) handleSession(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusServiceUnavailable, errors.New("no healthy replica on the ring"))
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := service.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		return

@@ -440,8 +440,16 @@ func (a *Admission) Rollback() FinishOutcome {
 	return FinishOutcome{Moved: n, Committed: a.committed, Utilization: a.util.Float()}
 }
 
+// Counts returns the numbers of committed and pending tasks and the
+// combined utilization, copying nothing.
+func (a *Admission) Counts() (committed, pending int, utilization float64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.committed, a.tasks.Len() - a.committed, a.util.Float()
+}
+
 // Snapshot returns deep copies of the committed and pending workloads and
-// the combined utilization.
+// the combined utilization, for a store snapshot's image of the session.
 func (a *Admission) Snapshot() (committed, pending workload.Workload, utilization float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

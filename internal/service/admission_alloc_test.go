@@ -128,3 +128,37 @@ func TestProposeCommitAllocs(t *testing.T) {
 		t.Fatalf("%d propose+commit cycles allocated %d times (%d bytes), want 0", runs, mallocs, bytes)
 	}
 }
+
+// TestSessionStateAllocs reads a 1000-task session's state, as every
+// session open and every GET /v1/sessions/{id} does, with a pending task
+// staged: the reply carries counts and the utilization, so building it
+// must not copy the session's tasks. What it may allocate (the cascade's
+// analyzer label) does not grow with the session.
+func TestSessionStateAllocs(t *testing.T) {
+	seed := make(model.TaskSet, 0, 1000)
+	for i := range 1000 {
+		p := int64(1000 * (i%50 + 1))
+		seed = append(seed, model.Task{WCET: 1, Deadline: p, Period: p})
+	}
+	adm, err := NewAdmission(AdmissionConfig{Seed: workload.NewSporadic(seed)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := adm.Propose(model.Task{WCET: 1, Deadline: 1000, Period: 1000}); err != nil || !out.Admitted {
+		t.Fatalf("proposal: %+v, %v", out, err)
+	}
+	srv := &Server{}
+	if st := srv.sessionState("s", adm); st.Committed != 1000 || st.Pending != 1 {
+		t.Fatalf("state %+v, want 1000 committed and 1 pending", st)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		srv.sessionState("s", adm)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 512 {
+		t.Errorf("sessionState on a %d-task session allocated %d bytes per call, want at most 512", len(seed), perCall)
+	}
+}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -322,6 +323,34 @@ func (r SessionResponse) MarshalJSON() ([]byte, error) {
 // Its model must match the session's.
 type ProposeRequest struct {
 	Task WorkloadTask `json:"task"`
+}
+
+// proposeRequestKeys is ProposeRequest's one wire key.
+var proposeRequestKeys = []string{"task"}
+
+// UnmarshalJSON replaces r with the proposal in data in one checked pass:
+// each "task" member, matched as encoding/json matches the field and null
+// included, decodes in document order as Task.UnmarshalJSON decodes it,
+// so a repeated key keeps the last task. A body that is not an object
+// goes to json.Unmarshal, into a method-free copy of r.
+func (r *ProposeRequest) UnmarshalJSON(data []byte) error {
+	*r = ProposeRequest{}
+	s, err := workload.NewScanner(data)
+	if err != nil {
+		return err
+	}
+	if s.Peek() != '{' {
+		type plain ProposeRequest
+		return json.Unmarshal(data, (*plain)(r))
+	}
+	for s.Member() {
+		if workload.MatchKey(s.Key(), proposeRequestKeys) < 0 {
+			s.Skip()
+		} else if err := s.DecodeTask(&r.Task); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MarshalJSON emits {"task": ...} in one append pass.

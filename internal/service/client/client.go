@@ -149,7 +149,7 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 	if err != nil {
 		return Route{}, err
 	}
-	reply, err := readReply(resp)
+	reply, err := service.ReadBody(resp.Body, resp.ContentLength)
 	resp.Body.Close()
 	rt := routeFrom(resp.Header)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
@@ -184,33 +184,6 @@ func (c *Client) doRoute(ctx context.Context, method, path string, in, out any) 
 		return rt, fmt.Errorf("edfd: decoding response: %w", err)
 	}
 	return rt, nil
-}
-
-// readReply reads a reply body to EOF into one buffer sized by its
-// Content-Length (every edfd JSON reply carries one), or through
-// io.ReadAll when the length is absent.
-func readReply(resp *http.Response) ([]byte, error) {
-	if resp.ContentLength < 0 {
-		return io.ReadAll(resp.Body)
-	}
-	// One byte more than the body, so the read that reports EOF needs no
-	// room of its own. The daemons' own body limit caps what the header
-	// can preallocate: a longer body grows the buffer as its bytes
-	// arrive, so a wrong header cannot force a large allocation.
-	b := make([]byte, 0, min(resp.ContentLength, service.MaxRequestBytes)+1)
-	for {
-		n, err := resp.Body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
 }
 
 // Analyze runs one analysis. The Route carries the cluster routing

@@ -14,7 +14,8 @@ import (
 )
 
 // The hot replies decode in one walk on the request walker's scanner
-// (workload.Scanner): json.Valid once, then each member typed by hand.
+// (workload.Scanner): workload.NewScanner checks the body once, as
+// json.Valid would, then each member is typed by hand.
 // The walk takes the bodies the daemons write and skips unknown keys.
 // Anything it does not take goes to encoding/json instead, into a
 // method-free conversion of the reset value, so the result equals

@@ -238,9 +238,9 @@ func (s *Server) recoverSessions() {
 		}
 		s.m.resumed.Add(1)
 		s.publishResume(id, e)
-		committed, _, _ := e.adm.Snapshot()
+		committed, _, _ := e.adm.Counts()
 		s.log.Info("session resumed from store", "session", id,
-			"committed", committed.Len(), "dropped_pending", len(st.Pending))
+			"committed", committed, "dropped_pending", len(st.Pending))
 	}
 }
 
@@ -335,9 +335,9 @@ func (s *Server) rehydrate(id string) bool {
 		s.journalRollback(e, id)
 		s.m.rehydrated.Add(1)
 		s.publishResume(id, e)
-		committed, _, _ := e.adm.Snapshot()
+		committed, _, _ := e.adm.Counts()
 		s.log.Info("session rehydrated from store", "session", id,
-			"committed", committed.Len(), "dropped_pending", len(st.Pending))
+			"committed", committed, "dropped_pending", len(st.Pending))
 	}
 	return true
 }
@@ -351,7 +351,7 @@ func (s *Server) journalRollback(e *sessionEntry, id string) {
 }
 
 func (s *Server) publishResume(id string, e *sessionEntry) {
-	_, _, util := e.adm.Snapshot()
+	_, _, util := e.adm.Counts()
 	s.hub.Publish(obs.Event{Type: obs.EventResume, Session: id, Utilization: util})
 }
 

@@ -620,13 +620,13 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (string, *sessi
 }
 
 func (s *Server) sessionState(id string, adm *Admission) SessionResponse {
-	committed, pending, util := adm.Snapshot()
+	committed, pending, util := adm.Counts()
 	return SessionResponse{
 		ID:          id,
 		Model:       string(adm.Model()),
 		Analyzer:    adm.Analyzer(),
-		Committed:   committed.Len(),
-		Pending:     pending.Len(),
+		Committed:   committed,
+		Pending:     pending,
 		Utilization: util,
 	}
 }
@@ -847,7 +847,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // DecodeJSON; it is the one request decoder of edfd and edfproxy. The
 // bytes come back for callers that forward them.
 func DecodeBody(r *http.Request, v any) ([]byte, error) {
-	body, err := io.ReadAll(r.Body)
+	body, err := ReadBody(r.Body, r.ContentLength)
 	if err != nil {
 		return nil, fmt.Errorf("reading request: %w", err)
 	}
@@ -857,14 +857,50 @@ func DecodeBody(r *http.Request, v any) ([]byte, error) {
 	return body, nil
 }
 
+// maxBodyPrealloc caps the buffer ReadBody reserves for a declared body
+// length. The length is the sender's claim: a header must not reserve
+// MaxRequestBytes for a body that never comes, so a longer body grows the
+// buffer as its bytes arrive.
+const maxBodyPrealloc = 64 << 10
+
+// ReadBody reads r to EOF into one buffer sized by n, the body's declared
+// length (an http Content-Length, negative when unknown), and returns the
+// bytes and the first read error other than io.EOF. It is the one body
+// reader of both daemons, edfproxy's replica replies and the typed
+// client: a body of its declared length up to maxBodyPrealloc fills one
+// allocation.
+func ReadBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		n = 512 // io.ReadAll's first buffer
+	}
+	// One byte more than the body, so the read that reports EOF needs no
+	// room of its own.
+	b := make([]byte, 0, min(n, maxBodyPrealloc)+1)
+	for {
+		k, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+k]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 // DecodeJSON decodes one whole body into v, the twin of EncodeJSON. A v
 // that implements json.Unmarshaler, as every request carrying a workload
-// and every hot reply does, decodes the bytes itself, so encoding/json's
-// outer syntax check and skip do not run on top of its own; any other v
-// goes through json.Unmarshal. Either way encoding/json's scanner checks
-// the whole body, so trailing bytes after the value are an error.
-// DecodeBody calls it for both daemons' requests, and the typed client
-// for every reply.
+// or a proposal and every hot reply does, decodes the bytes itself, so
+// encoding/json's outer syntax check and skip do not run on top of its
+// own; any other v goes through json.Unmarshal. Either way the whole body
+// is checked as json.Valid checks it, by workload.Scanner's check or by
+// encoding/json's scanner, so trailing bytes after the value are an
+// error, and a body with a syntax error gets encoding/json's
+// *json.SyntaxError. DecodeBody calls it for both daemons' requests, and
+// the typed client for every reply.
 func DecodeJSON(body []byte, v any) error {
 	if u, ok := v.(json.Unmarshaler); ok {
 		return u.UnmarshalJSON(body)
@@ -912,7 +948,8 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 // does not run on top; any other v goes through json.Marshal. The
 // hand-encoded types write compact, escaped JSON identical to
 // encoding/json's (TestWireEncodeMatchesReference, FuzzWireEncode), and
-// the daemons still check every body they receive with json.Valid.
+// the daemons still check the syntax of every body they receive
+// (DecodeJSON).
 func EncodeJSON(v any) ([]byte, error) {
 	if m, ok := v.(json.Marshaler); ok {
 		return m.MarshalJSON()

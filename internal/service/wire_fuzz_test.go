@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -56,11 +57,13 @@ func wireCompatBodies(t testing.TB) []string {
 }
 
 // FuzzRequestJSON decodes every input as each request type that carries
-// a workload, and as a proposal task, through the daemons' decoder
-// (DecodeJSON) and through json.Unmarshal (the path of nested sets,
-// proposal tasks and journal replay). Both must accept the input exactly
-// when json.Unmarshal accepts it into the type's reference decoder, and
-// decode it to a reflect.DeepEqual value, nil-versus-empty included.
+// a workload, as a proposal and as a proposal task, through the daemons'
+// decoder (DecodeJSON) and through json.Unmarshal (the path of nested
+// sets, proposal tasks and journal replay). Both must accept the input
+// exactly when json.Unmarshal accepts it into the type's reference
+// decoder, and decode it to a reflect.DeepEqual value, nil-versus-empty
+// included; where the reference answers a syntax error, both must answer
+// its text.
 func FuzzRequestJSON(f *testing.F) {
 	for _, body := range append(wireCompatBodies(f), readmeBodies...) {
 		f.Add([]byte(body))
@@ -76,6 +79,10 @@ func FuzzRequestJSON(f *testing.F) {
 		differential(t, data, json.Unmarshal(data, &rw), rw.S)
 		var rt refTask
 		differential(t, data, json.Unmarshal(data, &rt), rt.T)
+		var rq struct {
+			Task refTask `json:"task"`
+		}
+		differential(t, data, json.Unmarshal(data, &rq), ProposeRequest{Task: rq.Task.T})
 	})
 }
 
@@ -92,28 +99,55 @@ func differential[T any](t *testing.T, data []byte, refErr error, want T) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%T via %s of %q: error %v, reference error %v", got, path.name, data, err, refErr)
 		}
+		checkSyntaxError(t, got, path.name, data, err, refErr)
 		if err == nil && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T via %s of %q:\n got %#v\nwant %#v", got, path.name, data, got, want)
 		}
 	}
 }
 
+// checkSyntaxError fails when the reference, json.Unmarshal, answered a
+// syntax error and the decode under test did not answer its text.
+// encoding/json checks a whole body before it types any of it, so a body
+// with a type error and a syntax error answers the syntax error.
+func checkSyntaxError(t testing.TB, got any, path string, data []byte, err, refErr error) {
+	t.Helper()
+	var se *json.SyntaxError
+	if errors.As(refErr, &se) && (err == nil || err.Error() != refErr.Error()) {
+		t.Fatalf("%T via %s of %q: error %v, reference syntax error %v", got, path, data, err, refErr)
+	}
+}
+
 // TestWireDecodeAllocs bounds the allocations of the daemons' decode of
-// a 25-task sporadic analyze body. The nested decoders made 34; the walk
-// leaves the request value and its task slice. Race builds skip it:
-// there json.Valid allocates too (see raceEnabled).
+// a 25-task sporadic analyze body and of a one-task proposal. The nested
+// decoders made 34 for the analyze body; the walk leaves the request value
+// and its task slice. The proposal went through json.Unmarshal's
+// reflection and made 7; its own walk leaves the request value and the
+// task.
 func TestWireDecodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("json.Valid allocates under the race detector")
-	}
-	body := wireBodies()[0].body
-	allocs := testing.AllocsPerRun(100, func() {
-		var req AnalyzeRequest
-		if err := DecodeJSON(body, &req); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		max  float64
+	}{{"analyze-25", 10}, {"propose-1", 2}} {
+		wb := requestBody(t, c.name)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := wb.decode(wb.body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("decoding %s: %.0f allocs, want at most %.0f", c.name, allocs, c.max)
 		}
-	})
-	if allocs > 10 {
-		t.Errorf("decoding a 25-task analyze body: %.0f allocs, want at most 10", allocs)
 	}
+}
+
+// requestBody returns the decode benchmark's request body of the given name.
+func requestBody(t testing.TB, name string) wireBody {
+	for _, wb := range wireBodies() {
+		if wb.name == name {
+			return wb
+		}
+	}
+	t.Fatalf("no request body %q", name)
+	return wireBody{}
 }

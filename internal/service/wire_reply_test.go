@@ -43,7 +43,8 @@ func wireCompatReplies(t testing.TB) []string {
 // through json.Unmarshal (the path of replies nested in other values).
 // Both must succeed exactly when json.Unmarshal into the type's
 // method-free twin succeeds, and give a reflect.DeepEqual value, nil
-// versus empty included, whether or not they succeed.
+// versus empty included, whether or not they succeed; where the twin's
+// decode answers a syntax error, both must answer its text.
 func FuzzReplyJSON(f *testing.F) {
 	for _, body := range append(wireCompatReplies(f), readmeReplies...) {
 		f.Add([]byte(body))
@@ -73,6 +74,7 @@ func checkReplyDecode[T, P any](t testing.TB, data []byte) {
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("%T via %s of %q: error %v, reference error %v", got, path.name, data, err, refErr)
 		}
+		checkSyntaxError(t, got, path.name, data, err, refErr)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%T via %s of %q:\n got %#v\nwant %#v", got, path.name, data, got, want)
 		}
@@ -149,12 +151,8 @@ func TestReplyWalkTakesDaemonReplies(t *testing.T) {
 // TestReplyDecodeAllocs holds the client's decode of the benchmark's
 // analyze and partition replies at the allocations measured when the walk
 // replaced json.NewDecoder: the reply value and the strings and slices it
-// keeps, each slice allocated at its final length. Race builds skip it:
-// there json.Valid allocates too (see raceEnabled).
+// keeps, each slice allocated at its final length.
 func TestReplyDecodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("json.Valid allocates under the race detector")
-	}
 	for _, c := range []struct {
 		name string
 		max  float64

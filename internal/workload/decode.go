@@ -23,54 +23,77 @@ type Field struct {
 }
 
 // DecodeRequest decodes a request object that carries a workload into w
-// and the caller's fields. It checks data with json.Valid once, walks the
-// object once, and then types the last "tasks" array under the final
-// "model": sporadic and partitioned arrays by hand, event arrays and the
-// processors through json.Unmarshal on their own spans. The result equals
+// and the caller's fields. It walks the object once and checks its
+// syntax on the way, as json.Valid would: the walk checks the object's
+// keys and punctuation, and the scanner's check takes each member value,
+// counting the "tasks" array as it goes. It then types the last "tasks"
+// array under the final "model": sporadic and partitioned arrays by hand,
+// event arrays and the processors through json.Unmarshal on their own
+// spans. The result, and the error for a body with a syntax error, equal
 // what encoding/json's struct decoding of the same bytes gives; the
 // package documentation lists the rules.
 func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
-	s, err := NewScanner(data)
-	if err != nil {
-		return err
-	}
+	s := Scanner{data: data}
 	var name, tasks, procs []byte // quoted model name and value spans; nil while absent
 	var nameEsc bool
 	var n int // elements of tasks
 	switch s.Peek() {
 	case 'n': // null decodes as an empty object
+		if !s.lit("null") || !s.end() {
+			return syntaxError(data)
+		}
 	case '{':
-		for s.Member() {
-			key := s.Key()
+		s.i++
+		for more := s.Peek() != '}'; more; {
+			key, ok := s.key()
+			if !ok {
+				return syntaxError(data)
+			}
 			start := s.i
 			switch {
 			case foldIs(key, "model"):
-				switch s.data[s.i] {
+				switch c := s.Peek(); c {
 				case 'n':
-					s.Skip()
+					ok = s.lit("null")
 				case '"':
-					name, nameEsc = s.Str()
+					nameEsc, ok = s.str()
+					name = data[start:s.i]
 				default:
-					return typeError("model", s.data[s.i], "a string")
+					return typed(data, typeError("model", c, "a string"))
 				}
 			case foldIs(key, "tasks"):
-				n = s.Skip()
-				tasks = s.data[start:s.i]
+				n, ok = s.skip(1)
+				tasks = data[start:s.i]
 			case foldIs(key, "processors"):
-				procs = s.Value()
+				_, ok = s.skip(1)
+				procs = data[start:s.i]
 			default:
-				v := s.Value()
+				if _, ok = s.skip(1); !ok {
+					break
+				}
 				for _, f := range fields {
 					if foldIs(key, f.Name) {
-						if err := json.Unmarshal(v, f.Dst); err != nil {
-							return err
+						if err := json.Unmarshal(data[start:s.i], f.Dst); err != nil {
+							return typed(data, err)
 						}
 					}
 				}
 			}
+			if !ok {
+				return syntaxError(data)
+			}
+			if more, ok = s.next('}'); !ok {
+				return syntaxError(data)
+			}
+		}
+		if s.i++; !s.end() { // the '}'
+			return syntaxError(data)
 		}
 	default:
-		return typeError("request", s.data[s.i], "an object")
+		if _, ok := valid(data); !ok {
+			return syntaxError(data)
+		}
+		return typeError("request", data[s.i], "an object")
 	}
 	m, err := ParseModel(Unquote(name, nameEsc))
 	if err != nil {
@@ -115,6 +138,16 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 	return nil
 }
 
+// typed returns err, a typing error the walk met before it had checked
+// all of data, unless data has a syntax error: encoding/json checks a
+// whole body before it types any of it, so the syntax error wins.
+func typed(data []byte, err error) error {
+	if _, ok := valid(data); !ok {
+		return syntaxError(data)
+	}
+	return err
+}
+
 // UnmarshalJSON decodes {"model": ..., "tasks": [...]} through
 // DecodeRequest, dispatching the task element type on the model and
 // defaulting to sporadic when the discriminator is absent, so every
@@ -135,17 +168,25 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	switch s.Peek() {
+	return s.DecodeTask(t)
+}
+
+// DecodeTask decodes the task at the cursor into t as Task.UnmarshalJSON
+// decodes its bytes, and consumes it. The bytes must be checked already,
+// as NewScanner checks them.
+func (s *Scanner) DecodeTask(t *Task) error {
+	switch c := s.Peek(); c {
 	case 'n':
+		s.i += len("null")
 		*t = Task{Sporadic: &model.Task{}}
 		return nil
 	case '{':
 	default:
-		return typeError("task", s.data[s.i], "an object")
+		return typeError("task", c, "an object")
 	}
-	if probe := s; probe.hasKey("stream") {
+	if probe := *s; probe.hasKey("stream") {
 		var et eventstream.Task
-		if err := json.Unmarshal(data, &et); err != nil {
+		if err := json.Unmarshal(s.Value(), &et); err != nil {
 			return fmt.Errorf("workload: event task: %w", err)
 		}
 		*t = Task{Event: &et}
@@ -305,37 +346,248 @@ func ParseInt(lit []byte) (int64, bool) {
 	return v, true
 }
 
-// Scanner walks bytes that json.Valid accepted, one value at a time. It
-// is the one JSON scanner of the wire decoders: DecodeRequest walks
-// request bodies on it, and package service walks replies on it. It
-// checks no syntax, and on such input no index it reads reaches
+// Scanner walks JSON one value at a time. It is the one JSON scanner of
+// the wire decoders: DecodeRequest walks request bodies on it, and
+// package service walks replies on it. Its check (skip) accepts exactly
+// the bytes json.Valid accepts; DecodeRequest runs it on each member
+// value as it walks, NewScanner on a whole body before a walk. The
+// exported methods walk bytes already checked and check nothing beyond
+// what they consume, and on such bytes no index they read reaches
 // len(data).
 type Scanner struct {
 	data []byte
 	i    int
 }
 
-// NewScanner checks data with json.Valid, encoding/json's own syntax
-// check (its nesting limit and its rejection of trailing bytes
-// included), and returns a Scanner at the start of data, or
-// encoding/json's error for bytes that fail it.
+// NewScanner checks data as json.Valid does, encoding/json's nesting
+// limit and its rejection of trailing bytes included, and returns a
+// Scanner at the start of data, or encoding/json's error for bytes that
+// fail the check.
 func NewScanner(data []byte) (Scanner, error) {
-	if !json.Valid(data) {
+	if _, ok := valid(data); !ok {
 		return Scanner{}, syntaxError(data)
 	}
 	return Scanner{data: data}, nil
+}
+
+// maxDepth is encoding/json's nesting limit: a body may nest this many
+// arrays and objects, counted from its top.
+const maxDepth = 10000
+
+// valid checks that data is one JSON value with only whitespace around
+// it, under the grammar json.Valid checks, and returns the number of
+// elements when the value is an array.
+func valid(data []byte) (int, bool) {
+	s := Scanner{data: data}
+	n, ok := s.skip(0)
+	return n, ok && s.end()
+}
+
+// skip checks the value at the cursor, which depth arrays and objects
+// enclose, and consumes it. It returns the number of elements when the
+// value is an array, and ok false when the bytes are not a value, with
+// the cursor then somewhere inside them. It checks what json.Valid
+// checks: the nesting limit, the escapes, that a string holds no control
+// byte, the number grammar, the literals and the whitespace; like
+// json.Valid it does not check UTF-8.
+func (s *Scanner) skip(depth int) (n int, ok bool) {
+	switch s.Peek() {
+	case '"':
+		_, ok = s.str()
+	case '{':
+		ok = s.object(depth + 1)
+	case '[':
+		n, ok = s.array(depth + 1)
+	case 't':
+		ok = s.lit("true")
+	case 'f':
+		ok = s.lit("false")
+	case 'n':
+		ok = s.lit("null")
+	default:
+		ok = s.number()
+	}
+	return n, ok
+}
+
+// object checks and consumes the object at the cursor, the depth-th
+// container from the top.
+func (s *Scanner) object(depth int) bool {
+	if depth > maxDepth {
+		return false
+	}
+	s.i++ // '{'
+	for more := s.Peek() != '}'; more; {
+		if s.Peek() != '"' {
+			return false
+		}
+		if _, ok := s.str(); !ok || s.Peek() != ':' {
+			return false
+		}
+		s.i++
+		if _, ok := s.skip(depth); !ok {
+			return false
+		}
+		var ok bool
+		if more, ok = s.next('}'); !ok {
+			return false
+		}
+	}
+	s.i++ // '}'
+	return true
+}
+
+// array checks and consumes the array at the cursor, the depth-th
+// container from the top, and returns its number of elements.
+func (s *Scanner) array(depth int) (int, bool) {
+	if depth > maxDepth {
+		return 0, false
+	}
+	s.i++ // '['
+	n := 0
+	for more := s.Peek() != ']'; more; n++ {
+		if _, ok := s.skip(depth); !ok {
+			return 0, false
+		}
+		var ok bool
+		if more, ok = s.next(']'); !ok {
+			return 0, false
+		}
+	}
+	s.i++ // ']'
+	return n, true
+}
+
+// next reads the byte after a member or an element: it consumes a ','
+// and reports that another one follows, stops at the closing byte, and
+// reports ok false for any other byte.
+func (s *Scanner) next(closing byte) (more, ok bool) {
+	switch s.Peek() {
+	case ',':
+		s.i++
+		return true, true
+	case closing:
+		return false, true
+	}
+	return false, false
+}
+
+// str checks and consumes the string at the cursor, which must be at its
+// opening quote, and reports whether it needs encoding/json's unquoting:
+// whether it holds an escape or a byte that is not ASCII.
+func (s *Scanner) str() (esc, ok bool) {
+	d, j := s.data, s.i+1
+	for {
+		for j < len(d) && plain[d[j]] {
+			j++
+		}
+		if j == len(d) {
+			return esc, false
+		}
+		switch c := d[j]; {
+		case c == '"':
+			s.i = j + 1
+			return esc, true
+		case c == '\\':
+			esc = true
+			if j++; j == len(d) {
+				return esc, false
+			}
+			switch d[j] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(d)-j <= 4 || !isHex(d[j+1]) || !isHex(d[j+2]) || !isHex(d[j+3]) || !isHex(d[j+4]) {
+					return esc, false
+				}
+				j += 4
+			default:
+				return esc, false
+			}
+		case c < 0x20:
+			return esc, false
+		default: // not ASCII
+			esc = true
+		}
+		j++
+	}
+}
+
+// plain marks the bytes a string holds as they are: printable ASCII other
+// than the quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+func isHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'f' }
+
+// number checks and consumes the number at the cursor:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+func (s *Scanner) number() bool {
+	d, j, ok := s.data, s.i, false
+	if j < len(d) && d[j] == '-' {
+		j++
+	}
+	if j < len(d) && d[j] == '0' {
+		j++
+	} else if j, ok = digits(d, j); !ok {
+		return false
+	}
+	if j < len(d) && d[j] == '.' {
+		if j, ok = digits(d, j+1); !ok {
+			return false
+		}
+	}
+	if j < len(d) && d[j]|0x20 == 'e' {
+		if j++; j < len(d) && (d[j] == '+' || d[j] == '-') {
+			j++
+		}
+		if j, ok = digits(d, j); !ok {
+			return false
+		}
+	}
+	s.i = j
+	return true
+}
+
+// digits returns the index after the run of decimal digits that starts
+// at d[j], and whether the run is not empty.
+func digits(d []byte, j int) (int, bool) {
+	k := j
+	for k < len(d) && '0' <= d[k] && d[k] <= '9' {
+		k++
+	}
+	return k, k > j
+}
+
+// lit checks and consumes the literal w at the cursor.
+func (s *Scanner) lit(w string) bool {
+	if len(s.data)-s.i < len(w) || string(s.data[s.i:s.i+len(w)]) != w {
+		return false
+	}
+	s.i += len(w)
+	return true
+}
+
+// end reports whether only whitespace follows the cursor.
+func (s *Scanner) end() bool {
+	s.Peek()
+	return s.i == len(s.data)
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // Peek skips whitespace and returns the next byte, 0 at the end.
 func (s *Scanner) Peek() byte {
-	for s.i < len(s.data) && isSpace(s.data[s.i]) {
-		s.i++
+	for i := s.i; i < len(s.data); i++ {
+		if c := s.data[i]; c > ' ' || !isSpace(c) {
+			s.i = i
+			return c
+		}
 	}
-	if s.i < len(s.data) {
-		return s.data[s.i]
-	}
+	s.i = len(s.data)
 	return 0
 }
 
@@ -378,19 +630,33 @@ func (s *Scanner) Elem() bool {
 }
 
 // Key consumes a member's key and colon, leaving the cursor at the value,
-// and returns the key as encoding/json compares it. A key with an escape
-// is unquoted through json.Unmarshal; one with invalid UTF-8 matches no
-// field either way, so its raw bytes serve.
+// and returns the key as encoding/json compares it.
 func (s *Scanner) Key() []byte {
-	q, esc := s.Str()
-	raw := q[1 : len(q)-1]
-	if esc && bytes.IndexByte(raw, '\\') >= 0 {
-		raw = []byte(Unquote(q, esc))
+	key, _ := s.key()
+	return key
+}
+
+// key checks and consumes a member's key and colon, leaving the cursor at
+// the value, and returns the key as encoding/json compares it. A key with
+// an escape is unquoted through json.Unmarshal; one with invalid UTF-8
+// matches no field either way, so its raw bytes serve.
+func (s *Scanner) key() ([]byte, bool) {
+	if s.Peek() != '"' {
+		return nil, false
 	}
+	q := s.i
+	esc, ok := s.str()
+	end := s.i
+	if !ok || s.Peek() != ':' {
+		return nil, false
+	}
+	s.i++
 	s.Peek()
-	s.i++ // ':'
-	s.Peek()
-	return raw
+	raw := s.data[q+1 : end-1]
+	if esc && bytes.IndexByte(raw, '\\') >= 0 {
+		raw = []byte(Unquote(s.data[q:end], esc))
+	}
+	return raw, true
 }
 
 // Str consumes the string at the cursor and returns it with its quotes,
@@ -398,20 +664,8 @@ func (s *Scanner) Key() []byte {
 // byte that is not ASCII.
 func (s *Scanner) Str() (q []byte, esc bool) {
 	start := s.i
-	for j := start + 1; j < len(s.data); j++ {
-		switch c := s.data[j]; {
-		case c == '"':
-			s.i = j + 1
-			return s.data[start:s.i], esc
-		case c == '\\':
-			esc = true
-			j++
-		case c >= utf8.RuneSelf:
-			esc = true
-		}
-	}
-	s.i = len(s.data)
-	return s.data[start:], esc
+	esc, _ = s.str()
+	return s.data[start:s.i], esc
 }
 
 // Value consumes the value at the cursor and returns its bytes.
@@ -422,52 +676,10 @@ func (s *Scanner) Value() []byte {
 }
 
 // Skip consumes the value at the cursor and returns the number of
-// elements when it is an array.
+// elements when it is an array. It runs the scanner's check (skip), the
+// package's one value skipper, for the cursor it leaves.
 func (s *Scanner) Skip() int {
-	switch s.data[s.i] {
-	case '"':
-		s.Str()
-		return 0
-	case '{', '[':
-	default:
-		for s.i < len(s.data) {
-			switch c := s.data[s.i]; c {
-			case ',', '}', ']':
-				return 0
-			default:
-				if isSpace(c) {
-					return 0
-				}
-			}
-			s.i++
-		}
-		return 0
-	}
-	n := 0
-	if s.data[s.i] == '[' {
-		if probe := (Scanner{s.data, s.i + 1}); probe.Peek() != ']' {
-			n = 1
-		}
-	}
-	for depth := 0; s.i < len(s.data); {
-		switch s.data[s.i] {
-		case '"':
-			s.Str()
-			continue
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				s.i++
-				return n
-			}
-		case ',':
-			if depth == 1 {
-				n++
-			}
-		}
-		s.i++
-	}
+	n, _ := s.skip(0)
 	return n
 }
 
@@ -505,7 +717,8 @@ func foldIs(key []byte, name string) bool {
 	return bytes.EqualFold(key, []byte(name))
 }
 
-// syntaxError returns encoding/json's error for bytes json.Valid rejected.
+// syntaxError returns encoding/json's error for bytes that fail the
+// scanner's check, which are the bytes json.Valid rejects.
 func syntaxError(data []byte) error {
 	var v struct{}
 	return json.Unmarshal(data, &v)

@@ -9,15 +9,24 @@
 // # Decoding
 //
 // Every request that carries a workload decodes through DecodeRequest, a
-// walker that reads the body once. It first checks the bytes with
-// json.Valid, encoding/json's own syntax check (its nesting limit and its
-// rejection of trailing bytes included), and answers encoding/json's
-// error for bytes that fail it. It then walks the validated object once,
-// and afterwards types the task array under the final "model". The
-// decoded value equals what encoding/json's struct decoding gives for
-// the same bytes, which FuzzWorkloadJSON (engine) and FuzzRequestJSON
-// (service) check differentially against the nested decoders the walker
-// replaced. The rules it reproduces:
+// walker that reads the body once and checks its syntax on the way. The
+// walk checks the top-level object's keys and punctuation and the
+// whitespace after it; the scanner's check takes each member value, and
+// counts the "tasks" array in the same pass. That check accepts exactly
+// what json.Valid accepts: encoding/json's nesting limit of 10000 arrays
+// and objects counted from the top of the body, its escapes, its rule
+// that a string holds no control byte, its number grammar, literals and
+// whitespace, and, like json.Valid, no UTF-8 check (FuzzValid compares
+// the two). A body that fails it gets encoding/json's *json.SyntaxError.
+// Because encoding/json checks a whole body before it types any of it, a
+// typing error the walk meets before the end of the body (a non-string
+// "model", a field json.Unmarshal rejects) is answered only after the
+// whole body passes the check; otherwise the syntax error wins. After the
+// walk, the task array is typed under the final "model". The decoded
+// value equals what encoding/json's struct decoding gives for the same
+// bytes, which FuzzWorkloadJSON (engine) and FuzzRequestJSON (service)
+// check differentially against the nested decoders the walker replaced.
+// The rules it reproduces:
 //
 //   - Keys match case-insensitively under bytes.EqualFold, the
 //     equivalence of encoding/json's field matching ("TASKS" and
@@ -48,9 +57,12 @@
 // object takes the sporadic walk.
 //
 // One scanner, Scanner, serves requests and replies: DecodeRequest walks
-// request bodies on it, and package service walks the analyze, propose,
-// partition, session and commit replies on it. NewScanner runs the one
-// json.Valid check; the scanner itself checks no syntax. The reply walks
+// request bodies on it, and package service walks proposals and the
+// analyze, propose, partition, session and commit replies on it. Its
+// check is the package's one value skipper. NewScanner runs it once over
+// a whole body, the proposal task of Task.UnmarshalJSON included; the
+// walks that follow read checked bytes and check nothing more. The reply
+// walks
 // take the bodies the daemons write and skip unknown keys, and hand
 // anything else to encoding/json whole, into a method-free copy of the
 // reset value: a repeated key (encoding/json merges the occurrences), a
