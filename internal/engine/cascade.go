@@ -18,6 +18,7 @@ import (
 type Cascade struct {
 	sufficient []Analyzer
 	exact      Analyzer
+	info       Info
 }
 
 // NewCascade builds a cascade from the given sufficient stages (tried in
@@ -35,27 +36,27 @@ func NewCascade(sufficient []Analyzer, exact Analyzer) *Cascade {
 	if exact == nil {
 		exact = NewAllApprox()
 	}
-	return &Cascade{sufficient: sufficient, exact: exact}
+	stages := make([]string, 0, len(sufficient)+1)
+	for _, a := range sufficient {
+		stages = append(stages, a.Info().Name)
+	}
+	ex := exact.Info()
+	stages = append(stages, ex.Name)
+	return &Cascade{sufficient: sufficient, exact: exact, info: Info{
+		Name:     "cascade",
+		Label:    "cascade(" + strings.Join(stages, "→") + ")",
+		Kind:     ex.Kind,
+		Blocking: ex.Blocking,
+		Events:   ex.Events,
+	}}
 }
 
 // Info describes the cascade. It inherits the exact stage's kind,
 // blocking and event support: sufficient stages that cannot handle the
 // requested mode are skipped rather than consulted, so only the exact
-// authority constrains what the cascade accepts.
-func (c *Cascade) Info() Info {
-	stages := make([]string, 0, len(c.sufficient)+1)
-	for _, a := range c.sufficient {
-		stages = append(stages, a.Info().Name)
-	}
-	stages = append(stages, c.exact.Info().Name)
-	return Info{
-		Name:     "cascade",
-		Label:    "cascade(" + strings.Join(stages, "→") + ")",
-		Kind:     c.exact.Info().Kind,
-		Blocking: c.exact.Info().Blocking,
-		Events:   c.exact.Info().Events,
-	}
-}
+// authority constrains what the cascade accepts. A cascade does not
+// change after NewCascade, which builds the description once.
+func (c *Cascade) Info() Info { return c.info }
 
 // Analyze runs the stages cheapest-first and returns as soon as one is
 // definite. Iterations, revisions and the maximum superposition level

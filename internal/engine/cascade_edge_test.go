@@ -83,3 +83,24 @@ func TestCascadeEventsSkipsNonEventStages(t *testing.T) {
 		t.Fatalf("event cascade verdict %v", res.Verdict)
 	}
 }
+
+// TestCascadeInfoAllocs: the registered cascade describes itself without
+// allocating — Info runs for every placement, every analyze request and
+// every session reply — and the description names each stage in order.
+func TestCascadeInfoAllocs(t *testing.T) {
+	c := MustGet("cascade")
+	exact := NewAllApprox().Info()
+	want := Info{
+		Name:     "cascade",
+		Label:    "cascade(liu→devi→superpos→allapprox)",
+		Kind:     exact.Kind,
+		Blocking: exact.Blocking,
+		Events:   exact.Events,
+	}
+	if got := c.Info(); got != want {
+		t.Errorf("Info() = %+v, want %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = c.Info() }); n != 0 {
+		t.Errorf("Info() allocates %v times per call, want 0", n)
+	}
+}

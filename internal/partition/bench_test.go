@@ -64,6 +64,32 @@ func BenchmarkPlace(b *testing.B) {
 // each of 4, 8 and 16 processors, six of them overloaded.
 const mixPlatforms = 30
 
+// TestPlaceAllocs pins the allocations of one cold placement, the second
+// platform of BenchmarkPlaceMix's corpus (8 processors, 30 tasks; first
+// fit fails, worst-fit places them): the failed attempt's trail, the
+// result's own slices and strings, one fingerprint per final bin and the
+// re-proof batch of the bins the certificate decided. Final bins their
+// last trial proved are not analyzed again, fills are reported without
+// math/big, and no chunk plan is built.
+func TestPlaceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(1))
+	coldPlatform(rng, 0)
+	wl := coldPlatform(rng, 1)
+	cfg := Config{Workers: 1}
+	const bound = 57
+	n := testing.AllocsPerRun(100, func() {
+		if pl, err := Place(context.Background(), wl, cfg); err != nil || !pl.Feasible {
+			t.Fatalf("placement: feasible %v, %v", pl.Feasible, err)
+		}
+	})
+	if n > bound {
+		t.Errorf("Place allocates %v times per call, want at most %d", n, bound)
+	}
+}
+
 // BenchmarkPlaceMix measures one pass over a fixed seeded corpus of the
 // partition-cold shape (see coldPlatform): distinct platforms without a
 // cache, as cold requests see them, every heuristic in order, with the

@@ -40,18 +40,22 @@
 // UtilSum.CmpOne settles the gate and UtilSum.Cmp the rankings, a few
 // integer operations per candidate and comparison. Candidates of equal
 // speed rank by their fills alone, since the task adds the same fraction
-// to each; balance compares the grown fills across speeds.
+// to each; balance compares the grown fills across speeds. Worst-fit
+// across speeds compares speed·(1−fill), estimated once per admission in
+// float64 from the bracket, with an error bound of speed·2^-50: two
+// estimates further apart than their bounds decide.
 //
-// Registers decide the rest, exactly. Each bin's fill is also a
-// numeric.Chunked register on one chunk plan per placement, built over
-// the task periods (scaling keeps a task's period, so the plan covers
-// every bin). A grown fill within its truncation of 1 (three tasks of
-// utilization 1/3), two brackets that overlap (1/6 + 1/3 against 1/2),
-// and worst-fit's remaining capacity speed·(1−fill) across speeds are
-// compared on the registers, so every decision and every tie broken by
-// index is the exact one. The registers also give the reported
-// utilization. The placement touches math/big only when a register
-// promotes (a plan that cannot cover the periods, or an overflow), which
+// Registers decide the rest, exactly. A grown fill within its
+// truncation of 1 (three tasks of utilization 1/3), two brackets that
+// overlap (1/6 + 1/3 against 1/2) and two capacity estimates within
+// their bounds (a speed-2 bin at fill 1/2 against an empty speed-1 bin)
+// are compared on numeric.Chunked registers, so every decision and every
+// tie broken by index is the exact one. A bin's fill register is summed
+// over its scaled tasks the first time such a comparison needs it, on a
+// chunk plan the placement builds over the task periods with its first
+// register (scaling keeps a task's period, so the plan covers every
+// bin); most placements build neither. Registers promote to math/big
+// only on a plan that cannot cover the periods, or on an overflow, which
 // Stats.Promotions counts.
 //
 // # Trials on the incremental certificate
@@ -72,13 +76,21 @@
 //
 // # Verification, caching and parallelism
 //
-// The final bins of a placement are verified once more by the configured
-// analyzer, so every reported verdict and iteration count is the
-// analyzer's own. Only these bins are content-addressed, with the
-// sporadic fingerprint of their scaled task set — the same domain
-// /v1/analyze uses — so an injected Cache (the service's sharded LRU
-// satisfies the interface directly) serves repeated bins across requests
-// and across the fleet via the proxy's fingerprint routing. The misses
-// run in one batch through the engine's worker pool, bounded by
-// Config.Workers; the trials before them run on the calling goroutine.
+// Every reported verdict and iteration count is the configured
+// analyzer's own, on exactly the final bin. A bin whose last admitted
+// trial ran the analyzer reports that run and its wall time; a bin whose
+// last trial the certificate accepted is verified once more by the
+// analyzer. Only final bins are content-addressed, with the sporadic
+// fingerprint of their scaled task set — the same domain /v1/analyze
+// uses — so an injected Cache (the service's sharded LRU satisfies the
+// interface directly) serves repeated bins across requests and across
+// the fleet via the proxy's fingerprint routing, and receives every
+// verdict it did not serve. The bins left to verify run in one batch
+// through the engine's worker pool, bounded by Config.Workers; the
+// trials before them run on the calling goroutine.
+//
+// A bin's reported fill, Σ ceil(C/speed)/T, is summed as a uint64
+// fraction in lowest terms and printed as big.Rat would print it, with
+// the float64 nearest it; math/big computes it only when that fraction
+// overflows.
 package partition

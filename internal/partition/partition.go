@@ -4,10 +4,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/demand"
@@ -82,13 +84,15 @@ type Config struct {
 	// Options tune the per-bin analyses and contribute to their cache
 	// identity.
 	Options core.Options
-	// Workers bounds the batch runner's pool that verifies the final
-	// bins of a placement; <= 0 selects NumCPU. Trials during the search
-	// run on the calling goroutine.
+	// Workers bounds the batch runner's pool that re-proves the final
+	// bins whose last trial the incremental certificate decided; <= 0
+	// selects NumCPU. Trials during the search run on the calling
+	// goroutine.
 	Workers int
 	// Cache, when non-nil, serves final-bin verdicts whose fingerprint
-	// was analyzed before and receives every fresh one. Trials during the
-	// search never consult it.
+	// was analyzed before and receives every fresh one, whether a bin's
+	// last trial proved it or a re-proof did. Trials during the search
+	// never consult it.
 	Cache Cache
 	// Heuristics is the strategy order; empty selects AllHeuristics.
 	Heuristics []Heuristic
@@ -99,7 +103,8 @@ type Stats struct {
 	// BinChecks is the number of bin verdicts consulted: one per trial
 	// that passed the utilization gate, settled by the incremental
 	// certificate or an analyzer run, plus one per non-empty final bin
-	// of a feasible placement.
+	// of a feasible placement, served by the cache, by the analyzer run
+	// of its last trial, or by a re-proof.
 	BinChecks uint64 `json:"bin_checks"`
 	// CacheHits is how many final-bin verdicts came from the cache.
 	CacheHits uint64 `json:"cache_hits"`
@@ -108,12 +113,11 @@ type Stats struct {
 	GateRejections uint64 `json:"gate_rejections"`
 	// Promotions counts exits from the bounded-denominator arithmetic
 	// fast path, in the analyzer runs and in the placement's own exact
-	// fill registers. The gate and the rankings read fixed-point brackets
-	// and run a register operation only where a bracket cannot decide, on
-	// admission, and for worst-fit across speeds, so the placement's share
-	// counts those operations, not one per candidate; it promotes at all
-	// only on platforms whose periods no chunk plan covers, or on an
-	// overflow.
+	// fill registers. The gate and the rankings read brackets, and a
+	// bin's registers, with the chunk plan they are bound to, are built
+	// only where a bracket cannot decide, so the placement's share counts
+	// only register operations that ran; it promotes at all only on
+	// platforms whose periods no chunk plan covers, or on an overflow.
 	Promotions uint64 `json:"promotions,omitempty"`
 }
 
@@ -138,7 +142,9 @@ type ProcessorReport struct {
 	Verdict string `json:"verdict"`
 	// Iterations is the verifying analysis' effort metric.
 	Iterations int64 `json:"iterations,omitempty"`
-	// WallNS is the verifying analysis' wall time (0 on a cache hit).
+	// WallNS is the verifying analysis' wall time: the bin's last trial
+	// when that trial ran the analyzer, the re-proof otherwise, 0 on a
+	// cache hit.
 	WallNS int64 `json:"wall_ns,omitempty"`
 	// CacheHit reports whether the final verdict came from the cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
@@ -237,9 +243,9 @@ func BinTasks(wl workload.Workload, proc int, tasks []int) model.TaskSet {
 	return out
 }
 
-// bin is one processor's working state during placement. Its registers
-// are bound to the placer's plan; the slices and the certificate keep
-// their memory from one heuristic, and one placement, to the next.
+// bin is one processor's working state during placement. The slices,
+// the certificate and the registers keep their memory from one
+// heuristic, and one placement, to the next.
 type bin struct {
 	speed  int64
 	tasks  []int         // original task indices, placement order
@@ -250,41 +256,109 @@ type bin struct {
 	// util brackets the fill and grown the fill plus the task at hand;
 	// they decide the gate and the rankings.
 	util, grown numeric.UtilSum
-	fill        numeric.Chunked // Σ ceil(C/speed)/T, exactly
-	// after is fill plus the task at hand, computed only where a bracket
-	// cannot decide (afterSet).
-	after    numeric.Chunked
-	afterSet bool
+	// room estimates the remaining absolute capacity speed·(1−fill) from
+	// util, to within roomErr (see cmpRoom): worst-fit's key across
+	// speeds.
+	room, roomErr float64
 	// below reports the grown fill strictly below 1, as the gate found.
 	below bool
-	// rem is worst-fit's key across speeds, the remaining absolute
-	// capacity speed·(1−fill), computed from fill when remStale.
-	rem      numeric.Chunked
-	remStale bool
+	// last is the last admitted trial: the analyzer's verdict on exactly
+	// the bin, when that trial ran the analyzer.
+	last analysis
+	// The exact registers decide where a bracket cannot, each computed on
+	// first use and valid while its flag is set: fill is
+	// Σ ceil(C/speed)/T, after is fill plus the task at hand, and rem is
+	// speed·(1−fill).
+	fill, after, rem          numeric.Chunked
+	fillSet, afterSet, remSet bool
 	// reason is why the bin refused the task at hand ("" while it is a
 	// candidate): the rejection trail of a task that fails everywhere.
 	reason string
 }
 
-// exactAfter returns fill plus task t exactly, computing the after
+// analysis is the outcome of a trial or a re-proof: the analyzer's result
+// and wall time, or, when ran is false, the incremental certificate's
+// acceptance, which carries no result to report.
+type analysis struct {
+	res  core.Result
+	wall int64 // ns
+	ran  bool
+}
+
+// setRoom estimates the remaining absolute capacity from the fill's
+// bracket.
+func (b *bin) setRoom() {
+	s := float64(b.speed)
+	b.room = s * (1 - b.util.Float())
+	b.roomErr = s * 0x1p-50
+}
+
+// cmpRoom orders the remaining absolute capacities speed·(1−fill) of x
+// and y by their estimates; ok is false when the estimates lie within
+// their combined error and the exact registers must decide. For a fill
+// f <= 1, UtilSum.Float is within 2^-52 of f (one rounding, and a
+// truncation far below it); 1−F, the speed's conversion to float64 and
+// the product each round once more, by at most 2^-53 of a value no
+// larger than s. An estimate is thus within 5·2^-53·s of s·(1−f), and the
+// error bound s·2^-50 = 8·2^-53·s leaves room for the rounding of the
+// difference and of the bounds' sum, which is formed in float64, since
+// two speeds may not sum within an int64.
+func cmpRoom(x, y *bin) (int, bool) {
+	d := x.room - y.room
+	if math.Abs(d) <= x.roomErr+y.roomErr {
+		return 0, false
+	}
+	if d > 0 {
+		return 1, true
+	}
+	return -1, true
+}
+
+// exactFill returns b's fill register, summed over the bin's scaled
+// tasks on first use after a change. The placement's first register
+// builds the chunk plan over every task period: scaling keeps a task's
+// period, so one plan covers every bin.
+func (p *placer) exactFill(b *bin) *numeric.Chunked {
+	if !b.fillSet {
+		if !p.planned {
+			p.periods = p.periods[:0]
+			for _, t := range p.wl.PartTasks {
+				p.periods = append(p.periods, t.Period)
+			}
+			// A failed build leaves the plan empty; the registers then
+			// compute exactly on math/big.
+			p.plan.Build(p.periods)
+			p.planned = true
+		}
+		b.fill.Init(&p.plan)
+		for _, st := range b.scaled {
+			b.fill.AddRat(st.WCET, st.Period)
+		}
+		b.fillSet = true
+	}
+	return &b.fill
+}
+
+// exactAfter returns b's fill plus task t exactly, computing the after
 // register on first use for the task at hand.
-func (b *bin) exactAfter(t *model.Task) *numeric.Chunked {
+func (p *placer) exactAfter(b *bin, t *model.Task) *numeric.Chunked {
 	if !b.afterSet {
-		b.after.CopyFrom(&b.fill)
+		b.after.CopyFrom(p.exactFill(b))
 		b.after.AddRat(ceilDiv(t.WCET, b.speed), t.Period)
 		b.afterSet = true
 	}
 	return &b.after
 }
 
-// remaining returns the remaining absolute capacity speed·(1−fill).
-func (b *bin) remaining() *numeric.Chunked {
-	if b.remStale {
-		b.rem.CopyFrom(&b.fill)
+// remaining returns b's remaining absolute capacity speed·(1−fill)
+// exactly.
+func (p *placer) remaining(b *bin) *numeric.Chunked {
+	if !b.remSet {
+		b.rem.CopyFrom(p.exactFill(b))
 		b.rem.Neg()
 		b.rem.AddInt(1)
 		b.rem.MulInt(b.speed)
-		b.remStale = false
+		b.remSet = true
 	}
 	return &b.rem
 }
@@ -301,13 +375,16 @@ type placer struct {
 	certify  bool         // trials try the incremental certificate first
 	opt      core.Options // cfg.Options with the placer's Scratch
 	scratch  *demand.Scratch
-	plan     numeric.Plan // chunk denominators of every task period
-	periods  []int64
-	bins     []bin
-	order    []int // task indices, decreasing utilization
-	asg      []int // processor of each task
-	cands    []int // processors that can take the task at hand, ranked
-	stats    Stats
+	// plan holds the chunk denominators of every task period, built with
+	// the placement's first exact register (planned).
+	plan    numeric.Plan
+	planned bool
+	periods []int64
+	bins    []bin
+	order   []int // task indices, decreasing utilization
+	asg     []int // processor of each task
+	cands   []int // processors that can take the task at hand, ranked
+	stats   Stats
 	// heuristics is the strategy order, parsed from cfg.Heuristics.
 	heuristics []Heuristic
 }
@@ -386,26 +463,19 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 	return out, nil
 }
 
-// init prepares a recycled placer for one placement: the task order, the
-// chunk plan and one bin per processor, reusing what earlier placements
-// allocated. Scaling a task to a processor keeps its period, so one plan
-// over the periods covers every bin's fill.
+// init prepares a recycled placer for one placement: the task order and
+// one bin per processor, reusing what earlier placements allocated. The
+// chunk plan waits for the first bracket that cannot decide.
 func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name string, cfg Config) {
 	p.wl, p.analyzer, p.name, p.cfg = wl, analyzer, name, cfg
 	p.certify = incremental.Eligible(analyzer.Info().Name, cfg.Options)
 	p.opt = cfg.Options
 	p.opt.Scratch = p.scratch
 	p.stats = Stats{}
+	p.planned = false
 	n, m := len(wl.PartTasks), len(wl.Processors)
 	p.order = taskOrder(p.order, wl.PartTasks)
 	p.asg = slices.Grow(p.asg[:0], n)[:n]
-	p.periods = p.periods[:0]
-	for _, t := range wl.PartTasks {
-		p.periods = append(p.periods, t.Period)
-	}
-	// A failed build leaves the plan empty; the registers then compute
-	// exactly on math/big.
-	p.plan.Build(p.periods)
 	if cap(p.bins) < m {
 		p.bins = append(p.bins[:cap(p.bins)], make([]bin, m-cap(p.bins))...)
 	}
@@ -413,9 +483,6 @@ func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name strin
 	for j := range p.bins {
 		b := &p.bins[j]
 		b.speed = wl.Processors[j].EffectiveSpeed()
-		b.fill.Init(&p.plan)
-		b.after.Init(&p.plan)
-		b.rem.Init(&p.plan)
 		if p.certify && b.cert == nil {
 			b.cert = incremental.New(engine.DefaultSuperPosLevel)
 		}
@@ -435,7 +502,9 @@ func (p *placer) release() {
 // promotions folded in.
 func (p *placer) finish() Stats {
 	st := p.stats
-	st.Promotions += p.plan.Promotions()
+	if p.planned {
+		st.Promotions += p.plan.Promotions()
+	}
 	return st
 }
 
@@ -468,8 +537,9 @@ func (p *placer) reset() {
 		b.tasks = b.tasks[:0]
 		b.scaled = b.scaled[:0]
 		b.util = numeric.UtilSum{}
-		b.fill.SetZero()
-		b.remStale = true
+		b.setRoom()
+		b.last = analysis{}
+		b.fillSet, b.remSet = false, false
 		if p.certify {
 			b.cert.Reset()
 		}
@@ -500,7 +570,7 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 			b.grown = b.util.Add(ceilDiv(task.WCET, b.speed), task.Period)
 			c, ok := b.grown.CmpOne()
 			if !ok {
-				c = b.exactAfter(&task.Task).CmpInt(1)
+				c = p.exactAfter(b, &task.Task).CmpInt(1)
 			}
 			if c > 0 {
 				p.stats.GateRejections++
@@ -516,11 +586,12 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 		won := false
 		for _, j := range p.cands {
 			st := scaledTask(task.Task, p.bins[j].speed)
-			if v := p.trial(&p.bins[j], st); v != core.Feasible {
+			a := p.trial(&p.bins[j], st)
+			if v := a.res.Verdict; v != core.Feasible {
 				p.bins[j].reason = v.String()
 				continue
 			}
-			p.admit(j, ti, st)
+			p.admit(j, ti, st, a)
 			won = true
 			break
 		}
@@ -557,17 +628,20 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 			if c, ok := x.util.Cmp(y.util); ok {
 				return c
 			}
-			return x.fill.Cmp(&y.fill)
+			return p.exactFill(x).Cmp(p.exactFill(y))
 		}
 		if h == WorstFit {
 			// Remaining absolute capacity, largest first.
-			return y.remaining().Cmp(x.remaining())
+			if c, ok := cmpRoom(y, x); ok {
+				return c
+			}
+			return p.remaining(y).Cmp(p.remaining(x))
 		}
 		// Grown fill, smallest first.
 		if c, ok := x.grown.Cmp(y.grown); ok {
 			return c
 		}
-		return x.exactAfter(t).Cmp(y.exactAfter(t))
+		return p.exactAfter(x, t).Cmp(p.exactAfter(y, t))
 	})
 }
 
@@ -577,52 +651,54 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 // the eligible cascade accepts too. It needs grown utilization strictly
 // below 1; otherwise, and whenever it cannot accept, the analyzer runs
 // on the tentative bin.
-func (p *placer) trial(b *bin, st model.Task) core.Verdict {
+func (p *placer) trial(b *bin, st model.Task) analysis {
 	p.stats.BinChecks++
 	if p.certify && b.below {
 		if ok, _ := b.cert.Check(workload.SporadicTask(st)); ok {
-			return core.Feasible
+			return analysis{res: core.Result{Verdict: core.Feasible}}
 		}
 	}
 	// The spare capacity of scaled holds the tentative bin; admit keeps
 	// it, a rejection leaves it to be overwritten.
 	tent := append(b.scaled, st)
 	p0 := p.opt.Scratch.ArithPromotions()
+	start := time.Now()
 	res := p.analyzer.Analyze(tent, p.opt)
+	wall := time.Since(start)
 	p.stats.Promotions += p.opt.Scratch.ArithPromotions() - p0
-	return res.Verdict
+	return analysis{res: res, wall: int64(wall), ran: true}
 }
 
-// admit places task ti, scaled to st, on processor j.
-func (p *placer) admit(j, ti int, st model.Task) {
+// admit places task ti, scaled to st, on processor j, whose trial a
+// decided.
+func (p *placer) admit(j, ti int, st model.Task, a analysis) {
 	b := &p.bins[j]
 	b.tasks = append(b.tasks, ti)
 	b.scaled = append(b.scaled, st)
 	b.util = b.grown
-	if b.afterSet {
-		b.fill.CopyFrom(&b.after)
-	} else {
-		b.fill.AddRat(st.WCET, st.Period)
-	}
-	b.remStale = true
+	b.setRoom()
+	b.last = a
+	b.fillSet, b.remSet = false, false
 	if p.certify {
 		b.cert.Admit(workload.SporadicTask(st))
 	}
 	p.asg[ti] = j
 }
 
-// finalReports verifies each final bin for the response: the cache
-// serves bins it has seen, the rest run in one batch through the
-// engine's worker pool. Only these bins are fingerprinted, so a bin
-// verdict is reused across requests and, through the proxy's
-// fingerprint routing, across the fleet.
+// finalReports reports each final bin. The cache serves bins it has
+// seen; a bin whose last admitted trial ran the analyzer reports that
+// run, the analyzer's own verdict on exactly this bin; the bins the
+// certificate decided run in one batch through the engine's worker pool.
+// Only final bins are fingerprinted, so a bin verdict is reused across
+// requests and, through the proxy's fingerprint routing, across the
+// fleet.
 func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 	reports := make([]ProcessorReport, len(p.bins))
 	var jobs []engine.Job
 	var idx []int
 	for j := range p.bins {
-		b := &p.bins[j]
-		r := ProcessorReport{
+		b, r := &p.bins[j], &reports[j]
+		*r = ProcessorReport{
 			Index:            j,
 			Name:             p.wl.Processors[j].Name,
 			Speed:            b.speed,
@@ -630,13 +706,10 @@ func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 			UtilizationExact: "0",
 		}
 		if len(b.tasks) == 0 {
-			reports[j] = r
 			continue
 		}
 		r.Tasks = slices.Clone(b.tasks)
-		fill := b.fill.Rat()
-		r.Utilization, _ = fill.Float64()
-		r.UtilizationExact = fill.RatString()
+		r.Utilization, r.UtilizationExact = fill(b.scaled)
 		if key, ok := engine.Fingerprint(b.scaled, p.name, p.cfg.Options); ok {
 			r.Fingerprint = key
 			if p.cfg.Cache != nil {
@@ -646,14 +719,14 @@ func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 					r.Verdict = res.Verdict.String()
 					r.Iterations = res.Iterations
 					r.CacheHit = true
-					reports[j] = r
 					continue
 				}
 			}
 		}
-		jobs = append(jobs, engine.Job{Set: b.scaled, Analyzer: p.analyzer, Opt: p.cfg.Options})
-		idx = append(idx, j)
-		reports[j] = r
+		if !b.last.ran {
+			jobs = append(jobs, engine.Job{Set: b.scaled, Analyzer: p.analyzer, Opt: p.cfg.Options})
+			idx = append(idx, j)
+		}
 	}
 	if len(jobs) > 0 {
 		results := engine.Run(ctx, jobs, engine.RunOptions{Workers: p.cfg.Workers})
@@ -661,15 +734,21 @@ func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 			if jr.Err != nil {
 				return nil, jr.Err
 			}
-			p.stats.BinChecks++
 			p.stats.Promotions += jr.Promotions
-			j := idx[ri]
-			reports[j].Verdict = jr.Result.Verdict.String()
-			reports[j].Iterations = jr.Result.Iterations
-			reports[j].WallNS = int64(jr.Wall)
-			if p.cfg.Cache != nil && reports[j].Fingerprint != "" {
-				p.cfg.Cache.Put(reports[j].Fingerprint, jr.Result)
-			}
+			p.bins[idx[ri]].last = analysis{res: jr.Result, wall: int64(jr.Wall), ran: true}
+		}
+	}
+	for j := range reports {
+		b, r := &p.bins[j], &reports[j]
+		if len(b.tasks) == 0 || r.CacheHit {
+			continue
+		}
+		p.stats.BinChecks++
+		r.Verdict = b.last.res.Verdict.String()
+		r.Iterations = b.last.res.Iterations
+		r.WallNS = b.last.wall
+		if p.cfg.Cache != nil && r.Fingerprint != "" {
+			p.cfg.Cache.Put(r.Fingerprint, b.last.res)
 		}
 	}
 	return reports, nil

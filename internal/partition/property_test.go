@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/big"
@@ -228,6 +229,51 @@ func TestPlacementConfirmedByFullAnalyzer(t *testing.T) {
 		t.Fatal("no feasible trial — the generator is miscalibrated")
 	}
 	t.Logf("%d/%d trials feasible", feasible, trials)
+}
+
+// TestFinalBinsReportTheirLastTrial: a final bin whose last admitted
+// trial ran the analyzer reports that run instead of a second one, and
+// the bins the certificate decided are re-proved. Either way each bin's
+// verdict and iterations must be a fresh run's of the configured
+// analyzer on the whole bin. Configurations the certificate cannot serve
+// (a capped cascade, "pd") run the analyzer on every trial, so there
+// every final bin reports a trial, and a report of any earlier trial
+// than the bin's last shows as fewer iterations.
+func TestFinalBinsReportTheirLastTrial(t *testing.T) {
+	configs := []Config{
+		{Workers: 1},
+		{Workers: 1, Options: core.Options{MaxIterations: 1 << 40}},
+		{Workers: 1, Analyzer: "pd"},
+	}
+	rng := rand.New(rand.NewSource(17))
+	cold := rand.New(rand.NewSource(19))
+	bins := 0
+	for trial := range 300 {
+		wl := randomPartitioned(rng)
+		if trial%2 == 1 {
+			wl = coldPlatform(cold, trial)
+		}
+		cfg := configs[trial%len(configs)]
+		analyzer := engine.MustGet(cmp.Or(cfg.Analyzer, "cascade"))
+		pl, err := Place(context.Background(), wl, cfg)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, rep := range pl.Processors {
+			if len(rep.Tasks) == 0 {
+				continue
+			}
+			bins++
+			res := analyzer.Analyze(BinTasks(wl, rep.Index, rep.Tasks), cfg.Options)
+			if res.Verdict.String() != rep.Verdict || res.Iterations != rep.Iterations {
+				t.Fatalf("trial %d: processor %d with %d tasks reports (%s, %d), a fresh %s run says (%s, %d)",
+					trial, rep.Index, len(rep.Tasks), rep.Verdict, rep.Iterations, analyzer.Info().Name, res.Verdict, res.Iterations)
+			}
+		}
+	}
+	if bins == 0 {
+		t.Fatal("no final bins — the generators are miscalibrated")
+	}
 }
 
 // TestPlaceConcurrent places the same platforms from several goroutines

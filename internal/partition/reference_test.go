@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -255,6 +256,26 @@ func TestPlaceMatchesBigRatReference(t *testing.T) {
 	t.Logf("%d/2000 platforms placed, %d failed heuristic trails", feasible, failed)
 }
 
+// TestPlacePrimeWithoutPromotions: no chunk plan covers the periods of
+// primePlatform, so every exact register operation on its fills would
+// promote to math/big. The brackets decide every gate and every ranking
+// of these platforms, and their fills are reported without registers, so
+// no register runs and the placements report no promotions.
+func TestPlacePrimeWithoutPromotions(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	primes := primesAbove(1<<31, numeric.MaxChunks+4)
+	for i := range 100 {
+		wl := primePlatform(rng, primes)
+		pl, err := Place(context.Background(), wl, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Stats.Promotions != 0 {
+			t.Fatalf("platform %d: %d promotions, want 0", i, pl.Stats.Promotions)
+		}
+	}
+}
+
 // nearOnePeriods returns three pairwise-coprime periods just above 2^45
 // and WCETs whose utilizations sum to exactly 1 + sign/(p·q·r), within
 // 2^-135 of 1: a grown fill the bracket cannot place against 1. The
@@ -293,8 +314,11 @@ func nearOnePeriods(sign int64) (wcets, periods [3]int64) {
 // fills of exactly 1 and within 2^-128 of 1 at the gate (and the
 // certificate's strictly-below-1 test), fills that tie exactly from
 // different terms, and fills within 2^-128 of each other, in the
-// equal-speed rankings and in balance's grown fills across speeds. Each
-// shape first checks that the brackets indeed cannot decide.
+// equal-speed rankings and in balance's grown fills across speeds, and
+// remaining capacities speed·(1−fill) that tie exactly or differ by less
+// than worst-fit's estimate can tell across speeds, speeds near
+// MaxInt64 included. Each shape first checks that the brackets, or the
+// estimates, indeed cannot decide.
 func TestPlaceNearTiesMatchReference(t *testing.T) {
 	type term struct{ c, t int64 }
 	sum := func(terms ...term) numeric.UtilSum {
@@ -314,6 +338,24 @@ func TestPlaceNearTiesMatchReference(t *testing.T) {
 	undecided("1/3+1/3+1/3 against 1", sum(term{1, 3}, term{1, 3}, term{1, 3}), one)
 	undecided("1/6+1/3 against 1/2", sum(term{1, 6}, term{1, 3}), sum(term{1, 2}))
 	undecided("1/3+1/6+1/10 against 1/2+1/10", sum(term{1, 3}, term{1, 6}, term{1, 10}), sum(term{1, 2}, term{1, 10}))
+	// room is a bin of the given speed and fill as worst-fit sees it.
+	room := func(speed int64, fill numeric.UtilSum) *bin {
+		b := &bin{speed: speed, util: fill}
+		b.setRoom()
+		return b
+	}
+	roomUndecided := func(what string, x, y *bin) {
+		t.Helper()
+		if _, ok := cmpRoom(x, y); ok {
+			t.Fatalf("%s: the capacity estimates decide", what)
+		}
+	}
+	const top = math.MaxInt64
+	roomUndecided("2·(1−1/2) against 1·(1−0)", room(2, sum(term{1, 2})), room(1, sum()))
+	roomUndecided("2·(1−(1/2−2^-61)) against 1·(1−0)", room(2, sum(term{1<<60 - 1, 1 << 61})), room(1, sum()))
+	roomUndecided("2·(1−(1/2+2^-61)) against 1·(1−0)", room(2, sum(term{1<<60 + 1, 1 << 61})), room(1, sum()))
+	roomUndecided("MaxInt64−1 against MaxInt64", room(top-1, sum()), room(top, sum()))
+	roomUndecided("MaxInt64·(1−2^-62) against MaxInt64−1", room(top, sum(term{1, 1 << 62})), room(top-1, sum()))
 	shapes := map[string]workload.Workload{
 		// The third task grows the bin to exactly 1: the gate and the
 		// certificate precondition fall back. In thirds-over a fourth
@@ -350,6 +392,38 @@ func TestPlaceNearTiesMatchReference(t *testing.T) {
 		"sixths":        {{WorstFit, 4, 0}, {Balance, 4, 0}},
 		"sixths-speeds": {{Balance, 3, 0}},
 	}
+	// Worst-fit across speeds. A speed-2 processor filled to 1/2 has the
+	// remaining capacity 1 of an empty speed-1 one: a tie the lower index
+	// wins. Filled to 1/2 ∓ 2^-61 it has 1 ± 2^-60, which no float64
+	// estimate near 1 tells from 1; the exact order puts the free task,
+	// placed last, on the processor the index order would not. Scaling
+	// halves the even WCETs exactly.
+	free := task("free", 1, 1<<40, 1<<40)
+	shapes["room-tie"] = workload.NewPartitioned([]workload.Processor{{}, {Speed: 2}}, []workload.PartitionedTask{
+		task("half", 1<<62, 1<<62, 1<<62, 1), free,
+	})
+	wants["room-tie"] = []want{{WorstFit, 1, 0}}
+	shapes["room-above"] = workload.NewPartitioned([]workload.Processor{{}, {Speed: 2}}, []workload.PartitionedTask{
+		task("half", 1<<61-2, 1<<61, 1<<61, 1), free,
+	})
+	wants["room-above"] = []want{{WorstFit, 1, 1}}
+	shapes["room-below"] = workload.NewPartitioned([]workload.Processor{{Speed: 2}, {}}, []workload.PartitionedTask{
+		task("quarter", 1<<61, 1<<62, 1<<62, 0), task("quarter+", 1<<61+4, 1<<62, 1<<62, 0), free,
+	})
+	wants["room-below"] = []want{{WorstFit, 2, 1}}
+	// Speeds near MaxInt64 scale every WCET to 1 and convert to the same
+	// float64, and two of them overflow an int64 sum. Exactly, processor 2
+	// (empty, MaxInt64) has the most room, then processor 0 (empty,
+	// MaxInt64−1), then processor 1 (MaxInt64 filled to 1/2^62).
+	shapes["room-maxint"] = workload.NewPartitioned([]workload.Processor{{Speed: top - 1}, {Speed: top}, {Speed: top}},
+		[]workload.PartitionedTask{task("pinned", 1<<61, 1<<62, 1<<62, 1), free})
+	wants["room-maxint"] = []want{{WorstFit, 1, 2}}
+	shapes["room-maxint-up"] = workload.NewPartitioned([]workload.Processor{{Speed: top - 1}, {Speed: top}},
+		[]workload.PartitionedTask{free})
+	wants["room-maxint-up"] = []want{{WorstFit, 0, 1}}
+	shapes["room-maxint-down"] = workload.NewPartitioned([]workload.Processor{{Speed: top}, {Speed: top - 1}},
+		[]workload.PartitionedTask{free})
+	wants["room-maxint-down"] = []want{{WorstFit, 0, 0}}
 	pin := func(ts []workload.PartitionedTask, j int) []workload.PartitionedTask {
 		out := slices.Clone(ts)
 		for i := range out {
