@@ -22,8 +22,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanRebuild$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzUtilSumCmp$$' -fuzztime $(FUZZTIME) ./internal/numeric/
+	$(GO) test -run '^$$' -fuzz '^FuzzCmpMulAdd$$' -fuzztime $(FUZZTIME) ./internal/numeric/
 	$(GO) test -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimReferee$$' -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzFillVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/partition/
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZTIME) ./internal/service/

@@ -73,7 +73,7 @@ func allApprox(srcs []demand.Uniform, cmp int, stopAt int64, opt Options) Result
 		// bound; without a horizon or cap the walk need not terminate.
 		return Result{Verdict: Undecided}
 	}
-	opt.walkRegs()
+	opt.walkRegs(srcs)
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {

@@ -77,8 +77,9 @@ func TestSpreadZeroAlloc(t *testing.T) {
 }
 
 // TestDeviZeroAlloc pins 0 allocs/op for Devi's sufficient test with a
-// reused Scratch, on both the grid and the spread shape (the latter
-// exercises the chunk-register prefix accumulators).
+// reused Scratch, on both the grid and the spread shape (the latter's
+// periods need the largest chunk plan, built only where a prefix
+// bracket cannot decide).
 func TestDeviZeroAlloc(t *testing.T) {
 	opt := Options{Scratch: demand.NewScratch()}
 	grid := benchGridSet(50, 95, 11)

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/demand"
 	"repro/internal/model"
 )
 
@@ -165,5 +166,17 @@ func BenchmarkDevi(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sinkResult = Devi(ts)
+	}
+}
+
+// BenchmarkDeviSpread runs Devi's test on the log-uniform set with a
+// reused Scratch: the shape whose chunk plan is the most expensive to
+// build, which Devi skips wherever its brackets decide.
+func BenchmarkDeviSpread(b *testing.B) {
+	ts := benchSpreadSet(50, 95, 11)
+	opt := Options{Scratch: demand.NewScratch()}
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkResult = DeviOpt(ts, opt)
 	}
 }

@@ -13,14 +13,16 @@
 //
 // Every test returns a Result carrying the verdict and the number of
 // checked test intervals ("iterations"), the metric the paper's evaluation
-// uses. Every rational accumulator — the approximated demand of the
-// superposition tests, Devi's prefix sums and the feasibility bounds —
-// runs in one exact arithmetic, the bounded-denominator chunk registers
-// of the analysis Scratch (numeric.Chunked), and every comparison of U
-// with 1 is decided exactly on a 128-bit fixed-point bracket
-// (demand.Scratch.UtilCmpOne), so no verdict is ever a rounding
-// artifact. Options.Arithmetic only selects the math/big reference
-// (ArithBigRat) the registers and the bracket are tested against.
+// uses. Every comparison is exact, so no verdict is ever a rounding
+// artifact. U against 1 (demand.Scratch.UtilCmpOne) and Devi's prefix
+// conditions are decided on 128-bit fixed-point brackets
+// (numeric.UtilSum), which build no chunk plan; where a bracket cannot
+// decide, and in every walk accumulator — the approximated demand of the
+// superposition tests and the feasibility bounds — the arithmetic is the
+// bounded-denominator chunk registers of the analysis Scratch
+// (numeric.Chunked), bound to the set's plan when the walk starts.
+// Options.Arithmetic only selects the math/big reference (ArithBigRat)
+// the registers and the brackets are tested against.
 //
 // The iterative tests walk []demand.Uniform, one concrete source type for
 // both activation models: a sporadic task is one source, and a Gresser

@@ -60,7 +60,7 @@ func dynamicError(srcs []demand.Uniform, cmp int, stopAt int64, opt Options) Res
 		// See allApprox: no implicit bound at full utilization.
 		return Result{Verdict: Undecided}
 	}
-	opt.walkRegs()
+	opt.walkRegs(srcs)
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs))
 	for i, s := range srcs {

@@ -76,14 +76,14 @@ type Arithmetic uint8
 const (
 	// ArithExact runs every accumulator on the scratch's bounded-
 	// denominator chunk registers (numeric.Chunked), which leave int64
-	// for math/big only when a value outgrows them, and compares U with
-	// 1 on a fixed-point bracket (default). Results are bit-identical to
-	// ArithBigRat.
+	// for math/big only when a value outgrows them, and decides U against
+	// 1 and Devi's prefix conditions on fixed-point brackets (default).
+	// Results are bit-identical to ArithBigRat.
 	ArithExact Arithmetic = 0
-	// ArithBigRat binds the approximated tests' accumulators to an empty
-	// chunk plan, so every fraction is computed in math/big, and compares
-	// U with 1 on the exact register sum — the reference ArithExact is
-	// property-tested against.
+	// ArithBigRat binds the approximated tests' accumulators, Devi's
+	// prefix sums among them, to an empty chunk plan, so every fraction
+	// is computed in math/big, and compares U with 1 on the exact
+	// register sum — the reference ArithExact is property-tested against.
 	ArithBigRat Arithmetic = 2
 )
 
@@ -165,10 +165,10 @@ func release(s *demand.Scratch) {
 }
 
 // cmpUtilOne returns the sign of U - 1 for the sources' total
-// utilization and binds the scratch registers to their chunk plan for the
-// walk that follows: demand.Scratch.UtilCmpOne, which decides on a
-// fixed-point bracket. Under ArithBigRat it compares the exact register
-// sum instead, so the reference stays independent of the bracket.
+// utilization: demand.Scratch.UtilCmpOne, which decides on a fixed-point
+// bracket and builds no chunk plan unless the bracket cannot decide.
+// Under ArithBigRat it compares the exact register sum instead, so the
+// reference stays independent of the bracket.
 func (o Options) cmpUtilOne(srcs []demand.Uniform) int {
 	if o.Arithmetic == ArithBigRat {
 		return o.Scratch.Util(srcs).CmpInt(1)
@@ -176,14 +176,15 @@ func (o Options) cmpUtilOne(srcs []demand.Uniform) int {
 	return o.Scratch.UtilCmpOne(srcs)
 }
 
-// walkRegs binds the scratch registers for an accumulator walk. They
-// stay on the chunk plan the preceding cmpUtilOne bound, except
-// under ArithBigRat, which moves them to the empty plan of the math/big
-// reference.
-func (o Options) walkRegs() {
+// walkRegs binds the scratch registers for an accumulator walk over the
+// sources: to their chunk plan, or under ArithBigRat to the empty plan of
+// the math/big reference.
+func (o Options) walkRegs(srcs []demand.Uniform) {
 	if o.Arithmetic == ArithBigRat {
 		o.Scratch.ArithBigRat()
+		return
 	}
+	o.Scratch.Bind(srcs)
 }
 
 // capacityAt returns the capacity available at interval I under the

@@ -39,7 +39,7 @@ func SuperPosSources(srcs []demand.Uniform, level int64, opt Options) Result {
 	if opt.cmpUtilOne(srcs) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1, MaxLevel: level}
 	}
-	opt.walkRegs()
+	opt.walkRegs(srcs)
 	tl := opt.Scratch.TestList(len(srcs))
 	jobs := opt.Scratch.Jobs(len(srcs)) // processed jobs per source
 	for i, s := range srcs {

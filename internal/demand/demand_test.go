@@ -1,6 +1,7 @@
 package demand
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -186,5 +187,39 @@ func TestSporadicOverflowSaturates(t *testing.T) {
 	s := UniformFromTask(model.Task{WCET: 10, Deadline: 1 << 40, Period: 1 << 40})
 	if got := s.JobDeadline(1 << 30); got != MaxInterval {
 		t.Errorf("overflowing deadline = %d, want MaxInterval", got)
+	}
+}
+
+// TestByDeadlineMatchesStableSort compares Scratch.ByDeadline with
+// model.TaskSet.SortedByDeadline, a stable sort of the tasks, on sets
+// with many equal deadlines: small deadlines, which take the packed
+// sort, and deadlines up to MaxInt64, which take the key sort.
+func TestByDeadlineMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sc := NewScratch()
+	for i := range 600 {
+		n := rng.Intn(70)
+		ts := make(model.TaskSet, n)
+		for j := range ts {
+			d := 1 + rng.Int63n(8)
+			switch i % 3 {
+			case 1:
+				d = 1<<57 - rng.Int63n(3) // packed only while n <= 64
+			case 2:
+				d = math.MaxInt64 - rng.Int63n(3)
+			}
+			ts[j] = model.Task{WCET: 1 + int64(j), Deadline: d, Period: 2 + int64(j)}
+		}
+		want := ts.SortedByDeadline()
+		got := sc.ByDeadline(ts)
+		if len(got) != len(want) {
+			t.Fatalf("set %d: %d keys for %d tasks", i, len(got), len(want))
+		}
+		for k, key := range got {
+			w := want[k]
+			if key.D != w.Deadline || key.C != w.WCET || key.T != w.Period || ts[key.Index] != w {
+				t.Fatalf("set %d, position %d: key %+v, stable sort %+v", i, k, key, w)
+			}
+		}
 	}
 }

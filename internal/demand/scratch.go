@@ -1,6 +1,8 @@
 package demand
 
 import (
+	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -39,10 +41,11 @@ type Scratch struct {
 	promos  uint64
 	regs    [ScratchRegs]numeric.Chunked
 
-	// The uniform walk's selection tree and the deadline-sorted task
-	// buffer.
+	// The uniform walk's selection tree, the deadline-ordered keys and
+	// their packed sort keys.
 	merge  LoserTree
-	sorted model.TaskSet
+	keys   []DeadlineKey
+	packed []uint64
 }
 
 // ScratchRegs is the size of the chunk-register bank. The widest
@@ -109,8 +112,10 @@ func (s *Scratch) Bools(n int) []bool {
 }
 
 // Bind binds the register bank to the bounded-denominator chunk plan
-// covering the sources' slope denominators, the plan every Util,
-// UtilCmpOne and walk over the same sources computes on. The plan is
+// covering the sources' slope denominators, the plan every Util and
+// register walk over the same sources computes on. A register walk binds
+// before it starts: the brackets that decide most comparisons need no
+// plan, so nothing else binds on their behalf. The plan is
 // kept while the denominator sequence is unchanged (the common case:
 // every stage of a cascade analyzes the same workload) and otherwise
 // rebuilt from the longest prefix the sequence shares with the previous
@@ -130,20 +135,21 @@ func (s *Scratch) Bind(srcs []Uniform) {
 // Util binds the register bank as Bind does and returns register 0
 // holding the sources' total utilization Σ UtilRat, exactly, for callers
 // that compute with U. A comparison of U with 1 is UtilCmpOne's, which
-// sums on the registers only when the fixed-point bracket cannot decide.
+// binds and sums on the registers only when the fixed-point bracket
+// cannot decide.
 func (s *Scratch) Util(srcs []Uniform) *numeric.Chunked {
 	s.Bind(srcs)
 	return s.utilReg(srcs)
 }
 
-// UtilCmpOne binds the register bank as Bind does and returns the sign
-// of U - 1 for the sources' total utilization U = Σ UtilRat. It decides
-// on numeric.UtilSum's 128-bit fixed-point bracket, a few integer
-// divisions per source whether or not a chunk plan covers the set, and
-// sums U exactly on register 0 only when U lies within 2^-128 per source
-// of 1, where the bracket cannot place it.
+// UtilCmpOne returns the sign of U - 1 for the sources' total
+// utilization U = Σ UtilRat. It decides on numeric.UtilSum's 128-bit
+// fixed-point bracket, a few integer divisions per source whether or not
+// a chunk plan covers the set, and binds the plan and sums U exactly on
+// register 0 (Util) only when U lies within 2^-128 per source of 1,
+// where the bracket cannot place it. A walk that follows binds for
+// itself.
 func (s *Scratch) UtilCmpOne(srcs []Uniform) int {
-	s.Bind(srcs)
 	var u numeric.UtilSum
 	for _, src := range srcs {
 		u = u.Add(src.UtilRat())
@@ -151,7 +157,7 @@ func (s *Scratch) UtilCmpOne(srcs []Uniform) int {
 	if c, ok := u.CmpOne(); ok {
 		return c
 	}
-	return s.utilReg(srcs).CmpInt(1)
+	return s.Util(srcs).CmpInt(1)
 }
 
 // utilReg sums the sources' utilization into register 0 on the bound
@@ -199,8 +205,11 @@ func (s *Scratch) ArithPromotions() uint64 {
 }
 
 // Reg returns register i of the chunk-register bank, zeroed and bound to
-// the plan of the last Bind, Util, UtilCmpOne or ArithBigRat call. Registers are shared working memory: a computation owns the
-// indices it uses until it returns.
+// the plan of the last Bind or Util call, or to the math/big reference's
+// empty plan after ArithBigRat. A register left on another set's plan
+// still computes exactly, through promotions, so a walk that forgets to
+// bind costs speed, not correctness. Registers are shared working
+// memory: a computation owns the indices it uses until it returns.
 func (s *Scratch) Reg(i int) *numeric.Chunked {
 	if s.useBig {
 		s.regs[i].Init(&s.bigPlan)
@@ -217,26 +226,51 @@ func (s *Scratch) MergeTree(n int) *LoserTree {
 	return &s.merge
 }
 
-// SortedByDeadline copies the tasks into a scratch buffer sorted by
-// non-decreasing relative deadline — the same stable order as
-// model.TaskSet.SortedByDeadline without the per-call clone. The result
-// is valid until the next SortedByDeadline call on the same Scratch.
-func (s *Scratch) SortedByDeadline(ts model.TaskSet) model.TaskSet {
-	if cap(s.sorted) < len(ts) {
-		s.sorted = make(model.TaskSet, 0, len(ts))
+// DeadlineKey is one task of a walk in deadline order: its relative
+// deadline, WCET and period, and its position in the task set, which
+// orders tasks with equal deadlines.
+type DeadlineKey struct {
+	D, C, T int64
+	Index   int
+}
+
+// ByDeadline returns the tasks' keys sorted by non-decreasing relative
+// deadline, ties in task-set order: the order of
+// model.TaskSet.SortedByDeadline, without copying or moving tasks. The
+// sort runs on one uint64 per task, D<<b | index for b index bits, where
+// every deadline fits the remaining bits (deadlines below 2^57 for up to
+// 64 tasks), and on the keys themselves otherwise. The result is valid
+// until the next ByDeadline call on the same Scratch.
+func (s *Scratch) ByDeadline(ts model.TaskSet) []DeadlineKey {
+	s.keys = slices.Grow(s.keys[:0], len(ts))
+	shift := bits.Len(uint(len(ts)))
+	packable := true
+	for _, t := range ts {
+		packable = packable && t.Deadline >= 0 && uint64(t.Deadline) < 1<<(64-shift)
 	}
-	s.sorted = append(s.sorted[:0], ts...)
-	slices.SortStableFunc(s.sorted, func(a, b model.Task) int {
-		switch {
-		case a.Deadline < b.Deadline:
-			return -1
-		case a.Deadline > b.Deadline:
-			return 1
-		default:
-			return 0
+	if !packable {
+		for i, t := range ts {
+			s.keys = append(s.keys, DeadlineKey{D: t.Deadline, C: t.WCET, T: t.Period, Index: i})
 		}
-	})
-	return s.sorted
+		slices.SortFunc(s.keys, func(a, b DeadlineKey) int {
+			if c := cmp.Compare(a.D, b.D); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Index, b.Index)
+		})
+		return s.keys
+	}
+	s.packed = slices.Grow(s.packed[:0], len(ts))
+	for i, t := range ts {
+		s.packed = append(s.packed, uint64(t.Deadline)<<shift|uint64(i))
+	}
+	slices.Sort(s.packed)
+	for _, p := range s.packed {
+		i := int(p & (1<<shift - 1))
+		t := ts[i]
+		s.keys = append(s.keys, DeadlineKey{D: t.Deadline, C: t.WCET, T: t.Period, Index: i})
+	}
+	return s.keys
 }
 
 // Sources adapts the task set to demand sources, rebuilding the scratch

@@ -32,14 +32,28 @@ func primesAbove(n int) []int64 {
 	return out
 }
 
-// unplannable builds a task set no chunk plan can cover.
+// unplannable builds a task set no chunk plan can cover. Its deadlines
+// sit one time unit below the periods, which keeps liu-layland
+// inconclusive, and Devi accepts it on its brackets.
 func unplannable() model.TaskSet {
 	var ts model.TaskSet
 	for _, p := range primesAbove(33) {
-		// Deadline < period keeps liu-layland inconclusive, so a stage
-		// that actually runs chunked arithmetic decides the set.
 		ts = append(ts, model.Task{WCET: 1, Deadline: p - 1, Period: p})
 	}
+	return ts
+}
+
+// unplannableTight is unplannable with the deadlines 2, 3, 3, 5, 6,
+// ..., 34. Then dbf(t) <= t, so the set is feasible, but Devi's
+// condition at the third task, 3 + 1/T1, exceeds D = 3: Devi rejects it
+// on its brackets, and superpos, whose walk sums slopes on the chunk
+// registers, decides it.
+func unplannableTight() model.TaskSet {
+	ts := unplannable()
+	for i := range ts {
+		ts[i].Deadline = int64(i + 2)
+	}
+	ts[2].Deadline = 3
 	return ts
 }
 
@@ -47,12 +61,12 @@ func unplannable() model.TaskSet {
 // accounting: on a workload that exceeds the chunk cap, the deciding
 // stage reports its fast-path exits, and the stage log's total matches
 // the scratch's monotonic tally. The liu stage only compares U with 1,
-// which the fixed-point bracket decides without a register, so it
-// records none.
+// and Devi decides this set's prefix conditions, on fixed-point
+// brackets without a register, so neither records any.
 func TestCascadeStagePromotionAttribution(t *testing.T) {
 	sc := demand.NewScratch()
 	var stages obs.StageLog
-	res := MustGet("cascade").Analyze(unplannable(), core.Options{Scratch: sc, Stages: &stages})
+	res := MustGet("cascade").Analyze(unplannableTight(), core.Options{Scratch: sc, Stages: &stages})
 	if res.Verdict != core.Feasible {
 		t.Fatalf("verdict %s, want feasible", res.Verdict)
 	}
@@ -69,6 +83,23 @@ func TestCascadeStagePromotionAttribution(t *testing.T) {
 	}
 	if liu := stages.Stage(0); liu.Name != "liu" || liu.Promotions != 0 {
 		t.Fatalf("first stage %q recorded %d promotions, want liu with 0", liu.Name, liu.Promotions)
+	}
+	if devi := stages.Stage(1); devi.Name != "devi" || devi.Verdict != core.NotAccepted.String() || devi.Promotions != 0 {
+		t.Fatalf("second stage %q: %s with %d promotions, want devi not-accepted with 0", devi.Name, devi.Verdict, devi.Promotions)
+	}
+
+	// Devi accepts unplannable() on its brackets: no stage runs a
+	// register, so the cascade records no promotions.
+	stages.Reset()
+	sc = demand.NewScratch()
+	if res := MustGet("cascade").Analyze(unplannable(), core.Options{Scratch: sc, Stages: &stages}); res.Verdict != core.Feasible {
+		t.Fatalf("unplannable verdict %s, want feasible", res.Verdict)
+	}
+	if deciding := stages.Stage(stages.Len() - 1); deciding.Name != "devi" {
+		t.Fatalf("unplannable decided by %q, want devi", deciding.Name)
+	}
+	if got := stages.Promotions(); got != 0 || sc.ArithPromotions() != 0 {
+		t.Fatalf("unplannable: stages recorded %d promotions, scratch %d, want 0", got, sc.ArithPromotions())
 	}
 
 	// Control: a plannable workload must attribute zero promotions.
@@ -87,10 +118,10 @@ func TestCascadeStagePromotionAttribution(t *testing.T) {
 
 // TestRunReportsJobPromotions pins the batch runner's per-job promotion
 // delta: measured against the pooled worker scratch, non-zero exactly
-// for the unplannable job.
+// for the unplannable job that reaches a register walk.
 func TestRunReportsJobPromotions(t *testing.T) {
 	jobs := Batch(
-		[]model.TaskSet{unplannable(), {{WCET: 2, Deadline: 8, Period: 10}}},
+		[]model.TaskSet{unplannableTight(), {{WCET: 2, Deadline: 8, Period: 10}}},
 		[]Analyzer{MustGet("cascade")},
 		core.Options{},
 	)

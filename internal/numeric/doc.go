@@ -4,10 +4,11 @@
 // All task parameters (execution times, deadlines, periods) are integer time
 // units, so the exact demand bound function dbf is pure int64 arithmetic.
 // The approximated tests and the feasibility bounds however accumulate
-// rational slopes C/T. Every such accumulator runs on Chunked registers,
-// one exact representation for every analysis. Comparing a utilization
-// with 1 needs no accumulator: UtilSum's fixed-point bracket decides it
-// (see Utilization against 1).
+// rational slopes C/T. Every such accumulator of a walk runs on Chunked
+// registers, one exact representation for every analysis. A comparison
+// that a fixed-point bracket settles needs no accumulator: UtilSum
+// decides a utilization against 1 and Devi's prefix conditions (see
+// Utilization against 1).
 //
 // # Bounded-denominator chunked values
 //
@@ -36,9 +37,10 @@
 // or a fraction's denominator divides no chunk; from then on it computes
 // in math/big and stays exact. Every promotion is counted on the owning
 // Plan, so the count measures the walks and bounds that left the fast
-// path, and the utilization comparisons the bracket could not decide. When Plan.Build cannot cover the denominators at all — more
-// mutually incompatible periods than MaxChunks, e.g. many
-// pairwise-coprime periods above 2^31 — the plan stays empty and every
+// path, and the comparisons a bracket could not decide. When Plan.Build
+// cannot cover the denominators at all — more mutually incompatible
+// periods than MaxChunks, e.g. many pairwise-coprime periods above
+// 2^31 — the plan stays empty and every
 // register bound to it promotes on its first fraction. The big.Rat
 // reference arithmetic of the analyzers binds its registers to an empty
 // plan on purpose, so it runs the same walks with every fraction in
@@ -56,18 +58,25 @@
 // arithmetic, a few divisions per term whether or not a plan covers the
 // periods, except for sums that close to 1, where the caller compares
 // exactly on chunk registers. UtilSum.Cmp orders two sums the same way,
-// undecided only where their brackets overlap. Three callers use the
-// bracket. An admission session's gate lives across proposals whose
-// periods nobody knows in advance, so no chunk plan fits it and the
-// session keeps a running UtilSum. Every analyzer stage opens with U
-// against 1, which demand.Scratch.UtilCmpOne decides on a fresh UtilSum
-// over the stage's sources; the math/big reference keeps the exact
-// register sum there, so it stays independent of the bracket. Partitioned
-// placement keeps a UtilSum per processor beside its exact fill register:
-// the bracket decides the utilization gate and the heuristics' bin
-// rankings, and the register only what the bracket cannot. The session's
-// other sum, the incremental anchor rebuild, is a one-shot walk over a
-// known source set and runs on a Scratch's registers like any analysis.
+// undecided only where their brackets overlap, and UtilSum.CmpMulAdd
+// compares u·d + g + b with d, undecided only where the bracket of that
+// value holds d. Four callers use the brackets. An admission session's
+// gate lives across proposals whose periods nobody knows in advance, so
+// no chunk plan fits it and the session keeps a running UtilSum. Every
+// analyzer stage opens with U against 1, which
+// demand.Scratch.UtilCmpOne decides on a fresh UtilSum over the stage's
+// sources, building no plan unless the bracket cannot decide; the
+// math/big reference keeps the exact register sum there, so it stays
+// independent of the bracket. Partitioned placement keeps a UtilSum per
+// processor beside its exact fill register: the bracket decides the
+// utilization gate and the heuristics' bin rankings, and the register
+// only what the bracket cannot. Devi's test keeps two UtilSums over its
+// deadline-ordered prefix, the utilization and the gap terms
+// (T - D)·C/T (UtilSum.AddMul forms their numerators in 128 bits), and
+// decides each prefix condition with CmpMulAdd; only a prefix that close
+// to equality re-runs the test on chunk registers. The session's other
+// sum, the incremental anchor rebuild, is a one-shot walk over a known
+// source set and runs on a Scratch's registers like any analysis.
 //
 // The package also contains overflow-checked int64 helpers (gcd, lcm,
 // checked multiplication/addition) shared by the bounds and demand

@@ -29,8 +29,22 @@ type UtilSum struct {
 
 // Add returns u + num/den for num >= 0 and den > 0.
 func (u UtilSum) Add(num, den int64) UtilSum {
-	d := uint64(den)
-	q, r := uint64(num)/d, uint64(num)%d
+	return u.add(0, uint64(num), uint64(den))
+}
+
+// AddMul returns u + a·b/den for a, b >= 0 and 0 < den with a <= den,
+// the product formed in 128 bits: Devi's gap term (T − D)·C/T, whose
+// numerator may not fit an int64.
+func (u UtilSum) AddMul(a, b, den int64) UtilSum {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return u.add(hi, lo, uint64(den))
+}
+
+// add adds (hi·2^64 + lo)/d for a numerator below d·2^63, which keeps
+// hi below d and the quotient below 2^63: Add's numerator is an int64,
+// and AddMul's a <= den and b < 2^63 bound its product.
+func (u UtilSum) add(hi, lo, d uint64) UtilSum {
+	q, r := bits.Div64(hi, lo, d)
 	// floor(r·2^128/den) as two base-2^64 digits; r < den keeps each
 	// division's high word below the divisor.
 	f1, r1 := bits.Div64(r, 0, d)
@@ -105,6 +119,62 @@ func (u UtilSum) Cmp(o UtilSum) (cmp int, ok bool) {
 	hi, borrow := bits.Sub64(b.hi, a.hi, borrow)
 	if b.ip-a.ip-borrow > 0 || hi > 0 || lo >= a.inexact {
 		return sign, true
+	}
+	return 0, false
+}
+
+// CmpMulAdd compares u·d + g + b with d for d > 0 and b >= 0: Devi's
+// prefix condition, with u the prefix's utilization, g its gap sum and b
+// the blocking at deadline d. The lower bound L = lo(u)·d + lo(g) + b is
+// exact in 64.128 fixed point, and the exact value S satisfies
+// L <= S < L + E·2^-128 with E = u.inexact·d + g.inexact, S == L when
+// E == 0. ok is false when that bracket holds d and S may lie on either
+// side of it or on it, when either integer part saturated, and for
+// d <= 0 or b < 0.
+func (u UtilSum) CmpMulAdd(d int64, g UtilSum, b int64) (cmp int, ok bool) {
+	if d <= 0 || b < 0 || u.ip == math.MaxUint64 || g.ip == math.MaxUint64 {
+		return 0, false
+	}
+	m := uint64(d)
+	// L's fraction, fh·2^64 + fl, and integer part ip; an integer part
+	// past 2^64 puts L, and with it S, above d.
+	ph, ip := bits.Mul64(u.ip, m)
+	if ph != 0 {
+		return 1, true
+	}
+	h1, h0 := bits.Mul64(u.hi, m)
+	l1, fl := bits.Mul64(u.lo, m)
+	fh, c := bits.Add64(h0, l1, 0)
+	h1 += c // h1 < m, so the carry cannot wrap it
+	fl, c = bits.Add64(fl, g.lo, 0)
+	fh, c = bits.Add64(fh, g.hi, c)
+	var c1, c2 uint64
+	ip, c = bits.Add64(ip, h1, c)
+	ip, c1 = bits.Add64(ip, g.ip, 0)
+	ip, c2 = bits.Add64(ip, uint64(b), 0)
+	if c|c1|c2 != 0 || ip > m {
+		return 1, true
+	}
+	// E in units of 2^-128: below 2^127 + 2^64, so it fits 128 bits.
+	eh, el := bits.Mul64(u.inexact, m)
+	el, c = bits.Add64(el, g.inexact, 0)
+	eh += c
+	exact := eh|el == 0
+	switch {
+	case ip == m && (fh|fl != 0 || !exact):
+		return 1, true // S >= L > d, or S > L = d
+	case ip == m:
+		return 0, true
+	case exact || ip < m-1:
+		// S = L < d, or S < L + 2^128 units <= ip + 2 <= d.
+		return -1, true
+	}
+	// ip = d - 1: S < L + E·2^-128 <= d while the fraction and E sum to
+	// at most 2^128 units.
+	sl, c := bits.Add64(fl, el, 0)
+	sh, c := bits.Add64(fh, eh, c)
+	if c == 0 || sh|sl == 0 {
+		return -1, true
 	}
 	return 0, false
 }
