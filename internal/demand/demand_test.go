@@ -192,8 +192,7 @@ func TestSporadicOverflowSaturates(t *testing.T) {
 
 // TestByDeadlineMatchesStableSort compares Scratch.ByDeadline with
 // model.TaskSet.SortedByDeadline, a stable sort of the tasks, on sets
-// with many equal deadlines: small deadlines, which take the packed
-// sort, and deadlines up to MaxInt64, which take the key sort.
+// with many equal deadlines, small ones and ones up to MaxInt64.
 func TestByDeadlineMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sc := NewScratch()
@@ -202,10 +201,7 @@ func TestByDeadlineMatchesStableSort(t *testing.T) {
 		ts := make(model.TaskSet, n)
 		for j := range ts {
 			d := 1 + rng.Int63n(8)
-			switch i % 3 {
-			case 1:
-				d = 1<<57 - rng.Int63n(3) // packed only while n <= 64
-			case 2:
+			if i%2 == 1 {
 				d = math.MaxInt64 - rng.Int63n(3)
 			}
 			ts[j] = model.Task{WCET: 1 + int64(j), Deadline: d, Period: 2 + int64(j)}

@@ -2,7 +2,6 @@ package demand
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -41,11 +40,9 @@ type Scratch struct {
 	promos  uint64
 	regs    [ScratchRegs]numeric.Chunked
 
-	// The uniform walk's selection tree, the deadline-ordered keys and
-	// their packed sort keys.
-	merge  LoserTree
-	keys   []DeadlineKey
-	packed []uint64
+	// The uniform walk's selection tree and the deadline-ordered keys.
+	merge LoserTree
+	keys  []DeadlineKey
 }
 
 // ScratchRegs is the size of the chunk-register bank. The widest
@@ -237,39 +234,18 @@ type DeadlineKey struct {
 // ByDeadline returns the tasks' keys sorted by non-decreasing relative
 // deadline, ties in task-set order: the order of
 // model.TaskSet.SortedByDeadline, without copying or moving tasks. The
-// sort runs on one uint64 per task, D<<b | index for b index bits, where
-// every deadline fits the remaining bits (deadlines below 2^57 for up to
-// 64 tasks), and on the keys themselves otherwise. The result is valid
-// until the next ByDeadline call on the same Scratch.
+// result is valid until the next ByDeadline call on the same Scratch.
 func (s *Scratch) ByDeadline(ts model.TaskSet) []DeadlineKey {
 	s.keys = slices.Grow(s.keys[:0], len(ts))
-	shift := bits.Len(uint(len(ts)))
-	packable := true
-	for _, t := range ts {
-		packable = packable && t.Deadline >= 0 && uint64(t.Deadline) < 1<<(64-shift)
-	}
-	if !packable {
-		for i, t := range ts {
-			s.keys = append(s.keys, DeadlineKey{D: t.Deadline, C: t.WCET, T: t.Period, Index: i})
-		}
-		slices.SortFunc(s.keys, func(a, b DeadlineKey) int {
-			if c := cmp.Compare(a.D, b.D); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Index, b.Index)
-		})
-		return s.keys
-	}
-	s.packed = slices.Grow(s.packed[:0], len(ts))
 	for i, t := range ts {
-		s.packed = append(s.packed, uint64(t.Deadline)<<shift|uint64(i))
-	}
-	slices.Sort(s.packed)
-	for _, p := range s.packed {
-		i := int(p & (1<<shift - 1))
-		t := ts[i]
 		s.keys = append(s.keys, DeadlineKey{D: t.Deadline, C: t.WCET, T: t.Period, Index: i})
 	}
+	slices.SortFunc(s.keys, func(a, b DeadlineKey) int {
+		if c := cmp.Compare(a.D, b.D); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Index, b.Index)
+	})
 	return s.keys
 }
 

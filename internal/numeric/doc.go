@@ -60,9 +60,10 @@
 // exactly on chunk registers. UtilSum.Cmp orders two sums the same way,
 // undecided only where their brackets overlap, and UtilSum.CmpMulAdd
 // compares u·d + g + b with d, undecided only where the bracket of that
-// value holds d. Four callers use the brackets. An admission session's
-// gate lives across proposals whose periods nobody knows in advance, so
-// no chunk plan fits it and the session keeps a running UtilSum. Every
+// value holds d; CmpOne is its case d = 1, g = b = 0. Four callers use
+// the brackets. An admission session's gate lives across proposals
+// whose periods nobody knows in advance, so no chunk plan fits it and
+// the session keeps a running UtilSum. Every
 // analyzer stage opens with U against 1, which
 // demand.Scratch.UtilCmpOne decides on a fresh UtilSum over the stage's
 // sources, building no plan unless the bracket cannot decide; the

@@ -66,26 +66,14 @@ func (u UtilSum) add(hi, lo, d uint64) UtilSum {
 
 // CmpOne compares the sum with 1. ok is false when the bound cannot
 // decide, lo < 1 < lo + inexact·2^-128: S may lie on either side of 1
-// or on it.
+// or on it. It is CmpMulAdd's comparison of u·1 + 0 + 0 with 1, except
+// that a saturated integer part, which CmpMulAdd leaves undecided, puts
+// S above 1.
 func (u UtilSum) CmpOne() (cmp int, ok bool) {
-	frac := u.hi|u.lo != 0
-	switch {
-	case u.ip > 1 || u.ip == 1 && (frac || u.inexact > 0):
-		// S >= lo > 1, or S > lo = 1 because a truncated term adds a
-		// positive remainder.
+	if u.ip == math.MaxUint64 {
 		return 1, true
-	case u.ip == 1:
-		return 0, true
-	case u.inexact == 0:
-		return -1, true
 	}
-	// lo < 1. S < lo + inexact·2^-128 <= 1 when the gap 1 - lo, which is
-	// 2^128 - (hi·2^64 + lo) units of 2^-128, covers inexact units. With
-	// hi below 2^64-1 the gap exceeds 2^64 units.
-	if u.hi != math.MaxUint64 || u.lo <= math.MaxUint64-u.inexact+1 {
-		return -1, true
-	}
-	return 0, false
+	return u.CmpMulAdd(1, UtilSum{}, 0)
 }
 
 // Cmp orders two sums. A sum without truncated terms is exactly lo; one
