@@ -93,13 +93,13 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchmerge: wrote %d benchmarks to %s\n", len(parsed.Benchmarks), *out)
 	if *gate > 0 {
-		violations, checked := gateCheck(merged, *gate)
+		violations, failed, checked := gateCheck(merged, *gate)
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "benchmerge: GATE:", v)
 		}
 		if len(violations) > 0 {
 			fmt.Fprintf(os.Stderr, "benchmerge: GATE FAILED: %d of %d benchmarks regressed more than %g%% vs the frozen baseline\n",
-				len(violations), checked, *gate)
+				failed, checked, *gate)
 			os.Exit(2)
 		}
 		if checked == 0 {
@@ -114,10 +114,11 @@ func main() {
 // past pct percent fail; allocation regressions fail past the same
 // threshold, except a 0-alloc baseline which fails on any allocation at
 // all (the 0-alloc hot-path contract is exact, and allocation counts do
-// not vary with runner hardware the way nanoseconds do).
-func gateCheck(f *File, pct float64) (violations []string, checked int) {
+// not vary with runner hardware the way nanoseconds do). failed counts
+// the benchmarks with at least one violation, of the checked ones.
+func gateCheck(f *File, pct float64) (violations []string, failed, checked int) {
 	if f.Baseline == nil || f.Current == nil {
-		return []string{"trend file is missing a baseline or current section"}, 0
+		return []string{"trend file is missing a baseline or current section"}, 0, 0
 	}
 	names := make([]string, 0, len(f.Current.Benchmarks))
 	for name := range f.Current.Benchmarks {
@@ -131,6 +132,7 @@ func gateCheck(f *File, pct float64) (violations []string, checked int) {
 		}
 		cur := f.Current.Benchmarks[name]
 		checked++
+		before := len(violations)
 		if base.NsPerOp > 0 {
 			if excess := 100 * (cur.NsPerOp - base.NsPerOp) / base.NsPerOp; excess > pct {
 				violations = append(violations, fmt.Sprintf(
@@ -148,20 +150,22 @@ func gateCheck(f *File, pct float64) (violations []string, checked int) {
 					"%s: %.0f B/op on a frozen 0-byte baseline", name, c))
 			}
 		}
-		if base.AllocsPerOp == nil || cur.AllocsPerOp == nil {
-			continue
+		if base.AllocsPerOp != nil && cur.AllocsPerOp != nil {
+			switch b, c := *base.AllocsPerOp, *cur.AllocsPerOp; {
+			case b == 0 && c > 0:
+				violations = append(violations, fmt.Sprintf(
+					"%s: %.0f allocs/op on a frozen 0-alloc baseline", name, c))
+			case b > 0 && 100*(c-b)/b > pct:
+				violations = append(violations, fmt.Sprintf(
+					"%s: %.0f allocs/op is %.1f%% above the baseline %.0f (threshold %g%%)",
+					name, c, 100*(c-b)/b, b, pct))
+			}
 		}
-		switch b, c := *base.AllocsPerOp, *cur.AllocsPerOp; {
-		case b == 0 && c > 0:
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f allocs/op on a frozen 0-alloc baseline", name, c))
-		case b > 0 && 100*(c-b)/b > pct:
-			violations = append(violations, fmt.Sprintf(
-				"%s: %.0f allocs/op is %.1f%% above the baseline %.0f (threshold %g%%)",
-				name, c, 100*(c-b)/b, b, pct))
+		if len(violations) > before {
+			failed++
 		}
 	}
-	return violations, checked
+	return violations, failed, checked
 }
 
 // parse consumes benchmark lines and echoes the rest to stderr.

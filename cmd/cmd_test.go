@@ -304,12 +304,16 @@ func TestBenchmergeGate(t *testing.T) {
 	}
 
 	// Any allocation on a 0-alloc baseline: fail even though ns/op is fine.
+	// The row breaks its 0-byte baseline too, and the summary counts it
+	// once.
 	leaky := "BenchmarkHot-8  1000  100000 ns/op  16 B/op  1 allocs/op\n" +
 		"BenchmarkWarm-8  500  200000 ns/op  64 B/op  4 allocs/op\n"
 	if o, err := feed(t, leaky, "-gate", "25"); err == nil {
 		t.Fatalf("allocation on 0-alloc baseline passed the gate:\n%s", o)
-	} else if !strings.Contains(o, "0-alloc baseline") {
+	} else if !strings.Contains(o, "0-alloc baseline") || !strings.Contains(o, "0-byte baseline") {
 		t.Errorf("alloc violation message:\n%s", o)
+	} else if !strings.Contains(o, "GATE FAILED: 1 of 2 benchmarks") {
+		t.Errorf("the summary does not count one failed row of two:\n%s", o)
 	}
 
 	// A fractional allocation amortized below one op shows 0 allocs/op

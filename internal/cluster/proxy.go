@@ -187,7 +187,7 @@ func (p *Proxy) Handler() http.Handler {
 		}
 		// post propagates the trace ID to the replicas, so their spans
 		// land under the same ID.
-		service.ServeTraced(w, r, mux, p.traces, p.log)
+		service.ServeTraced(r.Context(), w, r, mux, p.traces, p.log)
 	})
 }
 

@@ -37,21 +37,24 @@ func DeviOpt(ts model.TaskSet, opt Options) Result {
 // non-nil blocking function adds B(Dk) to the demand side of the
 // condition at Dk (see DeviWithOverheads). Under ArithBigRat the
 // conditions run on the math/big registers, independent of the brackets.
+// U is summed only for a set the walk rejects: the last condition holds
+// U·Dn <= Dn, so a walk that accepts every prefix has shown U <= 1.
 func devi(ts model.TaskSet, blocking func(int64) int64, opt Options) Result {
 	sc := opt.Scratch
-	srcs := sc.Sources(ts)
-	if opt.cmpUtilOne(srcs) > 0 {
+	keys := sc.ByDeadline(ts)
+	r, ok := Result{}, false
+	if opt.Arithmetic != ArithBigRat {
+		r, ok = deviBracket(keys, blocking)
+	}
+	if !ok {
+		// The walk from the first task reports the same iterations and
+		// failure interval as a walk that never met an undecided bracket.
+		r = deviRegs(keys, sc.Sources(ts), blocking, opt)
+	}
+	if r.Verdict == NotAccepted && opt.cmpUtilOne(sc.Sources(ts)) > 0 {
 		return Result{Verdict: Infeasible, Iterations: 1}
 	}
-	keys := sc.ByDeadline(ts)
-	if opt.Arithmetic != ArithBigRat {
-		if r, ok := deviBracket(keys, blocking); ok {
-			return r
-		}
-	}
-	// The walk from the first task reports the same iterations and
-	// failure interval as a walk that never met an undecided bracket.
-	return deviRegs(keys, srcs, blocking, opt)
+	return r
 }
 
 // deviBracket evaluates the prefix conditions on 128-bit fixed-point

@@ -69,9 +69,11 @@
 // sources, building no plan unless the bracket cannot decide; the
 // math/big reference keeps the exact register sum there, so it stays
 // independent of the bracket. Partitioned placement keeps a UtilSum per
-// processor beside its exact fill register: the bracket decides the
-// utilization gate and the heuristics' bin rankings, and the register
-// only what the bracket cannot. Devi's test keeps two UtilSums over its
+// processor beside its exact fill, a 64-bit fraction of its own (math/big
+// where that overflows): the bracket decides the utilization gate and the
+// heuristics' bin rankings, and the fraction only what the bracket
+// cannot, so no placement builds a chunk plan; demand.Scratch owns the
+// only plans outside this package. Devi's test keeps two UtilSums over its
 // deadline-ordered prefix, the utilization and the gap terms
 // (T - D)·C/T (UtilSum.AddMul forms their numerators in 128 bits), and
 // decides each prefix condition with CmpMulAdd; only a prefix that close

@@ -90,6 +90,30 @@ func TestPlaceAllocs(t *testing.T) {
 	}
 }
 
+// TestPlaceGridAllocs pins the allocations of BenchmarkPlace's m16
+// platform under worst-fit and balance without a cache. Its grid periods
+// give many bins equal fills whose brackets overlap, so the rankings
+// compare exact fills hundreds of times per placement: that path must
+// not allocate.
+func TestPlaceGridAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	wl := benchWorkload(16)
+	const bound = 96
+	for _, h := range []Heuristic{WorstFit, Balance} {
+		cfg := Config{Workers: 1, Heuristics: []Heuristic{h}}
+		n := testing.AllocsPerRun(100, func() {
+			if pl, err := Place(context.Background(), wl, cfg); err != nil || !pl.Feasible {
+				t.Fatalf("%s placement: feasible %v, %v", h, pl.Feasible, err)
+			}
+		})
+		if n > bound {
+			t.Errorf("%s: Place allocates %v times per call, want at most %d", h, n, bound)
+		}
+	}
+}
+
 // BenchmarkPlaceMix measures one pass over a fixed seeded corpus of the
 // partition-cold shape (see coldPlatform): distinct platforms without a
 // cache, as cold requests see them, every heuristic in order, with the

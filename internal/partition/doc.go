@@ -45,18 +45,20 @@
 // float64 from the bracket, with an error bound of speed·2^-50: two
 // estimates further apart than their bounds decide.
 //
-// Registers decide the rest, exactly. A grown fill within its
-// truncation of 1 (three tasks of utilization 1/3), two brackets that
-// overlap (1/6 + 1/3 against 1/2) and two capacity estimates within
-// their bounds (a speed-2 bin at fill 1/2 against an empty speed-1 bin)
-// are compared on numeric.Chunked registers, so every decision and every
-// tie broken by index is the exact one. A bin's fill register is summed
-// over its scaled tasks the first time such a comparison needs it, on a
-// chunk plan the placement builds over the task periods with its first
-// register (scaling keeps a task's period, so the plan covers every
-// bin); most placements build neither. Registers promote to math/big
-// only on a plan that cannot cover the periods, or on an overflow, which
-// Stats.Promotions counts.
+// Exact fills decide the rest. A grown fill within its truncation of 1
+// (three tasks of utilization 1/3), two brackets that overlap (1/6 + 1/3
+// against 1/2) and two capacity estimates within their bounds (a speed-2
+// bin at fill 1/2 against an empty speed-1 bin) are compared on the bins'
+// exact fills, so every decision and every tie broken by index is the
+// exact one. A bin's exact fill is summed over its scaled tasks the first
+// time such a comparison, or its report, needs it: a uint64 fraction in
+// lowest terms, moved to math/big only when a partial sum overflows.
+// Two fills, two fills each grown by the task at hand, or a grown fill
+// and 1 compare by 128-bit cross products, which neither allocate nor
+// wrap. math/big decides only where a fraction overflows, and for
+// worst-fit's capacities speed·(1−fill) across speeds, which none of the
+// benchmarked placements reaches. The placement builds no chunk plan and
+// promotes nothing.
 //
 // # Trials on the incremental certificate
 //
@@ -89,8 +91,7 @@
 // through the engine's worker pool, bounded by Config.Workers; the
 // trials before them run on the calling goroutine.
 //
-// A bin's reported fill, Σ ceil(C/speed)/T, is summed as a uint64
-// fraction in lowest terms and printed as big.Rat would print it, with
-// the float64 nearest it; math/big computes it only when that fraction
-// overflows.
+// A bin's reported fill, Σ ceil(C/speed)/T, is the same exact fill that
+// decides the comparisons, printed as big.Rat would print it, with the
+// float64 nearest it.
 package partition

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 	"math/bits"
@@ -9,37 +10,100 @@ import (
 	"repro/internal/model"
 )
 
-// fill returns a bin's fill Σ C/T over its scaled tasks ts, as the
-// float64 nearest it and in big.Rat's RatString form ("0", "1", "3/4").
-// It sums a uint64 fraction in lowest terms and moves the sum to math/big
-// only when a term of that fraction overflows.
-func fill(ts model.TaskSet) (float64, string) {
-	p, q := uint64(0), uint64(1)
-	for i, t := range ts {
-		np, nq, ok := addFrac(p, q, uint64(t.WCET), uint64(t.Period))
-		if !ok {
-			return fillBig(p, q, ts[i:])
-		}
-		p, q = np, nq
-	}
-	var buf [41]byte
-	s := strconv.AppendUint(buf[:0], p, 10)
-	if q != 1 {
-		s = append(s, '/')
-		s = strconv.AppendUint(s, q, 10)
-	}
-	return fracFloat(p, q), string(s)
+// fraction is a bin's exact fill Σ ceil(C/speed)/T over its scaled
+// tasks: the one sum behind both the reported fill and the placement
+// decisions the brackets cannot make. It is p/q in lowest terms while
+// that fits a uint64, and r on math/big (big set) once a partial sum
+// overflows it.
+type fraction struct {
+	p, q uint64
+	big  bool
+	r    big.Rat
 }
 
-// fillBig is fill of the tasks ts added to p/q, on math/big.
-func fillBig(p, q uint64, ts model.TaskSet) (float64, string) {
-	var sum, term big.Rat
-	sum.SetFrac(new(big.Int).SetUint64(p), new(big.Int).SetUint64(q))
+// sum sets f to Σ C/T over the scaled tasks ts.
+func (f *fraction) sum(ts model.TaskSet) {
+	f.p, f.q, f.big = 0, 1, false
+	var term big.Rat
 	for _, t := range ts {
-		sum.Add(&sum, term.SetFrac64(t.WCET, t.Period))
+		if !f.big {
+			if p, q, ok := addFrac(f.p, f.q, uint64(t.WCET), uint64(t.Period)); ok {
+				f.p, f.q = p, q
+				continue
+			}
+			f.r.SetFrac(new(big.Int).SetUint64(f.p), new(big.Int).SetUint64(f.q))
+			f.big = true
+		}
+		f.r.Add(&f.r, term.SetFrac64(t.WCET, t.Period))
 	}
-	f, _ := sum.Float64()
-	return f, sum.RatString()
+}
+
+// report returns f as the float64 nearest it and in big.Rat's RatString
+// form ("0", "1", "3/4").
+func (f *fraction) report() (float64, string) {
+	if f.big {
+		v, _ := f.r.Float64()
+		return v, f.r.RatString()
+	}
+	var buf [41]byte
+	s := strconv.AppendUint(buf[:0], f.p, 10)
+	if f.q != 1 {
+		s = append(s, '/')
+		s = strconv.AppendUint(s, f.q, 10)
+	}
+	return fracFloat(f.p, f.q), string(s)
+}
+
+// plus returns f + c/d in lowest terms for c >= 0, d > 0; ok is false
+// when f is on math/big or the sum does not fit a uint64.
+func (f *fraction) plus(c, d int64) (uint64, uint64, bool) {
+	if f.big || c == 0 {
+		return f.p, f.q, !f.big
+	}
+	return addFrac(f.p, f.q, uint64(c), uint64(d))
+}
+
+// rat returns f + c/d on math/big.
+func (f *fraction) rat(c, d int64) *big.Rat {
+	r := new(big.Rat)
+	if f.big {
+		r.Set(&f.r)
+	} else {
+		r.SetFrac(new(big.Int).SetUint64(f.p), new(big.Int).SetUint64(f.q))
+	}
+	return r.Add(r, big.NewRat(c, d))
+}
+
+// room returns the remaining absolute capacity s·(1−f) on math/big:
+// worst-fit's key across speeds, where the float64 estimates leave few
+// comparisons undecided.
+func (f *fraction) room(s int64) *big.Rat {
+	r := f.rat(0, 1)
+	r.Sub(big.NewRat(1, 1), r)
+	return r.Mul(r, big.NewRat(s, 1))
+}
+
+// cmpFills compares x + cx/d with y + cy/d exactly: by the 128-bit cross
+// products of the two uint64 fractions, on math/big when either sum does
+// not fit a uint64.
+func cmpFills(x *fraction, cx int64, y *fraction, cy, d int64) int {
+	if xp, xq, ok := x.plus(cx, d); ok {
+		if yp, yq, ok := y.plus(cy, d); ok {
+			return cmpFrac(xp, xq, yp, yq)
+		}
+	}
+	return x.rat(cx, d).Cmp(y.rat(cy, d))
+}
+
+// cmpFrac compares a/b with c/d for b, d > 0 as the 128-bit cross
+// products a·d and c·b, which cannot wrap.
+func cmpFrac(a, b, c, d uint64) int {
+	hi1, lo1 := bits.Mul64(a, d)
+	hi2, lo2 := bits.Mul64(c, b)
+	if hi1 != hi2 {
+		return cmp.Compare(hi1, hi2)
+	}
+	return cmp.Compare(lo1, lo2)
 }
 
 // addFrac returns p/q + c/d in lowest terms for q, d > 0. ok is false

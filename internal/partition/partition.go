@@ -1,11 +1,9 @@
 package partition
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -112,12 +110,9 @@ type Stats struct {
 	// gate without any analyzer run.
 	GateRejections uint64 `json:"gate_rejections"`
 	// Promotions counts exits from the bounded-denominator arithmetic
-	// fast path, in the analyzer runs and in the placement's own exact
-	// fill registers. The gate and the rankings read brackets, and a
-	// bin's registers, with the chunk plan they are bound to, are built
-	// only where a bracket cannot decide, so the placement's share counts
-	// only register operations that ran; it promotes at all only on
-	// platforms whose periods no chunk plan covers, or on an overflow.
+	// fast path in the analyzer runs: the trials and the re-proofs. The
+	// placement's own decisions and fills are exact uint64 fractions,
+	// on math/big where those overflow, and promote nothing.
 	Promotions uint64 `json:"promotions,omitempty"`
 }
 
@@ -244,8 +239,8 @@ func BinTasks(wl workload.Workload, proc int, tasks []int) model.TaskSet {
 }
 
 // bin is one processor's working state during placement. The slices,
-// the certificate and the registers keep their memory from one
-// heuristic, and one placement, to the next.
+// the certificate and the fill keep their memory from one heuristic, and
+// one placement, to the next.
 type bin struct {
 	speed  int64
 	tasks  []int         // original task indices, placement order
@@ -265,12 +260,10 @@ type bin struct {
 	// last is the last admitted trial: the analyzer's verdict on exactly
 	// the bin, when that trial ran the analyzer.
 	last analysis
-	// The exact registers decide where a bracket cannot, each computed on
-	// first use and valid while its flag is set: fill is
-	// Σ ceil(C/speed)/T, after is fill plus the task at hand, and rem is
-	// speed·(1−fill).
-	fill, after, rem          numeric.Chunked
-	fillSet, afterSet, remSet bool
+	// fill is the exact fill, valid while summed is set: it decides where
+	// a bracket or an estimate cannot, and it is the fill reported.
+	fill   fraction
+	summed bool
 	// reason is why the bin refused the task at hand ("" while it is a
 	// candidate): the rejection trail of a task that fails everywhere.
 	reason string
@@ -295,7 +288,7 @@ func (b *bin) setRoom() {
 
 // cmpRoom orders the remaining absolute capacities speed·(1−fill) of x
 // and y by their estimates; ok is false when the estimates lie within
-// their combined error and the exact registers must decide. For a fill
+// their combined error and the exact fills must decide. For a fill
 // f <= 1, UtilSum.Float is within 2^-52 of f (one rounding, and a
 // truncation far below it); 1−F, the speed's conversion to float64 and
 // the product each round once more, by at most 2^-53 of a value no
@@ -314,57 +307,18 @@ func cmpRoom(x, y *bin) (int, bool) {
 	return -1, true
 }
 
-// exactFill returns b's fill register, summed over the bin's scaled
-// tasks on first use after a change. The placement's first register
-// builds the chunk plan over every task period: scaling keeps a task's
-// period, so one plan covers every bin.
-func (p *placer) exactFill(b *bin) *numeric.Chunked {
-	if !b.fillSet {
-		if !p.planned {
-			p.periods = p.periods[:0]
-			for _, t := range p.wl.PartTasks {
-				p.periods = append(p.periods, t.Period)
-			}
-			// A failed build leaves the plan empty; the registers then
-			// compute exactly on math/big.
-			p.plan.Build(p.periods)
-			p.planned = true
-		}
-		b.fill.Init(&p.plan)
-		for _, st := range b.scaled {
-			b.fill.AddRat(st.WCET, st.Period)
-		}
-		b.fillSet = true
+// exact returns b's exact fill, summed over its scaled tasks on first
+// use after a change.
+func (b *bin) exact() *fraction {
+	if !b.summed {
+		b.fill.sum(b.scaled)
+		b.summed = true
 	}
 	return &b.fill
 }
 
-// exactAfter returns b's fill plus task t exactly, computing the after
-// register on first use for the task at hand.
-func (p *placer) exactAfter(b *bin, t *model.Task) *numeric.Chunked {
-	if !b.afterSet {
-		b.after.CopyFrom(p.exactFill(b))
-		b.after.AddRat(ceilDiv(t.WCET, b.speed), t.Period)
-		b.afterSet = true
-	}
-	return &b.after
-}
-
-// remaining returns b's remaining absolute capacity speed·(1−fill)
-// exactly.
-func (p *placer) remaining(b *bin) *numeric.Chunked {
-	if !b.remSet {
-		b.rem.CopyFrom(p.exactFill(b))
-		b.rem.Neg()
-		b.rem.AddInt(1)
-		b.rem.MulInt(b.speed)
-		b.remSet = true
-	}
-	return &b.rem
-}
-
 // placer carries the run-wide state shared by the heuristics. Placers
-// are recycled: a placement's bins, registers, certificates and Scratch
+// are recycled: a placement's bins, fills, certificates and Scratch
 // keep their memory for the next one, and the Placement it returns never
 // aliases them.
 type placer struct {
@@ -375,16 +329,11 @@ type placer struct {
 	certify  bool         // trials try the incremental certificate first
 	opt      core.Options // cfg.Options with the placer's Scratch
 	scratch  *demand.Scratch
-	// plan holds the chunk denominators of every task period, built with
-	// the placement's first exact register (planned).
-	plan    numeric.Plan
-	planned bool
-	periods []int64
-	bins    []bin
-	order   []int // task indices, decreasing utilization
-	asg     []int // processor of each task
-	cands   []int // processors that can take the task at hand, ranked
-	stats   Stats
+	bins     []bin
+	order    []int // task indices, decreasing utilization
+	asg      []int // processor of each task
+	cands    []int // processors that can take the task at hand, ranked
+	stats    Stats
 	// heuristics is the strategy order, parsed from cfg.Heuristics.
 	heuristics []Heuristic
 }
@@ -446,7 +395,7 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 		out.Heuristic = h
 		out.Assignment = slices.Clone(p.asg)
 		out.Processors = reports
-		out.Stats = p.finish()
+		out.Stats = p.stats
 		return out, nil
 	}
 	// Every heuristic failed: surface the attempt that got furthest as
@@ -459,20 +408,18 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 	}
 	ce := out.Attempts[best]
 	out.Counterexample = &ce
-	out.Stats = p.finish()
+	out.Stats = p.stats
 	return out, nil
 }
 
 // init prepares a recycled placer for one placement: the task order and
-// one bin per processor, reusing what earlier placements allocated. The
-// chunk plan waits for the first bracket that cannot decide.
+// one bin per processor, reusing what earlier placements allocated.
 func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name string, cfg Config) {
 	p.wl, p.analyzer, p.name, p.cfg = wl, analyzer, name, cfg
 	p.certify = incremental.Eligible(analyzer.Info().Name, cfg.Options)
 	p.opt = cfg.Options
 	p.opt.Scratch = p.scratch
 	p.stats = Stats{}
-	p.planned = false
 	n, m := len(wl.PartTasks), len(wl.Processors)
 	p.order = taskOrder(p.order, wl.PartTasks)
 	p.asg = slices.Grow(p.asg[:0], n)[:n]
@@ -498,34 +445,17 @@ func (p *placer) release() {
 	placers.Put(p)
 }
 
-// finish returns the run's stats with the placement arithmetic's own
-// promotions folded in.
-func (p *placer) finish() Stats {
-	st := p.stats
-	if p.planned {
-		st.Promotions += p.plan.Promotions()
-	}
-	return st
-}
-
 // taskOrder returns the task indices in decreasing exact utilization
 // order (ties by original index), the "decreasing" in every heuristic's
 // name — placing heavy tasks first is what makes the greedy strategies
-// effective. C_a/T_a and C_b/T_b compare as the 128-bit cross products
-// C_a·T_b and C_b·T_a, which cannot wrap. The order reuses buf.
+// effective. The order reuses buf.
 func taskOrder(buf []int, ts []workload.PartitionedTask) []int {
 	order := buf[:0]
 	for i := range ts {
 		order = append(order, i)
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
-		// a sorts first when C_a·T_b > C_b·T_a.
-		ah, al := bits.Mul64(uint64(ts[a].WCET), uint64(ts[b].Period))
-		bh, bl := bits.Mul64(uint64(ts[b].WCET), uint64(ts[a].Period))
-		if ah != bh {
-			return cmp.Compare(bh, ah)
-		}
-		return cmp.Compare(bl, al)
+		return cmpFrac(uint64(ts[b].WCET), uint64(ts[b].Period), uint64(ts[a].WCET), uint64(ts[a].Period))
 	})
 	return order
 }
@@ -539,7 +469,7 @@ func (p *placer) reset() {
 		b.util = numeric.UtilSum{}
 		b.setRoom()
 		b.last = analysis{}
-		b.fillSet, b.remSet = false, false
+		b.summed = false
 		if p.certify {
 			b.cert.Reset()
 		}
@@ -558,19 +488,20 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 		task := &p.wl.PartTasks[ti]
 		// Affinity, then the utilization gate, leave the candidates. The
 		// grown bracket decides the gate unless the grown fill lies within
-		// its truncation of 1; the after register decides those exactly.
+		// its truncation of 1; the exact fill decides those against 1, the
+		// empty fill plus T/T.
 		p.cands = p.cands[:0]
 		for j := range p.bins {
 			b := &p.bins[j]
-			b.afterSet = false
 			if !task.Allows(j) {
 				b.reason = "affinity"
 				continue
 			}
-			b.grown = b.util.Add(ceilDiv(task.WCET, b.speed), task.Period)
+			w := ceilDiv(task.WCET, b.speed)
+			b.grown = b.util.Add(w, task.Period)
 			c, ok := b.grown.CmpOne()
 			if !ok {
-				c = p.exactAfter(b, &task.Task).CmpInt(1)
+				c = cmpFills(b.exact(), w, &fraction{q: 1}, task.Period, task.Period)
 			}
 			if c > 0 {
 				p.stats.GateRejections++
@@ -614,8 +545,8 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 
 // rank orders the candidates for task t by the heuristic, ties broken
 // by processor index (every candidate list starts index-ascending). The
-// brackets decide a comparison when they do not overlap, the exact
-// registers otherwise, so the order is the exact one.
+// brackets, or worst-fit's estimates, decide a comparison when they do
+// not overlap, the exact fills otherwise, so the order is the exact one.
 func (p *placer) rank(h Heuristic, t *model.Task) {
 	if h == FirstFit {
 		return
@@ -628,20 +559,20 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 			if c, ok := x.util.Cmp(y.util); ok {
 				return c
 			}
-			return p.exactFill(x).Cmp(p.exactFill(y))
+			return cmpFills(x.exact(), 0, y.exact(), 0, 1)
 		}
 		if h == WorstFit {
 			// Remaining absolute capacity, largest first.
 			if c, ok := cmpRoom(y, x); ok {
 				return c
 			}
-			return p.remaining(y).Cmp(p.remaining(x))
+			return y.exact().room(y.speed).Cmp(x.exact().room(x.speed))
 		}
 		// Grown fill, smallest first.
 		if c, ok := x.grown.Cmp(y.grown); ok {
 			return c
 		}
-		return p.exactAfter(x, t).Cmp(p.exactAfter(y, t))
+		return cmpFills(x.exact(), ceilDiv(t.WCET, x.speed), y.exact(), ceilDiv(t.WCET, y.speed), t.Period)
 	})
 }
 
@@ -678,7 +609,7 @@ func (p *placer) admit(j, ti int, st model.Task, a analysis) {
 	b.util = b.grown
 	b.setRoom()
 	b.last = a
-	b.fillSet, b.remSet = false, false
+	b.summed = false
 	if p.certify {
 		b.cert.Admit(workload.SporadicTask(st))
 	}
@@ -709,7 +640,7 @@ func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 			continue
 		}
 		r.Tasks = slices.Clone(b.tasks)
-		r.Utilization, r.UtilizationExact = fill(b.scaled)
+		r.Utilization, r.UtilizationExact = b.exact().report()
 		if key, ok := engine.Fingerprint(b.scaled, p.name, p.cfg.Options); ok {
 			r.Fingerprint = key
 			if p.cfg.Cache != nil {

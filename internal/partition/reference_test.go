@@ -181,8 +181,9 @@ func gridPlatform(rng *rand.Rand, i int) workload.Workload {
 
 // primePlatform draws a platform whose periods no chunk plan covers:
 // more pairwise-coprime periods above 2^31 than numeric.MaxChunks, so
-// the placement's registers all run on math/big. Deadlines equal
-// periods, which keeps each analyzer run to its utilization check.
+// a register walk over its bins would run on math/big, and most bins'
+// exact fills overflow a uint64 fraction. Deadlines equal periods, which
+// keeps each analyzer run to its utilization check.
 func primePlatform(rng *rand.Rand, primes []int64) workload.Workload {
 	m := 4 + rng.Intn(5)
 	procs := make([]workload.Processor, m)
@@ -210,8 +211,8 @@ func primesAbove(lo int64, n int) []int64 {
 }
 
 // TestPlaceMatchesBigRatReference: Place decides the gate and the
-// rankings on fixed-point brackets and falls back to exact registers
-// only where a bracket cannot decide; refPlace keeps every fill in
+// rankings on fixed-point brackets and falls back to exact fills only
+// where a bracket cannot decide; refPlace keeps every fill in
 // big.Rat and runs the analyzer on every trial. Both must place 2,000
 // platforms alike: the partition-cold shape, small random platforms,
 // harmonic grids with mixed speeds, and prime periods no chunk plan
@@ -257,10 +258,10 @@ func TestPlaceMatchesBigRatReference(t *testing.T) {
 }
 
 // TestPlacePrimeWithoutPromotions: no chunk plan covers the periods of
-// primePlatform, so every exact register operation on its fills would
-// promote to math/big. The brackets decide every gate and every ranking
-// of these platforms, and their fills are reported without registers, so
-// no register runs and the placements report no promotions.
+// primePlatform, so a register walk over its bins would promote to
+// math/big. The analyzer runs stop at their utilization check, decided
+// on a bracket, and the placement's exact fills are fractions of their
+// own that count no promotions, so the placements report none.
 func TestPlacePrimeWithoutPromotions(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	primes := primesAbove(1<<31, numeric.MaxChunks+4)
@@ -276,13 +277,13 @@ func TestPlacePrimeWithoutPromotions(t *testing.T) {
 	}
 }
 
-// nearOnePeriods returns three pairwise-coprime periods just above 2^45
-// and WCETs whose utilizations sum to exactly 1 + sign/(p·q·r), within
-// 2^-135 of 1: a grown fill the bracket cannot place against 1. The
-// WCETs are modular inverses, which fix the sum to k ± 1/(pqr); the
-// third prime is advanced until k is 1.
-func nearOnePeriods(sign int64) (wcets, periods [3]int64) {
-	ps := primesAbove(1<<45, 2)
+// nearOnePeriods returns three pairwise-coprime periods just above lo
+// and WCETs whose utilizations sum to exactly 1 + sign/(p·q·r). Above
+// 2^45 that is within 2^-135 of 1: a grown fill the bracket cannot place
+// against 1. The WCETs are modular inverses, which fix the sum to
+// k ± 1/(pqr); the third prime is advanced until k is 1.
+func nearOnePeriods(lo, sign int64) (wcets, periods [3]int64) {
+	ps := primesAbove(lo, 2)
 	for v := ps[1] + 2; ; v += 2 {
 		if !big.NewInt(v).ProbablyPrime(20) {
 			continue
@@ -367,7 +368,7 @@ func TestPlaceNearTiesMatchReference(t *testing.T) {
 			task("a", 1, 3, 3, 0), task("b", 1, 3, 3, 0), task("c", 1, 3, 3, 0), task("d", 1, 9, 9, 0),
 		}),
 		// Processor 0 holds 1/3+1/6, processor 1 holds 1/2: the free task
-		// sees two equal fills, which the exact registers tie so index 0
+		// sees two equal fills, which the exact fills tie so index 0
 		// wins under worst-fit and balance.
 		"sixths": workload.NewPartitioned([]workload.Processor{{}, {}, {}}, []workload.PartitionedTask{
 			task("half", 1, 2, 2, 1), task("third", 1, 3, 3, 0), task("sixth", 1, 6, 6, 0),
@@ -432,7 +433,7 @@ func TestPlaceNearTiesMatchReference(t *testing.T) {
 		return out
 	}
 	for _, sign := range []int64{1, -1} {
-		wcets, periods := nearOnePeriods(sign)
+		wcets, periods := nearOnePeriods(1<<45, sign)
 		var whole, half []workload.PartitionedTask
 		var wholeSum, halfSum numeric.UtilSum
 		for i := range wcets {

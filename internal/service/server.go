@@ -215,7 +215,7 @@ func (s *Server) Handler() http.Handler {
 		defer s.m.leave()
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		ServeTraced(w, r.WithContext(ctx), mux, s.traces, s.log)
+		ServeTraced(ctx, w, r, mux, s.traces, s.log)
 	})
 }
 

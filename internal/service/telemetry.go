@@ -32,21 +32,26 @@ func Traced(path string) bool {
 }
 
 // ServeTraced serves a traced request through h, for edfd and edfproxy
-// alike. It adopts the caller's trace id (edfproxy propagates one to its
-// replicas) or mints a fresh one, and echoes it so a direct caller learns
-// the id. The trace is recorded in rec after h returns; net/http flushes
-// the buffered reply after that, so by the time the client reads the
-// reply the trace is resolvable.
-func ServeTraced(w http.ResponseWriter, r *http.Request, h http.Handler, rec *obs.Recorder, log *slog.Logger) {
+// alike, under ctx: the request's context or one derived from it (edfd's
+// request timeout), so the request is cloned once, for the trace. It
+// adopts the caller's trace id (edfproxy propagates one to its replicas)
+// or mints a fresh one, and echoes it so a direct caller learns the id.
+// The trace is recorded in rec after h returns; net/http flushes the
+// buffered reply after that, so by the time the client reads the reply
+// the trace is resolvable.
+func ServeTraced(ctx context.Context, w http.ResponseWriter, r *http.Request, h http.Handler, rec *obs.Recorder, log *slog.Logger) {
 	id := r.Header.Get(obs.TraceHeader)
 	if id == "" {
 		id = obs.NewTraceID()
 	}
 	tr := obs.StartTrace(id, opFor(r))
 	w.Header().Set(obs.TraceHeader, id)
-	h.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), tr)))
+	h.ServeHTTP(w, r.WithContext(obs.WithTrace(ctx, tr)))
 	rec.Record(tr)
-	log.Debug("request served", "op", tr.Op, "trace", tr.ID, "session", tr.Session, "path", tr.Path)
+	// Boxing the fields for Debug allocates even when the level is off.
+	if log.Enabled(ctx, slog.LevelDebug) {
+		log.Debug("request served", "op", tr.Op, "trace", tr.ID, "session", tr.Session, "path", tr.Path)
+	}
 }
 
 // TraceList serves GET /v1/traces from rec on both daemons: the newest
