@@ -78,11 +78,10 @@ bench-store:
 	rm -f bench-store.out
 
 # Partitioned-placement benchmarks (first-fit/worst-fit/balance over
-# m in {2,4,8,16} processors with a warm final-bin cache, plus one pass
-# over a fixed seeded corpus of partition-cold-shaped platforms with
-# their failure trails; every row reports the bin verdicts consulted as
-# checks/op), merged into the committed trend file BENCH_partition.json
-# under the same baseline/gate rules as bench-core.
+# m in {2,4,8,16} processors, plus one pass over a fixed seeded corpus of
+# partition-cold-shaped platforms with their failure trails; every row
+# reports its trials as checks/op), merged into the committed trend file
+# BENCH_partition.json under the same baseline/gate rules as bench-core.
 bench-partition:
 	$(GO) test -run xxx -bench . -benchmem -benchtime $(BENCHTIME) ./internal/partition/ > bench-partition.out
 	$(GO) run ./cmd/benchmerge -out BENCH_partition.json $(if $(GATE),-gate $(GATE)) < bench-partition.out

@@ -12,8 +12,8 @@
 //
 //	POST /v1/analyze     by workload fingerprint; idempotent, fails over
 //	                     to the next ring node when a replica is down
-//	POST /v1/partition   by workload fingerprint, like /v1/analyze, so
-//	                     one replica's cache holds every per-bin verdict
+//	POST /v1/partition   by workload fingerprint, like /v1/analyze (a
+//	                     placement reads and fills no cache)
 //	POST /v1/batch       split per-fingerprint across replicas, per-job
 //	                     results re-merged in deterministic set-major order
 //	POST /v1/sessions    sticky: the creating replica owns the session;

@@ -32,8 +32,10 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -135,7 +137,7 @@ func run(ctx context.Context, daemons *harness.Fleet, edfdPath, proxyPath string
 			return err
 		}
 		fmt.Println("edfsmoke: edfd healthy on", d.Addr)
-		if err := drive(ctx, c); err != nil {
+		if err := drive(ctx, c, d.URL()); err != nil {
 			return err
 		}
 		if err := driveFeed(ctx, c, false); err != nil {
@@ -171,7 +173,7 @@ func run(ctx context.Context, daemons *harness.Fleet, edfdPath, proxyPath string
 	fmt.Printf("edfsmoke: edfproxy healthy on %s over %d replicas\n", proxy.Addr, clusterN)
 
 	// The full single-daemon suite must behave identically via the proxy.
-	if err := drive(ctx, c); err != nil {
+	if err := drive(ctx, c, proxy.URL()); err != nil {
 		return err
 	}
 	if err := driveCluster(ctx, c, clusterN); err != nil {
@@ -190,8 +192,9 @@ func run(ctx context.Context, daemons *harness.Fleet, edfdPath, proxyPath string
 // drive runs the protocol suite — analyze with cache/fingerprint checks,
 // batch, sessions with propose-batch, both workload models — against one
 // endpoint, which may be an edfd or an edfproxy (the contract is the
-// same; that is the point of the typed client).
-func drive(ctx context.Context, c *client.Client) error {
+// same; that is the point of the typed client). base is the endpoint's
+// URL, for the one check that reads a raw reply.
+func drive(ctx context.Context, c *client.Client, base string) error {
 	sporadic := edf.TaskSet{
 		{Name: "ctrl", WCET: 2, Deadline: 8, Period: 10},
 		{Name: "io", WCET: 3, Deadline: 15, Period: 15},
@@ -304,17 +307,18 @@ func drive(ctx context.Context, c *client.Client) error {
 	if err := driveSpread(ctx, c); err != nil {
 		return err
 	}
-	return drivePartition(ctx, c)
+	return drivePartition(ctx, c, base)
 }
 
 // drivePartition pushes a partitioned multiprocessor workload through
 // POST /v1/partition — directly or via the proxy, which routes it by
 // workload fingerprint — and checks the placement contract end to end:
 // the schema advertises the model, a feasible placement carries one
-// proven bin per processor and a trace whose span tree has one bin:pN
-// span per processor under the placement span, and an overloaded
-// workload comes back infeasible with the heuristic rejection trail.
-func drivePartition(ctx context.Context, c *client.Client) error {
+// proven bin per processor, none with a fingerprint, and a trace whose
+// span tree has one bin:pN span per processor under the placement span,
+// an overloaded workload comes back infeasible with the heuristic
+// rejection trail, and no placement adds a result cache entry.
+func drivePartition(ctx context.Context, c *client.Client, base string) error {
 	sr, err := c.Schema(ctx)
 	if err != nil {
 		return fmt.Errorf("partition: schema: %w", err)
@@ -322,18 +326,54 @@ func drivePartition(ctx context.Context, c *client.Client) error {
 	if !strings.Contains(strings.Join(sr.Models, ","), "partitioned") {
 		return fmt.Errorf("partition: schema models %v lack partitioned", sr.Models)
 	}
+	entries, err := cacheEntries(ctx, c)
+	if err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
 
 	procs := []edf.Processor{{Name: "p0", Speed: 1}, {Name: "p1", Speed: 2}}
-	resp, rt, err := c.Partition(ctx, service.PartitionRequest{
+	req := service.PartitionRequest{
 		Name: "smoke",
 		Workload: edf.PartitionedWorkload(procs, []edf.PartitionedTask{
 			{Task: edf.Task{Name: "a", WCET: 6, Deadline: 10, Period: 10}},
 			{Task: edf.Task{Name: "b", WCET: 6, Deadline: 10, Period: 10}},
 			{Task: edf.Task{Name: "pinned", WCET: 2, Deadline: 10, Period: 10}, Affinity: []int{0}},
 		}),
-	})
+	}
+	resp, rt, err := c.Partition(ctx, req)
 	if err != nil {
 		return fmt.Errorf("partition: %w", err)
+	}
+	// The typed reply has no field a fingerprint could land in; the raw
+	// bytes of the same placement show whether a bin carries one.
+	body, err := service.EncodeJSON(req)
+	if err != nil {
+		return fmt.Errorf("partition: encoding: %w", err)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/partition", bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("partition: raw post: %w", err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hr, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return fmt.Errorf("partition: raw post: %w", err)
+	}
+	raw, err := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusOK {
+		return fmt.Errorf("partition: raw reply %d %s: %v", hr.StatusCode, raw, err)
+	}
+	var rawPl struct {
+		Processors []map[string]json.RawMessage `json:"processors"`
+	}
+	if err := json.Unmarshal(raw, &rawPl); err != nil || len(rawPl.Processors) != len(procs) {
+		return fmt.Errorf("partition: raw reply %s, want %d processors (%v)", raw, len(procs), err)
+	}
+	for j, bin := range rawPl.Processors {
+		if _, ok := bin["fingerprint"]; ok {
+			return fmt.Errorf("partition: processor %d carries a fingerprint: %s", j, raw)
+		}
 	}
 	if !resp.Feasible || len(resp.Processors) != len(procs) {
 		return fmt.Errorf("partition: placement not proven: %+v", resp.Placement)
@@ -381,9 +421,31 @@ func drivePartition(ctx context.Context, c *client.Client) error {
 	if oresp.Feasible || oresp.Counterexample == nil || len(oresp.Counterexample.Rejections) == 0 {
 		return fmt.Errorf("partition: overload not refuted with a counterexample: %+v", oresp.Placement)
 	}
+	if after, err := cacheEntries(ctx, c); err != nil || after != entries {
+		return fmt.Errorf("partition: placements moved edfd_cache_entries from %v to %v (%v)", entries, after, err)
+	}
 	fmt.Printf("edfsmoke: partition ok (%d bins proven and traced, overload refuted by %s after %d rejections)\n",
 		bins, oresp.Counterexample.Heuristic, len(oresp.Counterexample.Rejections))
 	return nil
+}
+
+// cacheEntries reads edfd_cache_entries from the metrics page: the
+// unlabelled sample, which edfproxy's page sums over the fleet.
+func cacheEntries(ctx context.Context, c *client.Client) (float64, error) {
+	page, err := c.Metrics(ctx)
+	if err != nil {
+		return 0, fmt.Errorf("metrics: %w", err)
+	}
+	samples, err := obs.ParseExposition(strings.NewReader(page))
+	if err != nil {
+		return 0, fmt.Errorf("metrics: %w", err)
+	}
+	for _, s := range samples {
+		if s.Name == "edfd_cache_entries" && len(s.Labels) == 0 {
+			return s.Value, nil
+		}
+	}
+	return 0, errors.New("metrics page lacks edfd_cache_entries")
 }
 
 // driveSpread pushes a log-uniform spread workload — the `edfgen -spread`

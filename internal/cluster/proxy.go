@@ -488,11 +488,9 @@ func (f flushWriter) Write(b []byte) (int, error) {
 
 // routed serves an endpoint routed by its workload's fingerprint,
 // /v1/analyze and /v1/partition: every request about one workload lands
-// on the replica whose cache holds its results. Placement bins are
-// fingerprinted in the plain sporadic domain, so single-bin /v1/analyze
-// traffic for the same scaled task sets shares a placement's per-bin
-// verdicts. The body decodes as T, and the client's bytes go on as they
-// came.
+// on one replica, whose cache holds its analyze results (a placement
+// reads and fills no cache). The body decodes as T, and the client's
+// bytes go on as they came.
 func routed[T any](p *Proxy, path string, routes *atomic.Uint64, workloadOf func(*T) workload.Workload) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, req, ok := decodeBody[T](w, r)

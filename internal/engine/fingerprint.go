@@ -100,7 +100,9 @@ func WorkloadFingerprint(wl workload.Workload, analyzer string, opt core.Options
 		}
 	}
 	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:]), true
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:]), true
 }
 
 // appendAnalysisHeader encodes the model-independent identity parts —

@@ -22,7 +22,9 @@ func NewTraceID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err)
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // Admission decision paths, carried on traces and feed events.

@@ -29,18 +29,14 @@ func benchWorkload(m int) workload.Workload {
 	return workload.NewPartitioned(procs, tasks)
 }
 
-// BenchmarkPlace measures placement latency and the bin verdicts
-// consulted per placement across platform sizes and heuristics. The
-// cache persists across iterations, so the final bins are served from it
-// as in steady-state serving, where the sharded LRU (or the fleet, via
-// fingerprint routing) has seen them before; trials never consult it.
+// BenchmarkPlace measures placement latency and the trials per
+// placement across platform sizes and heuristics.
 func BenchmarkPlace(b *testing.B) {
 	for _, m := range []int{2, 4, 8, 16} {
 		wl := benchWorkload(m)
 		for _, h := range AllHeuristics() {
 			b.Run(fmt.Sprintf("m%d/%s", m, h), func(b *testing.B) {
-				cache := newMapCache()
-				cfg := Config{Cache: cache, Heuristics: []Heuristic{h}}
+				cfg := Config{Heuristics: []Heuristic{h}}
 				var checks, ops uint64
 				b.ReportAllocs()
 				for b.Loop() {
@@ -66,10 +62,9 @@ const mixPlatforms = 30
 
 // TestPlaceAllocs pins the allocations of one cold placement, the second
 // platform of BenchmarkPlaceMix's corpus (8 processors, 30 tasks; first
-// fit fails, worst-fit places them): the failed attempt's trail, the
-// result's own slices and strings, one fingerprint per final bin and the
-// re-proof batch of the bins the certificate decided. Final bins their
-// last trial proved are not analyzed again, fills are reported without
+// fit fails, worst-fit places them): the failed attempt's trail and the
+// result's own slices and strings. Final bins report their last trial
+// without a fingerprint or a second analysis, fills are reported without
 // math/big, and no chunk plan is built.
 func TestPlaceAllocs(t *testing.T) {
 	if raceEnabled {
@@ -78,8 +73,8 @@ func TestPlaceAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	coldPlatform(rng, 0)
 	wl := coldPlatform(rng, 1)
-	cfg := Config{Workers: 1}
-	const bound = 57
+	cfg := Config{}
+	const bound = 21
 	n := testing.AllocsPerRun(100, func() {
 		if pl, err := Place(context.Background(), wl, cfg); err != nil || !pl.Feasible {
 			t.Fatalf("placement: feasible %v, %v", pl.Feasible, err)
@@ -91,18 +86,17 @@ func TestPlaceAllocs(t *testing.T) {
 }
 
 // TestPlaceGridAllocs pins the allocations of BenchmarkPlace's m16
-// platform under worst-fit and balance without a cache. Its grid periods
-// give many bins equal fills whose brackets overlap, so the rankings
-// compare exact fills hundreds of times per placement: that path must
-// not allocate.
+// platform under worst-fit and balance. Its grid periods give many bins
+// equal fills whose brackets overlap, so the rankings compare exact
+// fills hundreds of times per placement: that path must not allocate.
 func TestPlaceGridAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	wl := benchWorkload(16)
-	const bound = 96
+	const bound = 34
 	for _, h := range []Heuristic{WorstFit, Balance} {
-		cfg := Config{Workers: 1, Heuristics: []Heuristic{h}}
+		cfg := Config{Heuristics: []Heuristic{h}}
 		n := testing.AllocsPerRun(100, func() {
 			if pl, err := Place(context.Background(), wl, cfg); err != nil || !pl.Feasible {
 				t.Fatalf("%s placement: feasible %v, %v", h, pl.Feasible, err)
@@ -118,14 +112,14 @@ func TestPlaceGridAllocs(t *testing.T) {
 // partition-cold shape (see coldPlatform): distinct platforms without a
 // cache, as cold requests see them, every heuristic in order, with the
 // failure trails of overloaded and unplaceable platforms. One op places
-// the whole corpus; checks/op counts its bin verdicts.
+// the whole corpus; checks/op counts its trials.
 func BenchmarkPlaceMix(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	wls := make([]workload.Workload, mixPlatforms)
 	for i := range wls {
 		wls[i] = coldPlatform(rng, i)
 	}
-	cfg := Config{Workers: 1}
+	var cfg Config
 	var checks, ops uint64
 	b.ReportAllocs()
 	for b.Loop() {

@@ -54,11 +54,10 @@
 // time such a comparison, or its report, needs it: a uint64 fraction in
 // lowest terms, moved to math/big only when a partial sum overflows.
 // Two fills, two fills each grown by the task at hand, or a grown fill
-// and 1 compare by 128-bit cross products, which neither allocate nor
-// wrap. math/big decides only where a fraction overflows, and for
-// worst-fit's capacities speed·(1−fill) across speeds, which none of the
-// benchmarked placements reaches. The placement builds no chunk plan and
-// promotes nothing.
+// and 1 compare by 128-bit cross products, and worst-fit's capacities
+// speed·(1−fill) across speeds by 192-bit ones; neither allocates nor
+// wraps. math/big decides only where a fraction overflows. The placement
+// builds no chunk plan and promotes nothing.
 //
 // # Trials on the incremental certificate
 //
@@ -76,20 +75,17 @@
 // iteration or level caps, a forced bound — run the analyzer on every
 // trial.
 //
-// # Verification, caching and parallelism
+// # Reporting the final bins
 //
-// Every reported verdict and iteration count is the configured
-// analyzer's own, on exactly the final bin. A bin whose last admitted
-// trial ran the analyzer reports that run and its wall time; a bin whose
-// last trial the certificate accepted is verified once more by the
-// analyzer. Only final bins are content-addressed, with the sporadic
-// fingerprint of their scaled task set — the same domain /v1/analyze
-// uses — so an injected Cache (the service's sharded LRU satisfies the
-// interface directly) serves repeated bins across requests and across
-// the fleet via the proxy's fingerprint routing, and receives every
-// verdict it did not serve. The bins left to verify run in one batch
-// through the engine's worker pool, bounded by Config.Workers; the
-// trials before them run on the calling goroutine.
+// Every reported verdict is exact on exactly the final bin. A final bin
+// reports the trial that admitted its last task, which decided the bin
+// as it stands: an analyzer run reports its verdict, iterations and wall
+// time; a certificate acceptance reports "feasible" with the
+// certificate's checked test points as its iterations and no wall time,
+// as a session's certificate accept does. No bin is analyzed a second
+// time, fingerprinted or looked up in a cache, and the whole placement
+// runs on the calling goroutine. Config.Workers and Config.Cache are
+// deprecated and ignored, and Stats.CacheHits reads 0.
 //
 // A bin's reported fill, Σ ceil(C/speed)/T, is the same exact fill that
 // decides the comparisons, printed as big.Rat would print it, with the

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/model"
@@ -74,13 +75,44 @@ func (f *fraction) rat(c, d int64) *big.Rat {
 	return r.Add(r, big.NewRat(c, d))
 }
 
-// room returns the remaining absolute capacity s·(1−f) on math/big:
-// worst-fit's key across speeds, where the float64 estimates leave few
-// comparisons undecided.
+// room returns the remaining absolute capacity s·(1−f) on math/big.
 func (f *fraction) room(s int64) *big.Rat {
 	r := f.rat(0, 1)
 	r.Sub(big.NewRat(1, 1), r)
 	return r.Mul(r, big.NewRat(s, 1))
+}
+
+// cmpRooms compares the remaining absolute capacities sx·(1−x) and
+// sy·(1−y) for speeds sx, sy >= 1 exactly: worst-fit's key across speeds,
+// where the float64 estimates leave few comparisons undecided. For
+// uint64 fractions x = px/qx and y = py/qy it compares the signs of
+// qx−px and qy−py, then the 192-bit products sx·|qx−px|·qy and
+// sy·|qy−py|·qx, which cannot wrap; math/big decides only where a fill
+// overflowed a uint64.
+func cmpRooms(x *fraction, sx int64, y *fraction, sy int64) int {
+	if x.big || y.big {
+		return x.room(sx).Cmp(y.room(sy))
+	}
+	sign := cmp.Compare(x.q, x.p)
+	if c := cmp.Compare(sign, cmp.Compare(y.q, y.p)); c != 0 || sign == 0 {
+		return c
+	}
+	dx, dy := x.q-x.p, y.q-y.p
+	if sign < 0 {
+		dx, dy = -dx, -dy
+	}
+	rx, ry := mul192(uint64(sx), dx, y.q), mul192(uint64(sy), dy, x.q)
+	return sign * slices.Compare(rx[:], ry[:])
+}
+
+// mul192 returns a·b·c for a < 2^63 as three words, most significant
+// first.
+func mul192(a, b, c uint64) [3]uint64 {
+	h, l := bits.Mul64(a, b)
+	m1, lo := bits.Mul64(l, c)
+	hi, m2 := bits.Mul64(h, c)
+	mid, carry := bits.Add64(m1, m2, 0)
+	return [3]uint64{hi + carry, mid, lo}
 }
 
 // cmpFills compares x + cx/d with y + cy/d exactly: by the 128-bit cross

@@ -51,11 +51,15 @@ func ratFill(ts model.TaskSet) *big.Rat {
 // brackets cannot decide must agree with big.Rat: fill against fill, x
 // plus y's first task against 1 (the gate), x and y each grown by a task
 // of the same period (balance), and the remaining capacities
-// speed·(1−fill) (worst-fit), also where one side overflows a uint64 and
-// the other does not.
+// speed·(1−fill) (worst-fit) of x at the input's speed against y at
+// speed 1 and at the next lower speed, also where one side overflows a
+// uint64 and the other does not.
 func FuzzFillVsBigRat(f *testing.F) {
 	const top = math.MaxInt64
 	primes := primesAbove(1<<31, 6) // pairwise coprime, three multiply above 2^64
+	// Pairwise coprime below 2^32: two of them sum to a denominator near
+	// 2^64.
+	high := primesAbove(1<<32-1<<12, 4)
 	// between/2^62 lies just above 1/p0 + 1/p1, by less than 1/p2.
 	pair := new(big.Int).Lsh(big.NewInt(primes[0]+primes[1]), 62)
 	between := pair.Quo(pair, big.NewInt(primes[0]*primes[1])).Int64() + 1
@@ -93,6 +97,16 @@ func FuzzFillVsBigRat(f *testing.F) {
 		{1, [][2]int64{{1, primes[0]}, {1, primes[1]}, {1, primes[2]}, {between, 1 << 62}, {1, 1 << 62}}},
 		// x and y overflow and tie.
 		{1, [][2]int64{{1, primes[0]}, {1, primes[1]}, {1, primes[2]}, {1, primes[0]}, {1, primes[1]}, {1, primes[2]}}},
+		// Denominators near 2^64 at speeds near MaxInt64, which scale every
+		// WCET to 1: the capacity products need all 192 bits.
+		{top, [][2]int64{{1, high[0]}, {1, high[1]}, {1, high[2]}, {1, high[3]}}},
+		{top - 1, [][2]int64{{1, high[0]}, {1, high[1]}, {1, high[0]}, {1, high[1]}}},
+		{top, [][2]int64{{1, high[0]}, {1, high[1]}, {1, high[1]}, {1, high[0]}}},
+		// Fills just below 1 over denominators near 2^64.
+		{1, [][2]int64{{high[0] - 2, high[0]}, {1, high[1]}, {high[2] - 2, high[2]}, {1, high[3]}}},
+		{2, [][2]int64{{high[0] - 1, high[0]}, {1, high[1]}, {high[0] - 1, high[0]}, {1, high[1]}}},
+		// Fills above 1: negative capacities.
+		{top, [][2]int64{{top, top}, {1, high[0]}, {top, top}, {1, high[1]}}},
 	} {
 		f.Add(s.speed, fillBytes(s.pairs...))
 	}
@@ -115,11 +129,14 @@ func FuzzFillVsBigRat(f *testing.F) {
 			t.Fatalf("%v against %v: %d, big.Rat says %d", ts[:h], ts[h:], got, want)
 		}
 		s := max(speed&math.MaxInt64, 1)
-		rx := new(big.Rat).Sub(one, bx)
-		rx.Mul(rx, big.NewRat(s, 1))
-		ry := new(big.Rat).Sub(one, by)
-		if got, want := x.room(s).Cmp(y.room(1)), rx.Cmp(ry); got != want {
-			t.Fatalf("room of %v at speed %d against %v at 1: %d, big.Rat says %d", ts[:h], s, ts[h:], got, want)
+		room := func(fill *big.Rat, s int64) *big.Rat {
+			r := new(big.Rat).Sub(one, fill)
+			return r.Mul(r, big.NewRat(s, 1))
+		}
+		for _, sy := range []int64{1, max(s-1, 1)} {
+			if got, want := cmpRooms(&x, s, &y, sy), room(bx, s).Cmp(room(by, sy)); got != want {
+				t.Fatalf("room of %v at speed %d against %v at %d: %d, big.Rat says %d", ts[:h], s, ts[h:], sy, got, want)
+			}
 		}
 		if h == len(ts) {
 			return
@@ -134,4 +151,18 @@ func FuzzFillVsBigRat(f *testing.F) {
 			t.Fatalf("%v plus %d/%d against %v plus %d/%d: %d, big.Rat says %d", ts[:h], c, d, ts[h:], cy, d, got, want)
 		}
 	})
+}
+
+// TestCmpRoomsAllocs: worst-fit's exact comparison across speeds stays
+// off math/big while both fills fit a uint64 fraction.
+func TestCmpRoomsAllocs(t *testing.T) {
+	var x, y fraction
+	x.sum(model.TaskSet{{WCET: 1, Period: 6}, {WCET: 1, Period: 3}})
+	y.sum(model.TaskSet{{WCET: 1, Period: 2}})
+	if c := cmpRooms(&x, 2, &y, 1); c != 1 {
+		t.Fatalf("2·(1−1/2) against 1·(1−1/2): %d, want 1", c)
+	}
+	if n := testing.AllocsPerRun(100, func() { cmpRooms(&x, 2, &y, 1) }); n != 0 {
+		t.Errorf("cmpRooms allocates %v times per call, want 0", n)
+	}
 }

@@ -67,8 +67,10 @@ func ParseHeuristics(specs []string) ([]Heuristic, error) {
 	return out, nil
 }
 
-// Cache is a result store keyed by analysis fingerprint. It is satisfied
-// directly by the service's sharded LRU; a nil Cache disables reuse.
+// Cache is a result store keyed by analysis fingerprint, the type of the
+// deprecated Config.Cache.
+//
+// Deprecated: placement consults no cache; Cache goes with Config.Cache.
 type Cache interface {
 	Get(key string) (core.Result, bool)
 	Put(key string, r core.Result)
@@ -79,18 +81,17 @@ type Config struct {
 	// Analyzer is the registry name (or group spec) verifying each bin;
 	// empty selects "cascade".
 	Analyzer string
-	// Options tune the per-bin analyses and contribute to their cache
-	// identity.
+	// Options tune the per-bin analyses.
 	Options core.Options
-	// Workers bounds the batch runner's pool that re-proves the final
-	// bins whose last trial the incremental certificate decided; <= 0
-	// selects NumCPU. Trials during the search run on the calling
-	// goroutine.
+	// Workers is ignored: every trial runs on the calling goroutine, and
+	// final bins are not analyzed again.
+	//
+	// Deprecated: set it to 0; it is deleted once no caller names it.
 	Workers int
-	// Cache, when non-nil, serves final-bin verdicts whose fingerprint
-	// was analyzed before and receives every fresh one, whether a bin's
-	// last trial proved it or a re-proof did. Trials during the search
-	// never consult it.
+	// Cache is ignored and receives no call: each final bin reports the
+	// trial that admitted its last task.
+	//
+	// Deprecated: leave it nil; it is deleted once no caller names it.
 	Cache Cache
 	// Heuristics is the strategy order; empty selects AllHeuristics.
 	Heuristics []Heuristic
@@ -98,21 +99,21 @@ type Config struct {
 
 // Stats count the work a placement run performed.
 type Stats struct {
-	// BinChecks is the number of bin verdicts consulted: one per trial
-	// that passed the utilization gate, settled by the incremental
-	// certificate or an analyzer run, plus one per non-empty final bin
-	// of a feasible placement, served by the cache, by the analyzer run
-	// of its last trial, or by a re-proof.
+	// BinChecks is the number of trials: one per candidate bin that
+	// passed the utilization gate, settled by the incremental
+	// certificate or an analyzer run. Final bins are not checked again.
 	BinChecks uint64 `json:"bin_checks"`
-	// CacheHits is how many final-bin verdicts came from the cache.
+	// CacheHits is always 0: final bins are not looked up in a cache.
+	//
+	// Deprecated: it is deleted once no caller reads it.
 	CacheHits uint64 `json:"cache_hits"`
 	// GateRejections counts candidates dismissed by the O(1) utilization
 	// gate without any analyzer run.
 	GateRejections uint64 `json:"gate_rejections"`
 	// Promotions counts exits from the bounded-denominator arithmetic
-	// fast path in the analyzer runs: the trials and the re-proofs. The
-	// placement's own decisions and fills are exact uint64 fractions,
-	// on math/big where those overflow, and promote nothing.
+	// fast path in the trials' analyzer runs. The placement's own
+	// decisions and fills are exact uint64 fractions, on math/big where
+	// those overflow, and promote nothing.
 	Promotions uint64 `json:"promotions,omitempty"`
 }
 
@@ -132,21 +133,17 @@ type ProcessorReport struct {
 	Utilization float64 `json:"utilization"`
 	// UtilizationExact is the same fill as an exact rational string.
 	UtilizationExact string `json:"utilization_exact"`
-	// Verdict is the uniprocessor verdict for the bin ("feasible" for an
-	// empty bin, which needs no test).
+	// Verdict is the uniprocessor verdict for the bin, from the trial
+	// that admitted its last task ("feasible" for an empty bin, which
+	// needs no test).
 	Verdict string `json:"verdict"`
-	// Iterations is the verifying analysis' effort metric.
+	// Iterations is that trial's effort: the analyzer's iteration count
+	// when the trial ran it, the incremental certificate's checked test
+	// points when the certificate accepted.
 	Iterations int64 `json:"iterations,omitempty"`
-	// WallNS is the verifying analysis' wall time: the bin's last trial
-	// when that trial ran the analyzer, the re-proof otherwise, 0 on a
-	// cache hit.
+	// WallNS is the analyzer's wall time in that trial, 0 when the
+	// certificate accepted.
 	WallNS int64 `json:"wall_ns,omitempty"`
-	// CacheHit reports whether the final verdict came from the cache.
-	CacheHit bool `json:"cache_hit,omitempty"`
-	// Fingerprint is the bin's content address — the same key
-	// /v1/analyze would use for this scaled task set — empty when the
-	// options are not content-addressable or the bin is empty.
-	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // Rejection explains why one processor could not take the failed task.
@@ -257,8 +254,7 @@ type bin struct {
 	room, roomErr float64
 	// below reports the grown fill strictly below 1, as the gate found.
 	below bool
-	// last is the last admitted trial: the analyzer's verdict on exactly
-	// the bin, when that trial ran the analyzer.
+	// last is the last admitted trial, the verdict on exactly the bin.
 	last analysis
 	// fill is the exact fill, valid while summed is set: it decides where
 	// a bracket or an estimate cannot, and it is the fill reported.
@@ -269,13 +265,12 @@ type bin struct {
 	reason string
 }
 
-// analysis is the outcome of a trial or a re-proof: the analyzer's result
-// and wall time, or, when ran is false, the incremental certificate's
-// acceptance, which carries no result to report.
+// analysis is the outcome of a trial: the analyzer's result and wall
+// time, or the incremental certificate's acceptance, a feasible result
+// whose iterations are the checked test points, with no wall time.
 type analysis struct {
 	res  core.Result
 	wall int64 // ns
-	ran  bool
 }
 
 // setRoom estimates the remaining absolute capacity from the fill's
@@ -324,8 +319,6 @@ func (b *bin) exact() *fraction {
 type placer struct {
 	wl       workload.Workload
 	analyzer engine.Analyzer
-	name     string // analyzer spelling used for fingerprints
-	cfg      Config
 	certify  bool         // trials try the incremental certificate first
 	opt      core.Options // cfg.Options with the placer's Scratch
 	scratch  *demand.Scratch
@@ -376,7 +369,7 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 	if len(p.heuristics) == 0 {
 		p.heuristics = append(p.heuristics, AllHeuristics()...)
 	}
-	p.init(wl, analyzer, name, cfg)
+	p.init(wl, analyzer, cfg)
 	var out Placement
 	for _, h := range p.heuristics {
 		attempt, err := p.run(ctx, h)
@@ -387,14 +380,10 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 			out.Attempts = append(out.Attempts, *attempt)
 			continue
 		}
-		reports, err := p.finalReports(ctx)
-		if err != nil {
-			return Placement{}, err
-		}
 		out.Feasible = true
 		out.Heuristic = h
 		out.Assignment = slices.Clone(p.asg)
-		out.Processors = reports
+		out.Processors = p.finalReports()
 		out.Stats = p.stats
 		return out, nil
 	}
@@ -414,8 +403,8 @@ func Place(ctx context.Context, wl workload.Workload, cfg Config) (Placement, er
 
 // init prepares a recycled placer for one placement: the task order and
 // one bin per processor, reusing what earlier placements allocated.
-func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name string, cfg Config) {
-	p.wl, p.analyzer, p.name, p.cfg = wl, analyzer, name, cfg
+func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, cfg Config) {
+	p.wl, p.analyzer = wl, analyzer
 	p.certify = incremental.Eligible(analyzer.Info().Name, cfg.Options)
 	p.opt = cfg.Options
 	p.opt.Scratch = p.scratch
@@ -438,7 +427,7 @@ func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, name strin
 
 // release drops the placement's references and recycles the placer.
 func (p *placer) release() {
-	p.wl, p.analyzer, p.cfg, p.opt = workload.Workload{}, nil, Config{}, core.Options{}
+	p.wl, p.analyzer, p.opt = workload.Workload{}, nil, core.Options{}
 	for j := range p.bins {
 		clear(p.bins[j].scaled[:cap(p.bins[j].scaled)])
 	}
@@ -566,7 +555,7 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 			if c, ok := cmpRoom(y, x); ok {
 				return c
 			}
-			return y.exact().room(y.speed).Cmp(x.exact().room(x.speed))
+			return cmpRooms(y.exact(), y.speed, x.exact(), x.speed)
 		}
 		// Grown fill, smallest first.
 		if c, ok := x.grown.Cmp(y.grown); ok {
@@ -579,14 +568,15 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 // trial decides whether bin b, which passed the gate, can also take the
 // scaled task st. The incremental certificate settles the trial when it
 // can: it accepts only sets whose exact demand fits the processor, which
-// the eligible cascade accepts too. It needs grown utilization strictly
-// below 1; otherwise, and whenever it cannot accept, the analyzer runs
-// on the tentative bin.
+// the eligible cascade accepts too, and reports its checked test points
+// as the iterations, as a session's certificate accept does. It needs
+// grown utilization strictly below 1; otherwise, and whenever it cannot
+// accept, the analyzer runs on the tentative bin.
 func (p *placer) trial(b *bin, st model.Task) analysis {
 	p.stats.BinChecks++
 	if p.certify && b.below {
-		if ok, _ := b.cert.Check(workload.SporadicTask(st)); ok {
-			return analysis{res: core.Result{Verdict: core.Feasible}}
+		if ok, checked := b.cert.Check(workload.SporadicTask(st)); ok {
+			return analysis{res: core.Result{Verdict: core.Feasible, Iterations: checked}}
 		}
 	}
 	// The spare capacity of scaled holds the tentative bin; admit keeps
@@ -597,7 +587,7 @@ func (p *placer) trial(b *bin, st model.Task) analysis {
 	res := p.analyzer.Analyze(tent, p.opt)
 	wall := time.Since(start)
 	p.stats.Promotions += p.opt.Scratch.ArithPromotions() - p0
-	return analysis{res: res, wall: int64(wall), ran: true}
+	return analysis{res: res, wall: int64(wall)}
 }
 
 // admit places task ti, scaled to st, on processor j, whose trial a
@@ -616,17 +606,11 @@ func (p *placer) admit(j, ti int, st model.Task, a analysis) {
 	p.asg[ti] = j
 }
 
-// finalReports reports each final bin. The cache serves bins it has
-// seen; a bin whose last admitted trial ran the analyzer reports that
-// run, the analyzer's own verdict on exactly this bin; the bins the
-// certificate decided run in one batch through the engine's worker pool.
-// Only final bins are fingerprinted, so a bin verdict is reused across
-// requests and, through the proxy's fingerprint routing, across the
-// fleet.
-func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
+// finalReports reports each final bin with the trial that admitted its
+// last task: that trial decided exactly the final bin, so its verdict
+// needs no second proof.
+func (p *placer) finalReports() []ProcessorReport {
 	reports := make([]ProcessorReport, len(p.bins))
-	var jobs []engine.Job
-	var idx []int
 	for j := range p.bins {
 		b, r := &p.bins[j], &reports[j]
 		*r = ProcessorReport{
@@ -641,46 +625,9 @@ func (p *placer) finalReports(ctx context.Context) ([]ProcessorReport, error) {
 		}
 		r.Tasks = slices.Clone(b.tasks)
 		r.Utilization, r.UtilizationExact = b.exact().report()
-		if key, ok := engine.Fingerprint(b.scaled, p.name, p.cfg.Options); ok {
-			r.Fingerprint = key
-			if p.cfg.Cache != nil {
-				if res, hit := p.cfg.Cache.Get(key); hit {
-					p.stats.BinChecks++
-					p.stats.CacheHits++
-					r.Verdict = res.Verdict.String()
-					r.Iterations = res.Iterations
-					r.CacheHit = true
-					continue
-				}
-			}
-		}
-		if !b.last.ran {
-			jobs = append(jobs, engine.Job{Set: b.scaled, Analyzer: p.analyzer, Opt: p.cfg.Options})
-			idx = append(idx, j)
-		}
-	}
-	if len(jobs) > 0 {
-		results := engine.Run(ctx, jobs, engine.RunOptions{Workers: p.cfg.Workers})
-		for ri, jr := range results {
-			if jr.Err != nil {
-				return nil, jr.Err
-			}
-			p.stats.Promotions += jr.Promotions
-			p.bins[idx[ri]].last = analysis{res: jr.Result, wall: int64(jr.Wall), ran: true}
-		}
-	}
-	for j := range reports {
-		b, r := &p.bins[j], &reports[j]
-		if len(b.tasks) == 0 || r.CacheHit {
-			continue
-		}
-		p.stats.BinChecks++
 		r.Verdict = b.last.res.Verdict.String()
 		r.Iterations = b.last.res.Iterations
 		r.WallNS = b.last.wall
-		if p.cfg.Cache != nil && r.Fingerprint != "" {
-			p.cfg.Cache.Put(r.Fingerprint, b.last.res)
-		}
 	}
-	return reports, nil
+	return reports
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/incremental"
 	"repro/internal/model"
 	"repro/internal/taskgen"
 	"repro/internal/workload"
@@ -169,23 +170,20 @@ func TestCertificatePlacesLikeExact(t *testing.T) {
 
 // TestPlacementConfirmedByFullAnalyzer is the oracle property over random
 // workloads, affinity-constrained and heterogeneous-speed sets included:
-// every placement declared feasible must be bit-identically confirmed by
-// re-running each processor's bin — rebuilt from the reported assignment
-// alone — through both the configured cascade and the full (non-cascade)
-// processor-demand analyzer.
+// every placement declared feasible must be confirmed by re-running each
+// processor's bin — rebuilt from the reported assignment alone — through
+// both the configured cascade and the full (non-cascade) processor-demand
+// analyzer. The reported verdict must be the cascade's, and the reported
+// iterations those of the bin's last trial (see lastTrial).
 func TestPlacementConfirmedByFullAnalyzer(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	oracle := engine.MustGet("pd")
 	cascade := engine.MustGet("cascade")
-	cache := newMapCache()
 	feasible := 0
 	const trials = 250
 	for trial := range trials {
 		wl := randomPartitioned(rng)
 		cfg := Config{}
-		if trial%2 == 0 {
-			cfg.Cache = cache
-		}
 		if trial%5 == 0 {
 			cfg.Heuristics = []Heuristic{AllHeuristics()[trial/5%3]}
 		}
@@ -217,11 +215,13 @@ func TestPlacementConfirmedByFullAnalyzer(t *testing.T) {
 			if res := oracle.Analyze(bin, core.Options{}); res.Verdict != core.Feasible {
 				t.Fatalf("trial %d: oracle rejects processor %d: %s", trial, rep.Index, res.Verdict)
 			}
-			// The recorded verdict must be the cascade's own, bit for bit.
+			// The recorded verdict must be the cascade's own, and the
+			// iterations those of the bin's last trial.
 			res := cascade.Analyze(bin, core.Options{})
-			if res.Verdict.String() != rep.Verdict || res.Iterations != rep.Iterations {
-				t.Fatalf("trial %d: processor %d recorded (%s, %d), cascade says (%s, %d)",
-					trial, rep.Index, rep.Verdict, rep.Iterations, res.Verdict, res.Iterations)
+			iters, _ := lastTrial(bin, true, res)
+			if res.Verdict.String() != rep.Verdict || iters != rep.Iterations {
+				t.Fatalf("trial %d: processor %d recorded (%s, %d), cascade says %s, last trial %d iterations",
+					trial, rep.Index, rep.Verdict, rep.Iterations, res.Verdict, iters)
 			}
 		}
 	}
@@ -231,23 +231,48 @@ func TestPlacementConfirmedByFullAnalyzer(t *testing.T) {
 	t.Logf("%d/%d trials feasible", feasible, trials)
 }
 
-// TestFinalBinsReportTheirLastTrial: a final bin whose last admitted
-// trial ran the analyzer reports that run instead of a second one, and
-// the bins the certificate decided are re-proved. Either way each bin's
-// verdict and iterations must be a fresh run's of the configured
-// analyzer on the whole bin. Configurations the certificate cannot serve
-// (a capped cascade, "pd") run the analyzer on every trial, so there
-// every final bin reports a trial, and a report of any earlier trial
+// lastTrial replays the last trial of a final bin, bin in placement
+// order, and returns the iterations it reports. Under an eligible
+// configuration with the bin's fill below 1, a fresh incremental.State
+// admits the bin's earlier tasks and checks its last one; when that
+// certificate accepts, its checked test points are the iterations and
+// certified is true. Otherwise the analyzer ran on exactly the bin, and
+// res, a fresh run of it, gives them.
+func lastTrial(bin model.TaskSet, eligible bool, res core.Result) (iterations int64, certified bool) {
+	fill := new(big.Rat)
+	for _, t := range bin {
+		fill.Add(fill, big.NewRat(t.WCET, t.Period))
+	}
+	if eligible && fill.Cmp(big.NewRat(1, 1)) < 0 {
+		st := incremental.New(engine.DefaultSuperPosLevel)
+		for _, t := range bin[:len(bin)-1] {
+			st.Admit(workload.SporadicTask(t))
+		}
+		if ok, checked := st.Check(workload.SporadicTask(bin[len(bin)-1])); ok {
+			return checked, true
+		}
+	}
+	return res.Iterations, false
+}
+
+// TestFinalBinsReportTheirLastTrial: a final bin reports the trial that
+// admitted its last task, with no second proof. Every bin's verdict must
+// be a fresh run's of the configured analyzer on the whole bin; its
+// iterations must be that run's where the last trial ran the analyzer,
+// and the replayed certificate's checked points, with no wall time,
+// where the certificate accepted. Configurations the certificate cannot
+// serve (a capped cascade, "pd") run the analyzer on every trial, so
+// there every final bin reports a run, and a report of any earlier trial
 // than the bin's last shows as fewer iterations.
 func TestFinalBinsReportTheirLastTrial(t *testing.T) {
 	configs := []Config{
-		{Workers: 1},
-		{Workers: 1, Options: core.Options{MaxIterations: 1 << 40}},
-		{Workers: 1, Analyzer: "pd"},
+		{},
+		{Options: core.Options{MaxIterations: 1 << 40}},
+		{Analyzer: "pd"},
 	}
 	rng := rand.New(rand.NewSource(17))
 	cold := rand.New(rand.NewSource(19))
-	bins := 0
+	var certified, ran int
 	for trial := range 300 {
 		wl := randomPartitioned(rng)
 		if trial%2 == 1 {
@@ -255,6 +280,7 @@ func TestFinalBinsReportTheirLastTrial(t *testing.T) {
 		}
 		cfg := configs[trial%len(configs)]
 		analyzer := engine.MustGet(cmp.Or(cfg.Analyzer, "cascade"))
+		eligible := incremental.Eligible(analyzer.Info().Name, cfg.Options)
 		pl, err := Place(context.Background(), wl, cfg)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -263,17 +289,27 @@ func TestFinalBinsReportTheirLastTrial(t *testing.T) {
 			if len(rep.Tasks) == 0 {
 				continue
 			}
-			bins++
-			res := analyzer.Analyze(BinTasks(wl, rep.Index, rep.Tasks), cfg.Options)
-			if res.Verdict.String() != rep.Verdict || res.Iterations != rep.Iterations {
-				t.Fatalf("trial %d: processor %d with %d tasks reports (%s, %d), a fresh %s run says (%s, %d)",
-					trial, rep.Index, len(rep.Tasks), rep.Verdict, rep.Iterations, analyzer.Info().Name, res.Verdict, res.Iterations)
+			bin := BinTasks(wl, rep.Index, rep.Tasks)
+			res := analyzer.Analyze(bin, cfg.Options)
+			iters, cert := lastTrial(bin, eligible, res)
+			if res.Verdict.String() != rep.Verdict || iters != rep.Iterations {
+				t.Fatalf("trial %d: processor %d with %d tasks reports (%s, %d), a fresh %s run says %s, the last trial %d iterations (certificate %v)",
+					trial, rep.Index, len(rep.Tasks), rep.Verdict, rep.Iterations, analyzer.Info().Name, res.Verdict, iters, cert)
+			}
+			if cert {
+				certified++
+				if rep.WallNS != 0 {
+					t.Fatalf("trial %d: processor %d, decided by the certificate, reports %d ns of analysis", trial, rep.Index, rep.WallNS)
+				}
+			} else {
+				ran++
 			}
 		}
 	}
-	if bins == 0 {
-		t.Fatal("no final bins — the generators are miscalibrated")
+	if certified == 0 || ran == 0 {
+		t.Fatalf("%d final bins decided by the certificate, %d by the analyzer: the generators are miscalibrated", certified, ran)
 	}
+	t.Logf("%d final bins decided by the certificate, %d by the analyzer", certified, ran)
 }
 
 // TestPlaceConcurrent places the same platforms from several goroutines
@@ -286,7 +322,7 @@ func TestPlaceConcurrent(t *testing.T) {
 	want := make([]Placement, len(wls))
 	for i := range wls {
 		wls[i] = coldPlatform(rng, i)
-		pl, err := Place(context.Background(), wls[i], Config{Workers: 1})
+		pl, err := Place(context.Background(), wls[i], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +335,7 @@ func TestPlaceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := range wls {
 				i := (k + 7*g) % len(wls)
-				got, err := Place(context.Background(), wls[i], Config{Workers: 1})
+				got, err := Place(context.Background(), wls[i], Config{})
 				if err != nil {
 					t.Error(err)
 					return

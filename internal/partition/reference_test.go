@@ -241,7 +241,7 @@ func TestPlaceMatchesBigRatReference(t *testing.T) {
 		default:
 			wl, what = primePlatform(prime, primes), "prime"
 		}
-		cfg := Config{Analyzer: "cascade", Workers: 1}
+		cfg := Config{Analyzer: "cascade"}
 		if i%7 == 3 {
 			cfg.Heuristics = []Heuristic{AllHeuristics()[i%3], AllHeuristics()[(i+1)%3]}
 		}
@@ -267,7 +267,7 @@ func TestPlacePrimeWithoutPromotions(t *testing.T) {
 	primes := primesAbove(1<<31, numeric.MaxChunks+4)
 	for i := range 100 {
 		wl := primePlatform(rng, primes)
-		pl, err := Place(context.Background(), wl, Config{Workers: 1})
+		pl, err := Place(context.Background(), wl, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -448,9 +448,9 @@ type PartitionRequest struct {
 	// Heuristics orders the placement strategies tried ("first-fit",
 	// "worst-fit", "balance"); empty tries all three in that order.
 	Heuristics []string
-	// Workers bounds the pool that verifies the final bins of a
-	// placement; 0 selects the server default. Trials during the search
-	// run on the request's goroutine.
+	// Workers is ignored: a placement runs on the request's goroutine.
+	//
+	// Deprecated: leave it 0; it is deleted once no caller names it.
 	Workers int
 }
 
@@ -505,7 +505,7 @@ type PartitionResponse struct {
 // has no MarshalJSON, which PartitionResponse would promote.
 func (r PartitionResponse) MarshalJSON() ([]byte, error) {
 	pl := &r.Placement
-	b := append(make([]byte, 0, 256+8*len(pl.Assignment)+192*len(pl.Processors)+128*len(pl.Attempts)), '{')
+	b := append(make([]byte, 0, 256+8*len(pl.Assignment)+160*len(pl.Processors)+128*len(pl.Attempts)), '{')
 	b = appendOptString(b, "name", r.Name)
 	b = workload.AppendString(workload.AppendKey(b, "model"), r.Model)
 	b = workload.AppendString(workload.AppendKey(b, "analyzer"), r.Analyzer)
@@ -566,10 +566,6 @@ func appendProcessorReport(b []byte, p *partition.ProcessorReport) ([]byte, erro
 	b = workload.AppendString(workload.AppendKey(b, "verdict"), p.Verdict)
 	b = appendOptInt(b, "iterations", p.Iterations)
 	b = appendOptInt(b, "wall_ns", p.WallNS)
-	if p.CacheHit {
-		b = append(workload.AppendKey(b, "cache_hit"), "true"...)
-	}
-	b = appendOptString(b, "fingerprint", p.Fingerprint)
 	return append(b, '}'), nil
 }
 

@@ -83,7 +83,7 @@ var (
 	partitionKeys = []string{"name", "model", "analyzer", "feasible", "heuristic", "assignment", "processors",
 		"attempts", "counterexample", "stats", "wall_ns"}
 	reportKeys = []string{"processor", "name", "speed", "tasks", "utilization", "utilization_exact", "verdict",
-		"iterations", "wall_ns", "cache_hit", "fingerprint"}
+		"iterations", "wall_ns"}
 	attemptKeys   = []string{"heuristic", "placed", "failed_task", "failed_task_name", "rejections"}
 	rejectionKeys = []string{"processor", "reason"}
 	statsKeys     = []string{"bin_checks", "cache_hits", "gate_rejections", "promotions"}
@@ -139,7 +139,7 @@ func (s *replyScanner) value(dst any) bool {
 			&pl.Assignment, &pl.Processors, &pl.Attempts, &pl.Counterexample, &pl.Stats, &v.WallNS)
 	case *partition.ProcessorReport:
 		return s.object(reportKeys, &v.Index, &v.Name, &v.Speed, &v.Tasks, &v.Utilization, &v.UtilizationExact,
-			&v.Verdict, &v.Iterations, &v.WallNS, &v.CacheHit, &v.Fingerprint)
+			&v.Verdict, &v.Iterations, &v.WallNS)
 	case *partition.Attempt:
 		return s.object(attemptKeys, &v.Heuristic, &v.Placed, &v.FailedTask, &v.FailedTaskName, &v.Rejections)
 	case **partition.Attempt:

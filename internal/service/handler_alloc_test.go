@@ -29,7 +29,7 @@ func TestAnalyzeHitAllocs(t *testing.T) {
 	if rr := serve(); rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"cached":true`) {
 		t.Fatalf("second analyze: %d %s, want a cache hit", rr.Code, rr.Body)
 	}
-	const bound = 42
+	const bound = 40
 	allocs := testing.AllocsPerRun(100, func() {
 		if rr := serve(); rr.Code != http.StatusOK {
 			t.Fatalf("analyze: %d %s", rr.Code, rr.Body)

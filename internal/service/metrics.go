@@ -83,10 +83,12 @@ type metrics struct {
 	incremental atomic.Uint64
 	escalated   atomic.Uint64
 
-	// Partition activity: placement requests by outcome, plus how the
-	// per-bin verification work split between fresh analyzer runs and the
-	// content-addressed cache (the O(1) utilization gate rejections never
-	// reach either).
+	// Partition activity: placement requests by outcome, the trials
+	// (certificate checks or analyzer runs) and the candidates the O(1)
+	// utilization gate rejected before any trial. Nothing adds to
+	// partitionBinCacheHits since placements stopped caching their bins:
+	// it backs the deprecated edfd_partition_bin_cache_hits_total, which
+	// reads 0 until it is deleted.
 	partitionRequests       atomic.Uint64
 	partitionFeasible       atomic.Uint64
 	partitionInfeasible     atomic.Uint64
@@ -145,8 +147,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	ew.Counter("edfd_partition_requests_total", "Partitioned placement requests served.", s.m.partitionRequests.Load())
 	ew.Counter("edfd_partition_feasible_total", "Placement requests answered with a proven placement.", s.m.partitionFeasible.Load())
 	ew.Counter("edfd_partition_infeasible_total", "Placement requests answered with a counterexample.", s.m.partitionInfeasible.Load())
-	ew.Counter("edfd_partition_bin_checks_total", "Bin verdicts consulted during placement: gate-surviving trials plus final bins.", s.m.partitionBinChecks.Load())
-	ew.Counter("edfd_partition_bin_cache_hits_total", "Final-bin verdicts served from the content-addressed cache.", s.m.partitionBinCacheHits.Load())
+	ew.Counter("edfd_partition_bin_checks_total", "Placement trials: certificate checks or analyzer runs of gate-surviving candidate bins.", s.m.partitionBinChecks.Load())
+	ew.Counter("edfd_partition_bin_cache_hits_total", "Always 0: final bins are not cached (deprecated).", s.m.partitionBinCacheHits.Load())
 	ew.Counter("edfd_partition_gate_rejections_total", "Candidate bins dismissed by the O(1) utilization gate.", s.m.partitionGateRejections.Load())
 	ew.Counter("edfd_session_proposals_total", "Session proposals decided, bulk members included.", s.m.proposals.Load())
 	ew.Counter("edfd_session_propose_batches_total", "Propose-batch requests served.", s.m.proposeBatches.Load())

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/workload"
@@ -63,21 +66,18 @@ func TestE2EPartitionFeasible(t *testing.T) {
 		if rep.Verdict != "feasible" {
 			t.Errorf("processor %d: verdict %s", rep.Index, rep.Verdict)
 		}
-		if len(rep.Tasks) > 0 && rep.Fingerprint == "" {
-			t.Errorf("processor %d: no fingerprint", rep.Index)
-		}
 	}
 	if resp.Stats.BinChecks == 0 {
 		t.Error("no bin checks counted")
 	}
 
 	// The placement trace must resolve, with the placement span and one
-	// bin span per processor.
+	// bin span per processor; processor 0 holds tasks a and pinned.
 	tr, err := c.Trace(ctx, rt.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bins, place := 0, false
+	bins, place, p0 := 0, false, false
 	for _, sp := range tr.Spans {
 		if strings.HasPrefix(sp.Name, "bin:p") {
 			bins++
@@ -85,13 +85,17 @@ func TestE2EPartitionFeasible(t *testing.T) {
 		if sp.Name == "place" {
 			place = true
 		}
+		p0 = p0 || sp.Name == "bin:p0" && sp.Detail == "2 tasks, feasible"
 	}
 	if !place || bins != len(resp.Processors) {
 		t.Errorf("trace spans: place=%v bins=%d want %d", place, bins, len(resp.Processors))
 	}
+	if !p0 {
+		t.Errorf("no span bin:p0 with detail %q: %+v", "2 tasks, feasible", tr.Spans)
+	}
 
-	// A repeated placement is served from the content-addressed cache.
-	again, _, err := c.Partition(ctx, service.PartitionRequest{Workload: partWorkload(
+	// A repeated placement equals the first apart from its wall times.
+	again, _, err := c.Partition(ctx, service.PartitionRequest{Name: "plant", Workload: partWorkload(
 		partTask("a", 6, 10, 10),
 		partTask("b", 6, 10, 10),
 		partTask("pinned", 2, 10, 10, 0),
@@ -99,8 +103,8 @@ func TestE2EPartitionFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Stats.CacheHits == 0 {
-		t.Errorf("warm placement hit no cache: %+v", again.Stats)
+	if a, b := withoutWallTimes(again), withoutWallTimes(resp); !reflect.DeepEqual(a, b) {
+		t.Errorf("repeated placement\n%+v\ndiffers from the first\n%+v", a, b)
 	}
 
 	page, err := c.Metrics(ctx)
@@ -118,6 +122,71 @@ func TestE2EPartitionFeasible(t *testing.T) {
 		}
 	}
 	_ = srv
+}
+
+// withoutWallTimes returns r with its wall times, the only fields that
+// differ between runs of one placement, zeroed in a copy of its reports.
+func withoutWallTimes(r service.PartitionResponse) service.PartitionResponse {
+	r.WallNS = 0
+	r.Processors = slices.Clone(r.Processors)
+	for j := range r.Processors {
+		r.Processors[j].WallNS = 0
+	}
+	return r
+}
+
+// TestE2EPartitionLeavesCache: a placement neither reads nor fills the
+// result cache, so it leaves the cache's entries, hits and misses as an
+// analyze left them.
+func TestE2EPartitionLeavesCache(t *testing.T) {
+	_, c := newTestServer(t, service.Config{})
+	ctx := context.Background()
+	cacheMetrics := func() map[string]float64 {
+		t.Helper()
+		page, err := c.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.ParseExposition(strings.NewReader(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, s := range samples {
+			switch s.Name {
+			case "edfd_cache_entries", "edfd_cache_hits", "edfd_cache_misses":
+				out[s.Name] = s.Value
+			}
+		}
+		if len(out) != 3 {
+			t.Fatalf("metrics page lacks a cache family: %v", out)
+		}
+		return out
+	}
+	// One analyze of the single-task bin the placement below builds on
+	// processor 0, so the cache holds an entry it could hit.
+	if _, _, err := c.Analyze(ctx, service.AnalyzeRequest{
+		Workload: service.SporadicWorkload(model.TaskSet{{WCET: 6, Deadline: 10, Period: 10}}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := cacheMetrics()
+	for range 2 {
+		resp, _, err := c.Partition(ctx, service.PartitionRequest{Workload: partWorkload(
+			partTask("a", 6, 10, 10),
+			partTask("b", 6, 10, 10),
+			partTask("pinned", 2, 10, 10, 0),
+		)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Feasible {
+			t.Fatalf("placement: %+v", resp)
+		}
+	}
+	if after := cacheMetrics(); !reflect.DeepEqual(after, before) {
+		t.Errorf("placements moved the result cache from %v to %v", before, after)
+	}
 }
 
 func TestE2EPartitionCounterexample(t *testing.T) {

@@ -432,9 +432,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, BatchResponse{Results: out})
 }
 
-// handlePartition places a partitioned workload onto its processors,
-// verifying the final bins through the cache-backed batch runner, and
-// reports either the proven placement or the counterexample trail.
+// handlePartition places a partitioned workload onto its processors on
+// the request's goroutine and reports either the proven placement, each
+// bin with the trial that admitted its last task, or the counterexample
+// trail.
 func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	var req PartitionRequest
 	if !s.decode(w, r, &req) {
@@ -460,17 +461,10 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// Same clamp as batch: callers may shrink the pool, never widen it.
-	workers := req.Workers
-	if workers <= 0 || (s.cfg.Workers > 0 && workers > s.cfg.Workers) {
-		workers = s.cfg.Workers
-	}
 	start := time.Now()
 	pl, err := partition.Place(r.Context(), req.Workload, partition.Config{
 		Analyzer:   a.Info().Name,
 		Options:    opt,
-		Workers:    workers,
-		Cache:      s.cache,
 		Heuristics: hs,
 	})
 	if err != nil {
@@ -484,23 +478,24 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.m.partitionInfeasible.Add(1)
 	}
 	s.m.partitionBinChecks.Add(pl.Stats.BinChecks)
-	s.m.partitionBinCacheHits.Add(pl.Stats.CacheHits)
 	s.m.partitionGateRejections.Add(pl.Stats.GateRejections)
 	s.m.promotions.Add(pl.Stats.Promotions)
 	if tr := obs.FromContext(r.Context()); tr != nil {
 		// One span per processor under the placement span, so the trace
-		// tree shows every bin's verdict and verification cost.
+		// tree shows every bin's verdict and the analyzer time of its last
+		// trial. Name and detail share one string.
 		off := start.Sub(tr.Start()).Nanoseconds()
+		var buf [64]byte
 		for _, rep := range pl.Processors {
-			detail := fmt.Sprintf("%d tasks, %s", len(rep.Tasks), rep.Verdict)
-			if rep.CacheHit {
-				detail += " (cached)"
-			}
+			b := strconv.AppendInt(append(buf[:0], "bin:p"...), int64(rep.Index), 10)
+			name := len(b)
+			b = strconv.AppendInt(b, int64(len(rep.Tasks)), 10)
+			text := string(append(append(b, " tasks, "...), rep.Verdict...))
 			tr.AddSpan(obs.Span{
-				Name:    fmt.Sprintf("bin:p%d", rep.Index),
+				Name:    text[:name],
 				StartNS: off,
 				DurNS:   rep.WallNS,
-				Detail:  detail,
+				Detail:  text[name:],
 			})
 		}
 		detail := fmt.Sprintf("feasible via %s, %d bin checks", pl.Heuristic, pl.Stats.BinChecks)

@@ -187,5 +187,7 @@ func newSessionID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		panic(err)
 	}
-	return hex.EncodeToString(b[:])
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }

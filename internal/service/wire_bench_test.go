@@ -115,7 +115,7 @@ func wireReplies() []wireValue {
 	propose := ProposeResponse{Admitted: true, Result: ResultJSON{Verdict: "feasible", Iterations: 4},
 		Utilization: 0.8734512, Committed: 41, Pending: 1, Path: "fast"}
 	pl, err := partition.Place(context.Background(), wirePartitioned(rand.New(rand.NewSource(1))),
-		partition.Config{Workers: 1})
+		partition.Config{})
 	if err != nil {
 		panic(err)
 	}

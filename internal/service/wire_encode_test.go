@@ -399,7 +399,7 @@ func (s *encSource) placement() partition.Placement {
 		for i := range pl.Processors {
 			pl.Processors[i] = partition.ProcessorReport{Index: int(s.int64()), Name: s.str(), Speed: s.int64(),
 				Tasks: s.ints(), Utilization: s.float(), UtilizationExact: s.str(), Verdict: s.str(),
-				Iterations: s.int64(), WallNS: s.int64(), CacheHit: s.bool(), Fingerprint: s.str()}
+				Iterations: s.int64(), WallNS: s.int64()}
 		}
 	}
 	if s.bool() {

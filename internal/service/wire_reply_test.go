@@ -17,8 +17,8 @@ var readmeReplies = []string{
 	  "result":{"verdict":"feasible","iterations":4},
 	  "wall_ns":23145,"cached":false,"fingerprint":"8ced8fd1..."}`,
 	`{"model":"partitioned","analyzer":"cascade","feasible":true,
-	  "heuristic":"first-fit","assignment":[1,1,0],
-	  "processors":[{"processor":0,...,"verdict":"feasible","fingerprint":"..."},
+	  "heuristic":"first-fit","assignment":[0,1,0],
+	  "processors":[{"processor":0,...,"verdict":"feasible","iterations":4},
 	                {"processor":1,"speed":2,...,"verdict":"feasible",...}], ...}`,
 }
 
@@ -149,14 +149,14 @@ func TestReplyWalkTakesDaemonReplies(t *testing.T) {
 }
 
 // TestReplyDecodeAllocs holds the client's decode of the benchmark's
-// analyze and partition replies at the allocations measured when the walk
-// replaced json.NewDecoder: the reply value and the strings and slices it
-// keeps, each slice allocated at its final length.
+// analyze and partition replies at their measured allocations: the reply
+// value and the strings and slices it keeps, each slice allocated at its
+// final length. A placement's bins carry no fingerprint strings.
 func TestReplyDecodeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		max  float64
-	}{{"analyze-reply", 2}, {"partition-reply-m8-24", 12}} {
+	}{{"analyze-reply", 2}, {"partition-reply-m8-24", 9}} {
 		rb := replyBody(t, c.name)
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := rb.decode(rb.body); err != nil {

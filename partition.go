@@ -59,11 +59,11 @@ type PlacementAttempt = partition.Attempt
 // was handed a partitioned workload.
 type PartitionedUnsupportedError = engine.PartitionedUnsupportedError
 
-// AnalyzePartitioned searches for a feasible partitioned-EDF placement.
-// The zero config uses the cascade analyzer, all heuristics in order,
-// and one worker per CPU to verify the final bins; per-bin verdicts are
-// exact, so a feasible placement is a proof and an infeasible one
-// carries the heuristic rejection trail.
+// AnalyzePartitioned searches for a feasible partitioned-EDF placement
+// on the calling goroutine. The zero config uses the cascade analyzer
+// and all heuristics in order; per-bin verdicts are exact, so a feasible
+// placement is a proof and an infeasible one carries the heuristic
+// rejection trail.
 func AnalyzePartitioned(ctx context.Context, wl Workload, cfg PlacementConfig) (Placement, error) {
 	return partition.Place(ctx, wl, cfg)
 }
