@@ -14,25 +14,29 @@ test: vet
 # Fuzz smoke: `go test ./...` only replays the seed corpora; this runs
 # each fuzz target alone for FUZZTIME of fresh inputs. A failing input is
 # written under that package's testdata/fuzz: commit it with the fix.
+# The fuzzer minimizes each new interesting input for up to 60 s by
+# default, which would eat a short run; 200 executions per input bound it.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -run '^$$' -fuzzminimizetime 200x -fuzztime $(FUZZTIME)
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime $(FUZZTIME) ./internal/model/
-	$(GO) test -run '^$$' -fuzz '^FuzzVerdictAgreement$$' -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzChunkedVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
-	$(GO) test -run '^$$' -fuzz '^FuzzFastVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/numeric/
-	$(GO) test -run '^$$' -fuzz '^FuzzPlanRebuild$$' -fuzztime $(FUZZTIME) ./internal/numeric/
-	$(GO) test -run '^$$' -fuzz '^FuzzUtilSumCmp$$' -fuzztime $(FUZZTIME) ./internal/numeric/
-	$(GO) test -run '^$$' -fuzz '^FuzzCmpMulAdd$$' -fuzztime $(FUZZTIME) ./internal/numeric/
-	$(GO) test -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME) ./internal/workload/
-	$(GO) test -run '^$$' -fuzz '^FuzzWorkloadJSON$$' -fuzztime $(FUZZTIME) ./internal/engine/
-	$(GO) test -run '^$$' -fuzz '^FuzzSimReferee$$' -fuzztime $(FUZZTIME) ./internal/engine/
-	$(GO) test -run '^$$' -fuzz '^FuzzFillVsBigRat$$' -fuzztime $(FUZZTIME) ./internal/partition/
-	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzWireEncode$$' -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzReplyJSON$$' -fuzztime $(FUZZTIME) ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store/
-	$(GO) test -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime $(FUZZTIME) ./internal/obs/
-	$(GO) test -run '^$$' -fuzz '^FuzzSSEScanner$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(FUZZ) -fuzz '^FuzzReadJSON$$' ./internal/model/
+	$(FUZZ) -fuzz '^FuzzVerdictAgreement$$' ./internal/core/
+	$(FUZZ) -fuzz '^FuzzChunkedVsBigRat$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzFastVsBigRat$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzPlanRebuild$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzUtilSumCmp$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzCmpMulAdd$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzUtilSumPlus$$' ./internal/numeric/
+	$(FUZZ) -fuzz '^FuzzValid$$' ./internal/workload/
+	$(FUZZ) -fuzz '^FuzzWorkloadJSON$$' ./internal/engine/
+	$(FUZZ) -fuzz '^FuzzSimReferee$$' ./internal/engine/
+	$(FUZZ) -fuzz '^FuzzFillVsBigRat$$' ./internal/partition/
+	$(FUZZ) -fuzz '^FuzzRequestJSON$$' ./internal/service/
+	$(FUZZ) -fuzz '^FuzzWireEncode$$' ./internal/service/
+	$(FUZZ) -fuzz '^FuzzReplyJSON$$' ./internal/service/
+	$(FUZZ) -fuzz '^FuzzWALReplay$$' ./internal/store/
+	$(FUZZ) -fuzz '^FuzzExposition$$' ./internal/obs/
+	$(FUZZ) -fuzz '^FuzzSSEScanner$$' ./internal/obs/
 
 bench:
 	$(GO) test -bench . -benchmem -run xxx . | tee bench.out

@@ -60,9 +60,11 @@
 //
 // An admission session keeps one State for its whole lifetime. A
 // partitioned placement keeps one per processor: each trial is a Check,
-// each accepted task an Admit, and Reset empties the states for the next
-// heuristic. Both decide through Eligible whether their configuration
-// may use the certificate at all.
+// and the tasks the processor accepted since its last Check are each an
+// Admit, in order, just before the next one, so a processor that is
+// never checked again folds nothing more; Reset empties the states for
+// the next heuristic. Both decide through Eligible whether their
+// configuration may use the certificate at all.
 package incremental
 
 import (

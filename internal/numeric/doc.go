@@ -73,7 +73,9 @@
 // where that overflows): the bracket decides the utilization gate and the
 // heuristics' bin rankings, and the fraction only what the bracket
 // cannot, so no placement builds a chunk plan; demand.Scratch owns the
-// only plans outside this package. Devi's test keeps two UtilSums over its
+// only plans outside this package. A placement divides once per task and
+// distinct speed: UtilSum.Plus adds that one-term sum to each bin of the
+// speed, bit-identical to Add. Devi's test keeps two UtilSums over its
 // deadline-ordered prefix, the utilization and the gap terms
 // (T - D)·C/T (UtilSum.AddMul forms their numerators in 128 bits), and
 // decides each prefix condition with CmpMulAdd; only a prefix that close

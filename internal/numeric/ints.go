@@ -36,16 +36,16 @@ func LCM(a, b int64) (int64, bool) {
 }
 
 // MulChecked returns a*b and reports whether the product fits in int64.
-// Both operands must be non-negative.
+// Both operands must be non-negative. The product is formed in 128 bits
+// (math/bits.Mul64), so the check costs a multiplication, not a
+// division: the certificate, the demand sources and Devi call it at
+// every test point.
 func MulChecked(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	p := a * b
-	if p/b != a {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
 		return 0, false
 	}
-	return p, true
+	return int64(lo), true
 }
 
 // AddChecked returns a+b and reports whether the sum fits in int64.

@@ -40,6 +40,27 @@ func (u UtilSum) AddMul(a, b, den int64) UtilSum {
 	return u.add(hi, lo, uint64(den))
 }
 
+// Plus returns u + o, bit-identical to adding o's terms to u one by one
+// with Add: the fixed-point fractions add with their carry, the integer
+// parts saturate, and the truncation counts add. A caller that adds one
+// term to many sums computes it once, as UtilSum{}.Add(num, den).
+func (u UtilSum) Plus(o UtilSum) UtilSum {
+	var c uint64
+	u.lo, c = bits.Add64(u.lo, o.lo, 0)
+	u.hi, c = bits.Add64(u.hi, o.hi, c)
+	u.ip = satAdd(satAdd(u.ip, o.ip), c)
+	u.inexact += o.inexact
+	return u
+}
+
+// satAdd returns a + b, saturating at math.MaxUint64.
+func satAdd(a, b uint64) uint64 {
+	if a > math.MaxUint64-b {
+		return math.MaxUint64
+	}
+	return a + b
+}
+
 // add adds (hi·2^64 + lo)/d for a numerator below d·2^63, which keeps
 // hi below d and the quotient below 2^63: Add's numerator is an int64,
 // and AddMul's a <= den and b < 2^63 bound its product.
@@ -56,11 +77,7 @@ func (u UtilSum) add(hi, lo, d uint64) UtilSum {
 	u.lo, c = bits.Add64(u.lo, f0, 0)
 	u.hi, c = bits.Add64(u.hi, f1, c)
 	q += c // q < 2^63, so the carry cannot wrap it
-	if u.ip > math.MaxUint64-q {
-		u.ip = math.MaxUint64
-	} else {
-		u.ip += q
-	}
+	u.ip = satAdd(u.ip, q)
 	return u
 }
 

@@ -31,17 +31,24 @@
 // speed·(1−fill); balance: lowest resulting fill — the two differ only
 // on heterogeneous platforms) and the task lands on the first candidate
 // whose extended bin is proven feasible. Candidates are tried lazily in
-// rank order; a task that fails everywhere carries every candidate's
-// verdict in its rejection trail.
+// rank order: a scan picks the best remaining candidate, and the next
+// one only after a rejection, first in processor order among equals, so
+// the trials follow the order a stable sort of the candidates would
+// give for the one or two trials a task usually needs. A task that
+// fails everywhere carries every candidate's verdict in its rejection
+// trail.
 //
 // Brackets decide the gate and the rankings. Each bin keeps its fill as a
 // numeric.UtilSum, a 128-bit fixed-point lower bound plus a count of
-// truncated terms, and grows it by the task at hand once per task:
-// UtilSum.CmpOne settles the gate and UtilSum.Cmp the rankings, a few
-// integer operations per candidate and comparison. Candidates of equal
-// speed rank by their fills alone, since the task adds the same fraction
-// to each; balance compares the grown fills across speeds. Worst-fit
-// across speeds compares speed·(1−fill), estimated once per admission in
+// truncated terms, and grows it by the task at hand once per task. The
+// task's term, ceil(C/speed)/T as a one-term UtilSum, is computed once
+// per distinct speed of the platform, and each bin of that speed adds it
+// with UtilSum.Plus, bit-identical to adding the fraction itself:
+// integer additions per candidate, no division. UtilSum.CmpOne settles
+// the gate and UtilSum.Cmp the rankings. Candidates of equal speed rank
+// by their fills alone, since the task adds the same fraction to each;
+// balance compares the grown fills across speeds. Worst-fit across
+// speeds compares speed·(1−fill), estimated once per admission in
 // float64 from the bracket, with an error bound of speed·2^-50: two
 // estimates further apart than their bounds decide.
 //
@@ -67,7 +74,10 @@
 // when the certificate cannot accept (or the fill is exactly 1) does the
 // configured analyzer run, directly on the tentative bin with one
 // Scratch the placement owns. An accepted task is folded into the state
-// with State.Admit, and State.Reset empties the states for the next
+// with State.Admit, not when it is admitted but just before the bin's
+// next Check, in admission order, so the state a Check reads is the one
+// eager folds would have built, and a bin that is never checked again
+// folds nothing more. State.Reset empties the states for the next
 // heuristic. The certificate accepts only sets whose exact demand fits
 // the processor, and under incremental.Eligible options the cascade is
 // exact, so every trial decides exactly as a full analyzer run would.

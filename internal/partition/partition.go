@@ -240,11 +240,14 @@ func BinTasks(wl workload.Workload, proc int, tasks []int) model.TaskSet {
 // one placement, to the next.
 type bin struct {
 	speed  int64
+	sp     int           // index of speed in the placer's distinct speeds
 	tasks  []int         // original task indices, placement order
 	scaled model.TaskSet // scaled tasks, same order
-	// cert is the incremental certificate over scaled, in use when the
-	// placer certifies.
-	cert *incremental.State
+	// cert is the incremental certificate over scaled[:folded], in use
+	// when the placer certifies; the tasks after folded are folded in
+	// just before the bin's next Check.
+	cert   *incremental.State
+	folded int
 	// util brackets the fill and grown the fill plus the task at hand;
 	// they decide the gate and the rankings.
 	util, grown numeric.UtilSum
@@ -263,6 +266,14 @@ type bin struct {
 	// reason is why the bin refused the task at hand ("" while it is a
 	// candidate): the rejection trail of a task that fails everywhere.
 	reason string
+}
+
+// term is the task at hand scaled to one distinct speed: its execution
+// units ceil(C/speed) and its utilization as a one-term sum, which every
+// bin of that speed adds to its fill.
+type term struct {
+	w    int64 // 0 until computed for the task at hand
+	util numeric.UtilSum
 }
 
 // analysis is the outcome of a trial: the analyzer's result and wall
@@ -323,9 +334,11 @@ type placer struct {
 	opt      core.Options // cfg.Options with the placer's Scratch
 	scratch  *demand.Scratch
 	bins     []bin
-	order    []int // task indices, decreasing utilization
-	asg      []int // processor of each task
-	cands    []int // processors that can take the task at hand, ranked
+	speeds   []int64 // the platform's distinct speeds, in processor order
+	terms    []term  // the task at hand at each of speeds, computed on use
+	order    []int   // task indices, decreasing utilization
+	asg      []int   // processor of each task
+	cands    []int   // processors that can take the task at hand, not yet tried
 	stats    Stats
 	// heuristics is the strategy order, parsed from cfg.Heuristics.
 	heuristics []Heuristic
@@ -416,13 +429,20 @@ func (p *placer) init(wl workload.Workload, analyzer engine.Analyzer, cfg Config
 		p.bins = append(p.bins[:cap(p.bins)], make([]bin, m-cap(p.bins))...)
 	}
 	p.bins = p.bins[:m]
+	p.speeds = p.speeds[:0]
 	for j := range p.bins {
 		b := &p.bins[j]
 		b.speed = wl.Processors[j].EffectiveSpeed()
+		b.sp = slices.Index(p.speeds, b.speed)
+		if b.sp < 0 {
+			b.sp = len(p.speeds)
+			p.speeds = append(p.speeds, b.speed)
+		}
 		if p.certify && b.cert == nil {
 			b.cert = incremental.New(engine.DefaultSuperPosLevel)
 		}
 	}
+	p.terms = slices.Grow(p.terms[:0], len(p.speeds))[:len(p.speeds)]
 }
 
 // release drops the placement's references and recycles the placer.
@@ -459,6 +479,7 @@ func (p *placer) reset() {
 		b.setRoom()
 		b.last = analysis{}
 		b.summed = false
+		b.folded = 0
 		if p.certify {
 			b.cert.Reset()
 		}
@@ -475,36 +496,11 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 			return nil, err
 		}
 		task := &p.wl.PartTasks[ti]
-		// Affinity, then the utilization gate, leave the candidates. The
-		// grown bracket decides the gate unless the grown fill lies within
-		// its truncation of 1; the exact fill decides those against 1, the
-		// empty fill plus T/T.
-		p.cands = p.cands[:0]
-		for j := range p.bins {
-			b := &p.bins[j]
-			if !task.Allows(j) {
-				b.reason = "affinity"
-				continue
-			}
-			w := ceilDiv(task.WCET, b.speed)
-			b.grown = b.util.Add(w, task.Period)
-			c, ok := b.grown.CmpOne()
-			if !ok {
-				c = cmpFills(b.exact(), w, &fraction{q: 1}, task.Period, task.Period)
-			}
-			if c > 0 {
-				p.stats.GateRejections++
-				b.reason = "gate"
-				continue
-			}
-			b.below = c < 0
-			b.reason = ""
-			p.cands = append(p.cands, j)
-		}
-		p.rank(h, &task.Task)
+		p.candidates(task)
 		// Lazily down the ranking: the first feasible candidate wins.
 		won := false
-		for _, j := range p.cands {
+		for len(p.cands) > 0 {
+			j := p.next(h, &task.Task)
 			st := scaledTask(task.Task, p.bins[j].speed)
 			a := p.trial(&p.bins[j], st)
 			if v := a.res.Verdict; v != core.Feasible {
@@ -532,37 +528,92 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 	return nil, nil
 }
 
-// rank orders the candidates for task t by the heuristic, ties broken
-// by processor index (every candidate list starts index-ascending). The
-// brackets, or worst-fit's estimates, decide a comparison when they do
-// not overlap, the exact fills otherwise, so the order is the exact one.
-func (p *placer) rank(h Heuristic, t *model.Task) {
-	if h == FirstFit {
-		return
+// candidates leaves in p.cands, in processor order, the bins that can
+// take task t: affinity, then the utilization gate. Each bin grows its
+// fill by the term of its speed, computed once per task and distinct
+// speed. The grown bracket decides the gate unless the grown fill lies
+// within its truncation of 1; the exact fill decides those against 1,
+// the empty fill plus T/T.
+func (p *placer) candidates(t *workload.PartitionedTask) {
+	clear(p.terms)
+	p.cands = p.cands[:0]
+	for j := range p.bins {
+		b := &p.bins[j]
+		if !t.Allows(j) {
+			b.reason = "affinity"
+			continue
+		}
+		tm := &p.terms[b.sp]
+		if tm.w == 0 {
+			tm.w = ceilDiv(t.WCET, b.speed)
+			tm.util = numeric.UtilSum{}.Add(tm.w, t.Period)
+		}
+		b.grown = b.util.Plus(tm.util)
+		c, ok := b.grown.CmpOne()
+		if !ok {
+			c = cmpFills(b.exact(), tm.w, &fraction{q: 1}, t.Period, t.Period)
+		}
+		if c > 0 {
+			p.stats.GateRejections++
+			b.reason = "gate"
+			continue
+		}
+		b.below = c < 0
+		b.reason = ""
+		p.cands = append(p.cands, j)
 	}
-	slices.SortStableFunc(p.cands, func(a, b int) int {
-		x, y := &p.bins[a], &p.bins[b]
-		if x.speed == y.speed {
-			// t adds the same fraction to both bins, so the smaller fill
-			// has the more remaining capacity and the smaller grown fill.
-			if c, ok := x.util.Cmp(y.util); ok {
-				return c
+}
+
+// next removes and returns the best remaining candidate for task t: the
+// first in processor order that no other ranks strictly before under the
+// heuristic. Picking it by a scan, and the one after it only once it is
+// rejected, tries the candidates in the order a stable sort by cmpRank
+// gives, ties by processor index, for the one or two trials a task
+// usually needs.
+func (p *placer) next(h Heuristic, t *model.Task) int {
+	k := 0
+	if h != FirstFit {
+		for i := 1; i < len(p.cands); i++ {
+			if p.cmpRank(h, t, p.cands[i], p.cands[k]) < 0 {
+				k = i
 			}
-			return cmpFills(x.exact(), 0, y.exact(), 0, 1)
 		}
-		if h == WorstFit {
-			// Remaining absolute capacity, largest first.
-			if c, ok := cmpRoom(y, x); ok {
-				return c
-			}
-			return cmpRooms(y.exact(), y.speed, x.exact(), x.speed)
-		}
-		// Grown fill, smallest first.
-		if c, ok := x.grown.Cmp(y.grown); ok {
+	}
+	j := p.cands[k]
+	p.cands = slices.Delete(p.cands, k, k+1)
+	return j
+}
+
+// cmpRank compares candidates a and b for task t under the heuristic,
+// negative when a ranks first; first-fit ranks all alike, leaving the
+// processor order. The brackets, or worst-fit's estimates, decide when
+// they do not overlap, the exact fills otherwise, so the order is the
+// exact one.
+func (p *placer) cmpRank(h Heuristic, t *model.Task, a, b int) int {
+	if h == FirstFit {
+		return 0
+	}
+	x, y := &p.bins[a], &p.bins[b]
+	if x.speed == y.speed {
+		// t adds the same fraction to both bins, so the smaller fill has
+		// the more remaining capacity and the smaller grown fill.
+		if c, ok := x.util.Cmp(y.util); ok {
 			return c
 		}
-		return cmpFills(x.exact(), ceilDiv(t.WCET, x.speed), y.exact(), ceilDiv(t.WCET, y.speed), t.Period)
-	})
+		return cmpFills(x.exact(), 0, y.exact(), 0, 1)
+	}
+	if h == WorstFit {
+		// Remaining absolute capacity, largest first.
+		if c, ok := cmpRoom(y, x); ok {
+			return c
+		}
+		return cmpRooms(y.exact(), y.speed, x.exact(), x.speed)
+	}
+	// Grown fill, smallest first.
+	if c, ok := x.grown.Cmp(y.grown); ok {
+		return c
+	}
+	return cmpFills(x.exact(), p.terms[x.sp].w, y.exact(), p.terms[y.sp].w, t.Period)
 }
 
 // trial decides whether bin b, which passed the gate, can also take the
@@ -571,10 +622,16 @@ func (p *placer) rank(h Heuristic, t *model.Task) {
 // the eligible cascade accepts too, and reports its checked test points
 // as the iterations, as a session's certificate accept does. It needs
 // grown utilization strictly below 1; otherwise, and whenever it cannot
-// accept, the analyzer runs on the tentative bin.
+// accept, the analyzer runs on the tentative bin. The bin's tasks not
+// yet in the certificate are folded in just before its Check, so a task
+// costs no fold on a bin that is never checked again.
 func (p *placer) trial(b *bin, st model.Task) analysis {
 	p.stats.BinChecks++
 	if p.certify && b.below {
+		for _, t := range b.scaled[b.folded:] {
+			b.cert.Admit(workload.SporadicTask(t))
+		}
+		b.folded = len(b.scaled)
 		if ok, checked := b.cert.Check(workload.SporadicTask(st)); ok {
 			return analysis{res: core.Result{Verdict: core.Feasible, Iterations: checked}}
 		}
@@ -600,9 +657,6 @@ func (p *placer) admit(j, ti int, st model.Task, a analysis) {
 	b.setRoom()
 	b.last = a
 	b.summed = false
-	if p.certify {
-		b.cert.Admit(workload.SporadicTask(st))
-	}
 	p.asg[ti] = j
 }
 

@@ -24,6 +24,40 @@ var readmeBodies = []string{
 	  "heuristics":["balance","first-fit"],"heuristics":[null],"workers":2,"analyzer":"devi","options":{"max_level":3}}`,
 }
 
+// typedWalkBodies take each branch of the walk's typing of processors,
+// affinities and integer fields, and each value it declines to
+// json.Unmarshal.
+var typedWalkBodies = func() []string {
+	const one = `"tasks":[{"wcet":1,"deadline":4,"period":4}]`
+	part := func(procs, rest string) string {
+		return `{"model":"partitioned","processors":` + procs + `,` + rest + `}`
+	}
+	aff := func(members string) string {
+		return part(`[{},{}]`, `"tasks":[{"wcet":1,"deadline":4,"period":4,`+members+`}]`)
+	}
+	return []string{
+		// Affinities: empty, null, a null element, a fraction, and repeated
+		// keys, which encoding/json merges in place, hidden capacity included.
+		aff(`"affinity":[]`), aff(`"affinity":null`), aff(`"affinity":[null]`), aff(`"affinity":[1.0]`),
+		aff(`"affinity":[0,1],"Affinity":[null]`),
+		aff(`"affinity":[5,6,7],"affinity":[4],"affinity":[null,null,null,null]`),
+		aff(`"affinity":null,"affinity":[1]`), aff(`"affinity":[1e0],"affinity":[1]`),
+		aff(`"affinity":[99999999999999999999]`), aff(`"affinity":"0"`), aff(`"affinity":[[0]]`),
+		// Processors: folded keys, an escaped and a non-ASCII name, speeds
+		// of the wrong kind or out of range, null speeds and processors,
+		// repeated and unknown keys, and arrays that are not arrays.
+		part(`[{"Speed":2,"NAME":"p0"}]`, one), part(`[{"name":"p0\n"}]`, one),
+		part(`[{"name":"π-core é"}]`, one), part("[{\"name\":\"\xff\"}]", one), part(`[{"speed":"2"}]`, one),
+		part(`[{"speed":2,"speed":null}]`, one), part(`[null,{"speed":3}]`, one), part(`[{"speed":2.0}]`, one),
+		part(`[{"speed":99999999999999999999}]`, one), part(`[{"name":5}]`, one), part(`[1]`, one),
+		part(`[{"name":"a","name":null,"x":[1],"ſpeed":4}]`, one), part(`{}`, one), part(`[]`, one),
+		part(`[{}],"processors":null`, one),
+		// Integer fields: an exponent, a string, null and a repeated key.
+		part(`[{}]`, one+`,"workers":1e0`), part(`[{}]`, one+`,"workers":"1"`),
+		part(`[{}]`, one+`,"workers":2,"Workers":null`), part(`[{}]`, one+`,"workers":-0,"workers":3`),
+	}
+}()
+
 // wireCompatRow is one row of TestWireCompat's table (internal/cluster):
 // a request body and, for a 200, the reply pinned for it.
 type wireCompatRow struct {
@@ -65,7 +99,7 @@ func wireCompatBodies(t testing.TB) []string {
 // included; where the reference answers a syntax error, both must answer
 // its text.
 func FuzzRequestJSON(f *testing.F) {
-	for _, body := range append(wireCompatBodies(f), readmeBodies...) {
+	for _, body := range append(append(wireCompatBodies(f), readmeBodies...), typedWalkBodies...) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -119,16 +153,19 @@ func checkSyntaxError(t testing.TB, got any, path string, data []byte, err, refE
 }
 
 // TestWireDecodeAllocs bounds the allocations of the daemons' decode of
-// a 25-task sporadic analyze body and of a one-task proposal. The nested
-// decoders made 34 for the analyze body; the walk leaves the request value
-// and its task slice. The proposal went through json.Unmarshal's
-// reflection and made 7; its own walk leaves the request value and the
-// task.
+// a 25-task sporadic analyze body, of a one-task proposal and of the
+// partition-cold-shaped body (8 processors, 24 tasks, 12 affinities).
+// The nested decoders made 34 for the analyze body; the walk leaves the
+// request value and its task slice. The proposal went through
+// json.Unmarshal's reflection and made 7; its own walk leaves the request
+// value and the task. The partition body made 54 while json.Unmarshal
+// typed the processors and every affinity; the walk leaves the request
+// value, the processor and task slices and one slice per affinity.
 func TestWireDecodeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		max  float64
-	}{{"analyze-25", 10}, {"propose-1", 2}} {
+	}{{"analyze-25", 10}, {"propose-1", 2}, {"partition-m8-24", 16}} {
 		wb := requestBody(t, c.name)
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := wb.decode(wb.body); err != nil {

@@ -13,30 +13,59 @@ import (
 
 // Field is one key a request decodes next to its workload. Every
 // occurrence of the key, matched as encoding/json matches a struct field,
-// goes to json.Unmarshal into Dst in document order, so repeated keys
-// merge into Dst exactly as they do inside one struct decode. A Field
-// name must differ from the workload's own keys (model, tasks,
-// processors).
+// is typed into Dst in document order, so repeated keys merge into Dst
+// exactly as they do inside one struct decode. The walk types an *int
+// Dst itself: null leaves it, an integer literal that fits sets it.
+// Any other Dst, and any other value, goes to json.Unmarshal, which
+// answers the type error. A Field name must differ from the workload's
+// own keys (model, tasks, processors).
 type Field struct {
 	Name string
 	Dst  any
+}
+
+// decode types one occurrence v of the field into Dst.
+func (f Field) decode(v []byte) error {
+	if dst, ok := f.Dst.(*int); ok && setInt(dst, v) {
+		return nil
+	}
+	return json.Unmarshal(v, f.Dst)
+}
+
+// setInt types the value v into dst as encoding/json types an int, and
+// reports false where it declines: for anything but null, which leaves
+// dst, or an integer literal that fits an int.
+func setInt(dst *int, v []byte) bool {
+	if v[0] == 'n' {
+		return true
+	}
+	n, ok := ParseInt(v)
+	if !ok || int64(int(n)) != n {
+		return false
+	}
+	*dst = int(n)
+	return true
 }
 
 // DecodeRequest decodes a request object that carries a workload into w
 // and the caller's fields. It walks the object once and checks its
 // syntax on the way, as json.Valid would: the walk checks the object's
 // keys and punctuation, and the scanner's check takes each member value,
-// counting the "tasks" array as it goes. It then types the last "tasks"
-// array under the final "model": sporadic and partitioned arrays by hand,
-// event arrays and the processors through json.Unmarshal on their own
-// spans. The result, and the error for a body with a syntax error, equal
+// counting the "tasks" and "processors" arrays as it goes. It then types
+// the last "processors" and "tasks" arrays under the final "model":
+// processors, sporadic and partitioned tasks with their affinities, and
+// integer fields by hand, event arrays through json.Unmarshal on their
+// own spans. A processor array or an affinity the walk declines (a value
+// of the wrong kind, a number its field cannot hold, a repeated
+// affinity, which encoding/json merges in place) goes to json.Unmarshal
+// too. The result, and the error for a body with a syntax error, equal
 // what encoding/json's struct decoding of the same bytes gives; the
 // package documentation lists the rules.
 func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 	s := Scanner{data: data}
 	var name, tasks, procs []byte // quoted model name and value spans; nil while absent
 	var nameEsc bool
-	var n int // elements of tasks
+	var n, np int // elements of tasks and of procs
 	switch s.Peek() {
 	case 'n': // null decodes as an empty object
 		if !s.lit("null") || !s.end() {
@@ -65,7 +94,7 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 				n, ok = s.skip(1)
 				tasks = data[start:s.i]
 			case foldIs(key, "processors"):
-				_, ok = s.skip(1)
+				np, ok = s.skip(1)
 				procs = data[start:s.i]
 			default:
 				if _, ok = s.skip(1); !ok {
@@ -73,7 +102,7 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 				}
 				for _, f := range fields {
 					if foldIs(key, f.Name) {
-						if err := json.Unmarshal(data[start:s.i], f.Dst); err != nil {
+						if err := f.decode(data[start:s.i]); err != nil {
 							return typed(data, err)
 						}
 					}
@@ -100,7 +129,8 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 		return err
 	}
 	*w = Workload{Model: m}
-	if m == Partitioned && procs != nil && procs[0] != 'n' {
+	if m == Partitioned && procs != nil && procs[0] != 'n' && !w.processors(procs, np) {
+		w.Processors = nil
 		if err := json.Unmarshal(procs, &w.Processors); err != nil {
 			return fmt.Errorf("workload: processors: %w", err)
 		}
@@ -136,6 +166,54 @@ func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 		}
 	}
 	return nil
+}
+
+// processorKeys are the wire keys of a Processor, in field order.
+var processorKeys = []string{"name", "speed"}
+
+// processors types procs, a checked array of n elements, into
+// w.Processors as encoding/json types a []Processor. It reports false,
+// for json.Unmarshal to answer, where it declines the bytes: anything but
+// nulls and objects whose "name" is null or a string and whose "speed"
+// is null or an integer literal that fits an int64. Repeated keys need
+// no merge: the last non-null occurrence sets a field.
+func (w *Workload) processors(procs []byte, n int) bool {
+	if procs[0] != '[' {
+		return false
+	}
+	s := Scanner{data: procs}
+	w.Processors = make([]Processor, n)
+	for k := range w.Processors {
+		s.Elem()
+		switch s.Peek() {
+		case 'n':
+			s.i += len("null")
+			continue
+		case '{':
+		default:
+			return false
+		}
+		p := &w.Processors[k]
+		for s.Member() {
+			f := MatchKey(s.Key(), processorKeys)
+			switch c := s.data[s.i]; {
+			case f < 0 || c == 'n':
+				s.Skip()
+			case f == 0:
+				if c != '"' {
+					return false
+				}
+				p.Name = Unquote(s.Str())
+			default:
+				v, ok := ParseInt(s.Value())
+				if !ok {
+					return false
+				}
+				p.Speed = v
+			}
+		}
+	}
+	return true
 }
 
 // typed returns err, a typing error the walk met before it had checked
@@ -282,7 +360,10 @@ func intField(t *model.Task, f int) *int64 {
 // task types one element of a sporadic or partitioned task array into t
 // (and its affinity into aff, for partitioned arrays), as encoding/json
 // types a struct element: null leaves the zero task, an object sets the
-// fields it names in document order, anything else is a type error.
+// fields it names in document order, anything else is a type error. An
+// affinity the walk declines goes to json.Unmarshal, and so does every
+// occurrence of a repeated one, from nil, since encoding/json merges
+// them in place.
 func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
 	switch s.Peek() {
 	case 'n':
@@ -292,12 +373,26 @@ func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
 	default:
 		return typeError("task "+strconv.Itoa(k), s.data[s.i], "an object")
 	}
+	var affs int        // affinity members so far
+	var typedAff []byte // the first affinity while the walk's typing of it stands
 	for s.Member() {
 		f := taskField(s.Key())
 		c := s.data[s.i]
 		switch {
 		case f == fAffinity && aff != nil:
-			if err := json.Unmarshal(s.Value(), aff); err != nil {
+			start := s.i
+			if affs++; affs == 1 && s.ints(aff) {
+				typedAff = s.data[start:s.i]
+				continue
+			}
+			s.i = start
+			v := s.Value()
+			if typedAff != nil {
+				*aff = nil
+				_ = json.Unmarshal(typedAff, aff) // typed once, so it decodes
+				typedAff = nil
+			}
+			if err := json.Unmarshal(v, aff); err != nil {
 				return fmt.Errorf("workload: task %d: affinity: %w", k, err)
 			}
 		case f == fUnknown || f == fAffinity || c == 'n':
@@ -318,6 +413,34 @@ func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
 		}
 	}
 	return nil
+}
+
+// ints types the value at the cursor into *dst as encoding/json types an
+// []int into a nil slice, and consumes it: null is nil, [] is empty and
+// not nil, a null element is 0. For anything but null or an array of
+// nulls and integer literals that fit an int it reports false, leaving
+// *dst alone and the cursor somewhere inside the value.
+func (s *Scanner) ints(dst *[]int) bool {
+	switch s.Peek() {
+	case 'n':
+		s.i += len("null")
+		*dst = nil
+		return true
+	case '[':
+	default:
+		return false
+	}
+	var buf [16]int
+	out := buf[:0]
+	for s.Elem() {
+		v := 0
+		if !setInt(&v, s.Value()) {
+			return false
+		}
+		out = append(out, v)
+	}
+	*dst = append(make([]int, 0, len(out)), out...)
+	return true
 }
 
 // ParseInt types a number literal as encoding/json types an int64 field,

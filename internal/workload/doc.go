@@ -22,7 +22,8 @@
 // typing error the walk meets before the end of the body (a non-string
 // "model", a field json.Unmarshal rejects) is answered only after the
 // whole body passes the check; otherwise the syntax error wins. After the
-// walk, the task array is typed under the final "model". The decoded
+// walk, the processor and task arrays are typed under the final "model",
+// each from the element count the check took. The decoded
 // value equals what encoding/json's struct decoding gives for the same
 // bytes, which FuzzWorkloadJSON (engine) and FuzzRequestJSON (service)
 // check differentially against the nested decoders the walker replaced.
@@ -38,17 +39,26 @@
 //     included; earlier occurrences are never typed. "model" takes its
 //     last non-null string.
 //   - A request's own keys (name, analyzer, options, heuristics, workers:
-//     see Field), and a partitioned task's "affinity", go to
-//     json.Unmarshal in document order into one value, which is
-//     encoding/json's in-place merge of repeated keys.
+//     see Field) go in document order into one value, which is
+//     encoding/json's in-place merge of repeated keys. The walk types an
+//     integer field (workers) itself; the others, and an integer field
+//     it declines, go to json.Unmarshal.
 //   - Sporadic and partitioned elements are typed by hand: the seven
-//     model.Task keys, plus "affinity" for partitioned tasks. An int64
-//     field takes a JSON integer literal through strconv.ParseInt(lit,
-//     10, 64), so 1e2, 1.0 and overflow are type errors. null leaves a
-//     scalar alone and sets a slice to nil; a null element is a zero
-//     task; [] is an empty, non-nil task set. A string with an escape or
-//     invalid UTF-8 goes through json.Unmarshal. Event task arrays and
-//     processor arrays go to json.Unmarshal on their own byte spans.
+//     model.Task keys, plus "affinity" for partitioned tasks, and so are
+//     the processors' "name" and "speed". An int64 or int field takes a
+//     JSON integer literal through strconv.ParseInt(lit, 10, 64), so
+//     1e2, 1.0 and overflow are type errors. null leaves a scalar alone
+//     and sets a slice to nil; a null element is a zero task, a zero
+//     processor or a 0 in an affinity; [] is an empty, non-nil slice. A
+//     string with an escape or invalid UTF-8 goes through json.Unmarshal.
+//   - What the typing walk declines goes to json.Unmarshal on its own
+//     byte span, which answers encoding/json's error: a processor array
+//     with a value of the wrong kind or a number its field cannot hold,
+//     an affinity that is not null or an array of integers, and every
+//     occurrence of a repeated "affinity", decoded from nil, because
+//     encoding/json merges them in place (a null element keeps what the
+//     slice held there, even past its length within its capacity). Event
+//     task arrays go to json.Unmarshal on their own byte spans.
 //   - A body of null decodes as an empty object; any other non-object
 //     body is a type error.
 //
