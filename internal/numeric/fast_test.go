@@ -179,6 +179,45 @@ func TestFastPromotionAndDemotion(t *testing.T) {
 	}
 }
 
+// TestCmpOneTable pins CmpOne on hand-built brackets at the edges of its
+// cases, each next to CmpMulAdd's answer where the integer part is not
+// saturated: exactly 1, just above it, just below it with and without
+// truncated terms, a truncation that reaches 1 exactly or passes it, and
+// a saturated integer part.
+func TestCmpOneTable(t *testing.T) {
+	const max = math.MaxUint64
+	for _, c := range []struct {
+		name string
+		u    UtilSum
+		cmp  int
+		ok   bool
+	}{
+		{"zero", UtilSum{}, -1, true},
+		{"exactly 1", UtilSum{ip: 1}, 0, true},
+		{"1 plus one unit", UtilSum{ip: 1, lo: 1}, 1, true},
+		{"1 plus a truncated term", UtilSum{ip: 1, inexact: 1}, 1, true},
+		{"2", UtilSum{ip: 2}, 1, true},
+		{"one unit below 1, exact", UtilSum{hi: max, lo: max}, -1, true},
+		{"below 1, truncation short of 1", UtilSum{hi: max, lo: max - 1, inexact: 1}, -1, true},
+		{"below 1, truncation reaching 1", UtilSum{hi: max, lo: max, inexact: 1}, -1, true},
+		{"below 1, truncation past 1", UtilSum{hi: max, lo: max, inexact: 2}, 0, false},
+		{"below 1, truncation reaching 1 by a carry", UtilSum{hi: max, lo: 1, inexact: max}, -1, true},
+		{"below 1, truncation past 1 by a carry", UtilSum{hi: max, lo: 2, inexact: max}, 0, false},
+		{"half, many truncated terms", UtilSum{hi: 1 << 63, inexact: max}, -1, true},
+		{"saturated", UtilSum{ip: max}, 1, true},
+	} {
+		if cmp, ok := c.u.CmpOne(); cmp != c.cmp || ok != c.ok {
+			t.Errorf("%s: CmpOne = (%d, %v), want (%d, %v)", c.name, cmp, ok, c.cmp, c.ok)
+		}
+		if c.u.ip == max {
+			continue
+		}
+		if cmp, ok := c.u.CmpMulAdd(1, UtilSum{}, 0); cmp != c.cmp || ok != c.ok {
+			t.Errorf("%s: CmpMulAdd(1, 0, 0) = (%d, %v), want (%d, %v)", c.name, cmp, ok, c.cmp, c.ok)
+		}
+	}
+}
+
 func decides(u UtilSum, want int) bool {
 	cmp, ok := u.CmpOne()
 	return ok && cmp == want
@@ -284,6 +323,16 @@ func checkCmp(t *testing.T, u, o UtilSum, ur, or *big.Rat, what string) {
 	}
 	if want := ur.Cmp(or); ok && c != want {
 		t.Fatalf("%s: Cmp = %d, exact comparison %d (%s against %s)", what, c, want, ur.RatString(), or.RatString())
+	}
+	for _, x := range []UtilSum{u, o} {
+		if x.ip == math.MaxUint64 {
+			continue // CmpMulAdd leaves a saturated sum undecided, CmpOne does not
+		}
+		c1, ok1 := x.CmpOne()
+		c2, ok2 := x.CmpMulAdd(1, UtilSum{}, 0)
+		if c1 != c2 || ok1 != ok2 {
+			t.Fatalf("%s: CmpOne = (%d, %v), CmpMulAdd(1, 0, 0) = (%d, %v) (%+v)", what, c1, ok1, c2, ok2, x)
+		}
 	}
 }
 

@@ -83,14 +83,30 @@ func (u UtilSum) add(hi, lo, d uint64) UtilSum {
 
 // CmpOne compares the sum with 1. ok is false when the bound cannot
 // decide, lo < 1 < lo + inexact·2^-128: S may lie on either side of 1
-// or on it. It is CmpMulAdd's comparison of u·1 + 0 + 0 with 1, except
-// that a saturated integer part, which CmpMulAdd leaves undecided, puts
-// S above 1.
+// or on it. It answers what CmpMulAdd's comparison of u·1 + 0 + 0 with 1
+// answers, without its multiplications, and a saturated integer part,
+// which CmpMulAdd leaves undecided, puts S above 1.
 func (u UtilSum) CmpOne() (cmp int, ok bool) {
-	if u.ip == math.MaxUint64 {
+	switch {
+	case u.ip > 1:
 		return 1, true
+	case u.ip == 1:
+		// S >= lo >= 1, and S > 1 unless lo is exactly 1 and S == lo.
+		if u.hi|u.lo|u.inexact == 0 {
+			return 0, true
+		}
+		return 1, true
+	case u.inexact == 0:
+		return -1, true // S = lo < 1
 	}
-	return u.CmpMulAdd(1, UtilSum{}, 0)
+	// S < lo + inexact·2^-128, which is at most 1 unless the fraction and
+	// the truncation count pass 2^128 units.
+	lo, c := bits.Add64(u.lo, u.inexact, 0)
+	hi, c := bits.Add64(u.hi, 0, c)
+	if c == 0 || hi|lo == 0 {
+		return -1, true
+	}
+	return 0, false
 }
 
 // Cmp orders two sums. A sum without truncated terms is exactly lo; one

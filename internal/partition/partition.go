@@ -537,11 +537,15 @@ func (p *placer) run(ctx context.Context, h Heuristic) (*Attempt, error) {
 func (p *placer) candidates(t *workload.PartitionedTask) {
 	clear(p.terms)
 	p.cands = p.cands[:0]
+	aff := t.Affinity // strictly increasing and in range (Validate): walked beside j
 	for j := range p.bins {
 		b := &p.bins[j]
-		if !t.Allows(j) {
-			b.reason = "affinity"
-			continue
+		if len(t.Affinity) > 0 {
+			if len(aff) == 0 || aff[0] != j {
+				b.reason = "affinity"
+				continue
+			}
+			aff = aff[1:]
 		}
 		tm := &p.terms[b.sp]
 		if tm.w == 0 {

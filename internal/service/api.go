@@ -328,29 +328,32 @@ type ProposeRequest struct {
 // proposeRequestKeys is ProposeRequest's one wire key.
 var proposeRequestKeys = []string{"task"}
 
-// UnmarshalJSON replaces r with the proposal in data in one checked pass:
-// each "task" member, matched as encoding/json matches the field and null
-// included, decodes in document order as Task.UnmarshalJSON decodes it,
-// so a repeated key keeps the last task. A body that is not an object
-// goes to json.Unmarshal, into a method-free copy of r.
+// UnmarshalJSON replaces r with the proposal in data in one walk, which
+// checks the body as it types it: each "task" member, matched as
+// encoding/json matches the field and null included, decodes in document
+// order as Task.UnmarshalJSON decodes it, so a repeated key keeps the
+// last task, and a task's error is answered once the whole body has
+// passed the check. A body with a syntax error, or one that is not an
+// object, goes to json.Unmarshal, into a method-free copy of r.
 func (r *ProposeRequest) UnmarshalJSON(data []byte) error {
 	*r = ProposeRequest{}
-	s, err := workload.NewScanner(data)
-	if err != nil {
-		return err
-	}
-	if s.Peek() != '{' {
-		type plain ProposeRequest
-		return json.Unmarshal(data, (*plain)(r))
-	}
-	for s.Member() {
-		if workload.MatchKey(s.Key(), proposeRequestKeys) < 0 {
-			s.Skip()
-		} else if err := s.DecodeTask(&r.Task); err != nil {
+	s := workload.NewScanner(data)
+	if s.Peek() == '{' {
+		var err error
+		for s.Member() {
+			if workload.MatchKey(s.Key(), proposeRequestKeys) < 0 || err != nil {
+				s.Skip()
+			} else {
+				err = s.DecodeTask(&r.Task)
+			}
+		}
+		if s.End() {
 			return err
 		}
 	}
-	return nil
+	*r = ProposeRequest{}
+	type plain ProposeRequest
+	return json.Unmarshal(data, (*plain)(r))
 }
 
 // MarshalJSON emits {"task": ...} in one append pass.

@@ -14,15 +14,15 @@ import (
 )
 
 // The hot replies decode in one walk on the request walker's scanner
-// (workload.Scanner): workload.NewScanner checks the body once, as
-// json.Valid would, then each member is typed by hand.
-// The walk takes the bodies the daemons write and skips unknown keys.
-// Anything it does not take goes to encoding/json instead, into a
+// (workload.Scanner), which checks every byte it consumes as json.Valid
+// would, so the walk that types each member is also the body's only
+// check. The walk takes the bodies the daemons write and skips unknown
+// keys. Anything it does not take goes to encoding/json instead, into a
 // method-free conversion of the reset value, so the result equals
-// json.Unmarshal's for every body: a repeated key (encoding/json merges
-// the occurrences), a value of the wrong kind, a number its field cannot
-// hold, or a body that is not an object. FuzzReplyJSON checks this
-// against method-free twins of the reply types.
+// json.Unmarshal's for every body: a syntax error, a repeated key
+// (encoding/json merges the occurrences), a value of the wrong kind, a
+// number its field cannot hold, or a body that is not an object.
+// FuzzReplyJSON checks this against method-free twins of the reply types.
 
 // UnmarshalJSON replaces r with the reply in data in one walk.
 func (r *AnalyzeResponse) UnmarshalJSON(data []byte) error {
@@ -57,16 +57,12 @@ func (r *CommitResponse) UnmarshalJSON(data []byte) error {
 }
 
 // decodeReply resets *r and decodes data into it: by the walk, or, for a
-// body the walk does not take, by json.Unmarshal into plain, *r under a
-// method-free type.
+// body the walk does not take or whose check fails, by json.Unmarshal
+// into plain, *r under a method-free type.
 func decodeReply[T any](data []byte, r *T, plain any) error {
 	var zero T
 	*r = zero
-	sc, err := workload.NewScanner(data)
-	if err != nil {
-		return err
-	}
-	if s := (replyScanner{sc}); s.value(r) {
+	if s := (replyScanner{workload.NewScanner(data)}); s.value(r) && s.End() {
 		return nil
 	}
 	*r = zero
@@ -166,18 +162,18 @@ func (s *replyScanner) value(dst any) bool {
 		*v = string(lit) == "true"
 		return *v || string(lit) == "false"
 	case *int64:
-		n, ok := workload.ParseInt(s.Value())
+		n, ok := s.Int()
 		*v = n
 		return ok
 	case *int:
-		n, ok := workload.ParseInt(s.Value())
+		n, ok := s.Int()
 		*v = int(n)
 		return ok && int64(*v) == n
 	case *uint64:
-		lit := s.Value()
-		n, ok := workload.ParseInt(lit)
+		neg := s.Peek() == '-'
+		n, ok := s.Int()
 		*v = uint64(n)
-		return ok && lit[0] != '-' // above MaxInt64 goes to encoding/json
+		return ok && !neg // above MaxInt64 goes to encoding/json
 	case *float64:
 		f, err := strconv.ParseFloat(string(s.Value()), 64)
 		*v = f
@@ -215,26 +211,40 @@ func (s *replyScanner) object(keys []string, fields ...any) bool {
 
 // slice decodes the array at the cursor into a slice of exactly its
 // length; [] is empty and non-nil, and a null element stays zero, as
-// encoding/json decodes them into a nil slice. Elements are typed into a
-// buffer on the stack first, so the walk neither scans the array twice
-// to count it nor keeps spare capacity.
+// encoding/json decodes them into a nil slice.
 func slice[T any](s *replyScanner, dst *[]T) bool {
 	if s.Peek() != '[' {
 		return false
 	}
+	out, ok := elems[T](s, 0)
+	*dst = out
+	return ok
+}
+
+// elems types the elements of the array at the cursor, n elements before
+// them typed by the calls that recursed into this one, as workload's
+// request walk types task arrays: up to 32 into a buffer on this call's
+// stack, the rest by a recursive call, and all of them into the one
+// slice the last call allocates at the array's exact length.
+func elems[T any](s *replyScanner, n int) ([]T, bool) {
 	var buf [32]T
-	out := buf[:0]
-	for s.Elem() {
-		var zero T
-		out = append(out, zero)
+	for k := range buf {
+		if !s.Elem() {
+			out := make([]T, n+k)
+			copy(out[n:], buf[:k])
+			return out, true
+		}
 		if s.Peek() == 'n' {
 			s.Skip()
-		} else if !s.value(&out[len(out)-1]) {
-			return false
+		} else if !s.value(&buf[k]) {
+			return nil, false
 		}
 	}
-	*dst = append(make([]T, 0, len(out)), out...)
-	return true
+	out, ok := elems[T](s, n+len(buf))
+	if ok {
+		copy(out[n:], buf[:])
+	}
+	return out, ok
 }
 
 // str decodes a string, sharing the vocabulary's copy of a fixed word.
@@ -243,6 +253,9 @@ func (s *replyScanner) str(dst *string) bool {
 		return false
 	}
 	q, esc := s.Str()
+	if q == nil {
+		return false // the check failed
+	}
 	if w, ok := vocabulary[string(q[1:len(q)-1])]; ok {
 		*dst = w
 	} else {

@@ -888,14 +888,14 @@ func ReadBody(r io.Reader, n int64) ([]byte, error) {
 
 // DecodeJSON decodes one whole body into v, the twin of EncodeJSON. A v
 // that implements json.Unmarshaler, as every request carrying a workload
-// or a proposal and every hot reply does, decodes the bytes itself, so
-// encoding/json's outer syntax check and skip do not run on top of its
-// own; any other v goes through json.Unmarshal. Either way the whole body
-// is checked as json.Valid checks it, by workload.Scanner's check or by
-// encoding/json's scanner, so trailing bytes after the value are an
-// error, and a body with a syntax error gets encoding/json's
-// *json.SyntaxError. DecodeBody calls it for both daemons' requests, and
-// the typed client for every reply.
+// or a proposal and every hot reply does, decodes the bytes itself in one
+// walk on workload.Scanner that is also the body's only syntax check, so
+// neither encoding/json's outer check and skip nor a check of its own
+// runs ahead of the walk; any other v goes through json.Unmarshal.
+// Either way the whole body is checked as json.Valid checks it, so
+// trailing bytes after the value are an error, and a body with a syntax
+// error gets encoding/json's *json.SyntaxError. DecodeBody calls it for
+// both daemons' requests, and the typed client for every reply.
 func DecodeJSON(body []byte, v any) error {
 	if u, ok := v.(json.Unmarshaler); ok {
 		return u.UnmarshalJSON(body)

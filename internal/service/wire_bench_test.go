@@ -38,20 +38,20 @@ func wireTask(rng *rand.Rand) model.Task {
 	return model.Task{WCET: c, Deadline: c + rng.Int63n(p-c+1), Period: p}
 }
 
-// wirePartitioned is the partition-cold-shaped workload of the wire
-// benchmarks: 8 processors of speeds 1 and 2, 24 tasks, some with
-// affinities.
-func wirePartitioned(rng *rand.Rand) Workload {
-	procs := make([]workload.Processor, 8)
+// wirePartitioned is a partitioned workload of the wire benchmarks: m
+// processors of speeds 1 and 2 and n tasks, a quarter pinned to one
+// processor and a quarter to two.
+func wirePartitioned(rng *rand.Rand, m, n int) Workload {
+	procs := make([]workload.Processor, m)
 	for i := range procs {
 		procs[i].Speed = 1 + int64(i%2)
 	}
-	parts := make([]workload.PartitionedTask, 24)
+	parts := make([]workload.PartitionedTask, n)
 	for i := range parts {
 		parts[i].Task = wireTask(rng)
 		switch i % 4 {
 		case 1:
-			parts[i].Affinity = []int{i % 8}
+			parts[i].Affinity = []int{i % m}
 		case 2:
 			parts[i].Affinity = []int{1, 5}
 		}
@@ -59,10 +59,16 @@ func wirePartitioned(rng *rand.Rand) Workload {
 	return PartitionedWorkload(procs, parts)
 }
 
+// wireCold is the wire benchmarks' partitioned workload the size of a
+// partition-cold platform at its upper end: 16 processors, 64 tasks.
+func wireCold() Workload {
+	return wirePartitioned(rand.New(rand.NewSource(2)), 16, 64)
+}
+
 // wireBodies builds the decode benchmark's fixed bodies: a 25-task
-// sporadic analyze body, a partition-cold-shaped body (8 processors, 24
-// tasks, some with affinities), a 100-task session open and a one-task
-// proposal.
+// sporadic analyze body, two partition bodies (8 processors and 24 tasks,
+// 16 processors and 64 tasks, some with affinities), a 100-task session
+// open and a one-task proposal.
 func wireBodies() []wireBody {
 	rng := rand.New(rand.NewSource(1))
 	sporadic := func(n int) Workload {
@@ -72,7 +78,7 @@ func wireBodies() []wireBody {
 		}
 		return SporadicWorkload(ts)
 	}
-	part := PartitionRequest{Workload: wirePartitioned(rng)}
+	part, cold := PartitionRequest{Workload: wirePartitioned(rng, 8, 24)}, PartitionRequest{Workload: wireCold()}
 	analyze := AnalyzeRequest{Workload: sporadic(25)}
 	session := SessionRequest{Workload: sporadic(100)}
 	propose := ProposeRequest{Task: SporadicTask(wireTask(rng))}
@@ -81,6 +87,9 @@ func wireBodies() []wireBody {
 			refDecode: func(b []byte) error { var r refAnalyzeRequest; return json.Unmarshal(b, &r) },
 			decode:    func(b []byte) error { var r AnalyzeRequest; return DecodeJSON(b, &r) }},
 		{wireValue: wireValue{"partition-m8-24", part, refPartitionRequest{part}},
+			refDecode: func(b []byte) error { var r refPartitionRequest; return json.Unmarshal(b, &r) },
+			decode:    func(b []byte) error { var r PartitionRequest; return DecodeJSON(b, &r) }},
+		{wireValue: wireValue{"partition-m16-64", cold, refPartitionRequest{cold}},
 			refDecode: func(b []byte) error { var r refPartitionRequest; return json.Unmarshal(b, &r) },
 			decode:    func(b []byte) error { var r PartitionRequest; return DecodeJSON(b, &r) }},
 		{wireValue: wireValue{"session-100", session, refSessionRequest{session}},
@@ -106,20 +115,22 @@ func wireBodies() []wireBody {
 }
 
 // wireReplies builds the wire benchmarks' fixed replies: an analysis
-// verdict, a fast-path proposal verdict, the placement of wireBodies'
-// partition body, a session state and a commit.
+// verdict, a fast-path proposal verdict, the placements of wireBodies'
+// two partition bodies, a session state and a commit.
 func wireReplies() []wireValue {
 	const fp = "4afcb62c58b927c9e8133fdbb4aab5583e0415fd39dfb54952e3bda3be88fd70"
 	analyze := AnalyzeResponse{Model: "sporadic", Analyzer: "cascade",
 		Result: ResultJSON{Verdict: "feasible", Iterations: 37}, WallNS: 6412, Fingerprint: fp}
 	propose := ProposeResponse{Admitted: true, Result: ResultJSON{Verdict: "feasible", Iterations: 4},
 		Utilization: 0.8734512, Committed: 41, Pending: 1, Path: "fast"}
-	pl, err := partition.Place(context.Background(), wirePartitioned(rand.New(rand.NewSource(1))),
-		partition.Config{})
-	if err != nil {
-		panic(err)
+	place := func(wl Workload) PartitionResponse {
+		pl, err := partition.Place(context.Background(), wl, partition.Config{})
+		if err != nil {
+			panic(err)
+		}
+		return PartitionResponse{Model: "partitioned", Analyzer: "cascade", Placement: pl, WallNS: 81234}
 	}
-	part := PartitionResponse{Model: "partitioned", Analyzer: "cascade", Placement: pl, WallNS: 81234}
+	part, cold := place(wirePartitioned(rand.New(rand.NewSource(1)), 8, 24)), place(wireCold())
 	session := SessionResponse{ID: "7f3a9c01d2e4b658", Model: "sporadic", Analyzer: "cascade", Committed: 40,
 		Utilization: 0.8612345}
 	commit := CommitResponse{Moved: 1, Committed: 41, Utilization: 0.8734512}
@@ -127,6 +138,7 @@ func wireReplies() []wireValue {
 		{"analyze-reply", analyze, plainAnalyzeResponse(analyze)},
 		{"propose-reply", propose, plainProposeResponse(propose)},
 		{"partition-reply-m8-24", part, plainPartitionResponse(part)},
+		{"partition-reply-m16-64", cold, plainPartitionResponse(cold)},
 		{"session-reply", session, plainSessionResponse(session)},
 		{"commit-reply", commit, plainCommitResponse(commit)},
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +59,39 @@ var typedWalkBodies = func() []string {
 	}
 }()
 
+// rewalkBodies take the paths on which the request walk types a span
+// again after the walk, or not at all: a model named after its tasks, a
+// repeated "tasks" whose earlier occurrence fails to type, a typing error
+// before a syntax error, task arrays longer than the walk's stack buffer,
+// and an unknown task member nested to encoding/json's depth limit and
+// one level past it.
+var rewalkBodies = func() []string {
+	const task = `{"wcet":1,"deadline":4,"period":4}`
+	tasks := func(n int) string {
+		return `{"tasks":[` + strings.TrimSuffix(strings.Repeat(task+",", n), ",") + `]}`
+	}
+	// The object, the tasks array and the task are three of the 10000
+	// levels encoding/json allows.
+	deep := func(levels int) string {
+		return `{"tasks":[{"wcet":1,"x":` + strings.Repeat("[", levels) + strings.Repeat("]", levels) + `}]}`
+	}
+	return []string{
+		`{"tasks":[{"wcet":1,"deadline":4,"period":4,"affinity":[0,1]},{"wcet":2,"affinity":[1]}],` +
+			`"processors":[{},{"speed":2}],"model":"partitioned"}`,
+		`{"processors":[{}],"tasks":[{"wcet":1,"affinity":[0]}],"model":"events","model":"partitioned"}`,
+		`{"model":"partitioned","tasks":[{"wcet":1,"affinity":[0]}],"model":"sporadic"}`,
+		`{"model":"partitioned","tasks":[{"wcet":1,"affinity":[0]}],"model":"sporadic","tasks":[{"wcet":2}]}`,
+		`{"tasks":[{"wcet":1}],"model":"partitioned","processors":[{}],"tasks":[{"wcet":2,"affinity":[0]}]}`,
+		`{"tasks":[{"wcet":"x"}],"tasks":[` + task + `]}`,
+		`{"model":"partitioned","processors":[{}],"tasks":[{"affinity":"0"}],"tasks":[{"wcet":1,"affinity":[0]}]}`,
+		`{"tasks":[` + task + `],"tasks":[{"wcet":"x"}]}`,
+		`{"tasks":[{"wcet":"x"}],"name":"a",}`,
+		`{"model":"partitioned","tasks":[{"wcet":1.5}],"processors":[{}]`,
+		tasks(65), tasks(200),
+		deep(10000 - 3), deep(10000 - 2),
+	}
+}()
+
 // wireCompatRow is one row of TestWireCompat's table (internal/cluster):
 // a request body and, for a 200, the reply pinned for it.
 type wireCompatRow struct {
@@ -99,7 +133,8 @@ func wireCompatBodies(t testing.TB) []string {
 // included; where the reference answers a syntax error, both must answer
 // its text.
 func FuzzRequestJSON(f *testing.F) {
-	for _, body := range append(append(wireCompatBodies(f), readmeBodies...), typedWalkBodies...) {
+	bodies := append(append(wireCompatBodies(f), readmeBodies...), typedWalkBodies...)
+	for _, body := range append(bodies, rewalkBodies...) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -153,19 +188,23 @@ func checkSyntaxError(t testing.TB, got any, path string, data []byte, err, refE
 }
 
 // TestWireDecodeAllocs bounds the allocations of the daemons' decode of
-// a 25-task sporadic analyze body, of a one-task proposal and of the
-// partition-cold-shaped body (8 processors, 24 tasks, 12 affinities).
-// The nested decoders made 34 for the analyze body; the walk leaves the
-// request value and its task slice. The proposal went through
-// json.Unmarshal's reflection and made 7; its own walk leaves the request
-// value and the task. The partition body made 54 while json.Unmarshal
-// typed the processors and every affinity; the walk leaves the request
-// value, the processor and task slices and one slice per affinity.
+// a 25-task sporadic analyze body, of a 100-task session open, of a
+// one-task proposal and of the two partition bodies (8 processors and 24
+// tasks with 12 affinities, 16 processors and 64 tasks with 32). The
+// nested decoders made 34 for the analyze body; the walk leaves the
+// request value and its task slice, and so it does for the session's 100
+// tasks, which overflow the walk's stack buffer. The proposal went
+// through json.Unmarshal's reflection and made 7; its own walk leaves the
+// request value and the task. The partition body made 54 while
+// json.Unmarshal typed the processors and every affinity; the walk leaves
+// the request value, the processor and task slices and one slice per
+// affinity, and no longer copies the model name. The 64-task body is
+// held at the 36 the walk made before it typed each integer in its check.
 func TestWireDecodeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		max  float64
-	}{{"analyze-25", 10}, {"propose-1", 2}, {"partition-m8-24", 16}} {
+	}{{"analyze-25", 10}, {"session-100", 2}, {"propose-1", 2}, {"partition-m8-24", 15}, {"partition-m16-64", 36}} {
 		wb := requestBody(t, c.name)
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := wb.decode(wb.body); err != nil {
@@ -174,6 +213,51 @@ func TestWireDecodeAllocs(t *testing.T) {
 		})
 		if allocs > c.max {
 			t.Errorf("decoding %s: %.0f allocs, want at most %.0f", c.name, allocs, c.max)
+		}
+	}
+}
+
+// TestPrefixesAnswerSyntaxErrors decodes every proper prefix of every
+// benchmark request and reply body and of every request and 200 reply of
+// TestWireCompat's table through DecodeJSON, as the type the whole body
+// decodes as. The walk checks each byte as it types it, so a cut
+// anywhere, inside a task array, a number or a string, must answer
+// encoding/json's syntax error text exactly. A prefix that is itself
+// valid JSON, a reply without its trailing newline, is left to the
+// differential fuzzers.
+func TestPrefixesAnswerSyntaxErrors(t *testing.T) {
+	check := func(name string, body []byte, decode func([]byte) error) {
+		for n := range len(body) {
+			p := body[:n]
+			if json.Valid(p) {
+				continue
+			}
+			want := json.Unmarshal(p, new(any))
+			if err := decode(p); err == nil || err.Error() != want.Error() {
+				t.Fatalf("%s cut at %d (%q): error %v, want %v", name, n, p, err, want)
+			}
+		}
+	}
+	for _, wb := range append(wireBodies(), replyBodies()...) {
+		check(wb.name, wb.body, wb.decode)
+	}
+	decoder := func(v func() any) func([]byte) error {
+		return func(b []byte) error { return DecodeJSON(b, v()) }
+	}
+	requests := map[string]func([]byte) error{
+		"analyze":   decoder(func() any { return new(AnalyzeRequest) }),
+		"partition": decoder(func() any { return new(PartitionRequest) }),
+		"propose":   decoder(func() any { return new(ProposeRequest) }),
+	}
+	replies := map[string]func([]byte) error{
+		"analyze":   decoder(func() any { return new(AnalyzeResponse) }),
+		"partition": decoder(func() any { return new(PartitionResponse) }),
+		"propose":   decoder(func() any { return new(ProposeResponse) }),
+	}
+	for _, r := range wireCompatRows(t) {
+		check(r.Name, []byte(r.Body), requests[r.Route])
+		if r.Reply != "" {
+			check(r.Name+" reply", []byte(r.Reply), replies[r.Route])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -48,6 +49,14 @@ func wireCompatReplies(t testing.TB) []string {
 func FuzzReplyJSON(f *testing.F) {
 	for _, body := range append(wireCompatReplies(f), readmeReplies...) {
 		f.Add([]byte(body))
+	}
+	// Unknown members nested to encoding/json's depth limit and one level
+	// past it, at the top of a reply and inside a processor report, where
+	// the object, the array and the report take three of the levels.
+	nest := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for _, levels := range []int{10000, 10001} {
+		f.Add([]byte(`{"model":"sporadic","x":` + nest(levels-1) + `,"wall_ns":1}`))
+		f.Add([]byte(`{"feasible":true,"processors":[{"processor":0,"x":` + nest(levels-3) + `}]}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplyDecode[AnalyzeResponse, plainAnalyzeResponse](t, data)
@@ -125,9 +134,8 @@ func TestReplyRoundTrip(t *testing.T) {
 // daemons' own bytes; this test does.
 func TestReplyWalkTakesDaemonReplies(t *testing.T) {
 	walks := func(name string, body []byte, v any) {
-		sc, err := workload.NewScanner(body)
-		if s := (replyScanner{sc}); err != nil || !s.value(v) {
-			t.Errorf("%s: the walk did not take %s (%v)", name, body, err)
+		if s := (replyScanner{workload.NewScanner(body)}); !s.value(v) || !s.End() {
+			t.Errorf("%s: the walk did not take %s", name, body)
 		}
 	}
 	for _, r := range wireCompatRows(t) {
@@ -150,13 +158,14 @@ func TestReplyWalkTakesDaemonReplies(t *testing.T) {
 
 // TestReplyDecodeAllocs holds the client's decode of the benchmark's
 // analyze and partition replies at their measured allocations: the reply
-// value and the strings and slices it keeps, each slice allocated at its
-// final length. A placement's bins carry no fingerprint strings.
+// value and the strings and slices it keeps, each slice allocated once,
+// at its final length, however long (the 64-entry assignment included).
+// A placement's bins carry no fingerprint strings.
 func TestReplyDecodeAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		max  float64
-	}{{"analyze-reply", 2}, {"partition-reply-m8-24", 9}} {
+	}{{"analyze-reply", 2}, {"partition-reply-m8-24", 9}, {"partition-reply-m16-64", 13}} {
 		rb := replyBody(t, c.name)
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := rb.decode(rb.body); err != nil {

@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf8"
 
@@ -24,22 +27,32 @@ type Field struct {
 	Dst  any
 }
 
-// decode types one occurrence v of the field into Dst.
-func (f Field) decode(v []byte) error {
-	if dst, ok := f.Dst.(*int); ok && setInt(dst, v) {
-		return nil
+// decode types the value at the cursor into Dst and consumes it.
+func (f Field) decode(s *Scanner) error {
+	s.Peek()
+	start := s.i
+	if dst, ok := f.Dst.(*int); ok {
+		if s.setInt(dst) {
+			return nil
+		}
+	} else {
+		s.Skip()
 	}
-	return json.Unmarshal(v, f.Dst)
+	if s.bad {
+		return nil // the walk answers the syntax error
+	}
+	return json.Unmarshal(s.data[start:s.i], f.Dst)
 }
 
-// setInt types the value v into dst as encoding/json types an int, and
-// reports false where it declines: for anything but null, which leaves
-// dst, or an integer literal that fits an int.
-func setInt(dst *int, v []byte) bool {
-	if v[0] == 'n' {
+// setInt types the value at the cursor into dst as encoding/json types an
+// int, and consumes it. It reports false where it declines: for anything
+// but null, which leaves dst, or an integer literal that fits an int.
+func (s *Scanner) setInt(dst *int) bool {
+	if s.Peek() == 'n' {
+		s.Skip()
 		return true
 	}
-	n, ok := ParseInt(v)
+	n, ok := s.Int()
 	if !ok || int64(int(n)) != n {
 		return false
 	}
@@ -48,182 +61,264 @@ func setInt(dst *int, v []byte) bool {
 }
 
 // DecodeRequest decodes a request object that carries a workload into w
-// and the caller's fields. It walks the object once and checks its
-// syntax on the way, as json.Valid would: the walk checks the object's
-// keys and punctuation, and the scanner's check takes each member value,
-// counting the "tasks" and "processors" arrays as it goes. It then types
-// the last "processors" and "tasks" arrays under the final "model":
+// and the caller's fields. It walks the object once, and the walk is the
+// check: every byte it consumes is checked as json.Valid would check it,
+// so no other pass runs over the body. The walk types each "processors"
+// and "tasks" array as it meets it, under the model named so far:
 // processors, sporadic and partitioned tasks with their affinities, and
-// integer fields by hand, event arrays through json.Unmarshal on their
-// own spans. A processor array or an affinity the walk declines (a value
-// of the wrong kind, a number its field cannot hold, a repeated
-// affinity, which encoding/json merges in place) goes to json.Unmarshal
-// too. The result, and the error for a body with a syntax error, equal
-// what encoding/json's struct decoding of the same bytes gives; the
-// package documentation lists the rules.
+// integer fields by hand. After the walk the last "processors" and
+// "tasks" spans are typed again, by the same functions on their checked
+// bytes, only where the walk did not type them under the final "model":
+// a span after which the model changed, one met under no usable model,
+// or one whose typing declined or failed. Event arrays go to
+// json.Unmarshal on their own spans. A processor array or an affinity the
+// walk declines (a value of the wrong kind, a number its field cannot
+// hold, a repeated affinity, which encoding/json merges in place) goes to
+// json.Unmarshal too. A typing error is answered only once the whole body
+// has passed the check, so a syntax error anywhere wins. The result, and
+// the error for a body with a syntax error, equal what encoding/json's
+// struct decoding of the same bytes gives; the package documentation
+// lists the rules.
 func DecodeRequest(data []byte, w *Workload, fields ...Field) error {
 	s := Scanner{data: data}
 	var name, tasks, procs []byte // quoted model name and value spans; nil while absent
 	var nameEsc bool
-	var n, np int // elements of tasks and of procs
-	switch s.Peek() {
+	var typed Workload  // the walk's typing of the last tasks and processors
+	var tasksAs Model   // the model typed.Tasks or PartTasks holds the last tasks under; "" for none
+	var procsTyped bool // typed.Processors holds the last processors
+	var err error       // the walk's first typing error
+	switch c := s.Peek(); c {
 	case 'n': // null decodes as an empty object
-		if !s.lit("null") || !s.end() {
-			return syntaxError(data)
-		}
+		s.Skip()
 	case '{':
-		s.i++
-		for more := s.Peek() != '}'; more; {
-			key, ok := s.key()
-			if !ok {
-				return syntaxError(data)
-			}
-			start := s.i
+		for s.Member() {
+			key := s.Key()
+			s.Peek()
+			at := s // the cursor at the value
 			switch {
 			case foldIs(key, "model"):
 				switch c := s.Peek(); c {
-				case 'n':
-					ok = s.lit("null")
 				case '"':
-					nameEsc, ok = s.str()
-					name = data[start:s.i]
+					name, nameEsc = s.Str()
+				case 'n':
+					s.Skip()
 				default:
-					return typed(data, typeError("model", c, "a string"))
-				}
-			case foldIs(key, "tasks"):
-				n, ok = s.skip(1)
-				tasks = data[start:s.i]
-			case foldIs(key, "processors"):
-				np, ok = s.skip(1)
-				procs = data[start:s.i]
-			default:
-				if _, ok = s.skip(1); !ok {
-					break
-				}
-				for _, f := range fields {
-					if foldIs(key, f.Name) {
-						if err := f.decode(data[start:s.i]); err != nil {
-							return typed(data, err)
-						}
+					s.Skip()
+					if err == nil {
+						err = typeError("model", c, "a string")
 					}
 				}
+			case foldIs(key, "tasks"):
+				tasksAs = ""
+				m, e := modelOf(name, nameEsc)
+				if e == nil && m != Events && s.Peek() == '[' && s.taskArray(&typed, m) == nil {
+					tasksAs = m
+				} else {
+					s = at
+					s.Skip()
+				}
+				tasks = data[at.i:s.i]
+			case foldIs(key, "processors"):
+				m, e := modelOf(name, nameEsc)
+				if procsTyped = e == nil && m == Partitioned && s.processors(&typed.Processors); !procsTyped {
+					s = at
+					s.Skip()
+				}
+				procs = data[at.i:s.i]
+			default:
+				if f := fieldOf(fields, key); f != nil && err == nil {
+					err = f.decode(&s)
+				} else {
+					s.Skip()
+				}
 			}
-			if !ok {
-				return syntaxError(data)
-			}
-			if more, ok = s.next('}'); !ok {
-				return syntaxError(data)
-			}
-		}
-		if s.i++; !s.end() { // the '}'
-			return syntaxError(data)
 		}
 	default:
-		if _, ok := valid(data); !ok {
-			return syntaxError(data)
+		if s.Skip(); s.End() {
+			return typeError("request", c, "an object")
 		}
-		return typeError("request", data[s.i], "an object")
 	}
-	m, err := ParseModel(Unquote(name, nameEsc))
+	if !s.End() {
+		return syntaxError(data)
+	}
+	if err != nil {
+		return err
+	}
+	m, err := modelOf(name, nameEsc)
 	if err != nil {
 		return err
 	}
 	*w = Workload{Model: m}
-	if m == Partitioned && procs != nil && procs[0] != 'n' && !w.processors(procs, np) {
-		w.Processors = nil
-		if err := json.Unmarshal(procs, &w.Processors); err != nil {
-			return fmt.Errorf("workload: processors: %w", err)
+	if m == Partitioned && procs != nil && procs[0] != 'n' {
+		if !procsTyped {
+			t := Scanner{data: procs, depth: 1}
+			procsTyped = t.processors(&typed.Processors)
+		}
+		if w.Processors = typed.Processors; !procsTyped {
+			w.Processors = nil
+			if err := json.Unmarshal(procs, &w.Processors); err != nil {
+				return fmt.Errorf("workload: processors: %w", err)
+			}
 		}
 	}
-	if tasks == nil || tasks[0] == 'n' {
-		return nil
-	}
-	if m == Events {
+	switch {
+	case tasks == nil || tasks[0] == 'n':
+	case m == Events:
 		if err := json.Unmarshal(tasks, &w.Events); err != nil {
 			return fmt.Errorf("workload: events tasks: %w", err)
 		}
-		return nil
-	}
-	if tasks[0] != '[' {
+	case tasks[0] != '[':
 		return typeError(string(m)+" tasks", tasks[0], "an array")
+	case tasksAs == m:
+		w.Tasks, w.PartTasks = typed.Tasks, typed.PartTasks
+	default:
+		t := Scanner{data: tasks, depth: 1}
+		return t.taskArray(w, m)
 	}
-	t := Scanner{data: tasks}
-	if m == Partitioned {
-		w.PartTasks = make([]PartitionedTask, n)
-		for k := range w.PartTasks {
-			t.Elem()
-			if err := t.task(&w.PartTasks[k].Task, &w.PartTasks[k].Affinity, k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	w.Tasks = make(model.TaskSet, n)
-	for k := range w.Tasks {
-		t.Elem()
-		if err := t.task(&w.Tasks[k], nil, k); err != nil {
-			return err
+	return nil
+}
+
+// fieldOf returns the field a request key names, or nil.
+func fieldOf(fields []Field, key []byte) *Field {
+	for k := range fields {
+		if foldIs(key, fields[k].Name) {
+			return &fields[k]
 		}
 	}
 	return nil
 }
 
+// modelOf resolves a quoted model name, nil while absent, as ParseModel
+// resolves its unquoted string; a plain name needs no copy.
+func modelOf(q []byte, esc bool) (Model, error) {
+	if q != nil && !esc {
+		switch string(q[1 : len(q)-1]) {
+		case "", string(Sporadic):
+			return Sporadic, nil
+		case string(Events):
+			return Events, nil
+		case string(Partitioned):
+			return Partitioned, nil
+		}
+	}
+	return ParseModel(Unquote(q, esc))
+}
+
+// taskArray types the array at the cursor into w's tasks under model m,
+// sporadic or partitioned, and consumes it. The other model's tasks are
+// reset, so w holds the typing of one array only.
+func (s *Scanner) taskArray(w *Workload, m Model) (err error) {
+	w.Tasks, w.PartTasks = nil, nil
+	if m == Partitioned {
+		w.PartTasks, err = collect[PartitionedTask](s, 0)
+	} else {
+		w.Tasks, err = collect[model.Task](s, 0)
+	}
+	return err
+}
+
+// errDecline marks a value the walk leaves to json.Unmarshal.
+var errDecline = errors.New("workload: declined")
+
+// stackElems is the number of array elements one call of collect types
+// on its stack.
+const stackElems = 32
+
+// collect types the elements of the array at the cursor, n of its
+// elements before them typed by the calls that recursed into this one,
+// into a slice of exactly their number, and consumes the array: [] is
+// empty and not nil. Each call types up to stackElems elements into a
+// buffer on its stack and recurses for the rest; the call that meets the
+// closing bracket allocates the slice, and every call copies its
+// elements into it on the way back. So the array is walked once, without
+// a count, into one allocation, however long it is.
+func collect[T model.Task | PartitionedTask | Processor | int](s *Scanner, n int) ([]T, error) {
+	var buf [stackElems]T
+	for k := range buf {
+		if !s.Elem() {
+			out := make([]T, n+k)
+			copy(out[n:], buf[:k])
+			return out, nil
+		}
+		if err := s.elem(&buf[k], n+k); err != nil {
+			return nil, err
+		}
+	}
+	out, err := collect[T](s, n+stackElems)
+	if err == nil {
+		copy(out[n:], buf[:])
+	}
+	return out, err
+}
+
+// elem types the k-th element of an array into dst, a pointer to a
+// sporadic task, a partitioned task, a processor or an affinity index,
+// and consumes it; errDecline leaves the array to json.Unmarshal.
+func (s *Scanner) elem(dst any, k int) error {
+	switch v := dst.(type) {
+	case *model.Task:
+		_, err := s.task(v, nil, k)
+		return err
+	case *PartitionedTask:
+		_, err := s.task(&v.Task, &v.Affinity, k)
+		return err
+	case *Processor:
+		return s.processor(v)
+	default:
+		if !s.setInt(v.(*int)) {
+			return errDecline
+		}
+		return nil
+	}
+}
+
 // processorKeys are the wire keys of a Processor, in field order.
 var processorKeys = []string{"name", "speed"}
 
-// processors types procs, a checked array of n elements, into
-// w.Processors as encoding/json types a []Processor. It reports false,
-// for json.Unmarshal to answer, where it declines the bytes: anything but
-// nulls and objects whose "name" is null or a string and whose "speed"
-// is null or an integer literal that fits an int64. Repeated keys need
-// no merge: the last non-null occurrence sets a field.
-func (w *Workload) processors(procs []byte, n int) bool {
-	if procs[0] != '[' {
+// processors types the value at the cursor into *dst as encoding/json
+// types a []Processor, and consumes it. It reports false, for
+// json.Unmarshal to answer, where it declines the bytes: anything but an
+// array of nulls and objects whose "name" is null or a string and whose
+// "speed" is null or an integer literal that fits an int64.
+func (s *Scanner) processors(dst *[]Processor) bool {
+	if s.Peek() != '[' {
 		return false
 	}
-	s := Scanner{data: procs}
-	w.Processors = make([]Processor, n)
-	for k := range w.Processors {
-		s.Elem()
-		switch s.Peek() {
-		case 'n':
-			s.i += len("null")
-			continue
-		case '{':
-		default:
-			return false
-		}
-		p := &w.Processors[k]
-		for s.Member() {
-			f := MatchKey(s.Key(), processorKeys)
-			switch c := s.data[s.i]; {
-			case f < 0 || c == 'n':
-				s.Skip()
-			case f == 0:
-				if c != '"' {
-					return false
-				}
-				p.Name = Unquote(s.Str())
-			default:
-				v, ok := ParseInt(s.Value())
-				if !ok {
-					return false
-				}
-				p.Speed = v
-			}
-		}
-	}
-	return true
+	ps, err := collect[Processor](s, 0)
+	*dst = ps
+	return err == nil
 }
 
-// typed returns err, a typing error the walk met before it had checked
-// all of data, unless data has a syntax error: encoding/json checks a
-// whole body before it types any of it, so the syntax error wins.
-func typed(data []byte, err error) error {
-	if _, ok := valid(data); !ok {
-		return syntaxError(data)
+// processor types one processor element into p. Repeated keys need no
+// merge: the last non-null occurrence sets a field.
+func (s *Scanner) processor(p *Processor) error {
+	switch s.Peek() {
+	case 'n':
+		s.Skip()
+		return nil
+	case '{':
+	default:
+		return errDecline
 	}
-	return err
+	for s.Member() {
+		f := MatchKey(s.Key(), processorKeys)
+		switch c := s.Peek(); {
+		case f < 0 || c == 'n':
+			s.Skip()
+		case f == 0:
+			if c != '"' {
+				return errDecline
+			}
+			p.Name = Unquote(s.Str())
+		default:
+			v, ok := s.Int()
+			if !ok {
+				return errDecline
+			}
+			p.Speed = v
+		}
+	}
+	return nil
 }
 
 // UnmarshalJSON decodes {"model": ..., "tasks": [...]} through
@@ -240,29 +335,47 @@ func (w *Workload) UnmarshalJSON(data []byte) error {
 // key, even "stream": null, is an event-driven task decoded by
 // json.Unmarshal; any other object takes the sporadic walk, so
 // pre-existing {"wcet", "deadline", "period"} payloads keep working. A
-// null task is a zero sporadic task.
+// null task is a zero sporadic task. The walk checks the bytes as it
+// types them, and a syntax error anywhere wins over a typing error.
 func (t *Task) UnmarshalJSON(data []byte) error {
-	s, err := NewScanner(data)
-	if err != nil {
-		return err
+	s := Scanner{data: data}
+	var dt Task
+	err := s.DecodeTask(&dt)
+	if !s.End() {
+		return syntaxError(data)
 	}
-	return s.DecodeTask(t)
+	if err == nil {
+		*t = dt
+	}
+	return err
 }
 
 // DecodeTask decodes the task at the cursor into t as Task.UnmarshalJSON
-// decodes its bytes, and consumes it. The bytes must be checked already,
-// as NewScanner checks them.
+// decodes its bytes, and consumes it, checking every byte; a task it
+// cannot type is still consumed whole, so the caller's walk goes on. The
+// sporadic walk notes a "stream" key as it passes it; only a task whose
+// typing fails before the end of its object is walked a second time, to
+// look for one.
 func (s *Scanner) DecodeTask(t *Task) error {
+	at := *s
 	switch c := s.Peek(); c {
 	case 'n':
-		s.i += len("null")
+		s.Skip()
 		*t = Task{Sporadic: &model.Task{}}
 		return nil
 	case '{':
 	default:
+		s.Skip()
 		return typeError("task", c, "an object")
 	}
-	if probe := *s; probe.hasKey("stream") {
+	var st model.Task
+	stream, err := s.task(&st, nil, 0)
+	if err != nil && !stream {
+		*s = at
+		stream = s.hasKey("stream")
+	}
+	if stream {
+		*s = at
 		var et eventstream.Task
 		if err := json.Unmarshal(s.Value(), &et); err != nil {
 			return fmt.Errorf("workload: event task: %w", err)
@@ -270,8 +383,7 @@ func (s *Scanner) DecodeTask(t *Task) error {
 		*t = Task{Event: &et}
 		return nil
 	}
-	var st model.Task
-	if err := s.task(&st, nil, 0); err != nil {
+	if err != nil {
 		return err
 	}
 	*t = Task{Sporadic: &st}
@@ -279,8 +391,10 @@ func (s *Scanner) DecodeTask(t *Task) error {
 }
 
 // taskKeys are the wire keys of a sporadic task plus the affinity of a
-// partitioned one, indexed by the field constants below.
-var taskKeys = [...]string{"name", "wcet", "deadline", "period", "phase", "critical_section", "self_suspension", "affinity"}
+// partitioned one and the stream that makes a proposed task an event
+// task, indexed by the field constants below.
+var taskKeys = [...]string{"name", "wcet", "deadline", "period", "phase", "critical_section", "self_suspension",
+	"affinity", "stream"}
 
 const (
 	fName = iota
@@ -291,6 +405,7 @@ const (
 	fCriticalSection
 	fSelfSuspension
 	fAffinity
+	fStream
 	fUnknown
 )
 
@@ -314,6 +429,8 @@ func taskField(key []byte) int {
 		return fSelfSuspension
 	case "affinity":
 		return fAffinity
+	case "stream":
+		return fStream
 	}
 	if f := MatchKey(key, taskKeys[:]); f >= 0 {
 		return f
@@ -360,59 +477,65 @@ func intField(t *model.Task, f int) *int64 {
 // task types one element of a sporadic or partitioned task array into t
 // (and its affinity into aff, for partitioned arrays), as encoding/json
 // types a struct element: null leaves the zero task, an object sets the
-// fields it names in document order, anything else is a type error. An
-// affinity the walk declines goes to json.Unmarshal, and so does every
-// occurrence of a repeated one, from nil, since encoding/json merges
-// them in place.
-func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
-	switch s.Peek() {
+// fields it names in document order, anything else is a type error. Each
+// integer is typed in the scan that checks it. An affinity the walk
+// declines goes to json.Unmarshal, and so does every occurrence of a
+// repeated one, from nil, since encoding/json merges them in place.
+// stream reports a "stream" key met before the task's end or its error.
+func (s *Scanner) task(t *model.Task, aff *[]int, k int) (stream bool, err error) {
+	switch c := s.Peek(); c {
 	case 'n':
-		s.i += len("null")
-		return nil
+		s.Skip()
+		return false, nil
 	case '{':
 	default:
-		return typeError("task "+strconv.Itoa(k), s.data[s.i], "an object")
+		return false, typeError("task "+strconv.Itoa(k), c, "an object")
 	}
 	var affs int        // affinity members so far
 	var typedAff []byte // the first affinity while the walk's typing of it stands
 	for s.Member() {
 		f := taskField(s.Key())
-		c := s.data[s.i]
+		c := s.Peek()
 		switch {
 		case f == fAffinity && aff != nil:
-			start := s.i
+			at := *s
 			if affs++; affs == 1 && s.ints(aff) {
-				typedAff = s.data[start:s.i]
+				typedAff = s.data[at.i:s.i]
 				continue
 			}
-			s.i = start
+			*s = at
 			v := s.Value()
+			a := *aff // decoded in a copy, so that aff stays on the caller's stack
 			if typedAff != nil {
-				*aff = nil
-				_ = json.Unmarshal(typedAff, aff) // typed once, so it decodes
+				a = nil
+				_ = json.Unmarshal(typedAff, &a) // typed once, so it decodes
 				typedAff = nil
 			}
-			if err := json.Unmarshal(v, aff); err != nil {
-				return fmt.Errorf("workload: task %d: affinity: %w", k, err)
+			err := json.Unmarshal(v, &a)
+			if *aff = a; err != nil {
+				return stream, fmt.Errorf("workload: task %d: affinity: %w", k, err)
 			}
+		case f == fStream:
+			stream = true
+			s.Skip()
 		case f == fUnknown || f == fAffinity || c == 'n':
 			s.Skip()
 		case f == fName:
 			if c != '"' {
-				return typeError("task "+strconv.Itoa(k)+" name", c, "a string")
+				return stream, typeError("task "+strconv.Itoa(k)+" name", c, "a string")
 			}
 			t.Name = Unquote(s.Str())
 		default:
-			lit := s.Value()
-			v, ok := ParseInt(lit)
-			if c != '-' && (c < '0' || c > '9') || !ok {
-				return fmt.Errorf("workload: task %d: %s: cannot decode %s %s as an int64",
-					k, taskKeys[f], kindOf(c), lit)
+			start := s.i
+			v, ok := s.Int()
+			if !ok {
+				return stream, fmt.Errorf("workload: task %d: %s: cannot decode %s %s as an int64",
+					k, taskKeys[f], kindOf(c), s.data[start:s.i])
 			}
 			*intField(t, f) = v
 		}
 	}
-	return nil
+	return stream, nil
 }
 
 // ints types the value at the cursor into *dst as encoding/json types an
@@ -423,114 +546,86 @@ func (s *Scanner) task(t *model.Task, aff *[]int, k int) error {
 func (s *Scanner) ints(dst *[]int) bool {
 	switch s.Peek() {
 	case 'n':
-		s.i += len("null")
+		s.Skip()
 		*dst = nil
 		return true
 	case '[':
 	default:
 		return false
 	}
-	var buf [16]int
-	out := buf[:0]
-	for s.Elem() {
-		v := 0
-		if !setInt(&v, s.Value()) {
-			return false
-		}
-		out = append(out, v)
+	out, err := collect[int](s, 0)
+	if err != nil {
+		return false
 	}
-	*dst = append(make([]int, 0, len(out)), out...)
+	*dst = out
 	return true
 }
 
-// ParseInt types a number literal as encoding/json types an int64 field,
-// through strconv.ParseInt(lit, 10, 64): fractions, exponents and
-// overflow fail. Literals of up to 18 digits take a shortcut that cannot
-// overflow.
-func ParseInt(lit []byte) (int64, bool) {
-	d := lit
-	if len(d) > 0 && d[0] == '-' {
-		d = d[1:]
-	}
-	if len(d) == 0 || len(d) > 18 {
-		v, err := strconv.ParseInt(string(lit), 10, 64)
-		return v, err == nil
-	}
-	var v int64
-	for _, c := range d {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if len(d) < len(lit) {
-		v = -v
-	}
-	return v, true
-}
-
-// Scanner walks JSON one value at a time. It is the one JSON scanner of
-// the wire decoders: DecodeRequest walks request bodies on it, and
-// package service walks replies on it. Its check (skip) accepts exactly
-// the bytes json.Valid accepts; DecodeRequest runs it on each member
-// value as it walks, NewScanner on a whole body before a walk. The
-// exported methods walk bytes already checked and check nothing beyond
-// what they consume, and on such bytes no index they read reaches
-// len(data).
+// Scanner walks JSON one value at a time, and its walk is the check: each
+// method checks the bytes it consumes as json.Valid checks them, the
+// punctuation, keys, strings, literals and numbers, and encoding/json's
+// nesting limit counted from the top of the body. It is the one JSON
+// scanner of the wire decoders: DecodeRequest walks request bodies on
+// it, and package service walks proposals and replies on it. A method
+// that meets bytes json.Valid rejects fails the walk: the cursor moves to
+// the end, and every later method consumes nothing and reports no
+// member, element or value. End then reports false, so a walk that End
+// accepts has checked every byte of the body, and no walk needs a check
+// ahead of it.
 type Scanner struct {
-	data []byte
-	i    int
+	data  []byte
+	i     int
+	depth int  // arrays and objects open at the cursor
+	after bool // the cursor follows a value: a ',', a closing byte or the end comes next
+	bad   bool // the walk failed the check
 }
 
-// NewScanner checks data as json.Valid does, encoding/json's nesting
-// limit and its rejection of trailing bytes included, and returns a
-// Scanner at the start of data, or encoding/json's error for bytes that
-// fail the check.
-func NewScanner(data []byte) (Scanner, error) {
-	if _, ok := valid(data); !ok {
-		return Scanner{}, syntaxError(data)
-	}
-	return Scanner{data: data}, nil
+// NewScanner returns a Scanner at the start of data. It checks nothing:
+// the walk does.
+func NewScanner(data []byte) Scanner {
+	return Scanner{data: data}
+}
+
+// End reports whether the walk consumed one whole value, checking every
+// byte of it, and only whitespace follows: whether data passes json.Valid
+// and the walk took all of it.
+func (s *Scanner) End() bool {
+	return !s.bad && s.after && s.depth == 0 && s.end()
+}
+
+// fail fails the walk.
+func (s *Scanner) fail() bool {
+	s.bad, s.i = true, len(s.data)
+	return false
 }
 
 // maxDepth is encoding/json's nesting limit: a body may nest this many
 // arrays and objects, counted from its top.
 const maxDepth = 10000
 
-// valid checks that data is one JSON value with only whitespace around
-// it, under the grammar json.Valid checks, and returns the number of
-// elements when the value is an array.
-func valid(data []byte) (int, bool) {
-	s := Scanner{data: data}
-	n, ok := s.skip(0)
-	return n, ok && s.end()
-}
-
 // skip checks the value at the cursor, which depth arrays and objects
-// enclose, and consumes it. It returns the number of elements when the
-// value is an array, and ok false when the bytes are not a value, with
-// the cursor then somewhere inside them. It checks what json.Valid
-// checks: the nesting limit, the escapes, that a string holds no control
-// byte, the number grammar, the literals and the whitespace; like
-// json.Valid it does not check UTF-8.
-func (s *Scanner) skip(depth int) (n int, ok bool) {
+// enclose, and consumes it. It reports false when the bytes are not a
+// value, with the cursor then somewhere inside them. It checks what
+// json.Valid checks: the nesting limit, the escapes, that a string holds
+// no control byte, the number grammar, the literals and the whitespace;
+// like json.Valid it does not check UTF-8.
+func (s *Scanner) skip(depth int) bool {
 	switch s.Peek() {
 	case '"':
-		_, ok = s.str()
+		_, ok := s.str()
+		return ok
 	case '{':
-		ok = s.object(depth + 1)
+		return s.object(depth + 1)
 	case '[':
-		n, ok = s.array(depth + 1)
+		return s.array(depth + 1)
 	case 't':
-		ok = s.lit("true")
+		return s.lit("true")
 	case 'f':
-		ok = s.lit("false")
+		return s.lit("false")
 	case 'n':
-		ok = s.lit("null")
-	default:
-		ok = s.number()
+		return s.lit("null")
 	}
-	return n, ok
+	return s.number()
 }
 
 // object checks and consumes the object at the cursor, the depth-th
@@ -548,7 +643,7 @@ func (s *Scanner) object(depth int) bool {
 			return false
 		}
 		s.i++
-		if _, ok := s.skip(depth); !ok {
+		if !s.skip(depth) {
 			return false
 		}
 		var ok bool
@@ -561,24 +656,23 @@ func (s *Scanner) object(depth int) bool {
 }
 
 // array checks and consumes the array at the cursor, the depth-th
-// container from the top, and returns its number of elements.
-func (s *Scanner) array(depth int) (int, bool) {
+// container from the top.
+func (s *Scanner) array(depth int) bool {
 	if depth > maxDepth {
-		return 0, false
+		return false
 	}
 	s.i++ // '['
-	n := 0
-	for more := s.Peek() != ']'; more; n++ {
-		if _, ok := s.skip(depth); !ok {
-			return 0, false
+	for more := s.Peek() != ']'; more; {
+		if !s.skip(depth) {
+			return false
 		}
 		var ok bool
 		if more, ok = s.next(']'); !ok {
-			return 0, false
+			return false
 		}
 	}
 	s.i++ // ']'
-	return n, true
+	return true
 }
 
 // next reads the byte after a member or an element: it consumes a ','
@@ -597,15 +691,25 @@ func (s *Scanner) next(closing byte) (more, ok bool) {
 
 // str checks and consumes the string at the cursor, which must be at its
 // opening quote, and reports whether it needs encoding/json's unquoting:
-// whether it holds an escape or a byte that is not ASCII.
+// whether it holds an escape or a byte that is not ASCII. It passes plain
+// bytes eight at a time.
 func (s *Scanner) str() (esc, ok bool) {
 	d, j := s.data, s.i+1
 	for {
-		for j < len(d) && plain[d[j]] {
-			j++
-		}
-		if j == len(d) {
-			return esc, false
+		if len(d)-j >= 8 {
+			m := special(binary.LittleEndian.Uint64(d[j:]))
+			if m == 0 {
+				j += 8
+				continue
+			}
+			j += bits.TrailingZeros64(m) / 8
+		} else {
+			for j < len(d) && plain[d[j]] {
+				j++
+			}
+			if j == len(d) {
+				return esc, false
+			}
 		}
 		switch c := d[j]; {
 		case c == '"':
@@ -643,6 +747,16 @@ var plain = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// special returns x, eight bytes loaded little-endian, with the high bit
+// set in its lowest byte that a string cannot hold as it is: a quote, a
+// backslash, a control byte or a byte that is not ASCII, and 0 when there
+// is none. The subtractions borrow only past such a byte, so no byte
+// below the lowest one is marked.
+func special(x uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	return ((x - 0x20*ones) | ((x ^ '"'*ones) - ones) | ((x ^ '\\'*ones) - ones) | x) & highs
+}
 
 func isHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'f' }
 
@@ -717,20 +831,9 @@ func (s *Scanner) Peek() byte {
 // Member advances to the next member of an object, called first with the
 // cursor at its '{' and then after each member's value, and reports
 // whether there is one: it consumes the '{' or ',' before a key, or the
-// closing '}'.
+// closing '}'. Key then consumes the key.
 func (s *Scanner) Member() bool {
-	switch s.Peek() {
-	case '}':
-		s.i++
-		return false
-	case '{', ',':
-		s.i++
-		if s.Peek() == '}' { // only after '{': a comma is always followed by a key
-			s.i++
-			return false
-		}
-	}
-	return true
+	return s.advance('{', '}')
 }
 
 // Elem advances to the next element of an array, called first with the
@@ -738,72 +841,138 @@ func (s *Scanner) Member() bool {
 // there is one: it consumes the '[' or ',' before an element, or the
 // closing ']'.
 func (s *Scanner) Elem() bool {
-	switch s.Peek() {
-	case ']':
-		s.i++
-		return false
-	case '[', ',':
-		s.i++
-		if s.Peek() == ']' { // only after '['
-			s.i++
-			return false
+	return s.advance('[', ']')
+}
+
+// advance is Member and Elem for the container that opens with op and
+// closes with cl: at a value it opens the container, after one it reads
+// the ',' or the closing byte.
+func (s *Scanner) advance(op, cl byte) bool {
+	switch c := s.Peek(); {
+	case !s.after:
+		if c != op {
+			return s.fail()
 		}
+		s.i++
+		if s.depth++; s.depth > maxDepth {
+			return s.fail()
+		}
+		if s.Peek() != cl {
+			return true
+		}
+	case c == ',':
+		s.i++
+		s.after = false
+		return true
+	case c != cl:
+		return s.fail()
 	}
-	return true
+	s.i++
+	s.depth--
+	s.after = true
+	return false
 }
 
-// Key consumes a member's key and colon, leaving the cursor at the value,
-// and returns the key as encoding/json compares it.
-func (s *Scanner) Key() []byte {
-	key, _ := s.key()
-	return key
-}
-
-// key checks and consumes a member's key and colon, leaving the cursor at
-// the value, and returns the key as encoding/json compares it. A key with
-// an escape is unquoted through json.Unmarshal; one with invalid UTF-8
+// Key consumes a member's key and colon, leaving the cursor before the
+// value, and returns the key as encoding/json compares it. A key with an
+// escape is unquoted through json.Unmarshal; one with invalid UTF-8
 // matches no field either way, so its raw bytes serve.
-func (s *Scanner) key() ([]byte, bool) {
+func (s *Scanner) Key() []byte {
 	if s.Peek() != '"' {
-		return nil, false
+		s.fail()
+		return nil
 	}
 	q := s.i
 	esc, ok := s.str()
 	end := s.i
 	if !ok || s.Peek() != ':' {
-		return nil, false
+		s.fail()
+		return nil
 	}
 	s.i++
-	s.Peek()
 	raw := s.data[q+1 : end-1]
 	if esc && bytes.IndexByte(raw, '\\') >= 0 {
 		raw = []byte(Unquote(s.data[q:end], esc))
 	}
-	return raw, true
+	return raw
 }
 
 // Str consumes the string at the cursor and returns it with its quotes,
 // and whether it needs encoding/json's unquoting: it holds an escape or a
 // byte that is not ASCII.
 func (s *Scanner) Str() (q []byte, esc bool) {
+	if s.Peek() != '"' {
+		s.fail()
+		return nil, false
+	}
 	start := s.i
-	esc, _ = s.str()
+	esc, ok := s.str()
+	if !ok {
+		s.fail()
+		return nil, false
+	}
+	s.after = true
 	return s.data[start:s.i], esc
 }
 
 // Value consumes the value at the cursor and returns its bytes.
 func (s *Scanner) Value() []byte {
+	s.Peek()
 	start := s.i
-	s.Skip()
+	if !s.skip(s.depth) {
+		s.fail()
+		return nil
+	}
+	s.after = true
 	return s.data[start:s.i]
 }
 
-// Skip consumes the value at the cursor and returns the number of
-// elements when it is an array. It runs the scanner's check (skip), the
-// package's one value skipper, for the cursor it leaves.
-func (s *Scanner) Skip() int {
-	n, _ := s.skip(0)
-	return n
+// Skip consumes the value at the cursor.
+func (s *Scanner) Skip() {
+	s.Value()
+}
+
+// Int consumes the value at the cursor and types it as encoding/json
+// types an int64 field, as strconv.ParseInt(lit, 10, 64) would: ok
+// reports an integer literal that fits. The scan that checks a literal of
+// up to 18 digits types it. A fraction, an exponent, overflow or a value
+// of another kind is consumed with ok false.
+func (s *Scanner) Int() (v int64, ok bool) {
+	c := s.Peek()
+	if c != '-' && (c < '0' || c > '9') {
+		s.Skip()
+		return 0, false
+	}
+	d, i := s.data, s.i
+	j := i
+	if c == '-' {
+		j++
+	}
+	k := j
+	var u uint64
+	if j < len(d) && d[j] == '0' {
+		j++
+	} else {
+		for ; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
+			u = u*10 + uint64(d[j]-'0')
+		}
+		if j == k {
+			return 0, s.fail()
+		}
+	}
+	if j < len(d) && (d[j] == '.' || d[j]|0x20 == 'e') {
+		s.Skip()
+		return 0, false
+	}
+	s.i, s.after = j, true
+	switch {
+	case j-k > 18:
+		n, err := strconv.ParseInt(string(d[i:j]), 10, 64)
+		return n, err == nil
+	case c == '-':
+		return -int64(u), true
+	}
+	return int64(u), true
 }
 
 // hasKey reports whether the object at the cursor has a key matching

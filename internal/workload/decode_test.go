@@ -59,25 +59,47 @@ func validSeeds() []string {
 	return seeds
 }
 
-// FuzzValid checks the scanner's check against json.Valid: valid must
-// accept exactly the inputs json.Valid accepts, and count an array's
-// elements as json.Unmarshal into []json.RawMessage does. DecodeRequest,
-// which runs the check on each member as it walks, must answer
-// json.Unmarshal's syntax error, text included, for exactly the inputs
-// json.Valid rejects.
+// walk consumes the value at the cursor through the Scanner's navigation
+// alone, as the typing walks do: Member and Key for objects, Elem for
+// arrays, Str for strings and Int for numbers.
+func walk(s *Scanner) {
+	switch c := s.Peek(); {
+	case c == '{':
+		for s.Member() {
+			s.Key()
+			walk(s)
+		}
+	case c == '[':
+		for s.Elem() {
+			walk(s)
+		}
+	case c == '"':
+		s.Str()
+	case c == '-' || '0' <= c && c <= '9':
+		s.Int()
+	default:
+		s.Skip()
+	}
+}
+
+// FuzzValid checks the scanner's check against json.Valid: a Scanner
+// that skips one value, and one that walks it through its navigation,
+// must each end exactly on the inputs json.Valid accepts. DecodeRequest,
+// whose walk is its check, must answer json.Unmarshal's syntax error,
+// text included, for exactly the inputs json.Valid rejects.
 func FuzzValid(f *testing.F) {
 	for _, seed := range validSeeds() {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want := json.Valid(data)
-		n, ok := valid(data)
-		if ok != want {
-			t.Fatalf("valid(%q) = %v, json.Valid = %v", data, ok, want)
+		s := NewScanner(data)
+		if s.Skip(); s.End() != want {
+			t.Fatalf("Skip and End of %q = %v, json.Valid = %v", data, s.End(), want)
 		}
-		var elems []json.RawMessage
-		if ok && json.Unmarshal(data, &elems) == nil && n != len(elems) {
-			t.Fatalf("valid(%q) counted %d elements, json.Unmarshal %d", data, n, len(elems))
+		s = NewScanner(data)
+		if walk(&s); s.End() != want {
+			t.Fatalf("walk and End of %q = %v, json.Valid = %v", data, s.End(), want)
 		}
 		var w Workload
 		err := DecodeRequest(data, &w)

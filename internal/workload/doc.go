@@ -9,24 +9,35 @@
 // # Decoding
 //
 // Every request that carries a workload decodes through DecodeRequest, a
-// walker that reads the body once and checks its syntax on the way. The
-// walk checks the top-level object's keys and punctuation and the
-// whitespace after it; the scanner's check takes each member value, and
-// counts the "tasks" array in the same pass. That check accepts exactly
-// what json.Valid accepts: encoding/json's nesting limit of 10000 arrays
-// and objects counted from the top of the body, its escapes, its rule
-// that a string holds no control byte, its number grammar, literals and
+// walker that reads the body once, and its walk is the body's check: the
+// Scanner checks every byte it consumes as json.Valid would, and no other
+// pass runs before or after it. That check accepts exactly what
+// json.Valid accepts: encoding/json's nesting limit of 10000 arrays and
+// objects counted from the top of the body, its escapes, its rule that a
+// string holds no control byte, its number grammar, literals and
 // whitespace, and, like json.Valid, no UTF-8 check (FuzzValid compares
 // the two). A body that fails it gets encoding/json's *json.SyntaxError.
-// Because encoding/json checks a whole body before it types any of it, a
-// typing error the walk meets before the end of the body (a non-string
-// "model", a field json.Unmarshal rejects) is answered only after the
-// whole body passes the check; otherwise the syntax error wins. After the
-// walk, the processor and task arrays are typed under the final "model",
-// each from the element count the check took. The decoded
-// value equals what encoding/json's struct decoding gives for the same
-// bytes, which FuzzWorkloadJSON (engine) and FuzzRequestJSON (service)
-// check differentially against the nested decoders the walker replaced.
+// Each integer literal is typed in the scan that checks it.
+//
+// The walk types each "processors" and "tasks" array as it meets it,
+// under the model named so far (the typed client writes "model" first,
+// and sporadic bodies omit it), into a buffer on its stack that it copies
+// out at the array's exact length, so it needs no element count; a
+// longer array recurses into a further buffer, and is still one
+// allocation. After the
+// walk, the last "processors" and "tasks" spans are typed again, by the
+// same functions on their already checked bytes, only where the walk's
+// typing does not stand for the final "model": the last span was met
+// under another model or none, or its typing declined or failed. A
+// span whose typing fails during the walk is checked to its end, and
+// the walk goes on. Because encoding/json checks a whole body before it
+// types any of it, a typing error (a non-string "model", a field
+// json.Unmarshal rejects, a task field of the wrong kind) is answered
+// only after the whole body passes the check; otherwise the syntax error
+// wins. The decoded value equals what encoding/json's struct decoding
+// gives for the same bytes, which FuzzWorkloadJSON (engine) and
+// FuzzRequestJSON (service) check differentially against the nested
+// decoders the walker replaced.
 // The rules it reproduces:
 //
 //   - Keys match case-insensitively under bytes.EqualFold, the
@@ -36,8 +47,8 @@
 //     whatever their type: "stream" on a sporadic task, "period" on an
 //     event task, "processors" outside the partitioned model.
 //   - "tasks" and "processors" take their last occurrence, null
-//     included; earlier occurrences are never typed. "model" takes its
-//     last non-null string.
+//     included; the typing of an earlier occurrence, and its error, are
+//     discarded. "model" takes its last non-null string.
 //   - A request's own keys (name, analyzer, options, heuristics, workers:
 //     see Field) go in document order into one value, which is
 //     encoding/json's in-place merge of repeated keys. The walk types an
@@ -64,22 +75,23 @@
 //
 // A proposal Task is an event task when its object has a "stream" key,
 // even "stream": null, and is then decoded by json.Unmarshal; any other
-// object takes the sporadic walk.
+// object takes the sporadic walk, which notes a "stream" key as it passes
+// it. Only a task whose typing fails before the end of its object is
+// walked again, to look for one.
 //
 // One scanner, Scanner, serves requests and replies: DecodeRequest walks
 // request bodies on it, and package service walks proposals and the
-// analyze, propose, partition, session and commit replies on it. Its
-// check is the package's one value skipper. NewScanner runs it once over
-// a whole body, the proposal task of Task.UnmarshalJSON included; the
-// walks that follow read checked bytes and check nothing more. The reply
-// walks
-// take the bodies the daemons write and skip unknown keys, and hand
-// anything else to encoding/json whole, into a method-free copy of the
-// reset value: a repeated key (encoding/json merges the occurrences), a
-// value of the wrong kind, a number its field cannot hold, or a body that
-// is not an object. Their result therefore equals json.Unmarshal's by
-// construction on those bodies, and FuzzReplyJSON (service) checks the
-// walked ones. MatchKey is the key rule both sides share.
+// analyze, propose, partition, session and commit replies on it. Every
+// walk on it is also the check of what it consumes, and Scanner.End
+// tells a walk that took a whole valid body from one that did not. The
+// reply walks take the bodies the daemons write and skip unknown keys,
+// and hand anything else to encoding/json whole, into a method-free copy
+// of the reset value: a body that fails the check, a repeated key
+// (encoding/json merges the occurrences), a value of the wrong kind, a
+// number its field cannot hold, or a body that is not an object. Their
+// result therefore equals json.Unmarshal's by construction on those
+// bodies, and FuzzReplyJSON (service) checks the walked ones. MatchKey is
+// the key rule both sides share.
 //
 // # Encoding
 //
